@@ -106,7 +106,7 @@ cover:
 # cmd/benchjson, so the perf trajectory is tracked in-repo. Compare
 # against BENCH_baseline.json (captured at the pre-sparse-fast-path
 # commit) — see the README's Performance section.
-BENCH_PATTERN = 'BenchmarkTunerRecommendTPCDS$$|BenchmarkTunerRecommendSteadyState$$|BenchmarkScoresTPCDS$$|BenchmarkScoresBatch$$|BenchmarkScoresBatchParallel$$|BenchmarkScoresSparse$$|BenchmarkScoresDenseTPCDS$$|BenchmarkThetaCached$$|BenchmarkThetaRecompute$$|BenchmarkCholObserve$$|BenchmarkCholObserveFused$$|BenchmarkRidgeObserveScore$$|BenchmarkRidgeObserveScoreSparse$$|BenchmarkRidgeForget$$|BenchmarkForgetLowRank$$|BenchmarkRidgeObserve$$|BenchmarkC2UCBScores$$|BenchmarkArmGeneration$$|BenchmarkFleetRound$$|BenchmarkChoosePlanCold$$|BenchmarkChoosePlanWarm$$|BenchmarkWhatIfWorkloadCold$$|BenchmarkWhatIfWorkloadWarm$$|BenchmarkEnvRoundSteadyState$$'
+BENCH_PATTERN = 'BenchmarkTunerRecommendTPCDS$$|BenchmarkTunerRecommendSteadyState$$|BenchmarkScoresTPCDS$$|BenchmarkScoresBatch$$|BenchmarkScoresBatchParallel$$|BenchmarkScoresSparse$$|BenchmarkScoresDenseTPCDS$$|BenchmarkThetaCached$$|BenchmarkThetaRecompute$$|BenchmarkCholObserve$$|BenchmarkCholObserveFused$$|BenchmarkRidgeObserveScore$$|BenchmarkRidgeObserveScoreSparse$$|BenchmarkRidgeForget$$|BenchmarkForgetLowRank$$|BenchmarkRidgeObserve$$|BenchmarkC2UCBScores$$|BenchmarkArmGeneration$$|BenchmarkFleetRound$$|BenchmarkChoosePlanCold$$|BenchmarkChoosePlanWarm$$|BenchmarkWhatIfWorkloadCold$$|BenchmarkWhatIfWorkloadWarm$$|BenchmarkEnvRoundSteadyState$$|BenchmarkQueryExecution$$|BenchmarkExecuteWorkloadTPCDS$$'
 
 bench:
 	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem ./... > .bench.out
@@ -117,16 +117,17 @@ bench:
 # Committed latest capture; bump when `make bench` commits a new one.
 BENCH_LATEST = BENCH_5468017.json
 
-# Perf regression tripwire mirroring CI: re-runs the Observe/Scores
-# and recommend-round hot paths, captures them through benchjson, and
-# fails if any benchmark present in both captures regressed ns/op OR
-# allocs/op by more than 30% against the committed latest capture — the
-# alloc budget is what keeps TunerRecommend's arena path flat.
+# Perf regression tripwire mirroring CI: re-runs the Observe/Scores,
+# recommend-round and engine-execution hot paths, captures them through
+# benchjson, and fails if any benchmark present in both captures
+# regressed ns/op OR allocs/op by more than 30% against the committed
+# latest capture — the alloc budget is what keeps TunerRecommend's arena
+# path and Execute's pooled buffers flat.
 # Benchmarks new since that capture are reported but never gated.
 benchdiff:
-	$(GO) test -run '^$$' -bench 'Observe|Scores|TunerRecommend|ChoosePlan|WhatIfWorkload|EnvRound' -benchmem . ./internal/linalg/ ./internal/mab/ ./internal/env/ > .benchdiff.out
+	$(GO) test -run '^$$' -bench 'Observe|Scores|TunerRecommend|ChoosePlan|WhatIfWorkload|EnvRound|QueryExecution|ExecuteWorkload' -benchmem . ./internal/linalg/ ./internal/mab/ ./internal/env/ > .benchdiff.out
 	$(GO) run ./cmd/benchjson < .benchdiff.out > .benchdiff.json
-	@$(GO) run ./cmd/benchdiff -only 'Observe|Scores|TunerRecommend|ChoosePlan|WhatIfWorkload|EnvRound' -fail-over 30 -fail-over-allocs 30 $(BENCH_LATEST) .benchdiff.json; \
+	@$(GO) run ./cmd/benchdiff -only 'Observe|Scores|TunerRecommend|ChoosePlan|WhatIfWorkload|EnvRound|QueryExecution|ExecuteWorkload' -fail-over 30 -fail-over-allocs 30 $(BENCH_LATEST) .benchdiff.json; \
 	status=$$?; rm -f .benchdiff.out .benchdiff.json; exit $$status
 
 # Parallel-runner speedup benchmark (sequential vs all-CPU sweep).

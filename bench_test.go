@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"dbabandits/internal/engine"
+	"dbabandits/internal/env"
 	"dbabandits/internal/harness"
 	"dbabandits/internal/index"
 	"dbabandits/internal/linalg"
@@ -473,6 +474,7 @@ func BenchmarkQueryExecution(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	q := bench.Templates[2].Instantiate(rng, db, "tpch") // Q3: 3-way join
 	cfg := index.NewConfig()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plan, err := opt.ChoosePlan(q, cfg)
@@ -481,6 +483,40 @@ func BenchmarkQueryExecution(b *testing.B) {
 		}
 		if _, err := engine.Execute(db, plan, cm); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExecuteWorkloadTPCDS executes one static TPC-DS round (the 99
+// template instances over 5000 stored rows) with the plans built before
+// the timer, so ns/op and allocs/op are engine.Execute alone.
+func BenchmarkExecuteWorkloadTPCDS(b *testing.B) {
+	e, err := env.New(env.Options{
+		Benchmark:     "tpcds",
+		Regime:        env.Static,
+		ScaleFactor:   10,
+		MaxStoredRows: 5000,
+		Seed:          1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := index.NewConfig()
+	var plans []*engine.Plan
+	for _, q := range e.Seq.Round(1) {
+		plan, err := e.Opt.ChoosePlan(q, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans = append(plans, plan)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, plan := range plans {
+			if _, err := engine.Execute(e.DB, plan, e.CM); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -264,15 +264,17 @@ func TestSplitSeekPreds(t *testing.T) {
 	ix := index.New("orders", []string{"o_custkey", "o_date"}, nil)
 	preds := []query.Predicate{
 		{Table: "orders", Column: "o_custkey", Op: query.OpEq, Lo: 5, Hi: 5},
+		{Table: "customer", Column: "o_date", Op: query.OpRange, Lo: 0, Hi: 9},
 		{Table: "orders", Column: "o_date", Op: query.OpRange, Lo: 0, Hi: 9},
 		{Table: "orders", Column: "o_status", Op: query.OpEq, Lo: 1, Hi: 1},
 	}
-	seek, resid := splitSeekPreds(ix, preds, 1, true)
-	if len(seek) != 2 || len(resid) != 1 {
-		t.Fatalf("seek=%v resid=%v", seek, resid)
+	prefix := query.Predicate{Table: "x", Column: "kept"}
+	seek := appendSeekPreds([]query.Predicate{prefix}, ix, preds, "orders", 1, true)
+	if len(seek) != 3 || seek[0] != prefix || seek[1] != preds[0] || seek[2] != preds[2] {
+		t.Fatalf("seek = %v", seek)
 	}
-	if resid[0].Column != "o_status" {
-		t.Fatalf("residual = %v", resid)
+	if n := filterCount(&query.Query{Filters: preds}, "orders") - (len(seek) - 1); n != 1 {
+		t.Fatalf("residual count = %d, want 1 (o_status)", n)
 	}
 }
 

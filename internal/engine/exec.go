@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"dbabandits/internal/index"
 	"dbabandits/internal/query"
@@ -27,8 +29,8 @@ type ExecStats struct {
 	// secondary index the plan used, keyed by index id.
 	IndexAccessSec map[string]IndexAccess
 
-	// PlanDesc is the executed plan rendered as text.
-	PlanDesc string
+	// Plan is the executed plan; Plan.String() renders it as text.
+	Plan *Plan
 }
 
 // IndexAccess pairs the table an index belongs to with the access time
@@ -38,16 +40,100 @@ type IndexAccess struct {
 	Sec   float64
 }
 
+// execScratch is the working memory of one Execute call, reused across
+// calls through scratchPool so that a query allocates only its ExecStats.
+type execScratch struct {
+	// cur and next hold the pipeline's tuples row-major, one stored row
+	// id per joined table (stride = tuple width); they swap after every
+	// join step.
+	cur, next []int32
+	// ids holds the inner rows a join step selects.
+	ids []int32
+	// slots names the table behind each tuple position.
+	slots []string
+	// seek collects an index access's seek predicates.
+	seek   []query.Predicate
+	lookup joinLookup
+}
+
+// scratchPool hands each Execute call its own scratch, so concurrent
+// callers (fleet tenants) never share one.
+var scratchPool = sync.Pool{New: func() any { return new(execScratch) }}
+
+// joinLookup maps an inner join-column value to the inner rows holding
+// it, in compressed sparse row form: the rows of bucket b are
+// rows[start[b]:start[b+1]], in ascending row-id order. It holds no
+// pointers, so the collector never scans it.
+type joinLookup struct {
+	bucket map[int64]int32
+	start  []int32
+	rows   []int32
+	of     []int32 // bucket of each input row, build scratch
+}
+
+// build indexes the rows ids (ascending) by their value in col.
+func (l *joinLookup) build(col []int64, ids []int32) {
+	if l.bucket == nil {
+		l.bucket = make(map[int64]int32, len(ids))
+	} else {
+		clear(l.bucket)
+	}
+	// First pass: assign buckets and count each one's rows into
+	// start[b+1].
+	l.start = append(l.start[:0], 0)
+	l.of = l.of[:0]
+	for _, r := range ids {
+		v := col[r]
+		b, ok := l.bucket[v]
+		if !ok {
+			b = int32(len(l.start) - 1)
+			l.bucket[v] = b
+			l.start = append(l.start, 0)
+		}
+		l.start[b+1]++
+		l.of = append(l.of, b)
+	}
+	for b := 1; b < len(l.start); b++ {
+		l.start[b] += l.start[b-1]
+	}
+	// Second pass: place each row at its bucket's cursor start[b], which
+	// leaves start[b] at bucket b+1's first slot; shifting start right by
+	// one restores the offsets.
+	l.rows = slices.Grow(l.rows[:0], len(ids))[:len(ids)]
+	for i, r := range ids {
+		b := l.of[i]
+		l.rows[l.start[b]] = r
+		l.start[b]++
+	}
+	copy(l.start[1:], l.start)
+	l.start[0] = 0
+}
+
+// match returns the inner rows whose join value is v.
+func (l *joinLookup) match(v int64) []int32 {
+	b, ok := l.bucket[v]
+	if !ok {
+		return nil
+	}
+	return l.rows[l.start[b]:l.start[b+1]]
+}
+
 // Execute runs the plan against the database, computing true operator
 // times from stored-data cardinalities. It returns an error only for
 // malformed plans (unknown tables/columns); optimiser-produced plans are
 // always well-formed.
+//
+// Each table in the pipeline gets one selection scan for its filter
+// predicates: the driver's matching rows seed the pipeline and each join
+// step's feed its lookup. Access times are priced apart from that scan:
+// they depend on the predicates and on how many rows an index seek
+// touches, never on which rows survive the filters.
 func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 	q := p.Query
 	st := &ExecStats{
 		TableScanSec:   make(map[string]float64, len(q.Tables)),
 		IndexAccessSec: make(map[string]IndexAccess),
-		PlanDesc:       p.String(),
+		Plan:           p,
 	}
 
 	// Baseline full-scan times for every referenced table (analytic).
@@ -56,15 +142,23 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown table %q", tname)
 		}
-		st.TableScanSec[tname] = cm.TableScanSec(tbl.Meta, len(q.FiltersOn(tname)))
+		st.TableScanSec[tname] = cm.TableScanSec(tbl.Meta, filterCount(q, tname))
 	}
+
+	sc := scratchPool.Get().(*execScratch)
+	defer scratchPool.Put(sc)
 
 	// Driver access.
 	driver, ok := db.Table(p.Driver.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown driver table %q", p.Driver.Table)
 	}
-	rowids, accessSec, err := executeAccess(db, p.Driver, q, cm)
+	cur, okSel := driver.AppendSelectRows(sc.cur[:0], q.Filters)
+	sc.cur = cur
+	if !okSel {
+		return nil, fmt.Errorf("engine: predicate on missing column of %s", p.Driver.Table)
+	}
+	accessSec, err := priceAccess(db, p.Driver, q, cm, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -73,22 +167,21 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 		st.IndexAccessSec[ix.ID()] = IndexAccess{Table: ix.Table, Sec: accessSec}
 	}
 
-	tuples := make([][]int32, len(rowids))
-	for i, r := range rowids {
-		tuples[i] = []int32{r}
-	}
-	tableSlot := map[string]int{p.Driver.Table: 0}
+	sc.slots = append(sc.slots[:0], p.Driver.Table)
 	logicalFactor := driver.Mult
 	sampleFactor := 1.0
-	curWidth := 1 // tuple width; tracked separately so empty pipelines keep slot accounting
 
 	for _, step := range p.Steps {
 		inner, ok := db.Table(step.InnerTable)
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown join table %q", step.InnerTable)
 		}
-		outerSlot, ok := tableSlot[step.OuterTable]
-		if !ok {
+		// The latest slot wins, should a table join in twice.
+		outerSlot := len(sc.slots) - 1
+		for outerSlot >= 0 && sc.slots[outerSlot] != step.OuterTable {
+			outerSlot--
+		}
+		if outerSlot < 0 {
 			return nil, fmt.Errorf("engine: join step on %s references table %s not yet in pipeline", step.InnerTable, step.OuterTable)
 		}
 		outerTbl := db.MustTable(step.OuterTable)
@@ -101,45 +194,41 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 			return nil, fmt.Errorf("engine: unknown join column %s.%s", step.InnerTable, step.InnerColumn)
 		}
 
-		innerPreds := q.FiltersOn(step.InnerTable)
-		innerIDs, okSel := inner.SelectRows(innerPreds)
+		ids, okSel := inner.AppendSelectRows(sc.ids[:0], q.Filters)
+		sc.ids = ids
 		if !okSel {
 			return nil, fmt.Errorf("engine: predicate on missing column of %s", step.InnerTable)
 		}
 
-		// Hash lookup from inner join-column value to inner row ids;
-		// exact in stored space for both algorithms (the difference is
-		// only in what the step costs).
-		lookup := make(map[int64][]int32, len(innerIDs))
-		for _, r := range innerIDs {
-			v := innerCol[r]
-			lookup[v] = append(lookup[v], r)
-		}
+		// Lookup from inner join-column value to inner row ids; exact in
+		// stored space for both algorithms (the difference is only in
+		// what the step costs).
+		sc.lookup.build(innerCol, ids)
 
-		width := curWidth
-		var out [][]int32
-		for _, tup := range tuples {
-			v := outerCol[tup[outerSlot]]
-			for _, r := range lookup[v] {
-				nt := make([]int32, width+1)
-				copy(nt, tup)
-				nt[width] = r
-				out = append(out, nt)
+		width := len(sc.slots)
+		n := len(sc.cur) / width
+		out := sc.next[:0]
+		for t := 0; t < len(sc.cur); t += width {
+			tup := sc.cur[t : t+width]
+			for _, r := range sc.lookup.match(outerCol[tup[outerSlot]]) {
+				out = append(out, tup...)
+				out = append(out, r)
 			}
 		}
+		nOut := len(out) / (width + 1)
 
-		probesLogical := float64(len(tuples)) * sampleFactor * logicalFactor
+		probesLogical := float64(n) * sampleFactor * logicalFactor
 		if inner.Mult > logicalFactor {
 			logicalFactor = inner.Mult
 		}
-		outLogical := float64(len(out)) * sampleFactor * logicalFactor
-		innerMatchedLogical := float64(len(innerIDs)) * inner.Mult
+		outLogical := float64(nOut) * sampleFactor * logicalFactor
+		innerMatchedLogical := float64(len(ids)) * inner.Mult
 
 		var stepSec float64
 		switch step.Algo {
 		case JoinHash:
 			// Inner side is scanned/accessed once, then hashed.
-			_, innerAccessSec, err := executeAccess(db, step.Inner, q, cm)
+			innerAccessSec, err := priceAccess(db, step.Inner, q, cm, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -156,8 +245,8 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 			innerPages := cm.PagesOf(inner.Meta.SizeBytes())
 			stepSec = cm.NLJoinSec(probesLogical, outLogical, fetchRows, entryWidth, innerPages)
 			// Residual inner predicates are evaluated per matched row.
-			if n := len(innerPreds); n > 0 {
-				stepSec += outLogical * float64(n) * cm.CPUPredSec
+			if nPreds := filterCount(q, step.InnerTable); nPreds > 0 {
+				stepSec += outLogical * float64(nPreds) * cm.CPUPredSec
 			}
 			if ix := step.Inner.Index; ix != nil {
 				st.IndexAccessSec[ix.ID()] = IndexAccess{Table: ix.Table, Sec: stepSec}
@@ -167,67 +256,74 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 		}
 		st.TotalSec += stepSec
 
-		tableSlot[step.InnerTable] = width
-		curWidth = width + 1
-		tuples = out
-		if len(tuples) > maxTuples {
-			k := (len(tuples) + maxTuples - 1) / maxTuples
-			sampled := tuples[:0]
-			for i := 0; i < len(tuples); i += k {
-				sampled = append(sampled, tuples[i])
+		sc.slots = append(sc.slots, step.InnerTable)
+		if nOut > maxTuples {
+			// Keep every k-th tuple, in place.
+			k := (nOut + maxTuples - 1) / maxTuples
+			w := width + 1
+			kept := 0
+			for i := 0; i < nOut; i += k {
+				copy(out[kept*w:(kept+1)*w], out[i*w:(i+1)*w])
+				kept++
 			}
-			tuples = sampled
+			out = out[:kept*w]
 			sampleFactor *= float64(k)
 		}
-		if len(tuples) == 0 {
-			// Join produced nothing; remaining steps cost their inner
-			// access only (hash builds still happen in a real system).
-			// Keep iterating so every inner access is charged.
-			continue
-		}
+		// An empty pipeline still runs the remaining steps, so every
+		// inner access is charged (hash builds still happen in a real
+		// system).
+		sc.cur, sc.next = out, sc.cur
 	}
 
-	st.OutRows = float64(len(tuples)) * sampleFactor * logicalFactor
+	st.OutRows = float64(len(sc.cur)/len(sc.slots)) * sampleFactor * logicalFactor
 	st.TotalSec += cm.OutputSec(st.OutRows, q.AggWidth)
 	return st, nil
 }
 
-// executeAccess evaluates a driver-style access path: the matching stored
-// row ids after all the table's filter predicates, and the true access
-// time. Used for plan drivers and hash-join inner sides.
-func executeAccess(db *storage.Database, acc Access, q *query.Query, cm *CostModel) ([]int32, float64, error) {
+// filterCount returns how many of the query's filter predicates are on
+// the table; FiltersOn without building the slice.
+func filterCount(q *query.Query, table string) int {
+	n := 0
+	for i := range q.Filters {
+		if q.Filters[i].Table == table {
+			n++
+		}
+	}
+	return n
+}
+
+// priceAccess returns the true time of a driver-style access path: a
+// plan driver or a hash-join inner side. The time depends on the
+// table's filter predicates and, for an index seek, on how many stored
+// rows the seek predicates match, but never on which rows survive.
+func priceAccess(db *storage.Database, acc Access, q *query.Query, cm *CostModel, sc *execScratch) (float64, error) {
 	tbl, ok := db.Table(acc.Table)
 	if !ok {
-		return nil, 0, fmt.Errorf("engine: unknown table %q", acc.Table)
+		return 0, fmt.Errorf("engine: unknown table %q", acc.Table)
 	}
-	preds := q.FiltersOn(acc.Table)
-	rowids, okSel := tbl.SelectRows(preds)
-	if !okSel {
-		return nil, 0, fmt.Errorf("engine: predicate on missing column of %s", acc.Table)
-	}
+	nPreds := filterCount(q, acc.Table)
 
 	switch acc.Kind {
 	case AccessSeqScan:
-		return rowids, cm.TableScanSec(tbl.Meta, len(preds)), nil
+		return cm.TableScanSec(tbl.Meta, nPreds), nil
 
 	case AccessIndexSeek, AccessIndexOnly:
 		ix := acc.Index
 		if ix == nil {
-			return nil, 0, fmt.Errorf("engine: %s access on %s without index", acc.Kind, acc.Table)
+			return 0, fmt.Errorf("engine: %s access on %s without index", acc.Kind, acc.Table)
 		}
 		entryWidth := float64(ix.EntryWidthBytes(tbl.Meta))
 		tablePages := cm.PagesOf(tbl.Meta.SizeBytes())
-		seek, residual := splitSeekPreds(ix, preds, acc.EqLen, acc.HasRange)
-		if len(seek) == 0 {
+		sc.seek = appendSeekPreds(sc.seek[:0], ix, q.Filters, acc.Table, acc.EqLen, acc.HasRange)
+		if len(sc.seek) == 0 {
 			// No usable prefix: full leaf-level scan of the index (only
 			// sensible when covering).
 			rows := float64(tbl.Meta.RowCount)
-			sec := cm.IndexScanSec(rows, entryWidth, len(preds))
-			return rowids, sec, nil
+			return cm.IndexScanSec(rows, entryWidth, nPreds), nil
 		}
-		seekStored, okCnt := tbl.CountRows(seek)
+		seekStored, okCnt := tbl.CountRows(sc.seek)
 		if !okCnt {
-			return nil, 0, fmt.Errorf("engine: seek predicate on missing column of %s", acc.Table)
+			return 0, fmt.Errorf("engine: seek predicate on missing column of %s", acc.Table)
 		}
 		matchLogical := float64(seekStored) * tbl.Mult
 		fetchRows := matchLogical
@@ -235,37 +331,38 @@ func executeAccess(db *storage.Database, acc Access, q *query.Query, cm *CostMod
 			fetchRows = 0
 		}
 		sec := cm.IndexSeekSec(matchLogical, fetchRows, entryWidth, tablePages)
-		if n := len(residual); n > 0 {
+		if n := nPreds - len(sc.seek); n > 0 {
 			sec += matchLogical * float64(n) * cm.CPUPredSec
 		}
-		return rowids, sec, nil
+		return sec, nil
 
 	default:
-		return nil, 0, fmt.Errorf("engine: unsupported driver access kind %s", acc.Kind)
+		return 0, fmt.Errorf("engine: unsupported driver access kind %s", acc.Kind)
 	}
 }
 
-// splitSeekPreds partitions the table's predicates into those served by
-// the index seek (equalities on the first eqLen key columns plus at most
-// one range on the next key column) and the residual ones evaluated per
-// matched row.
-func splitSeekPreds(ix *index.Index, preds []query.Predicate, eqLen int, hasRange bool) (seek, residual []query.Predicate) {
+// appendSeekPreds appends to seek the predicates on table that the
+// index seek serves: equalities on the first eqLen key columns plus at
+// most one range on the next key column. The table's other predicates
+// are residual, evaluated per matched row.
+func appendSeekPreds(seek []query.Predicate, ix *index.Index, preds []query.Predicate, table string, eqLen int, hasRange bool) []query.Predicate {
 	rangeCol := ""
 	if hasRange && eqLen < len(ix.Key) {
 		rangeCol = ix.Key[eqLen]
 	}
 	for _, p := range preds {
-		pos := ix.KeyPosition(p.Column)
-		switch {
-		case p.IsEquality() && pos >= 0 && pos < eqLen:
+		if p.Table != table {
+			continue
+		}
+		if p.IsEquality() {
+			if pos := ix.KeyPosition(p.Column); pos >= 0 && pos < eqLen {
+				seek = append(seek, p)
+			}
+		} else if p.Column == rangeCol {
 			seek = append(seek, p)
-		case !p.IsEquality() && p.Column == rangeCol:
-			seek = append(seek, p)
-		default:
-			residual = append(residual, p)
 		}
 	}
-	return seek, residual
+	return seek
 }
 
 // nlInnerShape returns the inner entry width and whether matched rows

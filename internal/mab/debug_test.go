@@ -38,7 +38,7 @@ func TestDebugLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Printf("  q%d plan=%s total=%.3f usage=%v\n", q.TemplateID, st.PlanDesc, st.TotalSec, st.IndexAccessSec)
+			fmt.Printf("  q%d plan=%s total=%.3f usage=%v\n", q.TemplateID, st.Plan, st.TotalSec, st.IndexAccessSec)
 			stats = append(stats, st)
 			h.execSec += st.TotalSec
 		}

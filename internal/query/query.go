@@ -8,6 +8,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -50,17 +51,31 @@ type Predicate struct {
 
 // Matches reports whether value v satisfies the predicate.
 func (p Predicate) Matches(v int64) bool {
+	lo, hi := p.Bounds()
+	return v >= lo && v <= hi
+}
+
+// Bounds returns the inclusive value range [lo, hi] the predicate
+// matches; lo > hi when it matches nothing. A column scan can test the
+// range without re-dispatching on Op per value.
+func (p Predicate) Bounds() (lo, hi int64) {
 	switch p.Op {
 	case OpEq:
-		return v == p.Lo
+		return p.Lo, p.Lo
 	case OpRange:
-		return v >= p.Lo && v <= p.Hi
+		return p.Lo, p.Hi
 	case OpLt:
-		return v < p.Hi
+		if p.Hi == math.MinInt64 {
+			return 0, -1
+		}
+		return math.MinInt64, p.Hi - 1
 	case OpGt:
-		return v > p.Lo
+		if p.Lo == math.MaxInt64 {
+			return 0, -1
+		}
+		return p.Lo + 1, math.MaxInt64
 	default:
-		return false
+		return 0, -1
 	}
 }
 

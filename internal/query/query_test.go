@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -40,6 +41,11 @@ func TestPredicateMatches(t *testing.T) {
 		{Predicate{Op: OpLt, Hi: 4}, 4, false},
 		{Predicate{Op: OpGt, Lo: 4}, 5, true},
 		{Predicate{Op: OpGt, Lo: 4}, 4, false},
+		{Predicate{Op: OpLt, Hi: math.MinInt64}, math.MinInt64, false},
+		{Predicate{Op: OpLt, Hi: math.MaxInt64}, math.MinInt64, true},
+		{Predicate{Op: OpGt, Lo: math.MaxInt64}, math.MaxInt64, false},
+		{Predicate{Op: OpGt, Lo: math.MinInt64}, math.MaxInt64, true},
+		{Predicate{Op: Op(9), Lo: 0, Hi: 0}, 0, false},
 	}
 	for i, c := range cases {
 		if got := c.p.Matches(c.v); got != c.want {
@@ -125,6 +131,29 @@ func TestQuickRangeMatch(t *testing.T) {
 		return p.Matches(v) == (v >= lo && v <= hi)
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: Matches (which tests Bounds) agrees with each operator's
+// definition.
+func TestQuickBoundsMatchOperators(t *testing.T) {
+	f := func(opRaw uint8, lo, hi, v int64) bool {
+		p := Predicate{Op: Op(opRaw % 5), Lo: lo, Hi: hi}
+		var want bool
+		switch p.Op {
+		case OpEq:
+			want = v == lo
+		case OpRange:
+			want = v >= lo && v <= hi
+		case OpLt:
+			want = v < hi
+		case OpGt:
+			want = v > lo
+		}
+		return p.Matches(v) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

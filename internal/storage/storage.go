@@ -17,6 +17,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"dbabandits/internal/catalog"
 	"dbabandits/internal/query"
@@ -57,33 +58,64 @@ func (t *Table) LogicalRows() float64 { return float64(t.StoredRows) * t.Mult }
 // ignored. A nil return with ok=false indicates a predicate referencing a
 // missing column.
 func (t *Table) SelectRows(preds []query.Predicate) ([]int32, bool) {
-	var cols [][]int64
-	var ps []query.Predicate
+	return t.AppendSelectRows(nil, preds)
+}
+
+// AppendSelectRows appends to dst the ids of the stored rows matching
+// the conjunction of this table's predicates in preds, in ascending
+// order, and returns the extended slice; predicates on other tables are
+// ignored. It filters a column at a time: the first predicate scans its
+// column, and each further one keeps the ids whose value it matches. On
+// a predicate referencing a missing column it returns ok=false and dst
+// cut back to its original length.
+func (t *Table) AppendSelectRows(dst []int32, preds []query.Predicate) ([]int32, bool) {
+	base := len(dst)
+	scanned := false
 	for _, p := range preds {
 		if p.Table != t.Meta.Name {
 			continue
 		}
-		c, ok := t.Column(p.Column)
+		col, ok := t.Column(p.Column)
 		if !ok {
-			return nil, false
+			return dst[:base], false
 		}
-		cols = append(cols, c)
-		ps = append(ps, p)
-	}
-	out := make([]int32, 0, t.StoredRows/4+1)
-	for r := 0; r < t.StoredRows; r++ {
-		match := true
-		for i, p := range ps {
-			if !p.Matches(cols[i][r]) {
-				match = false
-				break
+		lo, hi := p.Bounds()
+		if lo > hi {
+			// Nothing matches; later predicates still check their columns.
+			dst, scanned = dst[:base], true
+			continue
+		}
+		// Branch-free filters: write every candidate id and advance past
+		// the matches. With lo <= hi, v lies in [lo, hi] exactly when
+		// v-lo, taken unsigned, is at most hi-lo.
+		span := uint64(hi - lo)
+		n := base
+		if !scanned {
+			scanned = true
+			dst = slices.Grow(dst, t.StoredRows)[:base+t.StoredRows]
+			for r, v := range col[:t.StoredRows] {
+				dst[n] = int32(r)
+				if uint64(v-lo) <= span {
+					n++
+				}
+			}
+		} else {
+			for _, r := range dst[base:] {
+				dst[n] = r
+				if uint64(col[r]-lo) <= span {
+					n++
+				}
 			}
 		}
-		if match {
-			out = append(out, int32(r))
+		dst = dst[:n]
+	}
+	if !scanned {
+		dst = slices.Grow(dst, t.StoredRows)
+		for r := 0; r < t.StoredRows; r++ {
+			dst = append(dst, int32(r))
 		}
 	}
-	return out, true
+	return dst, true
 }
 
 // CountRows returns only the number of stored rows matching the

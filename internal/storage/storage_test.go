@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -148,12 +149,14 @@ func TestDatabaseLookup(t *testing.T) {
 }
 
 // Property: SelectRows and CountRows always agree, and every selected row
-// satisfies the conjunction.
+// satisfies the conjunction. AppendSelectRows returns the same ids after
+// a caller's prefix, which it leaves intact, and on a missing column
+// cuts dst back to that prefix.
 func TestQuickSelectCountAgreement(t *testing.T) {
 	tbl := fixtureTable()
-	f := func(lo, hi int64, useB bool) bool {
+	f := func(lo, hi int64, op uint8, useB bool, prefix []int32) bool {
 		preds := []query.Predicate{
-			{Table: "t", Column: "a", Op: query.OpRange, Lo: lo % 10, Hi: hi % 10},
+			{Table: "t", Column: "a", Op: query.Op(op % 4), Lo: lo % 10, Hi: hi % 10},
 		}
 		if useB {
 			preds = append(preds, query.Predicate{Table: "t", Column: "b", Op: query.OpEq, Lo: 1, Hi: 1})
@@ -164,15 +167,22 @@ func TestQuickSelectCountAgreement(t *testing.T) {
 			return false
 		}
 		for _, r := range rows {
-			for i, p := range preds {
-				_ = i
+			for _, p := range preds {
 				col, _ := tbl.Column(p.Column)
 				if !p.Matches(col[r]) {
 					return false
 				}
 			}
 		}
-		return true
+
+		dst := append([]int32(nil), prefix...)
+		got, ok := tbl.AppendSelectRows(dst, preds)
+		if !ok || !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], rows) {
+			return false
+		}
+		bad := append(preds, query.Predicate{Table: "t", Column: "ghost", Op: query.OpEq})
+		got, ok = tbl.AppendSelectRows(dst, bad)
+		return !ok && slices.Equal(got, prefix)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
