@@ -62,8 +62,9 @@ var scratchPool = sync.Pool{New: func() any { return new(execScratch) }}
 
 // joinLookup maps an inner join-column value to the inner rows holding
 // it, in compressed sparse row form: the rows of bucket b are
-// rows[start[b]:start[b+1]], in ascending row-id order. It holds no
-// pointers, so the collector never scans it.
+// rows[start[b]:start[b+1]], in ascending row-id order. Neither the
+// map's entries nor the slices hold pointers, so the collector never
+// scans them.
 type joinLookup struct {
 	bucket map[int64]int32
 	start  []int32
@@ -125,7 +126,7 @@ func (l *joinLookup) match(v int64) []int32 {
 //
 // Each table in the pipeline gets one selection scan for its filter
 // predicates: the driver's matching rows seed the pipeline and each join
-// step's feed its lookup. Access times are priced apart from that scan:
+// step's inner rows feed its lookup. Access times are priced apart from that scan:
 // they depend on the predicates and on how many rows an index seek
 // touches, never on which rows survive the filters.
 func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
