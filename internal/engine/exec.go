@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -62,35 +63,59 @@ var scratchPool = sync.Pool{New: func() any { return new(execScratch) }}
 
 // joinLookup maps an inner join-column value to the inner rows holding
 // it, in compressed sparse row form: the rows of bucket b are
-// rows[start[b]:start[b+1]], in ascending row-id order. Neither the
-// map's entries nor the slices hold pointers, so the collector never
-// scans them.
+// rows[start[b]:start[b+1]], in ascending row-id order. Values find
+// their bucket through an open-addressing table with linear probing,
+// sized to more than twice the rows at every build and hashed by a
+// fixed multiplier. Unlike a Go map, which draws a new random seed on
+// every clear and keeps the capacity of its largest build, the table
+// probes the same slots for the same values in every process and
+// costs a build no more than its own rows. None of the slices hold
+// pointers, so the collector never scans them.
 type joinLookup struct {
-	bucket map[int64]int32
-	start  []int32
-	rows   []int32
-	of     []int32 // bucket of each input row, build scratch
+	table []lookupSlot
+	shift uint // 64 - log2(len(table))
+	start []int32
+	rows  []int32
+	of    []int32 // bucket of each input row, build scratch
+}
+
+// lookupSlot is one table entry; bucket holds the bucket index plus
+// one, and 0 marks an empty slot.
+type lookupSlot struct {
+	value  int64
+	bucket int32
+}
+
+// slot returns the table position that holds v, or the empty position
+// where v would go.
+func (l *joinLookup) slot(v int64) int {
+	mask := len(l.table) - 1
+	i := int((uint64(v) * 0x9E3779B97F4A7C15) >> l.shift)
+	for l.table[i].bucket != 0 && l.table[i].value != v {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // build indexes the rows ids (ascending) by their value in col.
 func (l *joinLookup) build(col []int64, ids []int32) {
-	if l.bucket == nil {
-		l.bucket = make(map[int64]int32, len(ids))
-	} else {
-		clear(l.bucket)
-	}
+	// A power of two above 2*len(ids) keeps the table under half full.
+	logSize := bits.Len(uint(len(ids))) + 1
+	l.table = slices.Grow(l.table[:0], 1<<logSize)[:1<<logSize]
+	clear(l.table)
+	l.shift = uint(64 - logSize)
 	// First pass: assign buckets and count each one's rows into
 	// start[b+1].
 	l.start = append(l.start[:0], 0)
 	l.of = l.of[:0]
 	for _, r := range ids {
 		v := col[r]
-		b, ok := l.bucket[v]
-		if !ok {
-			b = int32(len(l.start) - 1)
-			l.bucket[v] = b
+		i := l.slot(v)
+		if l.table[i].bucket == 0 {
+			l.table[i] = lookupSlot{value: v, bucket: int32(len(l.start))}
 			l.start = append(l.start, 0)
 		}
+		b := l.table[i].bucket - 1
 		l.start[b+1]++
 		l.of = append(l.of, b)
 	}
@@ -112,8 +137,8 @@ func (l *joinLookup) build(col []int64, ids []int32) {
 
 // match returns the inner rows whose join value is v.
 func (l *joinLookup) match(v int64) []int32 {
-	b, ok := l.bucket[v]
-	if !ok {
+	b := l.table[l.slot(v)].bucket - 1
+	if b < 0 {
 		return nil
 	}
 	return l.rows[l.start[b]:l.start[b+1]]

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -278,6 +279,47 @@ func TestExecuteDownSamplesManyToMany(t *testing.T) {
 		}
 		if diff := sameStats(got, want); diff != "" {
 			t.Fatalf("%s: %s differs from the reference", algo, diff)
+		}
+	}
+}
+
+// TestJoinLookupMatchesMap builds one lookup over and over, large then
+// small, from value domains narrow (many rows per value), wide and at the
+// int64 extremes, and checks every value against a map of row lists,
+// including values the build never saw.
+func TestJoinLookupMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var l joinLookup
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(2000)
+		if trial%2 == 1 {
+			n = rng.Intn(8)
+		}
+		col := make([]int64, n)
+		for i := range col {
+			switch trial % 3 {
+			case 0:
+				col[i] = int64(rng.Intn(20))
+			case 1:
+				col[i] = rng.Int63n(1<<40) - 1<<39
+			default:
+				col[i] = []int64{math.MinInt64, math.MaxInt64, -1, 0, 1 << 62}[rng.Intn(5)]
+			}
+		}
+		var ids []int32
+		want := map[int64][]int32{}
+		for r := range col {
+			if rng.Intn(3) > 0 {
+				ids = append(ids, int32(r))
+				want[col[r]] = append(want[col[r]], int32(r))
+			}
+		}
+		l.build(col, ids)
+		probes := append([]int64{math.MinInt64, math.MaxInt64, 0, 7, -7}, col...)
+		for _, v := range probes {
+			if got := l.match(v); !slices.Equal(got, want[v]) {
+				t.Fatalf("trial %d: value %d matches %v, want %v", trial, v, got, want[v])
+			}
 		}
 	}
 }
