@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt vet smoke htapsmoke ridgesmoke servesmoke scoresmoke fleetsmoke plancachesmoke cover bench benchsweep benchsmoke benchdiff ci
+.PHONY: build test race fmt vet smoke htapsmoke ridgesmoke servesmoke fleetsmoke cover bench benchsweep benchsmoke benchdiff ci
 
 build:
 	$(GO) build ./...
@@ -11,11 +11,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the concurrent code (worker pool + sharded
-# scoring kernels + harness) and the policy/env/serve layers every
-# experiment cell and serving session drives. linalg and mab are here
-# for the parallel arm-scoring tests: shards score a shared ridge core
-# concurrently, and -race proves the read-only discipline.
+# Race-detector pass over the concurrent code (worker pool + harness)
+# and the ridge, bandit, policy/env/serve, fleet, optimiser and engine
+# layers every experiment cell, fleet tenant and serving session drives
+# from those workers.
 race:
 	$(GO) test -race ./internal/runner/... ./internal/linalg/... ./internal/mab/... ./internal/harness/... ./internal/policy/... ./internal/env/... ./internal/serve/... ./internal/fleet/... ./internal/optimizer/... ./internal/engine/...
 
@@ -50,20 +49,6 @@ ridgesmoke:
 	diff .ridge_sm.out .ridge_chol.out
 	@rm -f .ridge_sm.out .ridge_chol.out
 
-# Serving-mode smoke mirroring CI: serve a 5-window stream to the end,
-# then serve it again but kill the process at a window-3 checkpoint and
-# restore from disk — the stitched kill-and-restore output must match
-# the uninterrupted run byte for byte (only the process-local Served
-# counter in the summary line is masked).
-# Parallel-scoring smoke mirroring CI: Figure 2 regenerated with arm
-# scoring fanned across 4 workers, stdout byte-compared against the
-# default serial pass — parallelism changes scheduling, never bytes.
-scoresmoke:
-	$(GO) run ./cmd/experiments -exp fig2 -quick -parallel 4 > .score_serial.out
-	$(GO) run ./cmd/experiments -exp fig2 -quick -parallel 4 -score-parallel 4 > .score_par.out
-	diff .score_serial.out .score_par.out
-	@rm -f .score_serial.out .score_par.out
-
 # Fleet smoke mirroring CI: an 8-tenant heterogeneous fleet (mixed
 # benchmarks, regimes and scale factors, two tenants admitted late with
 # cross-tenant warm starts) run serially and 4-way parallel, stdout
@@ -74,16 +59,11 @@ fleetsmoke:
 	diff .fleet_p1.out .fleet_p4.out
 	@rm -f .fleet_p1.out .fleet_p4.out
 
-# Plan-cache smoke mirroring CI: Figure 2 regenerated with the
-# optimiser's config-fingerprinted plan cache on (the default) and off,
-# stdout byte-compared — the cache is a wall-clock optimisation and must
-# never change a plan, a cost, or a count.
-plancachesmoke:
-	$(GO) run ./cmd/experiments -exp fig2 -quick -parallel 4 > .pc_on.out
-	$(GO) run ./cmd/experiments -exp fig2 -quick -parallel 4 -plan-cache=false > .pc_off.out
-	diff .pc_on.out .pc_off.out
-	@rm -f .pc_on.out .pc_off.out
-
+# Serving-mode smoke mirroring CI: serve a 5-window stream to the end,
+# then serve it again but kill the process at a window-3 checkpoint and
+# restore from disk — the stitched kill-and-restore output must match
+# the uninterrupted run byte for byte (only the process-local Served
+# counter in the summary line is masked).
 servesmoke:
 	@printf '1 2 3 4\n2 3 1\n5 5 2\n1 4\n3 2 1\n' > .serve_stream.txt
 	$(GO) run ./cmd/serve -stream .serve_stream.txt > .serve_full.out
@@ -106,11 +86,11 @@ cover:
 # cmd/benchjson, so the perf trajectory is tracked in-repo. Compare
 # against BENCH_baseline.json (captured at the pre-sparse-fast-path
 # commit) — see the README's Performance section.
-BENCH_PATTERN = 'BenchmarkTunerRecommendTPCDS$$|BenchmarkTunerRecommendSteadyState$$|BenchmarkScoresTPCDS$$|BenchmarkScoresBatch$$|BenchmarkScoresBatchParallel$$|BenchmarkScoresSparse$$|BenchmarkScoresDenseTPCDS$$|BenchmarkThetaCached$$|BenchmarkThetaRecompute$$|BenchmarkCholObserve$$|BenchmarkCholObserveFused$$|BenchmarkRidgeObserveScore$$|BenchmarkRidgeObserveScoreSparse$$|BenchmarkRidgeForget$$|BenchmarkForgetLowRank$$|BenchmarkRidgeObserve$$|BenchmarkC2UCBScores$$|BenchmarkArmGeneration$$|BenchmarkFleetRound$$|BenchmarkChoosePlanCold$$|BenchmarkChoosePlanWarm$$|BenchmarkWhatIfWorkloadCold$$|BenchmarkWhatIfWorkloadWarm$$|BenchmarkEnvRoundSteadyState$$|BenchmarkQueryExecution$$|BenchmarkExecuteWorkloadTPCDS$$'
+BENCH_PATTERN = 'BenchmarkTunerRecommendTPCDS$$|BenchmarkTunerRecommendSteadyState$$|BenchmarkScoresTPCDS$$|BenchmarkScoresBatch$$|BenchmarkScoresSparse$$|BenchmarkScoresDenseTPCDS$$|BenchmarkThetaCached$$|BenchmarkThetaRecompute$$|BenchmarkCholObserve$$|BenchmarkCholObserveFused$$|BenchmarkRidgeObserveScore$$|BenchmarkRidgeObserveScoreSparse$$|BenchmarkRidgeForget$$|BenchmarkForgetLowRank$$|BenchmarkRidgeObserve$$|BenchmarkC2UCBScores$$|BenchmarkArmGeneration$$|BenchmarkFleetRound$$|BenchmarkChoosePlanCold$$|BenchmarkChoosePlanWarm$$|BenchmarkWhatIfWorkloadCold$$|BenchmarkWhatIfWorkloadWarm$$|BenchmarkEnvRoundSteadyState$$|BenchmarkQueryExecution$$|BenchmarkExecuteWorkloadTPCDS$$'
 
 bench:
 	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem ./... > .bench.out
-	$(GO) run ./cmd/benchjson -label ridge=sm -label score-workers=1,2,4 -label plan-cache=on < .bench.out > BENCH_$$(git rev-parse --short HEAD).json
+	$(GO) run ./cmd/benchjson -label ridge=sm < .bench.out > BENCH_$$(git rev-parse --short HEAD).json
 	@rm -f .bench.out
 	@echo wrote BENCH_$$(git rev-parse --short HEAD).json
 
@@ -146,4 +126,4 @@ benchsmoke:
 
 # cover subsumes test (go test -cover runs the full suite), so ci pays
 # for one suite pass plus the race pass, matching the CI workflow.
-ci: fmt vet build cover race smoke htapsmoke ridgesmoke scoresmoke plancachesmoke servesmoke fleetsmoke benchsmoke benchdiff
+ci: fmt vet build cover race smoke htapsmoke ridgesmoke servesmoke fleetsmoke benchsmoke benchdiff

@@ -10,8 +10,8 @@
 // only where the numbers do.
 //
 // Repeatable -label key=value flags annotate the capture (emitted under
-// "labels"); `make bench` uses them to record the ridge backend and
-// scoring worker counts the recommend-loop benchmarks ran under, e.g.
+// "labels"); `make bench` uses them to record the ridge backend the
+// recommend-loop benchmarks ran under, e.g.
 //
 //	go test -bench ... | benchjson -label ridge=sm > BENCH_abc1234.json
 package main

@@ -20,7 +20,6 @@
 //	experiments -exp all -parallel 1 # sequential reference run
 //	experiments -exp all -progress   # per-cell completion lines on stderr
 //	experiments -exp fig2 -ridge chol # factored ridge backend, same output
-//	experiments -exp fig2 -score-parallel 4 # parallel arm scoring, same output
 package main
 
 import (
@@ -36,8 +35,6 @@ import (
 var (
 	sf, rows, seed     = cli.Data(flag.CommandLine)
 	ridge              = cli.Ridge(flag.CommandLine)
-	scorePar           = cli.ScoreParallel(flag.CommandLine)
-	planCache          = cli.PlanCache(flag.CommandLine)
 	parallel, progress = cli.Parallel(flag.CommandLine)
 
 	reps  = flag.Int("reps", 3, "repetitions for the RL comparison (paper: 10)")
@@ -167,8 +164,6 @@ func cellSpec(bench string, regime harness.Regime, kind harness.TunerKind) harne
 		opts.PDToolTimeLimitSec = 3600
 	}
 	opts.MABOptions.RidgeBackend = *ridge
-	opts.MABOptions.ScoreWorkers = *scorePar
-	opts.DisablePlanCache = !*planCache
 	return harness.CellSpec{Options: opts, Tuner: kind}
 }
 
@@ -242,8 +237,6 @@ func table2() {
 					Seed:          *seed,
 				}
 				opts.MABOptions.RidgeBackend = *ridge
-				opts.MABOptions.ScoreWorkers = *scorePar
-				opts.DisablePlanCache = !*planCache
 				specs = append(specs, harness.CellSpec{Options: opts, Tuner: kind})
 			}
 		}
@@ -332,8 +325,6 @@ func fig8() {
 					Seed:          *seed,
 				}
 				opts.MABOptions.RidgeBackend = *ridge
-				opts.MABOptions.ScoreWorkers = *scorePar
-				opts.DisablePlanCache = !*planCache
 				specs = append(specs, harness.CellSpec{
 					Options: opts,
 					Tuner:   kind,

@@ -12,9 +12,8 @@
 // and run a cold-start control over the identical environment, so the
 // report shows the measured transfer benefit per admitted tenant.
 //
-// Output is byte-identical at any -parallel and -score-parallel
-// setting: seeds derive from tenant identity alone and results are
-// collected in spec order.
+// Output is byte-identical at any -parallel setting: seeds derive from
+// tenant identity alone and results are collected in spec order.
 //
 // Usage:
 //
@@ -39,8 +38,6 @@ var (
 	_, rows, seed      = cli.Data(flag.CommandLine)
 	ridge              = cli.Ridge(flag.CommandLine)
 	pol                = cli.Policy(flag.CommandLine, "policy", "mab")
-	scorePar           = cli.ScoreParallelAuto(flag.CommandLine)
-	planCache          = cli.PlanCache(flag.CommandLine)
 	parallel, progress = cli.Parallel(flag.CommandLine)
 
 	tenants        = flag.Int("tenants", 8, "fleet size (last quarter admitted late)")
@@ -58,14 +55,12 @@ func main() {
 
 	specs := fleet.DefaultFleet(*tenants, *rounds, *rows)
 	opts := fleet.Options{
-		BaseSeed:         *seed,
-		Policy:           env.TunerKind(*pol),
-		RidgeBackend:     *ridge,
-		ScoreWorkers:     *scorePar,
-		TransferRounds:   *transferRounds,
-		DisableTransfer:  *noTransfer,
-		Parallel:         *parallel,
-		DisablePlanCache: !*planCache,
+		BaseSeed:        *seed,
+		Policy:          env.TunerKind(*pol),
+		RidgeBackend:    *ridge,
+		TransferRounds:  *transferRounds,
+		DisableTransfer: *noTransfer,
+		Parallel:        *parallel,
 	}
 	if *progress {
 		opts.Progress = os.Stderr

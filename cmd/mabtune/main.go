@@ -21,10 +21,8 @@
 // Cholesky core (no inverse maintenance; identical recommendations on
 // every pinned workload).
 //
-// -score-parallel fans the MAB's arm scoring across worker goroutines
-// (byte-identical output at any setting); -forget-rank budgets the SM
-// backend's structured low-rank Forget instead of the exact O(d³)
-// rebase.
+// -forget-rank budgets the SM backend's structured low-rank Forget
+// instead of the exact O(d³) rebase.
 package main
 
 import (
@@ -44,9 +42,7 @@ func main() {
 		sf, rows, seed = cli.Data(flag.CommandLine)
 		budget         = cli.Budget(flag.CommandLine)
 		ridge          = cli.Ridge(flag.CommandLine)
-		scorePar       = cli.ScoreParallel(flag.CommandLine)
 		forgetRank     = cli.ForgetRank(flag.CommandLine)
-		planCache      = cli.PlanCache(flag.CommandLine)
 
 		regime = flag.String("regime", "static", "workload regime: static|shifting|random|htap")
 		tuners = flag.String("tuner", "noindex,pdtool,mab",
@@ -72,9 +68,7 @@ func main() {
 		PDToolTimeLimitSec: *pdLimit,
 	}
 	opts.MABOptions.RidgeBackend = *ridge
-	opts.MABOptions.ScoreWorkers = *scorePar
 	opts.MABOptions.ForgetRank = *forgetRank
-	opts.DisablePlanCache = !*planCache
 	exp, err := harness.New(opts)
 	if err != nil {
 		cli.Fatal("mabtune", err)

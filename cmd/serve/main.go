@@ -37,9 +37,7 @@ func main() {
 		sf, rows, seed = cli.Data(flag.CommandLine)
 		budget         = cli.Budget(flag.CommandLine)
 		ridge          = cli.Ridge(flag.CommandLine)
-		scorePar       = cli.ScoreParallel(flag.CommandLine)
 		forgetRank     = cli.ForgetRank(flag.CommandLine)
-		planCache      = cli.PlanCache(flag.CommandLine)
 		pol            = cli.Policy(flag.CommandLine, "policy", "mab")
 
 		streamPath = flag.String("stream", "-", "window stream file ('-' = stdin)")
@@ -71,16 +69,14 @@ func main() {
 		s, err = serve.RestoreFile(*ckptPath)
 	} else {
 		s, err = serve.New(serve.Options{
-			Benchmark:        *bench,
-			ScaleFactor:      *sf,
-			MaxStoredRows:    *rows,
-			Seed:             *seed,
-			MemoryBudgetX:    *budget,
-			Policy:           *pol,
-			RidgeBackend:     *ridge,
-			ScoreWorkers:     *scorePar,
-			ForgetRank:       *forgetRank,
-			DisablePlanCache: !*planCache,
+			Benchmark:     *bench,
+			ScaleFactor:   *sf,
+			MaxStoredRows: *rows,
+			Seed:          *seed,
+			MemoryBudgetX: *budget,
+			Policy:        *pol,
+			RidgeBackend:  *ridge,
+			ForgetRank:    *forgetRank,
 			Guardrail: serve.GuardrailOptions{
 				Disabled:        *noGuard,
 				BudgetX:         *guardX,

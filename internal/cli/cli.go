@@ -53,37 +53,6 @@ func Ridge(fs *flag.FlagSet) *string {
 		"MAB ridge backend: sm (Sherman–Morrison inverse; fastest) | chol (factored Cholesky; drift-proof for long serving runs)")
 }
 
-// PlanCache registers the -plan-cache toggle for the optimiser's
-// config-fingerprinted plan & what-if cost cache. On by default; off is
-// the A/B control that re-runs the full greedy search on every call.
-// Results are byte-identical either way — plans, costs, goldens and
-// PDTool WhatIfCalls/RecommendSec accounting do not change — so this is
-// purely a wall-clock knob.
-func PlanCache(fs *flag.FlagSet) *bool {
-	return fs.Bool("plan-cache", true,
-		"cache optimiser plans by (query, relevant-index fingerprint); false = uncached A/B control (identical output)")
-}
-
-// ScoreParallel registers the -score-parallel knob: worker goroutines
-// for the MAB's batched arm scoring. The batch is partitioned
-// deterministically by arm index with per-worker scratch, so results
-// are byte-identical at any setting — this is purely a latency knob.
-func ScoreParallel(fs *flag.FlagSet) *int {
-	return fs.Int("score-parallel", 1,
-		"MAB arm-scoring worker goroutines (results identical at any value)")
-}
-
-// ScoreParallelAuto is ScoreParallel for the fleet command, whose
-// default is "auto" (0): many tenants share one process, so serial
-// scoring per tenant wastes whatever cores the tenant-level fan-out
-// leaves idle. 0 resolves to runtime.GOMAXPROCS(0) at run time
-// (fleet.DefaultScoreWorkers); single-tenant commands keep the serial
-// default of ScoreParallel.
-func ScoreParallelAuto(fs *flag.FlagSet) *int {
-	return fs.Int("score-parallel", 0,
-		"MAB arm-scoring worker goroutines; 0 = GOMAXPROCS (results identical at any value)")
-}
-
 // ForgetRank registers the -forget-rank knob: the budget of the SM
 // ridge backend's structured low-rank Forget correction. 0 keeps the
 // exact Forget-triggered refactorisation (the default every golden was

@@ -77,11 +77,6 @@ type Options struct {
 	// HTAP tunes the hybrid regime's update-heavy rounds (update cadence,
 	// statements per round, write volume). Ignored by other regimes.
 	HTAP workload.HTAPOptions
-	// DisablePlanCache switches the optimiser to the uncached full greedy
-	// search on every call — the A/B control for the config-fingerprinted
-	// plan & what-if cache (-plan-cache=false on the CLIs). Both settings
-	// are byte-identical in every result; only wall-clock time differs.
-	DisablePlanCache bool
 }
 
 // Environment is a prepared benchmark environment: database, cost model,
@@ -124,17 +119,13 @@ func New(opts Options) (*Environment, error) {
 		return nil, err
 	}
 	cm := engine.DefaultCostModel()
-	opt := optimizer.New(schema, cm)
-	if opts.DisablePlanCache {
-		opt = optimizer.NewUncached(schema, cm)
-	}
 	e := &Environment{
 		Opts:   opts,
 		Bench:  bench,
 		Schema: schema,
 		DB:     db,
 		CM:     cm,
-		Opt:    opt,
+		Opt:    optimizer.New(schema, cm),
 		Budget: int64(float64(db.DataSizeBytes()) * opts.MemoryBudgetX),
 	}
 	switch opts.Regime {
@@ -155,8 +146,8 @@ func New(opts Options) (*Environment, error) {
 }
 
 // PlanCacheStats returns the optimiser's cumulative plan-cache counters
-// for this environment — zero-valued when DisablePlanCache is set. They
-// feed logs and benchmark labels only; no golden-pinned result or
+// for this environment — zero-valued when Opt is an uncached optimiser
+// (optimizer.NewUncached). They feed logs and benchmark labels only; no golden-pinned result or
 // RunResult field includes them, so cached and uncached runs stay
 // byte-identical.
 func (e *Environment) PlanCacheStats() optimizer.PlanCacheStats {

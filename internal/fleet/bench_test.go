@@ -21,7 +21,7 @@ func BenchmarkFleetRound(b *testing.B) {
 		{ID: "t3", Benchmark: "imdb", Regime: env.HTAP, Rounds: 2, MaxStoredRows: 400},
 		{ID: "t4", Benchmark: "ssb", Regime: env.Static, Rounds: 2, MaxStoredRows: 400, Admitted: true},
 	}
-	opts := Options{BaseSeed: 1, ScoreWorkers: 1}
+	opts := Options{BaseSeed: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 
 	"dbabandits/internal/catalog"
 	"dbabandits/internal/env"
@@ -81,10 +80,6 @@ type Options struct {
 	Policy env.TunerKind
 	// RidgeBackend selects the bandit's ridge backend ("" = sm).
 	RidgeBackend string
-	// ScoreWorkers bounds each tenant's arm-scoring worker pool; <= 0
-	// resolves to DefaultScoreWorkers(). Scores are byte-identical at
-	// any setting.
-	ScoreWorkers int
 	// TransferRounds is the number of hypothetical warm-start rounds an
 	// admitted tenant pre-trains with donor-estimated gains (default 3;
 	// the what-if warm start uses the same knob single-tenant).
@@ -92,9 +87,6 @@ type Options struct {
 	// DisableTransfer runs admitted tenants cold (the fleet topology
 	// without cross-tenant learning); Control runs are still produced.
 	DisableTransfer bool
-	// DisablePlanCache turns off each tenant's optimiser plan cache
-	// (A/B control; fleet reports are byte-identical either way).
-	DisablePlanCache bool
 	// Parallel bounds concurrently running tenants; <= 0 means
 	// runtime.GOMAXPROCS(0). Results are identical at any setting.
 	Parallel int
@@ -102,18 +94,6 @@ type Options struct {
 	// tenant (completion order, typically os.Stderr).
 	Progress io.Writer
 }
-
-// DefaultScoreWorkers is the fleet-mode arm-scoring parallelism: all
-// available cores (runtime.GOMAXPROCS(0)). Single-tenant CLIs keep the
-// serial default of 1 — a lone interactive run rarely gains from
-// fan-out, and the goldens were captured serial — but a fleet process
-// hosts many tenants and should use whatever cores the tenant-level
-// pool leaves idle. CI caveat: the CI container is single-CPU, so
-// there GOMAXPROCS(0) == 1 and fleet smoke runs still score serially;
-// the byte-identical-at-any-worker-count contract (pinned by the
-// score-parallel goldens) is what makes that a latency difference
-// only, never an output difference.
-func DefaultScoreWorkers() int { return runtime.GOMAXPROCS(0) }
 
 const defaultTransferRounds = 3
 
@@ -188,9 +168,6 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 	if opts.TransferRounds <= 0 {
 		opts.TransferRounds = defaultTransferRounds
 	}
-	if opts.ScoreWorkers <= 0 {
-		opts.ScoreWorkers = DefaultScoreWorkers()
-	}
 
 	// Phase 1: incumbents. Index bookkeeping maps phase-local task
 	// order back to fleet spec order, so the final Tenants slice is in
@@ -264,11 +241,7 @@ func newTenantEnv(t TenantSpec, seed int64, opts Options) (*env.Environment, err
 		MaxStoredRows: t.MaxStoredRows,
 		Rounds:        t.Rounds,
 		Seed:          seed,
-		MABOptions: mab.TunerOptions{
-			RidgeBackend: opts.RidgeBackend,
-			ScoreWorkers: opts.ScoreWorkers,
-		},
-		DisablePlanCache: opts.DisablePlanCache,
+		MABOptions:    mab.TunerOptions{RidgeBackend: opts.RidgeBackend},
 	})
 }
 

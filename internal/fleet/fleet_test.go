@@ -11,19 +11,14 @@ import (
 // TestFleetDeterministicAcrossParallelism is the fleet's core contract
 // (and the ISSUE acceptance bar): a fleet of >= 8 heterogeneous
 // tenants — mixed benchmarks, regimes and scale factors — produces a
-// byte-identical Result at any tenant-level parallelism and any
-// arm-scoring worker count. Every tenant is a self-contained
+// byte-identical Result at any tenant-level parallelism. Every tenant is a self-contained
 // cell-seeded environment, so scheduling order must not leak into any
 // number.
 func TestFleetDeterministicAcrossParallelism(t *testing.T) {
 	tenants := DefaultFleet(8, 3, 500)
 
-	run := func(parallel, scoreWorkers int) []byte {
-		res, err := Run(tenants, Options{
-			BaseSeed:     7,
-			ScoreWorkers: scoreWorkers,
-			Parallel:     parallel,
-		})
+	run := func(parallel int) []byte {
+		res, err := Run(tenants, Options{BaseSeed: 7, Parallel: parallel})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
@@ -37,10 +32,10 @@ func TestFleetDeterministicAcrossParallelism(t *testing.T) {
 		return raw
 	}
 
-	serial := run(1, 1)
-	wide := run(4, 4)
+	serial := run(1)
+	wide := run(4)
 	if string(serial) != string(wide) {
-		t.Fatal("fleet results differ between -parallel 1/scoreWorkers 1 and -parallel 4/scoreWorkers 4")
+		t.Fatal("fleet results differ between -parallel 1 and -parallel 4")
 	}
 
 	// The same fleet is also sane: the last quarter is admitted, every
@@ -82,13 +77,13 @@ func TestFleetDeterministicAcrossParallelism(t *testing.T) {
 // trained incumbent transfers the incumbent's posterior and accrues no
 // more early-round regret than its own cold-start control over the
 // identical environment. The configuration is deterministic (fixed
-// base seed, serial scoring), so the margin is pinned, not sampled.
+// base seed), so the margin is pinned, not sampled.
 func TestFleetTransferBeatsColdStart(t *testing.T) {
 	tenants := []TenantSpec{
 		{ID: "donor", Benchmark: "ssb", Regime: env.Static, ScaleFactor: 10, Rounds: 15, MaxStoredRows: 1200},
 		{ID: "newbie", Benchmark: "ssb", Regime: env.Static, ScaleFactor: 10, Rounds: 10, MaxStoredRows: 1200, Admitted: true},
 	}
-	res, err := Run(tenants, Options{BaseSeed: 2, TransferRounds: 3, ScoreWorkers: 1, Parallel: 2})
+	res, err := Run(tenants, Options{BaseSeed: 2, TransferRounds: 3, Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +117,7 @@ func TestFleetTransferDisabled(t *testing.T) {
 		{ID: "a", Benchmark: "ssb", Regime: env.Static, Rounds: 3, MaxStoredRows: 400},
 		{ID: "b", Benchmark: "ssb", Regime: env.Static, Rounds: 3, MaxStoredRows: 400, Admitted: true},
 	}
-	res, err := Run(tenants, Options{BaseSeed: 1, DisableTransfer: true, ScoreWorkers: 1, Parallel: 1})
+	res, err := Run(tenants, Options{BaseSeed: 1, DisableTransfer: true, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

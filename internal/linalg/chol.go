@@ -39,10 +39,10 @@ type CholState struct {
 	theta      Vector
 	thetaValid bool
 
-	work       Vector        // rank-1 input w, loaded by Observe/ObserveSparse/Forget
-	rotc, rots Vector        // per-column rotation coefficients of the fused cholupdate
-	rotk       []int         // columns with genuine (non-identity) rotations, in order
-	scratch    *BatchScratch // serial scoring scratch; sharded scorers bring their own
+	work       Vector      // rank-1 input w, loaded by Observe/ObserveSparse/Forget
+	rotc, rots Vector      // per-column rotation coefficients of the fused cholupdate
+	rotk       []int       // columns with genuine (non-identity) rotations, in order
+	scratch    cholScratch // scoring working memory
 
 	// profile[i] is the skyline bound of row i: every L[i][k] with
 	// k < profile[i] is an exact stored +0, untouched since the
@@ -58,6 +58,24 @@ type CholState struct {
 	// (c*0 + s*0 = +0), so the stored bits below the profile never
 	// change.
 	profile []int
+}
+
+// cholScratch is the scoring working memory of a CholState.
+type cholScratch struct {
+	z    Vector // triangular-solve intermediate L^{-1} x
+	xbuf Vector // densified sparse context (kept all-zero between uses)
+
+	// panel is the blocked batch-solve working set: cholPanelWidth
+	// right-hand-side columns forward-substituted through L in one pass
+	// (see quadPanel). Row-major with a fixed cholPanelWidth stride;
+	// lazily sized dim*cholPanelWidth.
+	panel Vector
+	// q accumulates the per-column quadratic forms of one panel.
+	q [cholPanelWidth]float64
+	// order and cnt are the counting-sort scratch that groups a batch's
+	// arms into panels by first non-zero row.
+	order []int32
+	cnt   []int32
 }
 
 // NewCholState initialises L = sqrt(lambda)*I (so V = lambda*I), b = 0.
@@ -77,7 +95,7 @@ func NewCholState(dim int, lambda float64) *CholState {
 		rotc:    NewVector(dim),
 		rots:    NewVector(dim),
 		rotk:    make([]int, 0, dim),
-		scratch: NewBatchScratch(dim),
+		scratch: cholScratch{z: NewVector(dim), xbuf: NewVector(dim)},
 		profile: make([]int, dim),
 	}
 	cs.resetProfile()
@@ -291,20 +309,7 @@ func (cs *CholState) ConfidenceWidth(x Vector) float64 {
 // solve starts at the context's first non-zero index (all earlier
 // intermediate entries are exactly zero).
 func (cs *CholState) ConfidenceWidthSparse(x SparseVector) float64 {
-	return widthFromQuad(cs.quadSparse(x, cs.scratch))
-}
-
-// QuadraticFormBatch computes x' V^{-1} x for every context into out in
-// one pass, reusing the state-owned solve scratch across arms — the
-// per-arm triangular solve without per-arm allocation.
-func (cs *CholState) QuadraticFormBatch(xs []SparseVector, out []float64) {
-	cs.QuadraticFormBatchScratch(xs, out, cs.scratch)
-}
-
-// ConfidenceWidthBatch computes sqrt(x' V^{-1} x) for every context into
-// out; each entry is bit-identical to ConfidenceWidthSparse.
-func (cs *CholState) ConfidenceWidthBatch(xs []SparseVector, out []float64) {
-	cs.ConfidenceWidthBatchScratch(xs, out, cs.scratch)
+	return widthFromQuad(cs.quadSparse(x))
 }
 
 // cholPanelWidth is the number of right-hand-side columns the batched
@@ -316,10 +321,8 @@ func (cs *CholState) ConfidenceWidthBatch(xs []SparseVector, out []float64) {
 // row) while amortising essentially all of the factor traffic.
 const cholPanelWidth = 16
 
-// QuadraticFormBatchScratch is the sharded batch kernel: it reads only
-// the factor (immutable during scoring) and works entirely in the
-// supplied scratch, so concurrent calls over disjoint shards — each
-// with its own scratch — are safe and bit-identical to a serial pass.
+// QuadraticFormBatch computes x' V^{-1} x for every context into out in
+// one pass, without per-arm allocation.
 //
 // The batch is solved cholPanelWidth arms at a time through one blocked
 // forward substitution (quadPanel) rather than one triangular solve per
@@ -329,15 +332,12 @@ const cholPanelWidth = 16
 // block-minimum start row: grouping similar starts keeps the panels as
 // narrow as the one-column solves they replace. Each arm's result is
 // bit-identical to quadSparse on the same context regardless of how the
-// batch is grouped or blocked, so sharded callers with any partition
-// boundaries agree with the serial pass byte for byte.
-func (cs *CholState) QuadraticFormBatchScratch(xs []SparseVector, out []float64, s *BatchScratch) {
+// batch is grouped or blocked.
+func (cs *CholState) QuadraticFormBatch(xs []SparseVector, out []float64) {
 	if len(xs) != len(out) {
 		panic(fmt.Sprintf("linalg: batch length mismatch %d contexts, %d outputs", len(xs), len(out)))
 	}
-	if len(s.z) != cs.Dim {
-		panic(fmt.Sprintf("linalg: batch scratch dimension %d, want %d", len(s.z), cs.Dim))
-	}
+	s := &cs.scratch
 	n := cs.Dim
 	if len(s.panel) < n*cholPanelWidth {
 		s.panel = NewVector(n * cholPanelWidth)
@@ -375,7 +375,7 @@ func (cs *CholState) QuadraticFormBatchScratch(xs []SparseVector, out []float64,
 		if hi > len(ord) {
 			hi = len(ord)
 		}
-		cs.quadPanel(xs, ord[lo:hi], out, s)
+		cs.quadPanel(xs, ord[lo:hi], out)
 	}
 }
 
@@ -394,7 +394,7 @@ func xStart(x SparseVector, n int) int {
 // Underfull panels run at full width against zero-padded columns — a
 // padded column's every entry stays an exact +0, so the fixed-width
 // inner loops (bounds-check-free via the array-pointer views) cost only
-// the dead lanes of at most one panel per shard.
+// the dead lanes of at most one panel per batch.
 //
 // Bit-identity with the one-column quadSparse holds per arm: column j's
 // value at row i is b_i minus the k-ascending sequence of l_ik*z_kj
@@ -404,8 +404,9 @@ func xStart(x SparseVector, n int) int {
 // exact no-op, so starting the panel at the block-wide minimum start
 // row changes nothing about any column's bits — which is also why the
 // result is independent of panel grouping and block boundaries.
-func (cs *CholState) quadPanel(xs []SparseVector, idx []int32, out []float64, s *BatchScratch) {
+func (cs *CholState) quadPanel(xs []SparseVector, idx []int32, out []float64) {
 	const w = cholPanelWidth
+	s := &cs.scratch
 	n := cs.Dim
 	start := n
 	for _, j := range idx {
@@ -459,10 +460,10 @@ func (cs *CholState) quadPanel(xs []SparseVector, idx []int32, out []float64, s 
 	}
 }
 
-// ConfidenceWidthBatchScratch is ConfidenceWidthBatch through
-// caller-supplied scratch, with the same sharding contract.
-func (cs *CholState) ConfidenceWidthBatchScratch(xs []SparseVector, out []float64, s *BatchScratch) {
-	cs.QuadraticFormBatchScratch(xs, out, s)
+// ConfidenceWidthBatch computes sqrt(x' V^{-1} x) for every context into
+// out; each entry is bit-identical to ConfidenceWidthSparse.
+func (cs *CholState) ConfidenceWidthBatch(xs []SparseVector, out []float64) {
+	cs.QuadraticFormBatch(xs, out)
 	for i, q := range out {
 		out[i] = widthFromQuad(q)
 	}
@@ -470,7 +471,8 @@ func (cs *CholState) ConfidenceWidthBatchScratch(xs []SparseVector, out []float6
 
 // quadSparse scatters x into the scratch's dense buffer and solves from
 // its first non-zero row, restoring the buffer to zero afterwards.
-func (cs *CholState) quadSparse(x SparseVector, s *BatchScratch) float64 {
+func (cs *CholState) quadSparse(x SparseVector) float64 {
+	s := &cs.scratch
 	if x.Dim != cs.Dim {
 		panic(fmt.Sprintf("linalg: width dimension %d, want %d", x.Dim, cs.Dim))
 	}

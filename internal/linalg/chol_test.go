@@ -83,15 +83,19 @@ func TestCholAgreesWithShermanMorrison(t *testing.T) {
 
 // TestRidgeCoreBatchMatchesSingleCalls pins the batched scoring API to
 // the per-arm kernels bit for bit on both backends: batching is an
-// optimisation, never a numeric change.
+// optimisation, never a numeric change. The batch mixes in all-zero
+// contexts, a second pass must read no stale scratch, and a mismatched
+// output length must panic.
 func TestRidgeCoreBatchMatchesSingleCalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const dim = 32
 	var contexts []SparseVector
 	for i := 0; i < 40; i++ {
 		x := NewVector(dim)
-		for k := 0; k < 5; k++ {
-			x[rng.Intn(dim)] = rng.NormFloat64()
+		if i%17 != 0 { // every 17th context stays all-zero
+			for k := 0; k < 5; k++ {
+				x[rng.Intn(dim)] = rng.NormFloat64()
+			}
 		}
 		contexts = append(contexts, SparseFromDense(x))
 	}
@@ -115,6 +119,21 @@ func TestRidgeCoreBatchMatchesSingleCalls(t *testing.T) {
 				t.Fatalf("%s: quad[%d] inconsistent with width", backend, i)
 			}
 		}
+		again := make([]float64, len(contexts))
+		core.ConfidenceWidthBatch(contexts, again)
+		for i := range widths {
+			if again[i] != widths[i] {
+				t.Fatalf("%s: second batch pass changed width[%d]: %v then %v", backend, i, widths[i], again[i])
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: batch length mismatch did not panic", backend)
+				}
+			}()
+			core.QuadraticFormBatch(contexts, make([]float64, 2))
+		}()
 	}
 }
 

@@ -26,17 +26,10 @@ import "fmt"
 // until the next Observe/ObserveSparse/Forget; callers must not mutate
 // them.
 //
-// A core is NOT safe for unrestricted concurrent use: the theta memo is
-// written lazily by the scoring reads, and the factored backend's
-// default solves reuse per-state scratch. The one concurrency the
-// contract does allow is sharded batch scoring: any number of
-// QuadraticFormBatchScratch / ConfidenceWidthBatchScratch calls may run
-// simultaneously over disjoint shards of a candidate batch, provided
-// each call brings its own BatchScratch, theta was materialised first
-// (one ThetaCached call before the fan-out), and no mutation
-// (Observe/ObserveSparse/Forget) runs concurrently. Under those rules
-// the scratch variants read only immutable state, so shard results are
-// byte-identical to a serial pass at any worker count.
+// A core is NOT safe for concurrent use: the theta memo is written
+// lazily by the scoring reads, and the factored backend's solves reuse
+// per-state scratch. Callers that share a core across goroutines must
+// serialise every call on it.
 type RidgeCore interface {
 	// Dimension returns the context dimensionality d.
 	Dimension() int
@@ -64,14 +57,6 @@ type RidgeCore interface {
 	// into out (len(out) must equal len(xs)) in one pass; each entry is
 	// bit-identical to ConfidenceWidthSparse on the same context.
 	ConfidenceWidthBatch(xs []SparseVector, out []float64)
-	// QuadraticFormBatchScratch is QuadraticFormBatch through
-	// caller-supplied scratch — the sharded form: concurrent calls over
-	// disjoint shards are safe when each brings a distinct scratch (see
-	// the interface comment). Bit-identical to QuadraticFormBatch.
-	QuadraticFormBatchScratch(xs []SparseVector, out []float64, s *BatchScratch)
-	// ConfidenceWidthBatchScratch is ConfidenceWidthBatch through
-	// caller-supplied scratch, with the same sharding contract.
-	ConfidenceWidthBatchScratch(xs []SparseVector, out []float64, s *BatchScratch)
 	// Forget discounts accumulated knowledge toward the prior by factor
 	// gamma in [0, 1]: 0 keeps everything, 1 resets to lambda*I / 0.
 	Forget(gamma float64)
@@ -80,40 +65,6 @@ type RidgeCore interface {
 	// is bit-identical to this one's. The theta memo is not captured
 	// (it is a pure function of the captured state).
 	Snapshot() *RidgeSnapshot
-}
-
-// BatchScratch is the per-worker working memory of the sharded batch
-// scoring kernels. A scratch belongs to exactly one concurrent
-// QuadraticFormBatchScratch / ConfidenceWidthBatchScratch call at a
-// time; giving every scoring worker its own scratch is what makes the
-// sharded pass safe where the plain batch methods (which reuse
-// state-owned scratch) are not. The Sherman–Morrison backend's batch
-// kernel is allocation- and scratch-free, so only the factored backend
-// actually uses the buffers — but callers allocate one per worker
-// regardless and stay backend-agnostic.
-type BatchScratch struct {
-	z    Vector // triangular-solve intermediate L^{-1} x
-	xbuf Vector // densified sparse context (kept all-zero between uses)
-
-	// panel is the blocked batch-solve working set of the factored
-	// backend: cholPanelWidth right-hand-side columns forward-substituted
-	// through L in one pass (see CholState.quadPanel). Row-major with a
-	// fixed cholPanelWidth stride; lazily sized dim*cholPanelWidth.
-	panel Vector
-	// q accumulates the per-column quadratic forms of one panel.
-	q [cholPanelWidth]float64
-	// order and cnt are the counting-sort scratch that groups a batch's
-	// arms into panels by first non-zero row.
-	order []int32
-	cnt   []int32
-}
-
-// NewBatchScratch allocates scratch for cores of dimension dim.
-func NewBatchScratch(dim int) *BatchScratch {
-	if dim <= 0 {
-		panic(fmt.Sprintf("linalg: batch scratch dimension must be positive, got %d", dim))
-	}
-	return &BatchScratch{z: NewVector(dim), xbuf: NewVector(dim)}
 }
 
 // Names of the ridge backends selectable through TunerOptions, policy

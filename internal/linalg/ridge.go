@@ -137,20 +137,6 @@ func (rs *RidgeState) ConfidenceWidthBatch(xs []SparseVector, out []float64) {
 	}
 }
 
-// QuadraticFormBatchScratch is the sharded batch kernel. The sparse
-// quadratic form reads only the maintained inverse — no scratch at all
-// — so the scratch argument is accepted for interface uniformity and
-// ignored; concurrent shard calls are safe as long as no mutation runs.
-func (rs *RidgeState) QuadraticFormBatchScratch(xs []SparseVector, out []float64, _ *BatchScratch) {
-	rs.QuadraticFormBatch(xs, out)
-}
-
-// ConfidenceWidthBatchScratch is ConfidenceWidthBatch under the sharded
-// contract (scratch-free on this backend, like QuadraticFormBatchScratch).
-func (rs *RidgeState) ConfidenceWidthBatchScratch(xs []SparseVector, out []float64, _ *BatchScratch) {
-	rs.ConfidenceWidthBatch(xs, out)
-}
-
 func widthFromQuad(q float64) float64 {
 	if q < 0 {
 		// Numerical noise can push a tiny positive quadratic form below

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"dbabandits/internal/linalg"
-	"dbabandits/internal/runner"
 )
 
 // C2UCB is the contextual combinatorial UCB bandit (Qin, Chen & Zhu,
@@ -38,28 +37,10 @@ type C2UCB struct {
 	// hundreds of seconds).
 	rewardScale float64
 
-	// scoreWorkers bounds the worker pool Scores/ExpectedScores fan the
-	// candidate batch across; <= 1 scores serially on the caller's
-	// goroutine. Scores are byte-identical at any setting: the range is
-	// partitioned deterministically by arm index, each output slot is
-	// written by exactly one shard, and every shard reads only immutable
-	// backend state through its own scratch.
-	scoreWorkers int
-	// scratch holds one backend scoring scratch per shard, grown lazily
-	// and reused across rounds (scratch is sized by dimension only, so it
-	// survives snapshot restores — Restore enforces matching dimensions).
-	scratch []*linalg.BatchScratch
-
 	// forgetRank mirrors the SM backend's low-rank Forget budget so a
 	// snapshot restore (which rebuilds the backend) can re-apply it.
 	forgetRank int
 }
-
-// parallelScoreMinArms is the batch size below which Scores stays
-// serial even when a worker pool is configured: goroutine fan-out costs
-// more than solving a handful of arms. The cutoff changes scheduling
-// only, never bytes — scores are identical either way.
-const parallelScoreMinArms = 64
 
 // DefaultAlpha is the exploration schedule used by the experiments: a
 // slowly growing sqrt-log factor as in the C2UCB analysis.
@@ -113,14 +94,6 @@ func (b *C2UCB) SetRebaseSchedule(every int, driftThreshold float64) {
 	}
 }
 
-// SetScoreWorkers bounds the worker pool the batched arm scoring fans
-// across; n <= 1 (the default) scores serially. Any setting produces
-// byte-identical scores — this is purely a latency knob.
-func (b *C2UCB) SetScoreWorkers(n int) { b.scoreWorkers = n }
-
-// ScoreWorkers reports the configured scoring worker bound.
-func (b *C2UCB) ScoreWorkers() int { return b.scoreWorkers }
-
 // SetForgetRank budgets the Sherman–Morrison backend's low-rank Forget
 // correction (see linalg.RidgeState.ForgetRank); 0 keeps the exact
 // Forget-triggered rebase. The factored backend forgets on the factor
@@ -130,21 +103,6 @@ func (b *C2UCB) SetForgetRank(k int) {
 	b.forgetRank = k
 	if rs, ok := b.state.(*linalg.RidgeState); ok {
 		rs.ForgetRank = k
-	}
-}
-
-// scoreShards returns how many shards a batch of n arms scores across.
-func (b *C2UCB) scoreShards(n int) int {
-	if b.scoreWorkers <= 1 || n < parallelScoreMinArms {
-		return 1
-	}
-	return b.scoreWorkers
-}
-
-// ensureScratch grows the per-shard scratch pool to at least w entries.
-func (b *C2UCB) ensureScratch(w int) {
-	for len(b.scratch) < w {
-		b.scratch = append(b.scratch, linalg.NewBatchScratch(b.state.Dimension()))
 	}
 }
 
@@ -162,13 +120,6 @@ func (b *C2UCB) Round() int { return b.round }
 // pass over the backend state and theta comes from the backend's memo,
 // so no per-arm call re-derives either; each entry is bit-identical to
 // the historical per-arm theta.DotSparse + ConfidenceWidthSparse form.
-//
-// With SetScoreWorkers > 1 the batch is partitioned deterministically
-// by arm index across a bounded worker pool, each shard scoring through
-// its own backend scratch. Theta is materialised once, serially, before
-// the fan-out (the memo write is the one lazy mutation scoring
-// performs), after which every shard reads only immutable state — so
-// the parallel scores are byte-identical to the serial ones.
 func (b *C2UCB) Scores(contexts []linalg.SparseVector) []float64 {
 	out := make([]float64, len(contexts))
 	b.ScoresInto(contexts, out)
@@ -181,16 +132,6 @@ func (b *C2UCB) Scores(contexts []linalg.SparseVector) []float64 {
 func (b *C2UCB) ScoresInto(contexts []linalg.SparseVector, out []float64) {
 	theta := b.state.ThetaCached()
 	alpha := b.Alpha(b.round) * b.rewardScale
-	if w := b.scoreShards(len(contexts)); w > 1 {
-		b.ensureScratch(w)
-		runner.Sharded(len(contexts), w, func(shard, lo, hi int) {
-			b.state.ConfidenceWidthBatchScratch(contexts[lo:hi], out[lo:hi], b.scratch[shard])
-			for i := lo; i < hi; i++ {
-				out[i] = theta.DotSparse(contexts[i]) + alpha*out[i]
-			}
-		})
-		return
-	}
 	b.state.ConfidenceWidthBatch(contexts, out)
 	for i, x := range contexts {
 		out[i] = theta.DotSparse(x) + alpha*out[i]
@@ -198,17 +139,13 @@ func (b *C2UCB) ScoresInto(contexts []linalg.SparseVector, out []float64) {
 }
 
 // ExpectedScores returns the exploitation-only point estimates theta'x,
-// used by tests and diagnostics. Like Scores it shards across the
-// configured worker pool (dot products only — no backend scratch
-// needed), byte-identically to the serial pass.
+// used by tests and diagnostics.
 func (b *C2UCB) ExpectedScores(contexts []linalg.SparseVector) []float64 {
 	theta := b.state.ThetaCached()
 	out := make([]float64, len(contexts))
-	runner.Sharded(len(contexts), b.scoreShards(len(contexts)), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = theta.DotSparse(contexts[i])
-		}
-	})
+	for i, x := range contexts {
+		out[i] = theta.DotSparse(x)
+	}
 	return out
 }
 

@@ -1,7 +1,6 @@
 package mab
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -197,31 +196,6 @@ func BenchmarkScoresDenseTPCDS(b *testing.B) {
 		}
 	}
 	benchScoreSink = sink
-}
-
-// BenchmarkScoresBatchParallel measures C2UCB.Scores over the full
-// TPC-DS candidate set with scoring fanned across worker pools of 1, 2
-// and 4, on the factored backend — the O(d²) per-arm triangular solve
-// is the kernel the sharding exists to hide (the SM sparse quadratic
-// form is already so cheap the fan-out overhead dominates it). The /1
-// case is the serial baseline every speedup is quoted against; scaling
-// only shows on multi-core hardware, but the output bytes are pinned
-// identical at every width regardless.
-func BenchmarkScoresBatchParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprint(workers), func(b *testing.B) {
-			bandit, ctxs, dim := tpcdsScoresFixtureBackend(b, linalg.BackendChol)
-			bandit.SetScoreWorkers(workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bandit.Scores(ctxs)
-			}
-			b.ReportMetric(float64(len(ctxs)), "arms")
-			b.ReportMetric(float64(dim), "dim")
-			b.ReportMetric(float64(workers), "workers")
-		})
-	}
 }
 
 var benchScoreSink float64

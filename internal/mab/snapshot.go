@@ -106,8 +106,7 @@ func (b *C2UCB) Restore(s *C2UCBSnapshot) error {
 	b.rewardScale = s.RewardScale
 	// Construction-time configuration that lives on the backend instance
 	// (not in the snapshot, which carries state only) is re-applied to
-	// the rebuilt core; the scoring scratch pool is sized by dimension
-	// alone and stays valid (dimensions were checked above).
+	// the rebuilt core.
 	b.SetForgetRank(b.forgetRank)
 	return nil
 }

@@ -101,3 +101,50 @@ func TestTunerRestoreRejectsDimensionMismatch(t *testing.T) {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
+
+// TestForgetRankThreading pins the knob plumbing: TunerOptions.ForgetRank
+// reaches the SM ridge state (and is a silent no-op on the factored
+// backend), and a snapshot/restore round-trip re-applies it —
+// configuration is not state, so the restored bandit must behave like
+// the original without the checkpoint carrying it.
+func TestForgetRankThreading(t *testing.T) {
+	schema, db, _ := tpcdsBenchFixture(t, 1)
+	dbSize := db.DataSizeBytes()
+	tuner := NewTuner(schema, dbSize, TunerOptions{
+		RidgeBackend: linalg.BackendSM,
+		ForgetRank:   16,
+	})
+	bandit := tuner.Bandit()
+	rs, ok := bandit.state.(*linalg.RidgeState)
+	if !ok {
+		t.Fatalf("sm backend state is %T", bandit.state)
+	}
+	if rs.ForgetRank != 16 {
+		t.Fatalf("ForgetRank not threaded to ridge state: %d", rs.ForgetRank)
+	}
+
+	snap := bandit.Snapshot()
+	if err := bandit.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	rs2, ok := bandit.state.(*linalg.RidgeState)
+	if !ok {
+		t.Fatalf("restored state is %T", bandit.state)
+	}
+	if rs2 == rs {
+		t.Fatal("restore did not rebuild the ridge core — re-application untested")
+	}
+	if rs2.ForgetRank != 16 {
+		t.Fatalf("restore dropped ForgetRank: %d", rs2.ForgetRank)
+	}
+
+	// The factored backend has no inverse to budget: the setter must be a
+	// no-op, not a crash.
+	cholTuner := NewTuner(schema, dbSize, TunerOptions{
+		RidgeBackend: linalg.BackendChol,
+		ForgetRank:   16,
+	})
+	if _, ok := cholTuner.Bandit().state.(*linalg.CholState); !ok {
+		t.Fatalf("chol tuner state is %T", cholTuner.Bandit().state)
+	}
+}

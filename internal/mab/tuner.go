@@ -59,12 +59,6 @@ type TunerOptions struct {
 	// ridge rebase schedule; 0 keeps the linalg default, negative
 	// disables the adaptive schedule (fixed cadence only).
 	RebaseDriftThreshold float64
-	// ScoreWorkers bounds the worker pool the bandit's batched arm
-	// scoring fans across; <= 1 (the default) scores serially. Scores are
-	// byte-identical at any setting — the candidate batch is partitioned
-	// deterministically by arm index with per-worker backend scratch — so
-	// this is purely a latency knob (the -score-parallel flag).
-	ScoreWorkers int
 	// ForgetRank, when positive, budgets the Sherman–Morrison backend's
 	// low-rank Forget correction: shift-scaled forgetting absorbs the
 	// discount-toward-prior perturbation with k structured O(d²) updates
@@ -188,7 +182,6 @@ func NewTuner(schema *catalog.Schema, dbSizeBytes int64, opts TunerOptions) *Tun
 		panic(fmt.Sprintf("mab: %v", err))
 	}
 	bandit.SetRebaseSchedule(opts.RebaseEvery, opts.RebaseDriftThreshold)
-	bandit.SetScoreWorkers(opts.ScoreWorkers)
 	bandit.SetForgetRank(opts.ForgetRank)
 	return &Tuner{
 		schema:     schema,

@@ -228,52 +228,6 @@ func TestPlanCacheErrorsNotCached(t *testing.T) {
 	}
 }
 
-// TestWhatIfWorkloadCostParallelMatchesSerial pins the parallel pricing
-// path byte-identical to serial at several worker counts, including the
-// early-return error semantics.
-func TestWhatIfWorkloadCostParallelMatchesSerial(t *testing.T) {
-	schema, _ := testdb.Build(1)
-	cm := engine.DefaultCostModel()
-	o := New(schema, cm)
-	cfg := index.NewConfig()
-	for _, ix := range cacheTestPool()[:6] {
-		cfg.Add(ix)
-	}
-	var wl []*query.Query
-	for i := 0; i < 5; i++ {
-		wl = append(wl, cacheTestQueries()...) // fresh instances each repeat
-	}
-
-	wantTotal, wantCalls, wantErr := o.WhatIfWorkloadCost(wl, cfg)
-	if wantErr != nil {
-		t.Fatal(wantErr)
-	}
-	for _, workers := range []int{1, 2, 4, 7} {
-		total, calls, err := o.WhatIfWorkloadCostParallel(wl, cfg, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if math.Float64bits(total) != math.Float64bits(wantTotal) || calls != wantCalls {
-			t.Fatalf("workers=%d: total=%v calls=%d, want %v/%d", workers, total, calls, wantTotal, wantCalls)
-		}
-	}
-
-	// Error semantics: calls counts successes before the first failing
-	// query in workload order, on both paths.
-	broken := append(append([]*query.Query{}, wl[:3]...), &query.Query{Tables: []string{"ghost"}})
-	broken = append(broken, wl[3:]...)
-	_, wantCalls, wantErr = o.WhatIfWorkloadCost(broken, cfg)
-	if wantErr == nil {
-		t.Fatal("broken workload priced without error")
-	}
-	for _, workers := range []int{2, 4} {
-		_, calls, err := o.WhatIfWorkloadCostParallel(broken, cfg, workers)
-		if err == nil || err.Error() != wantErr.Error() || calls != wantCalls {
-			t.Fatalf("workers=%d: calls=%d err=%v, want calls=%d err=%v", workers, calls, err, wantCalls, wantErr)
-		}
-	}
-}
-
 // TestPlanCacheSharedAcrossConfigsByFingerprint pins the headline
 // economy: two different Config objects with the same relevant indexes
 // for a query share one cached plan.

@@ -24,15 +24,15 @@ type Optimizer struct {
 }
 
 // New returns an optimiser over the schema with the given cost model.
-// The plan cache is enabled; use NewUncached for the A/B control.
+// The plan cache is enabled; NewUncached builds the uncached reference.
 func New(schema *catalog.Schema, cm *engine.CostModel) *Optimizer {
 	return &Optimizer{Schema: schema, CM: cm, cache: newPlanCache()}
 }
 
 // NewUncached returns an optimiser that re-runs the full greedy search
-// on every call — the pre-cache behaviour, kept both as the A/B control
-// (-plan-cache=false) and as the reference the cache-consistency
-// property tests compare against.
+// on every call — the pre-cache behaviour, kept as the reference that
+// the cache-consistency tests and the benchmark's correctness check
+// compare the cached optimiser against.
 func NewUncached(schema *catalog.Schema, cm *engine.CostModel) *Optimizer {
 	return &Optimizer{Schema: schema, CM: cm}
 }

@@ -3,7 +3,6 @@ package optimizer
 import (
 	"dbabandits/internal/index"
 	"dbabandits/internal/query"
-	"dbabandits/internal/runner"
 )
 
 // WhatIfCost returns the optimiser's estimated cost of the query under a
@@ -29,35 +28,6 @@ func (o *Optimizer) WhatIfWorkloadCost(queries []*query.Query, cfg *index.Config
 			return 0, calls, err
 		}
 		total += c
-		calls++
-	}
-	return total, calls, nil
-}
-
-// WhatIfWorkloadCostParallel is WhatIfWorkloadCost priced over a
-// runner.Sharded worker pool — byte-identical to the serial path at any
-// worker count, including the early-return error semantics (calls counts
-// the queries successfully priced before the first failing query, in
-// workload order). Safe with the plan cache enabled: the cache takes a
-// per-query-entry lock, so shards touching disjoint queries never
-// contend. workers <= 1 (or a trivially small workload) runs serial.
-func (o *Optimizer) WhatIfWorkloadCostParallel(queries []*query.Query, cfg *index.Config, workers int) (total float64, calls int, err error) {
-	n := len(queries)
-	if workers <= 1 || n < 2 {
-		return o.WhatIfWorkloadCost(queries, cfg)
-	}
-	costs := make([]float64, n)
-	errs := make([]error, n)
-	runner.Sharded(n, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			costs[i], errs[i] = o.WhatIfCost(queries[i], cfg)
-		}
-	})
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return 0, calls, errs[i]
-		}
-		total += costs[i]
 		calls++
 	}
 	return total, calls, nil

@@ -34,13 +34,11 @@ type Checkpoint struct {
 	Seed          int64
 	MemoryBudgetX float64
 
-	// Policy rebuild. ForgetRank shapes future forgetting arithmetic and
-	// ScoreWorkers the scoring latency, so both are restored with the
-	// backend; neither is policy state (the bandit's learned state lives
-	// in PolicyState).
+	// Policy rebuild. ForgetRank shapes future forgetting arithmetic, so
+	// it is restored with the backend; it is not policy state (the
+	// bandit's learned state lives in PolicyState).
 	Policy       string
 	RidgeBackend string `json:",omitempty"`
-	ScoreWorkers int    `json:",omitempty"`
 	ForgetRank   int    `json:",omitempty"`
 	Guardrail    GuardrailOptions
 
@@ -80,7 +78,6 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 		MemoryBudgetX: s.opts.MemoryBudgetX,
 		Policy:        s.opts.Policy,
 		RidgeBackend:  s.opts.RidgeBackend,
-		ScoreWorkers:  s.opts.ScoreWorkers,
 		ForgetRank:    s.opts.ForgetRank,
 		Guardrail:     s.opts.Guardrail,
 		Window:        s.window,
@@ -166,7 +163,6 @@ func Restore(ck *Checkpoint) (*Session, error) {
 		MemoryBudgetX: ck.MemoryBudgetX,
 		Policy:        ck.Policy,
 		RidgeBackend:  ck.RidgeBackend,
-		ScoreWorkers:  ck.ScoreWorkers,
 		ForgetRank:    ck.ForgetRank,
 		Guardrail:     ck.Guardrail,
 	})

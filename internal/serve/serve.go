@@ -40,17 +40,10 @@ type Options struct {
 	// RidgeBackend selects the bandit's ridge core (linalg.BackendSM
 	// default, linalg.BackendChol).
 	RidgeBackend string
-	// ScoreWorkers bounds the worker pool the bandit's arm scoring fans
-	// across; <= 1 scores serially. Byte-identical reports at any
-	// setting — serving latency is the only thing that changes.
-	ScoreWorkers int
 	// ForgetRank budgets the SM ridge backend's low-rank Forget
 	// correction (0 = exact rebase). Shift- and quarantine-triggered
 	// forgetting both go through it.
 	ForgetRank int
-	// DisablePlanCache turns off the optimiser's config-fingerprinted
-	// plan cache (A/B control; reports are byte-identical either way).
-	DisablePlanCache bool `json:",omitempty"`
 	// Guardrail configures the safety supervisor.
 	Guardrail GuardrailOptions
 }
@@ -120,20 +113,18 @@ func New(opts Options) (*Session, error) {
 	}
 	mabOpts := mab.TunerOptions{
 		RidgeBackend: opts.RidgeBackend,
-		ScoreWorkers: opts.ScoreWorkers,
 		ForgetRank:   opts.ForgetRank,
 	}
 	e, err := env.New(env.Options{
-		Benchmark:        opts.Benchmark,
-		Regime:           env.Static,
-		ScaleFactor:      opts.ScaleFactor,
-		MaxStoredRows:    opts.MaxStoredRows,
-		Seed:             opts.Seed,
-		MemoryBudgetX:    opts.MemoryBudgetX,
-		MABOptions:       mabOpts,
-		DDQNSeed:         opts.Seed,
-		RandomSeed:       opts.Seed,
-		DisablePlanCache: opts.DisablePlanCache,
+		Benchmark:     opts.Benchmark,
+		Regime:        env.Static,
+		ScaleFactor:   opts.ScaleFactor,
+		MaxStoredRows: opts.MaxStoredRows,
+		Seed:          opts.Seed,
+		MemoryBudgetX: opts.MemoryBudgetX,
+		MABOptions:    mabOpts,
+		DDQNSeed:      opts.Seed,
+		RandomSeed:    opts.Seed,
 	})
 	if err != nil {
 		return nil, err

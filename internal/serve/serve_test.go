@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -66,6 +67,11 @@ func reportJSON(t *testing.T, reps []*WindowReport) string {
 // backends: a session checkpointed mid-stream, killed, and restored
 // from disk produces byte-identical window reports and an identical
 // final configuration to a session that was never interrupted.
+//
+// The same checkpoint is also restored with the scoring-worker key that
+// older builds wrote spliced in (see writeLegacyCheckpoint): the loader
+// ignores unknown keys, so such a checkpoint must restore to the same
+// session.
 func TestKillRestoreDeterminism(t *testing.T) {
 	for _, backend := range linalg.RidgeBackends() {
 		t.Run(backend, func(t *testing.T) {
@@ -85,38 +91,73 @@ func TestKillRestoreDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			headReps := feedAll(t, victim, NewStream(strings.NewReader(testStream), victim), cut)
-			path := filepath.Join(t.TempDir(), "session.ckpt")
+			dir := t.TempDir()
+			path := filepath.Join(dir, "session.ckpt")
 			if err := victim.WriteCheckpoint(path); err != nil {
 				t.Fatal(err)
 			}
 			victim.Close() // the kill
 
-			restored, err := RestoreFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer restored.Close()
-			if restored.Window() != cut {
-				t.Fatalf("restored at window %d, want %d", restored.Window(), cut)
-			}
-			st := NewStream(strings.NewReader(testStream), restored)
-			if err := st.Skip(cut); err != nil {
-				t.Fatal(err)
-			}
-			tailReps := feedAll(t, restored, st, 0)
+			legacyPath := filepath.Join(dir, "legacy.ckpt")
+			writeLegacyCheckpoint(t, path, legacyPath)
 
-			got := reportJSON(t, append(headReps, tailReps...))
-			want := reportJSON(t, wantReps)
-			if got != want {
-				t.Fatalf("kill-and-restore diverged from uninterrupted run:\n%s\nvs\n%s", got, want)
-			}
-			if g, w := strings.Join(restored.Config(), ","), strings.Join(golden.Config(), ","); g != w {
-				t.Fatalf("final configuration diverged: %q vs %q", g, w)
-			}
-			if restored.Quarantines() != golden.Quarantines() {
-				t.Fatalf("quarantine count diverged: %d vs %d", restored.Quarantines(), golden.Quarantines())
+			for _, p := range []string{path, legacyPath} {
+				restored, err := RestoreFile(p)
+				if err != nil {
+					t.Fatalf("%s: %v", filepath.Base(p), err)
+				}
+				defer restored.Close()
+				if restored.Window() != cut {
+					t.Fatalf("%s: restored at window %d, want %d", filepath.Base(p), restored.Window(), cut)
+				}
+				st := NewStream(strings.NewReader(testStream), restored)
+				if err := st.Skip(cut); err != nil {
+					t.Fatal(err)
+				}
+				tailReps := feedAll(t, restored, st, 0)
+
+				got := reportJSON(t, append(append([]*WindowReport{}, headReps...), tailReps...))
+				want := reportJSON(t, wantReps)
+				if got != want {
+					t.Fatalf("%s: kill-and-restore diverged from uninterrupted run:\n%s\nvs\n%s", filepath.Base(p), got, want)
+				}
+				if g, w := strings.Join(restored.Config(), ","), strings.Join(golden.Config(), ","); g != w {
+					t.Fatalf("%s: final configuration diverged: %q vs %q", filepath.Base(p), g, w)
+				}
+				if restored.Quarantines() != golden.Quarantines() {
+					t.Fatalf("%s: quarantine count diverged: %d vs %d", filepath.Base(p), restored.Quarantines(), golden.Quarantines())
+				}
 			}
 		})
+	}
+}
+
+// legacyWorkersKey is the top-level key older builds wrote for the
+// arm-scoring worker count; Checkpoint no longer has that field.
+const legacyWorkersKey = "ScoreWorkers"
+
+// writeLegacyCheckpoint copies the checkpoint at src to dst with a
+// legacyWorkersKey of 4 added.
+func writeLegacyCheckpoint(t *testing.T, src, dst string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields[legacyWorkersKey]; ok {
+		t.Fatalf("checkpoint already carries a %s key", legacyWorkersKey)
+	}
+	fields[legacyWorkersKey] = json.RawMessage("4")
+	data, err = json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
