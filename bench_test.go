@@ -620,3 +620,47 @@ func BenchmarkWhatIfWorkloadWarm(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkChoosePlanMiss plans a fresh TPC-H Q5 instance every
+// iteration through the cached optimiser — the path each batch round's
+// execute step takes when the sequencer instantiates new queries, where
+// the hit ratio is 0. It includes the instance copy and the
+// two-generation eviction the stream of fresh instances drives.
+func BenchmarkChoosePlanMiss(b *testing.B) {
+	cached, _, q, _, cfg := benchPlanFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := *q
+		if _, err := cached.ChoosePlan(&fresh, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWhatIfSingleIndexSweep prices one fresh TPC-H Q5 instance
+// against every single-index candidate the arm generator proposes for
+// it, swapping the candidate in one trial configuration — the advisor
+// policy's per-round pattern. Each distinct relevant candidate is a
+// plan-cache miss.
+func BenchmarkWhatIfSingleIndexSweep(b *testing.B) {
+	cached, _, q, _, _ := benchPlanFixture(b)
+	arms := mab.NewArmGenerator(cached.Schema, mab.ArmGenOptions{}).Generate([]*Query{q})
+	trial := index.NewConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := *q
+		for k, a := range arms {
+			if k > 0 {
+				trial.Drop(arms[k-1].ID())
+			}
+			trial.Add(a.Index)
+			if _, err := cached.WhatIfCost(&fresh, trial); err != nil {
+				b.Fatal(err)
+			}
+		}
+		trial.Drop(arms[len(arms)-1].ID())
+	}
+	b.ReportMetric(float64(len(arms)), "configs")
+}

@@ -2,8 +2,8 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"dbabandits/internal/catalog"
 	"dbabandits/internal/engine"
@@ -29,10 +29,12 @@ import (
 //     relevant-index-set), shared across the per-driver loop inside one
 //     ChoosePlan (the greedy search calls bestAccess O(tables²) times)
 //     and across every configuration mapping to the same relevant set;
-//  3. scratch-carried planning state (metas, filtered-row estimates,
-//     FiltersOn results, the joined set, step buffers) computed once
-//     per query instance, so even a cache-miss ChoosePlan allocates
-//     only the plan it returns.
+//  3. per-instance planning state (metas, filtered-row estimates,
+//     FiltersOn results, referenced columns) computed once per query
+//     instance, plus cache-wide scratch (the fingerprint, screen and
+//     joined-set buffers, step buffers) reused by every miss, so a
+//     re-plan of a known instance allocates only the plan, its Steps,
+//     any new relevant set and the plan's fingerprint key.
 //
 // Everything is byte-identical to the uncached search: the screen
 // filters cfg.OnTable's deterministic order without reordering, costs
@@ -41,11 +43,15 @@ import (
 // logical optimiser invocations whether or not they hit the cache.
 
 const (
-	// maxCachedQueries bounds the entry map. Batch sequencers instantiate
-	// fresh query objects every round, so entries for dead instances
-	// accumulate; past the cap the whole map is dropped (counted as one
-	// invalidation) rather than leaking for the length of a serving run.
-	maxCachedQueries = 4096
+	// maxCachedQueries bounds each of the entry map's two generations.
+	// Batch sequencers instantiate fresh query objects every round, so
+	// entries for dead instances stop being looked up; they age out with
+	// their generation instead of leaking for the length of a serving
+	// run. One generation holds the largest cyclic working set any
+	// caller re-prices — PDTool's random-regime training window, 4
+	// rounds × 99 TPC-DS instances = 396 — so such an instance is always
+	// promoted before its generation is dropped.
+	maxCachedQueries = 512
 	// maxPlansPerQuery bounds one query's fingerprint→plan map.
 	maxPlansPerQuery = 1024
 	// maxSetsPerTable bounds one table's signature→relevant-set memo.
@@ -55,24 +61,40 @@ const (
 // PlanCacheStats are the cache's cumulative counters. Hits and Misses
 // count ChoosePlan calls answered from / added to the plan cache;
 // Invalidations counts relevant-set rescans forced by configuration
-// content changes plus capacity evictions. They feed benchmarks and
-// logs only — no golden-pinned output includes them.
+// content changes plus capacity evictions, where each generation flip
+// of the entry map counts as one. They feed benchmarks and logs only —
+// no golden-pinned output includes them.
 type PlanCacheStats struct {
 	Hits, Misses, Invalidations uint64
 }
 
-// planCache is the optimiser-level cache state. The entries map is
-// guarded by mu; each entry carries its own lock, so parallel what-if
-// pricing serialises only on same-query collisions.
+// planCache is the optimiser-level cache state. One mutex guards it all
+// and is held for a whole ChoosePlan, so concurrent callers sharing an
+// Optimizer serialise; no caller prices in parallel.
+//
+// Entries live in two generations: a lookup is served from cur, or
+// promoted into cur from old; when cur fills it becomes old and the
+// previous old generation is dropped.
 type planCache struct {
-	mu      sync.Mutex
-	entries map[*query.Query]*queryEntry
+	mu       sync.Mutex
+	cur, old map[*query.Query]*queryEntry
 
-	hits, misses, invalidations atomic.Uint64
+	hits, misses, invalidations uint64
+
+	// Cold-path scratch, reused across the misses of every entry.
+	fpBuf     []byte
+	relBuf    []relIndex
+	idsBuf    []byte
+	joined    []bool
+	curSteps  []engine.JoinStep
+	bestSteps []engine.JoinStep
 }
 
 func newPlanCache() *planCache {
-	return &planCache{entries: make(map[*query.Query]*queryEntry)}
+	return &planCache{
+		cur: make(map[*query.Query]*queryEntry, maxCachedQueries),
+		old: make(map[*query.Query]*queryEntry, maxCachedQueries),
+	}
 }
 
 // CacheStats returns a snapshot of the plan-cache counters; zero-valued
@@ -81,11 +103,10 @@ func (o *Optimizer) CacheStats() PlanCacheStats {
 	if o.cache == nil {
 		return PlanCacheStats{}
 	}
-	return PlanCacheStats{
-		Hits:          o.cache.hits.Load(),
-		Misses:        o.cache.misses.Load(),
-		Invalidations: o.cache.invalidations.Load(),
-	}
+	c := o.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return PlanCacheStats{Hits: c.hits, Misses: c.misses, Invalidations: c.invalidations}
 }
 
 // CacheEnabled reports whether this optimiser carries a plan cache.
@@ -107,6 +128,12 @@ type nlChoice struct {
 	entryWidth float64 // leaf entry width (row width for clustered PK)
 }
 
+// nlMemo is one inner column's memoised nlChoice.
+type nlMemo struct {
+	col    string
+	choice nlChoice
+}
+
 // relevantSet is one distinct relevant-index subset of a table, shared
 // across every configuration signature mapping to it. The access and nl
 // memos make repeat pricing under any such configuration allocation-free.
@@ -115,7 +142,7 @@ type relevantSet struct {
 	ixs      []relIndex
 	access   accessChoice
 	accessOK bool
-	nl       map[string]nlChoice
+	nl       []nlMemo // one per inner column probed; a table has few join columns
 }
 
 // qtable is the per-(query, table) planning state: everything ChoosePlan
@@ -125,8 +152,8 @@ type qtable struct {
 	name         string
 	meta         *catalog.Table
 	preds        []query.Predicate // q.FiltersOn(name), computed once
-	joinCols     map[string]bool   // q.JoinColumnsOn(name) as a set
-	refCols      []string          // pred ∪ join ∪ payload columns (covering test)
+	joinCols     []string          // distinct columns of name in q.Joins
+	refCols      []string          // distinct pred ∪ join ∪ payload columns (covering test)
 	filteredRows float64           // EstimateFilteredRows(meta, preds)
 	tablePages   float64           // CM.PagesOf(meta.SizeBytes())
 	rowWidth     float64           // float64(meta.RowWidthBytes())
@@ -134,16 +161,17 @@ type qtable struct {
 
 	sig      string       // TableSig of the relevant set currently loaded
 	relevant *relevantSet // nil until the first refresh
-	bySig    map[string]*relevantSet
-	byIDs    map[string]*relevantSet // interning: distinct sigs, same screen result
+	// Memo of every signature seen and its interned relevant set (equal
+	// screen results share one set); nil until a second signature.
+	bySig map[string]*relevantSet
+	byIDs map[string]*relevantSet
 }
 
 // queryEntry is one query instance's cache entry.
 type queryEntry struct {
-	mu     sync.Mutex
 	q      *query.Query
-	tables []*qtable // distinct tables, in first-appearance order
-	order  []int     // q.Tables[i] → index into tables
+	tables []qtable // distinct tables, in first-appearance order
+	order  []int    // q.Tables[i] → index into tables
 	plans  map[string]*engine.Plan
 
 	// Epoch fast path: the last (config object, epoch) priced and its
@@ -152,67 +180,74 @@ type queryEntry struct {
 	lastCfg   *index.Config
 	lastEpoch uint64
 	lastPlan  *engine.Plan
-
-	// Cold-path scratch, reused across misses.
-	fpBuf     []byte
-	joined    []bool
-	curSteps  []engine.JoinStep
-	bestSteps []engine.JoinStep
 }
 
 // choosePlan is the cached ChoosePlan.
 func (c *planCache) choosePlan(o *Optimizer, q *query.Query, cfg *index.Config) (*engine.Plan, error) {
 	c.mu.Lock()
-	e := c.entries[q]
-	if e == nil {
-		var err error
-		e, err = newQueryEntry(o, q)
-		if err != nil {
-			c.mu.Unlock()
-			return nil, err
-		}
-		if len(c.entries) >= maxCachedQueries {
-			c.entries = make(map[*query.Query]*queryEntry, maxCachedQueries)
-			c.invalidations.Add(1)
-		}
-		c.entries[q] = e
+	defer c.mu.Unlock()
+	e, err := c.entry(o, q)
+	if err != nil {
+		return nil, err
 	}
-	c.mu.Unlock()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if cfg != nil && cfg == e.lastCfg && cfg.Epoch() == e.lastEpoch && e.lastPlan != nil {
-		c.hits.Add(1)
+		c.hits++
 		return e.lastPlan, nil
 	}
-	for _, t := range e.tables {
-		c.refreshRelevant(o, t, cfg)
+	for i := range e.tables {
+		c.refreshRelevant(&e.tables[i], cfg)
 	}
-	fp := e.fpBuf[:0]
-	for _, t := range e.tables {
-		fp = append(fp, t.relevant.ids...)
+	fp := c.fpBuf[:0]
+	for i := range e.tables {
+		fp = append(fp, e.tables[i].relevant.ids...)
 		fp = append(fp, 0x1e)
 	}
-	e.fpBuf = fp
+	c.fpBuf = fp
 	if plan, ok := e.plans[string(fp)]; ok {
-		c.hits.Add(1)
+		c.hits++
 		e.noteLast(cfg, plan)
 		return plan, nil
 	}
-	plan, err := o.planEntry(e)
+	plan, err := c.planEntry(o, e)
 	if err != nil {
 		// Errors are never cached: every call re-derives and returns the
 		// identical message, exactly like the uncached path.
 		return nil, err
 	}
-	c.misses.Add(1)
+	c.misses++
 	if len(e.plans) >= maxPlansPerQuery {
 		e.plans = make(map[string]*engine.Plan, maxPlansPerQuery)
-		c.invalidations.Add(1)
+		c.invalidations++
 	}
 	e.plans[string(fp)] = plan
 	e.noteLast(cfg, plan)
 	return plan, nil
+}
+
+// entry returns q's entry in the current generation, promoting it from
+// the old one or building it on first sight. A full current generation
+// flips first: it becomes old and the previous old generation is
+// dropped, counted as one invalidation.
+func (c *planCache) entry(o *Optimizer, q *query.Query) (*queryEntry, error) {
+	if e := c.cur[q]; e != nil {
+		return e, nil
+	}
+	e := c.old[q]
+	if e != nil {
+		delete(c.old, q)
+	} else {
+		var err error
+		if e, err = newQueryEntry(o, q); err != nil {
+			return nil, err
+		}
+	}
+	if len(c.cur) >= maxCachedQueries {
+		clear(c.old)
+		c.cur, c.old = c.old, c.cur
+		c.invalidations++
+	}
+	c.cur[q] = e
+	return e, nil
 }
 
 func (e *queryEntry) noteLast(cfg *index.Config, plan *engine.Plan) {
@@ -228,10 +263,14 @@ func newQueryEntry(o *Optimizer, q *query.Query) (*queryEntry, error) {
 	if len(q.Tables) == 0 {
 		return nil, fmt.Errorf("optimizer: query has no tables")
 	}
-	e := &queryEntry{q: q, plans: make(map[string]*engine.Plan)}
-	seen := make(map[string]int, len(q.Tables))
+	e := &queryEntry{
+		q:      q,
+		tables: make([]qtable, 0, len(q.Tables)),
+		order:  make([]int, 0, len(q.Tables)),
+		plans:  make(map[string]*engine.Plan),
+	}
 	for _, name := range q.Tables {
-		if i, ok := seen[name]; ok {
+		if i := e.tableIndex(name); i >= 0 {
 			e.order = append(e.order, i)
 			continue
 		}
@@ -239,49 +278,70 @@ func newQueryEntry(o *Optimizer, q *query.Query) (*queryEntry, error) {
 		if !ok {
 			return nil, fmt.Errorf("optimizer: unknown table %q", name)
 		}
-		t := &qtable{
-			name:     name,
-			meta:     meta,
-			preds:    q.FiltersOn(name),
-			joinCols: make(map[string]bool),
-			bySig:    make(map[string]*relevantSet),
-			byIDs:    make(map[string]*relevantSet),
+		preds := q.FiltersOn(name)
+		t := qtable{
+			name:         name,
+			meta:         meta,
+			preds:        preds,
+			filteredRows: EstimateFilteredRows(meta, preds),
+			tablePages:   o.CM.PagesOf(meta.SizeBytes()),
+			rowWidth:     float64(meta.RowWidthBytes()),
+			seqCost:      o.CM.TableScanSec(meta, len(preds)),
 		}
-		for _, col := range q.JoinColumnsOn(name) {
-			t.joinCols[col] = true
-		}
-		refSeen := make(map[string]bool)
-		addRef := func(col string) {
-			if !refSeen[col] {
-				refSeen[col] = true
-				t.refCols = append(t.refCols, col)
+		// refCols leads with the join columns, which joinCols then
+		// shares; covers needs the referenced columns as a set only, so
+		// their order is free. n bounds the distinct count.
+		n := len(preds)
+		for _, j := range q.Joins {
+			if j.LeftTable == name {
+				n++
+			}
+			if j.RightTable == name {
+				n++
 			}
 		}
-		for _, p := range t.preds {
-			addRef(p.Column)
+		for _, c := range q.Payload {
+			if c.Table == name {
+				n++
+			}
 		}
-		for _, col := range q.JoinColumnsOn(name) {
-			addRef(col)
+		cols := make([]string, 0, n)
+		for _, j := range q.Joins {
+			if j.LeftTable == name {
+				cols = appendDistinct(cols, j.LeftColumn)
+			}
+			if j.RightTable == name {
+				cols = appendDistinct(cols, j.RightColumn)
+			}
 		}
-		for _, col := range q.PayloadColumnsOn(name) {
-			addRef(col)
+		t.joinCols = cols[:len(cols):len(cols)]
+		for _, p := range preds {
+			cols = appendDistinct(cols, p.Column)
 		}
-		t.filteredRows = EstimateFilteredRows(meta, t.preds)
-		t.tablePages = o.CM.PagesOf(meta.SizeBytes())
-		t.rowWidth = float64(meta.RowWidthBytes())
-		t.seqCost = o.CM.TableScanSec(meta, len(t.preds))
-		seen[name] = len(e.tables)
+		for _, c := range q.Payload {
+			if c.Table == name {
+				cols = appendDistinct(cols, c.Column)
+			}
+		}
+		t.refCols = cols
 		e.order = append(e.order, len(e.tables))
 		e.tables = append(e.tables, t)
 	}
-	e.joined = make([]bool, len(e.tables))
 	return e, nil
+}
+
+// appendDistinct appends s unless list already holds it.
+func appendDistinct(list []string, s string) []string {
+	if slices.Contains(list, s) {
+		return list
+	}
+	return append(list, s)
 }
 
 // refreshRelevant points the qtable at the relevant set for cfg's
 // current content, rescanning only when the table's signature has not
 // been seen before.
-func (c *planCache) refreshRelevant(o *Optimizer, t *qtable, cfg *index.Config) {
+func (c *planCache) refreshRelevant(t *qtable, cfg *index.Config) {
 	sig := cfg.TableSig(t.name)
 	if t.relevant != nil && sig == t.sig {
 		return
@@ -291,57 +351,64 @@ func (c *planCache) refreshRelevant(o *Optimizer, t *qtable, cfg *index.Config) 
 		return
 	}
 	if t.relevant != nil {
-		c.invalidations.Add(1)
+		c.invalidations++
+		if t.bySig == nil {
+			// A second signature starts the memo; a table only ever
+			// priced under one content never builds it.
+			t.bySig = map[string]*relevantSet{t.sig: t.relevant}
+			t.byIDs = map[string]*relevantSet{t.relevant.ids: t.relevant}
+		}
 	}
 	var list []*index.Index
 	if cfg != nil {
 		list = cfg.OnTable(t.name)
 	}
-	rs := t.screen(list)
-	if prev, ok := t.byIDs[rs.ids]; ok {
-		rs = prev
-	} else {
-		t.byIDs[rs.ids] = rs
+	// Screen into the cache's scratch and intern: a screen result seen
+	// before under another signature allocates nothing.
+	c.relBuf, c.idsBuf = t.screen(list, c.relBuf[:0], c.idsBuf[:0])
+	rs, ok := t.byIDs[string(c.idsBuf)]
+	if !ok {
+		rs = &relevantSet{ixs: slices.Clone(c.relBuf)}
+		if len(rs.ixs) == len(list) {
+			rs.ids = sig // nothing screened out: the ids spell the signature
+		} else {
+			rs.ids = string(c.idsBuf)
+		}
 	}
-	if len(t.bySig) >= maxSetsPerTable {
-		clear(t.bySig)
-		clear(t.byIDs)
+	if t.bySig != nil {
 		t.byIDs[rs.ids] = rs
-		c.invalidations.Add(1)
+		if len(t.bySig) >= maxSetsPerTable {
+			clear(t.bySig)
+			clear(t.byIDs)
+			t.byIDs[rs.ids] = rs
+			c.invalidations++
+		}
+		t.bySig[sig] = rs
 	}
-	t.bySig[sig] = rs
 	t.sig, t.relevant = sig, rs
 }
 
 // screen filters the table's indexes down to the ones that can affect
 // any access decision for this query: a usable seek prefix, a covering
 // property, or a leading key column matching one of the query's join
-// columns on the table (the index-nested-loop requirement). Order is
-// preserved from cfg.OnTable, so downstream tie-breaking is identical
-// to the uncached scans.
-func (t *qtable) screen(list []*index.Index) *relevantSet {
-	rs := &relevantSet{}
-	n := 0
+// columns on the table (the index-nested-loop requirement). It appends
+// the survivors to ixs and their canonical fingerprint component (ids
+// joined by 0x1f) to ids. Order is preserved from cfg.OnTable, so
+// downstream tie-breaking is identical to the uncached scans.
+func (t *qtable) screen(list []*index.Index, ixs []relIndex, ids []byte) ([]relIndex, []byte) {
 	for _, ix := range list {
 		eqLen, hasRange := ix.SeekPrefix(t.preds)
 		covering := t.covers(ix)
-		if eqLen == 0 && !hasRange && !covering && !t.joinCols[ix.Key[0]] {
+		if eqLen == 0 && !hasRange && !covering && !slices.Contains(t.joinCols, ix.Key[0]) {
 			continue
 		}
-		rs.ixs = append(rs.ixs, relIndex{ix: ix, eqLen: eqLen, hasRange: hasRange, covering: covering})
-		n += len(ix.ID()) + 1
-	}
-	if len(rs.ixs) > 0 {
-		buf := make([]byte, 0, n-1)
-		for i, ri := range rs.ixs {
-			if i > 0 {
-				buf = append(buf, 0x1f)
-			}
-			buf = append(buf, ri.ix.ID()...)
+		if len(ixs) > 0 {
+			ids = append(ids, 0x1f)
 		}
-		rs.ids = string(buf)
+		ixs = append(ixs, relIndex{ix: ix, eqLen: eqLen, hasRange: hasRange, covering: covering})
+		ids = append(ids, ix.ID()...)
 	}
-	return rs
+	return ixs, ids
 }
 
 // covers is index.CoversQueryOn over the precomputed referenced-column
@@ -357,16 +424,16 @@ func (t *qtable) covers(ix *index.Index) bool {
 
 // planEntry is choosePlanUncached over the entry's memoised state: same
 // driver loop, same greedy completion, same tie-breaking, same floats.
-func (o *Optimizer) planEntry(e *queryEntry) (*engine.Plan, error) {
+func (c *planCache) planEntry(o *Optimizer, e *queryEntry) (*engine.Plan, error) {
 	var (
 		haveBest           bool
 		bestCost, bestRows float64
 		bestDrv            engine.Access
 		firstErr           error
 	)
-	e.bestSteps = e.bestSteps[:0]
+	c.bestSteps = c.bestSteps[:0]
 	for _, ti := range e.order {
-		cost, rows, drv, err := o.planFromDriverEntry(e, ti)
+		cost, rows, drv, err := c.planFromDriverEntry(o, e, ti)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -376,15 +443,15 @@ func (o *Optimizer) planEntry(e *queryEntry) (*engine.Plan, error) {
 		if !haveBest || cost < bestCost {
 			haveBest = true
 			bestCost, bestRows, bestDrv = cost, rows, drv
-			e.bestSteps, e.curSteps = e.curSteps, e.bestSteps
+			c.bestSteps, c.curSteps = c.curSteps, c.bestSteps
 		}
 	}
 	if !haveBest {
 		return nil, firstErr
 	}
 	plan := &engine.Plan{Query: e.q, Driver: bestDrv, EstRows: bestRows, EstCost: bestCost}
-	if len(e.bestSteps) > 0 {
-		plan.Steps = append([]engine.JoinStep(nil), e.bestSteps...)
+	if len(c.bestSteps) > 0 {
+		plan.Steps = append([]engine.JoinStep(nil), c.bestSteps...)
 	}
 	return plan, nil
 }
@@ -392,8 +459,8 @@ func (o *Optimizer) planEntry(e *queryEntry) (*engine.Plan, error) {
 // tableIndex resolves a table name to its qtable position, -1 when the
 // name is not in the FROM list.
 func (e *queryEntry) tableIndex(name string) int {
-	for i, t := range e.tables {
-		if t.name == name {
+	for i := range e.tables {
+		if e.tables[i].name == name {
 			return i
 		}
 	}
@@ -401,18 +468,17 @@ func (e *queryEntry) tableIndex(name string) int {
 }
 
 // planFromDriverEntry is planFromDriver writing its join steps into
-// e.curSteps; the caller owns materialising the winner.
-func (o *Optimizer) planFromDriverEntry(e *queryEntry, driver int) (cost, curRows float64, drv engine.Access, err error) {
+// c.curSteps; the caller owns materialising the winner.
+func (c *planCache) planFromDriverEntry(o *Optimizer, e *queryEntry, driver int) (cost, curRows float64, drv engine.Access, err error) {
 	q := e.q
-	drvChoice := o.entryBestAccess(e.tables[driver])
+	drvChoice := o.entryBestAccess(&e.tables[driver])
 	drv = drvChoice.acc
 	cost = drvChoice.estCost
 	curRows = drvChoice.estRows
-	for i := range e.joined {
-		e.joined[i] = false
-	}
-	e.joined[driver] = true
-	e.curSteps = e.curSteps[:0]
+	c.joined = append(c.joined[:0], make([]bool, len(e.tables))...)
+	joined := c.joined
+	joined[driver] = true
+	c.curSteps = c.curSteps[:0]
 
 	remaining := len(q.Tables) - 1
 	for remaining > 0 {
@@ -421,11 +487,12 @@ func (o *Optimizer) planFromDriverEntry(e *queryEntry, driver int) (cost, curRow
 			estCost float64
 			outRows float64
 		}
-		var best *cand
+		var best cand
+		haveBest := false
 		for _, j := range q.Joins {
 			li, ri := e.tableIndex(j.LeftTable), e.tableIndex(j.RightTable)
-			ljoined := li >= 0 && e.joined[li]
-			rjoined := ri >= 0 && e.joined[ri]
+			ljoined := li >= 0 && joined[li]
+			rjoined := ri >= 0 && joined[ri]
 			var outerC, innerC string
 			var outerI, innerI int
 			var innerName string
@@ -440,7 +507,7 @@ func (o *Optimizer) planFromDriverEntry(e *queryEntry, driver int) (cost, curRow
 			if innerI < 0 {
 				return 0, 0, engine.Access{}, fmt.Errorf("optimizer: join references table %q not in FROM list", innerName)
 			}
-			outer, inner := e.tables[outerI], e.tables[innerI]
+			outer, inner := &e.tables[outerI], &e.tables[innerI]
 			outRows := JoinCardinality(curRows, outer.meta, outerC, inner.filteredRows, inner.meta, innerC)
 
 			innerChoice := o.entryBestAccess(inner)
@@ -452,12 +519,12 @@ func (o *Optimizer) planFromDriverEntry(e *queryEntry, driver int) (cost, curRow
 				Inner: innerChoice.acc,
 				Algo:  engine.JoinHash,
 			}
-			c := cand{step: step, estCost: hashCost, outRows: outRows}
+			cnd := cand{step: step, estCost: hashCost, outRows: outRows}
 
 			if nl := o.entryNLAccess(inner, innerC); nl.ok {
 				nlCost := o.entryEstimateNLJoin(inner, nl, curRows, outRows)
-				if nlCost < c.estCost {
-					c = cand{
+				if nlCost < cnd.estCost {
+					cnd = cand{
 						step: engine.JoinStep{
 							Pred:       j,
 							OuterTable: outer.name, OuterColumn: outerC,
@@ -471,19 +538,18 @@ func (o *Optimizer) planFromDriverEntry(e *queryEntry, driver int) (cost, curRow
 				}
 			}
 
-			if best == nil || c.outRows < best.outRows ||
-				(c.outRows == best.outRows && c.estCost < best.estCost) {
-				cc := c
-				best = &cc
+			if !haveBest || cnd.outRows < best.outRows ||
+				(cnd.outRows == best.outRows && cnd.estCost < best.estCost) {
+				best, haveBest = cnd, true
 			}
 		}
-		if best == nil {
+		if !haveBest {
 			return 0, 0, engine.Access{}, fmt.Errorf("optimizer: query %d join graph is disconnected", q.TemplateID)
 		}
-		e.curSteps = append(e.curSteps, best.step)
+		c.curSteps = append(c.curSteps, best.step)
 		cost += best.estCost
 		curRows = best.outRows
-		e.joined[e.tableIndex(best.step.InnerTable)] = true
+		joined[e.tableIndex(best.step.InnerTable)] = true
 		remaining--
 	}
 
@@ -547,47 +613,49 @@ func (o *Optimizer) entryBestAccess(t *qtable) accessChoice {
 // join column of the table, so scanning rs.ixs visits exactly the
 // candidates the uncached scan would, in the same order.
 func (o *Optimizer) entryNLAccess(t *qtable, innerCol string) nlChoice {
-	rs := t.relevant
-	if nc, ok := rs.nl[innerCol]; ok {
-		return nc
-	}
-	var nc nlChoice
 	if len(t.meta.PK) > 0 && t.meta.PK[0] == innerCol {
-		nc = nlChoice{
+		// The clustered primary key wins regardless of the relevant set.
+		return nlChoice{
 			acc:        engine.Access{Table: t.name, Kind: engine.AccessClusteredSeek},
 			ok:         true,
 			entryWidth: t.rowWidth,
 		}
-	} else {
-		var best *index.Index
-		bestCovering := false
-		for _, ri := range rs.ixs {
-			if len(ri.ix.Key) == 0 || ri.ix.Key[0] != innerCol {
-				continue
-			}
-			switch {
-			case best == nil,
-				ri.covering && !bestCovering,
-				ri.covering == bestCovering && ri.ix.EntryWidthBytes(t.meta) < best.EntryWidthBytes(t.meta):
-				best = ri.ix
-				bestCovering = ri.covering
-			}
+	}
+	rs := t.relevant
+	for i := range rs.nl {
+		if rs.nl[i].col == innerCol {
+			return rs.nl[i].choice
 		}
-		if best != nil {
-			nc = nlChoice{
-				acc: engine.Access{
-					Table: t.name, Kind: engine.AccessIndexSeek, Index: best,
-					EqLen: 1, Covering: bestCovering,
-				},
-				ok:         true,
-				entryWidth: float64(best.EntryWidthBytes(t.meta)),
-			}
+	}
+	var nc nlChoice
+	var best *index.Index
+	bestCovering := false
+	for _, ri := range rs.ixs {
+		if len(ri.ix.Key) == 0 || ri.ix.Key[0] != innerCol {
+			continue
+		}
+		switch {
+		case best == nil,
+			ri.covering && !bestCovering,
+			ri.covering == bestCovering && ri.ix.EntryWidthBytes(t.meta) < best.EntryWidthBytes(t.meta):
+			best = ri.ix
+			bestCovering = ri.covering
+		}
+	}
+	if best != nil {
+		nc = nlChoice{
+			acc: engine.Access{
+				Table: t.name, Kind: engine.AccessIndexSeek, Index: best,
+				EqLen: 1, Covering: bestCovering,
+			},
+			ok:         true,
+			entryWidth: float64(best.EntryWidthBytes(t.meta)),
 		}
 	}
 	if rs.nl == nil {
-		rs.nl = make(map[string]nlChoice, 2)
+		rs.nl = make([]nlMemo, 0, len(t.joinCols))
 	}
-	rs.nl[innerCol] = nc
+	rs.nl = append(rs.nl, nlMemo{col: innerCol, choice: nc})
 	return nc
 }
 

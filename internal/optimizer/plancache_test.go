@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dbabandits/internal/engine"
@@ -255,4 +256,130 @@ func TestPlanCacheSharedAcrossConfigsByFingerprint(t *testing.T) {
 	if st := o.CacheStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
+}
+
+// TestPlanCacheGenerations pins the entry map's two-generation bound:
+// fresh instances never hold more than two generations of entries, an
+// instance re-priced once per generation keeps hitting, an evicted
+// instance re-plans to the uncached plan, and every generation flip
+// counts as exactly one invalidation.
+func TestPlanCacheGenerations(t *testing.T) {
+	schema, _ := testdb.Build(1)
+	cm := engine.DefaultCostModel()
+	o := New(schema, cm)
+	ref := NewUncached(schema, cm)
+	templates := cacheTestQueries()
+	cfg := index.NewConfig()
+	cfg.Add(index.New("orders", []string{"o_custkey"}, []string{"o_total"}))
+	fresh := func(i int) *query.Query {
+		q := *templates[i%len(templates)]
+		return &q
+	}
+	flips := uint64(0)
+	price := func(q *query.Query) *engine.Plan {
+		t.Helper()
+		before := len(o.cache.cur)
+		plan, err := o.ChoosePlan(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(o.cache.cur) < before {
+			flips++
+		}
+		if held := len(o.cache.cur) + len(o.cache.old); held > 2*maxCachedQueries {
+			t.Fatalf("cache holds %d entries, want at most %d", held, 2*maxCachedQueries)
+		}
+		return plan
+	}
+
+	// Three generations of fresh instances: two flips, and the first
+	// generation is gone.
+	first := fresh(4)
+	price(first)
+	for i := 1; i < 3*maxCachedQueries; i++ {
+		price(fresh(i))
+	}
+	if st := o.CacheStats(); st != (PlanCacheStats{Misses: 3 * maxCachedQueries, Invalidations: 2}) || flips != 2 {
+		t.Fatalf("after 3×%d fresh instances: stats %+v, %d flips; want %d misses, 2 invalidations, 2 flips",
+			maxCachedQueries, st, flips, 3*maxCachedQueries)
+	}
+	got := price(first)
+	want, err := ref.ChoosePlan(first, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("evicted instance re-planned to\n%+v\nwant uncached\n%+v", got, want)
+	}
+	if st := o.CacheStats(); st.Misses != 3*maxCachedQueries+1 {
+		t.Fatalf("evicted instance did not re-plan: %+v", st)
+	}
+
+	// A hot instance re-priced once per generation is promoted before
+	// its generation is dropped, so only the fresh instances miss.
+	hot := fresh(4)
+	price(hot)
+	before := o.CacheStats()
+	for i := 0; i < 3*maxCachedQueries; i++ {
+		price(fresh(i))
+		if (i+1)%maxCachedQueries == 0 {
+			if plan := price(hot); !reflect.DeepEqual(plan, want) {
+				t.Fatalf("hot instance re-priced to %+v, want %+v", plan, want)
+			}
+		}
+	}
+	st := o.CacheStats()
+	if st.Misses-before.Misses != 3*maxCachedQueries || st.Hits-before.Hits != 3 {
+		t.Fatalf("hot instance missed: %d misses, %d hits since priming; want %d and 3",
+			st.Misses-before.Misses, st.Hits-before.Hits, 3*maxCachedQueries)
+	}
+	if st.Invalidations != flips {
+		t.Fatalf("%d invalidations for %d generation flips", st.Invalidations, flips)
+	}
+}
+
+// TestPlanCacheConcurrentCallers keeps the one-mutex contract honest
+// under -race: two goroutines price overlapping queries through one
+// cached Optimizer, each walking its own configuration, and every plan
+// matches the uncached reference.
+func TestPlanCacheConcurrentCallers(t *testing.T) {
+	schema, _ := testdb.Build(1)
+	cm := engine.DefaultCostModel()
+	cached := New(schema, cm)
+	ref := NewUncached(schema, cm)
+	queries := cacheTestQueries()
+	pool := cacheTestPool()
+	for _, ix := range pool {
+		ix.ID() // Index memoises its id on first use; settle it before sharing
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			cfg := index.NewConfig()
+			for step := 0; step < 200; step++ {
+				if rng.Intn(2) == 0 {
+					cfg.Add(pool[rng.Intn(len(pool))])
+				} else {
+					cfg.Drop(pool[rng.Intn(len(pool))].ID())
+				}
+				for _, q := range queries {
+					got, gerr := cached.ChoosePlan(q, cfg)
+					want, werr := ref.ChoosePlan(q, cfg)
+					if gerr != nil || werr != nil {
+						t.Errorf("seed %d step %d q%d: errors %v / %v", seed, step, q.TemplateID, gerr, werr)
+						return
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("seed %d step %d q%d: cached plan differs from uncached", seed, step, q.TemplateID)
+						return
+					}
+				}
+			}
+		}(int64(g + 1))
+	}
+	wg.Wait()
 }

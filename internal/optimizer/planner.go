@@ -52,7 +52,9 @@ type accessChoice struct {
 // With the plan cache enabled (New), the search runs once per (query
 // instance, relevant-index fingerprint) and repeat calls return the
 // memoised plan; the returned *engine.Plan may be shared across calls
-// and must be treated as immutable, which engine.Execute honours.
+// and must be treated as immutable, which engine.Execute honours. The
+// cache's one mutex makes a cached Optimizer safe for concurrent
+// callers, who serialise on it; cfg must not be mutated while priced.
 func (o *Optimizer) ChoosePlan(q *query.Query, cfg *index.Config) (*engine.Plan, error) {
 	if o.cache != nil {
 		return o.cache.choosePlan(o, q, cfg)

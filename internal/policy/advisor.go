@@ -88,9 +88,15 @@ func (p *advisorPolicy) Recommend(round int, lastWorkload []*query.Query) Recomm
 			base[i] = -1
 		}
 	}
+	// One trial configuration serves every arm: swapping the previous
+	// arm's index for the next advances its epoch and resets the touched
+	// tables' signatures, so the plan cache never serves a stale plan.
 	scores := make([]float64, len(arms))
+	trial := index.NewConfig()
 	for i, a := range arms {
-		trial := index.NewConfig()
+		if i > 0 {
+			trial.Drop(arms[i-1].ID())
+		}
 		trial.Add(a.Index)
 		var benefit float64
 		for j, q := range qois {
