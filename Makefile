@@ -95,7 +95,7 @@ bench:
 	@echo wrote BENCH_$$(git rev-parse --short HEAD).json
 
 # Committed latest capture; bump when `make bench` commits a new one.
-BENCH_LATEST = BENCH_50b06f1.json
+BENCH_LATEST = BENCH_1b520dd.json
 
 # Perf regression tripwire mirroring CI: re-runs the Observe/Scores,
 # recommend-round and engine-execution hot paths, captures them through
