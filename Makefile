@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt vet smoke htapsmoke ridgesmoke servesmoke fleetsmoke cover bench benchsweep benchsmoke benchdiff ci
+.PHONY: build test race fmt vet smoke cover bench benchsweep benchsmoke benchdiff ci
 
 build:
 	$(GO) build ./...
@@ -32,51 +32,6 @@ vet:
 smoke:
 	$(GO) run ./cmd/experiments -exp fig2 -quick -parallel 4 -progress
 
-# HTAP smoke mirroring CI: the hybrid-regime comparison at two
-# parallelism levels, stdout byte-compared for determinism.
-htapsmoke:
-	$(GO) run ./cmd/experiments -exp htap -quick -parallel 1 > .htap_p1.out
-	$(GO) run ./cmd/experiments -exp htap -quick -parallel 4 > .htap_p4.out
-	diff .htap_p1.out .htap_p4.out
-	@rm -f .htap_p1.out .htap_p4.out
-
-# Ridge-backend smoke mirroring CI: Figure 2 regenerated once per ridge
-# backend (Sherman–Morrison vs factored Cholesky), stdout byte-compared
-# — the factored path must be a drop-in, not a behaviour change.
-ridgesmoke:
-	$(GO) run ./cmd/experiments -exp fig2 -quick -parallel 4 -ridge sm > .ridge_sm.out
-	$(GO) run ./cmd/experiments -exp fig2 -quick -parallel 4 -ridge chol > .ridge_chol.out
-	diff .ridge_sm.out .ridge_chol.out
-	@rm -f .ridge_sm.out .ridge_chol.out
-
-# Fleet smoke mirroring CI: an 8-tenant heterogeneous fleet (mixed
-# benchmarks, regimes and scale factors, two tenants admitted late with
-# cross-tenant warm starts) run serially and 4-way parallel, stdout
-# byte-compared — tenant scheduling must never leak into any number.
-fleetsmoke:
-	$(GO) run ./cmd/fleet -tenants 8 -rounds 3 -rows 500 -parallel 1 > .fleet_p1.out
-	$(GO) run ./cmd/fleet -tenants 8 -rounds 3 -rows 500 -parallel 4 > .fleet_p4.out
-	diff .fleet_p1.out .fleet_p4.out
-	@rm -f .fleet_p1.out .fleet_p4.out
-
-# Serving-mode smoke mirroring CI: serve a 5-window stream to the end,
-# then serve it again but kill the process at a window-3 checkpoint and
-# restore from disk — the stitched kill-and-restore output must match
-# the uninterrupted run byte for byte (only the process-local Served
-# counter in the summary line is masked).
-servesmoke:
-	@printf '1 2 3 4\n2 3 1\n5 5 2\n1 4\n3 2 1\n' > .serve_stream.txt
-	$(GO) run ./cmd/serve -stream .serve_stream.txt > .serve_full.out
-	$(GO) run ./cmd/serve -stream .serve_stream.txt -checkpoint .serve.ckpt -stop-after 3 > .serve_head.out
-	$(GO) run ./cmd/serve -restore -stream .serve_stream.txt -checkpoint .serve.ckpt > .serve_tail.out
-	head -n 3 .serve_head.out > .serve_stitch.out
-	head -n 2 .serve_tail.out >> .serve_stitch.out
-	head -n 5 .serve_full.out | diff - .serve_stitch.out
-	tail -n 1 .serve_full.out | sed 's/"Served":[0-9]*/"Served":0/' > .serve_sum_full.out
-	tail -n 1 .serve_tail.out | sed 's/"Served":[0-9]*/"Served":0/' > .serve_sum_tail.out
-	diff .serve_sum_full.out .serve_sum_tail.out
-	@rm -f .serve_stream.txt .serve.ckpt .serve_full.out .serve_head.out .serve_tail.out .serve_stitch.out .serve_sum_full.out .serve_sum_tail.out
-
 # Per-package coverage, as published in the CI workflow summary.
 cover:
 	$(GO) test -cover ./...
@@ -86,11 +41,11 @@ cover:
 # cmd/benchjson, so the perf trajectory is tracked in-repo. Compare
 # against BENCH_baseline.json (captured at the pre-sparse-fast-path
 # commit) — see the README's Performance section.
-BENCH_PATTERN = 'BenchmarkTunerRecommendTPCDS$$|BenchmarkTunerRecommendSteadyState$$|BenchmarkScoresTPCDS$$|BenchmarkScoresBatch$$|BenchmarkScoresSparse$$|BenchmarkScoresDenseTPCDS$$|BenchmarkThetaCached$$|BenchmarkThetaRecompute$$|BenchmarkCholObserve$$|BenchmarkCholObserveFused$$|BenchmarkRidgeObserveScore$$|BenchmarkRidgeObserveScoreSparse$$|BenchmarkRidgeForget$$|BenchmarkForgetLowRank$$|BenchmarkRidgeObserve$$|BenchmarkC2UCBScores$$|BenchmarkArmGeneration$$|BenchmarkFleetRound$$|BenchmarkChoosePlanCold$$|BenchmarkChoosePlanWarm$$|BenchmarkChoosePlanMiss$$|BenchmarkWhatIfCost$$|BenchmarkWhatIfSingleIndexSweep$$|BenchmarkWhatIfWorkloadCold$$|BenchmarkWhatIfWorkloadWarm$$|BenchmarkEnvRoundSteadyState$$|BenchmarkQueryExecution$$|BenchmarkExecuteWorkloadTPCDS$$'
+BENCH_PATTERN = 'BenchmarkTunerRecommendTPCDS$$|BenchmarkTunerRecommendSteadyState$$|BenchmarkScoresTPCDS$$|BenchmarkScoresBatch$$|BenchmarkScoresSparse$$|BenchmarkScoresDenseTPCDS$$|BenchmarkThetaCached$$|BenchmarkThetaRecompute$$|BenchmarkRidgeObserveScore$$|BenchmarkRidgeObserveScoreSparse$$|BenchmarkRidgeForget$$|BenchmarkRidgeObserve$$|BenchmarkC2UCBScores$$|BenchmarkArmGeneration$$|BenchmarkFleetRound$$|BenchmarkChoosePlanCold$$|BenchmarkChoosePlanWarm$$|BenchmarkChoosePlanMiss$$|BenchmarkWhatIfCost$$|BenchmarkWhatIfSingleIndexSweep$$|BenchmarkWhatIfWorkloadCold$$|BenchmarkWhatIfWorkloadWarm$$|BenchmarkEnvRoundSteadyState$$|BenchmarkQueryExecution$$|BenchmarkExecuteWorkloadTPCDS$$'
 
 bench:
 	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem ./... > .bench.out
-	$(GO) run ./cmd/benchjson -label ridge=sm < .bench.out > BENCH_$$(git rev-parse --short HEAD).json
+	$(GO) run ./cmd/benchjson < .bench.out > BENCH_$$(git rev-parse --short HEAD).json
 	@rm -f .bench.out
 	@echo wrote BENCH_$$(git rev-parse --short HEAD).json
 
@@ -126,4 +81,4 @@ benchsmoke:
 
 # cover subsumes test (go test -cover runs the full suite), so ci pays
 # for one suite pass plus the race pass, matching the CI workflow.
-ci: fmt vet build cover race smoke htapsmoke ridgesmoke servesmoke fleetsmoke benchsmoke benchdiff
+ci: fmt vet build cover race smoke benchsmoke benchdiff

@@ -10,10 +10,9 @@
 // only where the numbers do.
 //
 // Repeatable -label key=value flags annotate the capture (emitted under
-// "labels"); `make bench` uses them to record the ridge backend the
-// recommend-loop benchmarks ran under, e.g.
+// "labels"), e.g. to record the machine a capture was taken on:
 //
-//	go test -bench ... | benchjson -label ridge=sm > BENCH_abc1234.json
+//	go test -bench ... | benchjson -label host=ci > BENCH_abc1234.json
 package main
 
 import (

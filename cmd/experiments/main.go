@@ -19,7 +19,6 @@
 //	experiments -exp htap            # HTAP regime, all online baselines
 //	experiments -exp all -parallel 1 # sequential reference run
 //	experiments -exp all -progress   # per-cell completion lines on stderr
-//	experiments -exp fig2 -ridge chol # factored ridge backend, same output
 package main
 
 import (
@@ -34,7 +33,6 @@ import (
 
 var (
 	sf, rows, seed     = cli.Data(flag.CommandLine)
-	ridge              = cli.Ridge(flag.CommandLine)
 	parallel, progress = cli.Parallel(flag.CommandLine)
 
 	reps  = flag.Int("reps", 3, "repetitions for the RL comparison (paper: 10)")
@@ -46,9 +44,6 @@ var benches = []string{"ssb", "tpch", "tpch-skew", "tpcds", "imdb"}
 func main() {
 	exps := flag.String("exp", "all", "comma-separated: fig2,fig3,fig4,fig5,fig6,fig7,table1,table2,fig8,htap,all")
 	flag.Parse()
-	if err := cli.CheckRidge(*ridge); err != nil {
-		cli.Fatal("experiments", err)
-	}
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exps, ",") {
@@ -163,7 +158,6 @@ func cellSpec(bench string, regime harness.Regime, kind harness.TunerKind) harne
 		// The paper caps PDTool at 1 hour per invocation here.
 		opts.PDToolTimeLimitSec = 3600
 	}
-	opts.MABOptions.RidgeBackend = *ridge
 	return harness.CellSpec{Options: opts, Tuner: kind}
 }
 
@@ -236,7 +230,6 @@ func table2() {
 					MaxStoredRows: *rows,
 					Seed:          *seed,
 				}
-				opts.MABOptions.RidgeBackend = *ridge
 				specs = append(specs, harness.CellSpec{Options: opts, Tuner: kind})
 			}
 		}
@@ -324,7 +317,6 @@ func fig8() {
 					MaxStoredRows: *rows,
 					Seed:          *seed,
 				}
-				opts.MABOptions.RidgeBackend = *ridge
 				specs = append(specs, harness.CellSpec{
 					Options: opts,
 					Tuner:   kind,

@@ -36,7 +36,6 @@ import (
 
 var (
 	_, rows, seed      = cli.Data(flag.CommandLine)
-	ridge              = cli.Ridge(flag.CommandLine)
 	pol                = cli.Policy(flag.CommandLine, "policy", "mab")
 	parallel, progress = cli.Parallel(flag.CommandLine)
 
@@ -49,15 +48,11 @@ var (
 
 func main() {
 	flag.Parse()
-	if err := cli.CheckRidge(*ridge); err != nil {
-		cli.Fatal("fleet", err)
-	}
 
 	specs := fleet.DefaultFleet(*tenants, *rounds, *rows)
 	opts := fleet.Options{
 		BaseSeed:        *seed,
 		Policy:          env.TunerKind(*pol),
-		RidgeBackend:    *ridge,
 		TransferRounds:  *transferRounds,
 		DisableTransfer: *noTransfer,
 		Parallel:        *parallel,

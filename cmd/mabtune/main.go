@@ -5,7 +5,6 @@
 //
 //	mabtune -bench tpch-skew -regime static -tuner mab -rounds 25 -sf 10
 //	mabtune -bench ssb -tuner noindex,mab,advisor -series
-//	mabtune -bench tpcds -tuner mab -ridge chol
 //
 // Benchmarks: ssb, tpch, tpch-skew, tpcds, imdb.
 // Regimes:    static, shifting, random, htap.
@@ -15,14 +14,6 @@
 // policies registered through the policy registry — such as the online
 // what-if advisor, "advisor" — are selectable here with no harness
 // changes.
-//
-// -ridge selects the MAB's ridge-regression backend: "sm" keeps the
-// default Sherman–Morrison explicit inverse, "chol" the factored
-// Cholesky core (no inverse maintenance; identical recommendations on
-// every pinned workload).
-//
-// -forget-rank budgets the SM backend's structured low-rank Forget
-// instead of the exact O(d³) rebase.
 package main
 
 import (
@@ -41,8 +32,6 @@ func main() {
 		bench          = cli.Bench(flag.CommandLine, "tpch")
 		sf, rows, seed = cli.Data(flag.CommandLine)
 		budget         = cli.Budget(flag.CommandLine)
-		ridge          = cli.Ridge(flag.CommandLine)
-		forgetRank     = cli.ForgetRank(flag.CommandLine)
 
 		regime = flag.String("regime", "static", "workload regime: static|shifting|random|htap")
 		tuners = flag.String("tuner", "noindex,pdtool,mab",
@@ -53,9 +42,6 @@ func main() {
 		pdLimit = flag.Float64("pdtool-limit", 0, "PDTool per-invocation time limit (sec, 0=unlimited)")
 	)
 	flag.Parse()
-	if err := cli.CheckRidge(*ridge); err != nil {
-		cli.Fatal("mabtune", err)
-	}
 
 	opts := harness.Options{
 		Benchmark:          *bench,
@@ -67,8 +53,6 @@ func main() {
 		MemoryBudgetX:      *budget,
 		PDToolTimeLimitSec: *pdLimit,
 	}
-	opts.MABOptions.RidgeBackend = *ridge
-	opts.MABOptions.ForgetRank = *forgetRank
 	exp, err := harness.New(opts)
 	if err != nil {
 		cli.Fatal("mabtune", err)

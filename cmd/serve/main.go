@@ -13,11 +13,11 @@
 //
 //	serve -bench ssb -policy mab -checkpoint tuner.ckpt < stream.txt
 //	serve -restore -checkpoint tuner.ckpt < stream.txt   # resume killed run
-//	serve -policy mab -ridge chol -stop-after 5 -checkpoint tuner.ckpt < stream.txt
+//	serve -policy mab -stop-after 5 -checkpoint tuner.ckpt < stream.txt
 //
 // A restored session skips the stream's already-served prefix and then
 // recommends byte-identically to a session that was never interrupted —
-// the property `make servesmoke` checks end to end.
+// the property TestCommandSmokes checks end to end.
 package main
 
 import (
@@ -36,8 +36,6 @@ func main() {
 		bench          = cli.Bench(flag.CommandLine, "ssb")
 		sf, rows, seed = cli.Data(flag.CommandLine)
 		budget         = cli.Budget(flag.CommandLine)
-		ridge          = cli.Ridge(flag.CommandLine)
-		forgetRank     = cli.ForgetRank(flag.CommandLine)
 		pol            = cli.Policy(flag.CommandLine, "policy", "mab")
 
 		streamPath = flag.String("stream", "-", "window stream file ('-' = stdin)")
@@ -53,9 +51,6 @@ func main() {
 		guardForget   = flag.Float64("guard-forget", 0, "policy forgetting factor applied on quarantine (0 = off)")
 	)
 	flag.Parse()
-	if err := cli.CheckRidge(*ridge); err != nil {
-		cli.Fatal("serve", err)
-	}
 	if *every < 1 {
 		*every = 1
 	}
@@ -75,8 +70,6 @@ func main() {
 			Seed:          *seed,
 			MemoryBudgetX: *budget,
 			Policy:        *pol,
-			RidgeBackend:  *ridge,
-			ForgetRank:    *forgetRank,
 			Guardrail: serve.GuardrailOptions{
 				Disabled:        *noGuard,
 				BudgetX:         *guardX,

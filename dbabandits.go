@@ -89,7 +89,6 @@ import (
 	"dbabandits/internal/engine"
 	"dbabandits/internal/harness"
 	"dbabandits/internal/index"
-	"dbabandits/internal/linalg"
 	"dbabandits/internal/mab"
 	"dbabandits/internal/optimizer"
 	"dbabandits/internal/policy"
@@ -113,23 +112,6 @@ type (
 	// QueryStore aggregates observed workload templates.
 	QueryStore = mab.QueryStore
 )
-
-// Ridge backend names for TunerOptions.RidgeBackend: the
-// Sherman–Morrison explicit inverse (the default) and the factored
-// Cholesky core (no inverse maintenance, no rebase machinery).
-const (
-	RidgeBackendSM   = linalg.BackendSM
-	RidgeBackendChol = linalg.BackendChol
-)
-
-// RidgeBackends lists the selectable ridge-backend names.
-func RidgeBackends() []string { return linalg.RidgeBackends() }
-
-// ValidRidgeBackend reports whether name selects a ridge backend (""
-// selects the default). NewTuner panics on an unknown name, so callers
-// building TunerOptions.RidgeBackend from user input should validate
-// with this first.
-func ValidRidgeBackend(name string) bool { return linalg.ValidRidgeBackend(name) }
 
 // Simulator types.
 type (

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"strings"
 
-	"dbabandits/internal/linalg"
 	"dbabandits/internal/policy"
 )
 
@@ -37,38 +36,6 @@ func Data(fs *flag.FlagSet) (sf *float64, rows *int, seed *int64) {
 // of the data size).
 func Budget(fs *flag.FlagSet) *float64 {
 	return fs.Float64("budget", 1, "memory budget as a multiple of data size")
-}
-
-// Ridge registers the -ridge backend selector. The default is sm for
-// every single-run CLI: with skyline-batched solves, sm scores a warm
-// TPC-DS round in ~8.7µs versus ~55µs for chol, and a single
-// deterministic batch run cannot hit the slow numerical-drift regimes
-// chol exists for. Long-lived serving sessions are the case for
-// -ridge chol — the factored form cannot lose positive-definiteness
-// under millions of rank-one updates — and both backends are pinned
-// byte-identical on every golden, so switching is a latency/robustness
-// trade only. See README "Ridge backend defaults".
-func Ridge(fs *flag.FlagSet) *string {
-	return fs.String("ridge", linalg.BackendSM,
-		"MAB ridge backend: sm (Sherman–Morrison inverse; fastest) | chol (factored Cholesky; drift-proof for long serving runs)")
-}
-
-// ForgetRank registers the -forget-rank knob: the budget of the SM
-// ridge backend's structured low-rank Forget correction. 0 keeps the
-// exact Forget-triggered refactorisation (the default every golden was
-// captured under); k >= the context dimension is mathematically exact
-// at O(k·d²) instead of O(d³).
-func ForgetRank(fs *flag.FlagSet) *int {
-	return fs.Int("forget-rank", 0,
-		"SM ridge low-rank Forget budget (0 = exact rebase)")
-}
-
-// CheckRidge validates a -ridge value before any expensive setup runs.
-func CheckRidge(name string) error {
-	if !linalg.ValidRidgeBackend(name) {
-		return fmt.Errorf("unknown ridge backend %q (available: %v)", name, linalg.RidgeBackends())
-	}
-	return nil
 }
 
 // Policy registers a policy-selector flag under the given name, with

@@ -78,8 +78,6 @@ type Options struct {
 	// mab). Cross-tenant transfer engages only for mab — other policies
 	// run the fleet topology without warm starts.
 	Policy env.TunerKind
-	// RidgeBackend selects the bandit's ridge backend ("" = sm).
-	RidgeBackend string
 	// TransferRounds is the number of hypothetical warm-start rounds an
 	// admitted tenant pre-trains with donor-estimated gains (default 3;
 	// the what-if warm start uses the same knob single-tenant).
@@ -231,9 +229,8 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 	return out, nil
 }
 
-// newTenantEnv prepares one tenant's environment from its spec and the
-// fleet options.
-func newTenantEnv(t TenantSpec, seed int64, opts Options) (*env.Environment, error) {
+// newTenantEnv prepares one tenant's environment from its spec.
+func newTenantEnv(t TenantSpec, seed int64) (*env.Environment, error) {
 	return env.New(env.Options{
 		Benchmark:     t.Benchmark,
 		Regime:        t.Regime,
@@ -241,7 +238,6 @@ func newTenantEnv(t TenantSpec, seed int64, opts Options) (*env.Environment, err
 		MaxStoredRows: t.MaxStoredRows,
 		Rounds:        t.Rounds,
 		Seed:          seed,
-		MABOptions:    mab.TunerOptions{RidgeBackend: opts.RidgeBackend},
 	})
 }
 
@@ -251,7 +247,7 @@ func newTenantEnv(t TenantSpec, seed int64, opts Options) (*env.Environment, err
 // seam, making the tenant a transfer donor.
 func runIncumbent(t TenantSpec, opts Options) (phase1Out, error) {
 	seed := runner.CellSeed(opts.BaseSeed, t.Key())
-	e, err := newTenantEnv(t, seed, opts)
+	e, err := newTenantEnv(t, seed)
 	if err != nil {
 		return phase1Out{}, fmt.Errorf("%s: %w", t.Key(), err)
 	}
@@ -297,7 +293,7 @@ func runIncumbent(t TenantSpec, opts Options) (phase1Out, error) {
 // stays empty — the control still runs, so the output shape is stable.
 func runAdmitted(t TenantSpec, opts Options, donors []*donor) (TenantResult, error) {
 	seed := runner.CellSeed(opts.BaseSeed, t.Key())
-	e, err := newTenantEnv(t, seed, opts)
+	e, err := newTenantEnv(t, seed)
 	if err != nil {
 		return TenantResult{}, fmt.Errorf("%s: %w", t.Key(), err)
 	}

@@ -3,7 +3,7 @@
 // bit for bit — a resumed session is required to produce byte-identical
 // recommendations — so the encoding is exact by construction (no
 // decimal round-trip involved) and compact enough for the dense
-// matrices of the ridge backends (8 bytes per value before base64).
+// matrices of the ridge regression (8 bytes per value before base64).
 package floatenc
 
 import (

@@ -231,7 +231,6 @@ func TestRidgeInverseStaysFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	dim := 5
 	rs := NewRidgeState(dim, 1)
-	rs.RebaseEvery = 64
 	for i := 0; i < 1000; i++ {
 		rs.Observe(randomVec(rng, dim), rng.Float64())
 	}

@@ -3,28 +3,35 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// RidgeState maintains the sufficient statistics of the C2UCB ridge
-// regression: the scatter matrix V_t = lambda*I + sum x x', its inverse
-// (kept incrementally via Sherman–Morrison), and the response accumulator
-// b_t = sum r*x. The coefficient estimate is theta_t = V_t^{-1} b_t.
+// RidgeState is the C2UCB ridge regression: the scatter matrix
+// V_t = lambda*I + sum x x', its inverse (kept incrementally via
+// Sherman–Morrison), and the response accumulator b_t = sum r*x. The
+// coefficient estimate is theta_t = V_t^{-1} b_t.
 //
 // Sherman–Morrison accumulates floating-point error over many rank-1
-// updates, so the inverse is periodically re-baselined from a fresh
-// Cholesky factorisation. Two schedules compose:
+// updates, so the inverse is periodically recomputed from a fresh
+// Cholesky factorisation of V (a rebase). Two triggers compose:
 //
-//   - a rank-1-aware adaptive schedule: each update contributes
+//   - a rank-1-aware adaptive trigger: each update contributes
 //     q/(1+q) (q = x'V^{-1}x) to an accumulated drift score — the relative
 //     weight of that update's correction to the inverse, i.e. how much of
 //     VInv became one more generation of rank-1 arithmetic — and the state
-//     rebases once the score crosses DriftThreshold. Heavy early updates
+//     rebases once the score reaches driftThreshold. Heavy early updates
 //     (large q against a weak prior) spend the budget quickly, the
 //     converged tail (q → 0) barely at all, matching where
 //     Sherman–Morrison conditioning is actually lost;
-//   - the fixed every-RebaseEvery cadence as a fallback bound, so drift
-//     can never accumulate unchecked even if the threshold is set high.
+//   - a fixed cadence of rebaseEvery rank-1 updates as a fallback bound.
+//
+// Over 10⁵ sparse observations at the TPC-DS context dimension the
+// maintained theta and widths stay within ~1e-15 relative error of a
+// fresh inverse of V, with or without periodic Forget
+// (TestRidgeDriftBoundedAgainstFreshInverse).
+//
+// A state is NOT safe for concurrent use: the theta memo is written
+// lazily by the scoring reads, so callers sharing a state across
+// goroutines must serialise every call on it.
 type RidgeState struct {
 	Dim    int
 	V      *Matrix // scatter matrix, always exact (up to fp addition)
@@ -41,30 +48,14 @@ type RidgeState struct {
 	// on rebase (the recomputed inverse changes theta's low-order bits).
 	theta      Vector
 	thetaValid bool
-
-	RebaseEvery int // fixed fallback cadence; 0 means the default (256)
-	// DriftThreshold triggers an adaptive rebase once the accumulated
-	// drift score reaches it. 0 means the default (48); negative disables
-	// the adaptive schedule, leaving only the fixed cadence.
-	DriftThreshold float64
-	// ForgetRank, when positive, replaces Forget's exact O(d³)
-	// refactorisation with a structured O(k·d²) correction: the
-	// discount-toward-prior perturbation is absorbed by k budgeted
-	// diagonal Sherman–Morrison updates (see forgetLowRank). k >= Dim is
-	// mathematically exact; smaller budgets leave the residual
-	// perturbation accounted in the drift score, so the existing adaptive
-	// rebase is the fallback. 0 (the default) keeps the exact rebase —
-	// every committed golden was captured under it.
-	ForgetRank int
-
-	// forgetLowRank scratch, lazily allocated on first use.
-	forgetU   Vector
-	forgetOrd []int
 }
 
+// The rebase triggers: the fixed fallback cadence in rank-1 updates and
+// the adaptive drift-score threshold. Every committed golden was
+// captured under these values.
 const (
-	defaultRebaseEvery    = 256
-	defaultDriftThreshold = 48
+	rebaseEvery    = 256
+	driftThreshold = 48
 )
 
 // NewRidgeState initialises V = lambda*I, VInv = I/lambda, b = 0.
@@ -96,12 +87,6 @@ func (rs *RidgeState) Theta() Vector {
 	}
 	return rs.theta
 }
-
-// ThetaCached implements RidgeCore; it is Theta (already memoised).
-func (rs *RidgeState) ThetaCached() Vector { return rs.Theta() }
-
-// Dimension implements RidgeCore.
-func (rs *RidgeState) Dimension() int { return rs.Dim }
 
 // ConfidenceWidth returns sqrt(x' V^{-1} x), the exploration-boost term of
 // the UCB score for context x.
@@ -181,32 +166,20 @@ func (rs *RidgeState) ObserveSparse(x SparseVector, reward float64) {
 	rs.afterRank1(denom)
 }
 
-// afterRank1 advances the update counters and runs whichever rebase
-// schedule fires first. denom is the Sherman–Morrison denominator
+// afterRank1 advances the update counters and rebases once either
+// trigger fires. denom is the Sherman–Morrison denominator
 // 1 + x'V^{-1}x of the update just applied.
 //
-// Both schedules are measured since the last rebase: sinceRebase counts
+// Both triggers are measured since the last rebase: sinceRebase counts
 // the rank-1 updates the current inverse has absorbed (reset by every
 // rebase, including Forget's), while updates counts observations over
-// the state's lifetime and never resets. Before the counters were
-// separated, the fixed cadence ran on updates%RebaseEvery, so a
-// Forget- or drift-triggered rebase left the cadence phase-locked to
-// the lifetime count — a fresh inverse could be rebased again almost
-// immediately, or ride out nearly 2x the intended window.
+// the state's lifetime and never resets.
 func (rs *RidgeState) afterRank1(denom float64) {
 	rs.updates++
 	rs.sinceRebase++
 	rs.thetaValid = false
 	rs.drift += 1 - 1/denom // == q/(1+q)
-	every := rs.RebaseEvery
-	if every == 0 {
-		every = defaultRebaseEvery
-	}
-	threshold := rs.DriftThreshold
-	if threshold == 0 {
-		threshold = defaultDriftThreshold
-	}
-	if rs.sinceRebase >= every || (threshold > 0 && rs.drift >= threshold) {
+	if rs.sinceRebase >= rebaseEvery || rs.drift >= driftThreshold {
 		rs.rebase()
 	}
 }
@@ -216,9 +189,8 @@ func (rs *RidgeState) afterRank1(denom float64) {
 // uses this to adapt to workload shifts (Section IV, "the learner can
 // forget learned knowledge depending on the workload shift intensity").
 //
-// V itself is always updated exactly. The maintained inverse follows by
-// either a full exact rebase (the default, O(d³)) or — when ForgetRank
-// is set — the structured O(k·d²) correction of forgetLowRank.
+// V itself is updated exactly and the inverse is recomputed from it
+// (a rebase, O(d³)).
 func (rs *RidgeState) Forget(gamma float64) {
 	if gamma <= 0 {
 		return
@@ -239,101 +211,7 @@ func (rs *RidgeState) Forget(gamma float64) {
 		rs.V.Data[i*n+i] += add
 	}
 	rs.B.Scale(keep)
-	if rs.ForgetRank > 0 && keep > 0 {
-		rs.forgetLowRank(gamma, keep)
-		return
-	}
 	rs.rebase()
-}
-
-// forgetLowRank maintains the inverse through a Forget without the full
-// refactorisation. The discount splits into two parts with very
-// different costs:
-//
-//   - the uniform scale keep*V, whose inverse is exactly VInv/keep —
-//     one O(d²) pass, no approximation at all;
-//   - the rank-d identity top-up +gamma*lambda*I, absorbed coordinate
-//     by coordinate: adding c*e_i e_i' (c = gamma*lambda) to V updates
-//     the inverse by the diagonal Sherman–Morrison step
-//     VInv -= (c / (1 + c*VInv[i][i])) * u u',   u = VInv e_i,
-//     each O(d²).
-//
-// ForgetRank budgets how many of the d coordinate steps run. They are
-// applied in order of correction weight q/(1+q) with q = c*VInv[i][i] —
-// the same currency the Observe drift score uses, largest first, ties
-// broken by index so the order is deterministic. Applied steps add
-// their q/(1+q) to the drift score exactly as observations do (one more
-// generation of rank-1 arithmetic on the inverse); the steps the budget
-// skips add theirs too, as genuinely unabsorbed perturbation. The
-// existing rebase schedule therefore remains the safety net: skip
-// enough mass often enough and the adaptive threshold forces the exact
-// refactorisation. With ForgetRank >= Dim every step runs and the
-// result is mathematically exact (agreement-tested against the rebase
-// oracle).
-func (rs *RidgeState) forgetLowRank(gamma, keep float64) {
-	n := rs.Dim
-	inv := 1 / keep
-	for i := range rs.VInv.Data {
-		rs.VInv.Data[i] *= inv
-	}
-	c := gamma * rs.Lambda
-	if rs.forgetOrd == nil {
-		rs.forgetOrd = make([]int, n)
-		rs.forgetU = NewVector(n)
-	}
-	ord := rs.forgetOrd
-	for i := range ord {
-		ord[i] = i
-	}
-	// q is monotone in VInv[i][i], so sorting on the diagonal directly
-	// gives the q/(1+q) priority order.
-	sort.Slice(ord, func(a, b int) bool {
-		da := rs.VInv.Data[ord[a]*n+ord[a]]
-		db := rs.VInv.Data[ord[b]*n+ord[b]]
-		if da != db {
-			return da > db
-		}
-		return ord[a] < ord[b]
-	})
-	k := rs.ForgetRank
-	if k > n {
-		k = n
-	}
-	u := rs.forgetU
-	for _, i := range ord[:k] {
-		vii := rs.VInv.Data[i*n+i]
-		q := c * vii
-		beta := c / (1 + q)
-		copy(u, rs.VInv.Data[i*n:(i+1)*n]) // row i == VInv e_i (symmetric)
-		for r := 0; r < n; r++ {
-			ur := beta * u[r]
-			if ur == 0 {
-				continue
-			}
-			row := rs.VInv.Data[r*n : (r+1)*n]
-			for j, uj := range u {
-				row[j] -= ur * uj
-			}
-		}
-		rs.drift += q / (1 + q)
-		rs.sinceRebase++
-	}
-	for _, i := range ord[k:] {
-		q := c * rs.VInv.Data[i*n+i]
-		rs.drift += q / (1 + q)
-	}
-	rs.thetaValid = false
-	every := rs.RebaseEvery
-	if every == 0 {
-		every = defaultRebaseEvery
-	}
-	threshold := rs.DriftThreshold
-	if threshold == 0 {
-		threshold = defaultDriftThreshold
-	}
-	if rs.sinceRebase >= every || (threshold > 0 && rs.drift >= threshold) {
-		rs.rebase()
-	}
 }
 
 // rebase recomputes VInv from V exactly, discarding Sherman–Morrison
@@ -362,8 +240,8 @@ func (rs *RidgeState) rebase() {
 func (rs *RidgeState) Updates() int { return rs.updates }
 
 // SinceRebase reports how many rank-1 updates the current inverse has
-// absorbed since the last exact recomputation — the quantity both
-// rebase schedules are measured against. Any rebase (fixed-cadence,
+// absorbed since the last exact recomputation — the quantity the fixed
+// cadence is measured against. Any rebase (fixed-cadence,
 // drift-triggered, or Forget's) resets it to zero.
 func (rs *RidgeState) SinceRebase() int { return rs.sinceRebase }
 

@@ -2,22 +2,26 @@ package linalg
 
 import (
 	"fmt"
+	"math"
 
 	"dbabandits/internal/floatenc"
 )
 
-// RidgeSnapshot is the serialisable state of a RidgeCore: everything a
+// snapshotBackend is the backend name every RidgeSnapshot records. Older
+// builds also wrote "chol" for a factored Cholesky backend; the field
+// stays so those snapshots are recognised and refused.
+const snapshotBackend = "sm"
+
+// RidgeSnapshot is the serialisable state of a RidgeState: everything a
 // fresh process needs to continue the regression bit for bit. Float
 // payloads are packed via floatenc (base64 of the IEEE-754 bits), so
-// no decimal round-trip can perturb the restored factors; a restored
-// core's every subsequent Theta/width/Observe result is byte-identical
-// to the uninterrupted core's. The theta memo is deliberately not
+// no decimal round-trip can perturb the restored matrices; a restored
+// state's every subsequent Theta/width/Observe result is byte-identical
+// to the uninterrupted state's. The theta memo is deliberately not
 // persisted — it is a pure function of the persisted state and is
 // recomputed (to the same bits) on first use.
 type RidgeSnapshot struct {
-	// Backend names the implementation the snapshot came from
-	// (BackendSM or BackendChol); RestoreRidgeCore rebuilds that
-	// backend and refuses a mismatched one.
+	// Backend is always "sm" (Sherman–Morrison).
 	Backend string
 	Dim     int
 	Lambda  float64
@@ -25,94 +29,126 @@ type RidgeSnapshot struct {
 	// B is the response accumulator (floatenc, Dim values).
 	B string
 
-	// Sherman–Morrison backend state: the scatter matrix, its
-	// maintained inverse, and the rebase-schedule position.
-	V              string  `json:",omitempty"`
-	VInv           string  `json:",omitempty"`
-	SinceRebase    int     `json:",omitempty"`
-	Drift          float64 `json:",omitempty"`
+	// The scatter matrix, its maintained inverse, and the position in
+	// the rebase schedule.
+	V           string
+	VInv        string
+	SinceRebase int     `json:",omitempty"`
+	Drift       float64 `json:",omitempty"`
+
+	// RebaseEvery and DriftThreshold are the rebase-schedule overrides
+	// older builds could record. They are only read, to refuse a
+	// snapshot that carries one.
 	RebaseEvery    int     `json:",omitempty"`
 	DriftThreshold float64 `json:",omitempty"`
-
-	// Factored (Cholesky) backend state: the lower-triangular factor.
-	L string `json:",omitempty"`
 }
 
-// Snapshot implements RidgeCore for the Sherman–Morrison backend.
+// RemovedOptionError reports state written under a ridge option that
+// no longer exists: the factored Cholesky backend, a rebase-schedule
+// override, or a low-rank Forget budget. Continuing such a state under
+// the one remaining configuration would silently change its arithmetic,
+// so it is refused instead.
+type RemovedOptionError struct {
+	Option string // the option's name as it was recorded
+	Value  string // the recorded value
+}
+
+func (e *RemovedOptionError) Error() string {
+	return fmt.Sprintf("ridge option %s=%s is no longer supported: only the Sherman–Morrison ridge with the fixed rebase schedule remains",
+		e.Option, e.Value)
+}
+
+// NonFiniteError reports a ridge snapshot field holding a NaN or ±Inf.
+type NonFiniteError struct {
+	Field string
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("linalg: ridge snapshot %s holds a non-finite value", e.Field)
+}
+
+// Snapshot captures the state.
 func (rs *RidgeState) Snapshot() *RidgeSnapshot {
 	return &RidgeSnapshot{
-		Backend:        BackendSM,
-		Dim:            rs.Dim,
-		Lambda:         rs.Lambda,
-		Updates:        rs.updates,
-		B:              floatenc.Encode(rs.B),
-		V:              floatenc.Encode(rs.V.Data),
-		VInv:           floatenc.Encode(rs.VInv.Data),
-		SinceRebase:    rs.sinceRebase,
-		Drift:          rs.drift,
-		RebaseEvery:    rs.RebaseEvery,
-		DriftThreshold: rs.DriftThreshold,
+		Backend:     snapshotBackend,
+		Dim:         rs.Dim,
+		Lambda:      rs.Lambda,
+		Updates:     rs.updates,
+		B:           floatenc.Encode(rs.B),
+		V:           floatenc.Encode(rs.V.Data),
+		VInv:        floatenc.Encode(rs.VInv.Data),
+		SinceRebase: rs.sinceRebase,
+		Drift:       rs.drift,
 	}
 }
 
-// Snapshot implements RidgeCore for the factored (Cholesky) backend.
-func (cs *CholState) Snapshot() *RidgeSnapshot {
-	return &RidgeSnapshot{
-		Backend: BackendChol,
-		Dim:     cs.Dim,
-		Lambda:  cs.Lambda,
-		Updates: cs.updates,
-		B:       floatenc.Encode(cs.B),
-		L:       floatenc.Encode(cs.L.Data),
-	}
-}
-
-// RestoreRidgeCore rebuilds the backend a snapshot was taken from,
-// positioned exactly where the snapshotted core was: same factors,
-// same counters, same rebase-schedule position. The restored core's
-// subsequent results are bit-identical to the original's.
-func RestoreRidgeCore(s *RidgeSnapshot) (RidgeCore, error) {
+// RestoreRidgeState rebuilds the state a snapshot was taken from,
+// positioned exactly where it was: same matrices, same counters, same
+// rebase-schedule position. The restored state's subsequent results are
+// bit-identical to the original's. A snapshot from another backend or
+// with a rebase-schedule override fails with *RemovedOptionError; a NaN
+// or ±Inf in lambda, the drift score or any payload fails with
+// *NonFiniteError.
+func RestoreRidgeState(s *RidgeSnapshot) (*RidgeState, error) {
 	if s == nil {
 		return nil, fmt.Errorf("linalg: nil ridge snapshot")
+	}
+	if s.Backend != snapshotBackend {
+		return nil, &RemovedOptionError{Option: "backend", Value: s.Backend}
+	}
+	if s.RebaseEvery != 0 {
+		return nil, &RemovedOptionError{Option: "RebaseEvery", Value: fmt.Sprint(s.RebaseEvery)}
+	}
+	if s.DriftThreshold != 0 {
+		return nil, &RemovedOptionError{Option: "DriftThreshold", Value: fmt.Sprint(s.DriftThreshold)}
+	}
+	if !finite(s.Lambda) {
+		return nil, &NonFiniteError{Field: "Lambda"}
+	}
+	if !finite(s.Drift) {
+		return nil, &NonFiniteError{Field: "Drift"}
 	}
 	if s.Dim <= 0 || s.Lambda <= 0 {
 		return nil, fmt.Errorf("linalg: ridge snapshot with dim %d, lambda %g", s.Dim, s.Lambda)
 	}
-	b, err := floatenc.DecodeLen(s.B, s.Dim)
+	b, err := decodeFinite("B", s.B, s.Dim)
 	if err != nil {
-		return nil, fmt.Errorf("linalg: ridge snapshot B: %w", err)
+		return nil, err
 	}
-	switch s.Backend {
-	case BackendSM:
-		v, err := floatenc.DecodeLen(s.V, s.Dim*s.Dim)
-		if err != nil {
-			return nil, fmt.Errorf("linalg: ridge snapshot V: %w", err)
-		}
-		vinv, err := floatenc.DecodeLen(s.VInv, s.Dim*s.Dim)
-		if err != nil {
-			return nil, fmt.Errorf("linalg: ridge snapshot VInv: %w", err)
-		}
-		rs := NewRidgeState(s.Dim, s.Lambda)
-		copy(rs.V.Data, v)
-		copy(rs.VInv.Data, vinv)
-		copy(rs.B, b)
-		rs.updates = s.Updates
-		rs.sinceRebase = s.SinceRebase
-		rs.drift = s.Drift
-		rs.RebaseEvery = s.RebaseEvery
-		rs.DriftThreshold = s.DriftThreshold
-		return rs, nil
-	case BackendChol:
-		l, err := floatenc.DecodeLen(s.L, s.Dim*s.Dim)
-		if err != nil {
-			return nil, fmt.Errorf("linalg: ridge snapshot L: %w", err)
-		}
-		cs := NewCholState(s.Dim, s.Lambda)
-		copy(cs.L.Data, l)
-		copy(cs.B, b)
-		cs.rescanProfile()
-		cs.updates = s.Updates
-		return cs, nil
+	v, err := decodeFinite("V", s.V, s.Dim*s.Dim)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("linalg: ridge snapshot for unknown backend %q (available: %v)", s.Backend, RidgeBackends())
+	vinv, err := decodeFinite("VInv", s.VInv, s.Dim*s.Dim)
+	if err != nil {
+		return nil, err
+	}
+	return &RidgeState{
+		Dim:         s.Dim,
+		V:           &Matrix{Rows: s.Dim, Cols: s.Dim, Data: v},
+		VInv:        &Matrix{Rows: s.Dim, Cols: s.Dim, Data: vinv},
+		B:           b,
+		Lambda:      s.Lambda,
+		updates:     s.Updates,
+		sinceRebase: s.SinceRebase,
+		drift:       s.Drift,
+	}, nil
 }
+
+// decodeFinite decodes the n floats of a snapshot field, refusing NaN
+// and ±Inf. Decoding precedes any allocation sized by the snapshot's
+// dimension, so a bogus Dim fails on the payload length instead.
+func decodeFinite(field, enc string, n int) ([]float64, error) {
+	vals, err := floatenc.DecodeLen(enc, n)
+	if err != nil {
+		return nil, fmt.Errorf("linalg: ridge snapshot %s: %w", field, err)
+	}
+	for _, v := range vals {
+		if !finite(v) {
+			return nil, &NonFiniteError{Field: field}
+		}
+	}
+	return vals, nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -2,15 +2,18 @@ package linalg
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+
+	"dbabandits/internal/floatenc"
 )
 
-// feed drives a core through a mixed observation history: dense and
+// feed drives a state through a mixed observation history: dense and
 // sparse observes, interleaved scoring reads (which exercise the theta
 // memo), and a mid-stream Forget.
-func feed(t *testing.T, core RidgeCore, dim, steps int, seed int64) {
+func feed(t *testing.T, core *RidgeState, dim, steps int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < steps; i++ {
@@ -30,7 +33,7 @@ func feed(t *testing.T, core RidgeCore, dim, steps int, seed int64) {
 			}
 			core.ObserveSparse(sx, rng.Float64())
 		default:
-			core.ThetaCached()
+			core.Theta()
 			if i == steps/2 {
 				core.Forget(0.3)
 			}
@@ -39,7 +42,7 @@ func feed(t *testing.T, core RidgeCore, dim, steps int, seed int64) {
 }
 
 // fingerprint captures bit-exact outputs of every scoring entry point.
-func fingerprint(core RidgeCore, dim int, seed int64) []uint64 {
+func fingerprint(core *RidgeState, dim int, seed int64) []uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	var out []uint64
 	for _, v := range core.Theta() {
@@ -68,92 +71,153 @@ func fingerprint(core RidgeCore, dim int, seed int64) []uint64 {
 	return out
 }
 
-// TestSnapshotRoundTrip snapshots each backend mid-history (through a
-// JSON round-trip, as a checkpoint would), restores it, continues both
-// the original and the restored core through identical further
+// TestSnapshotRoundTrip snapshots a state mid-history (through a JSON
+// round-trip, as a checkpoint would), restores it, continues both the
+// original and the restored state through identical further
 // observations, and requires bit-identical outputs from every scoring
 // path.
 func TestSnapshotRoundTrip(t *testing.T) {
-	const dim = 12
-	for _, backend := range RidgeBackends() {
-		t.Run(backend, func(t *testing.T) {
-			core, err := NewRidgeCore(backend, dim, 0.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed(t, core, dim, 40, 11)
+	// "sm" is the backend every snapshot records.
+	t.Run("sm", func(t *testing.T) {
+		const dim = 12
+		rs := NewRidgeState(dim, 0.5)
+		feed(t, rs, dim, 40, 11)
 
-			raw, err := json.Marshal(core.Snapshot())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var snap RidgeSnapshot
-			if err := json.Unmarshal(raw, &snap); err != nil {
-				t.Fatal(err)
-			}
-			restored, err := RestoreRidgeCore(&snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if restored.Updates() != core.Updates() {
-				t.Fatalf("updates %d, want %d", restored.Updates(), core.Updates())
-			}
+		raw, err := json.Marshal(rs.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap RidgeSnapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreRidgeState(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored.Updates() != rs.Updates() {
+			t.Fatalf("updates %d, want %d", restored.Updates(), rs.Updates())
+		}
 
-			// Continue both through the same further history; every
-			// subsequent output must match bit for bit.
-			feed(t, core, dim, 30, 23)
-			feed(t, restored, dim, 30, 23)
-			want := fingerprint(core, dim, 5)
-			got := fingerprint(restored, dim, 5)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("fingerprint %d: %x != %x", i, got[i], want[i])
-				}
+		// Continue both through the same further history; every subsequent
+		// output must match bit for bit.
+		feed(t, rs, dim, 30, 23)
+		feed(t, restored, dim, 30, 23)
+		want := fingerprint(rs, dim, 5)
+		got := fingerprint(restored, dim, 5)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("fingerprint %d: %x != %x", i, got[i], want[i])
 			}
-		})
-	}
+		}
+	})
 }
 
-// TestSnapshotRebaseSchedule pins that the SM backend's rebase position
-// survives the round trip: a restored state must rebase on exactly the
-// same future update as the original.
+// TestSnapshotRebaseSchedule pins that the rebase position survives the
+// round trip: a restored state must rebase on exactly the same future
+// update as the original.
 func TestSnapshotRebaseSchedule(t *testing.T) {
 	rs := NewRidgeState(4, 1)
-	rs.RebaseEvery = 10
-	rs.DriftThreshold = -1
 	feed(t, rs, 4, 17, 3)
 
-	restored, err := RestoreRidgeCore(rs.Snapshot())
+	restored, err := RestoreRidgeState(rs.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := restored.(*RidgeState)
-	if rr.SinceRebase() != rs.SinceRebase() || rr.Drift() != rs.Drift() {
+	if restored.SinceRebase() != rs.SinceRebase() || restored.Drift() != rs.Drift() {
 		t.Fatalf("rebase position (%d, %g), want (%d, %g)",
-			rr.SinceRebase(), rr.Drift(), rs.SinceRebase(), rs.Drift())
+			restored.SinceRebase(), restored.Drift(), rs.SinceRebase(), rs.Drift())
 	}
-	if rr.RebaseEvery != rs.RebaseEvery || rr.DriftThreshold != rs.DriftThreshold {
-		t.Fatalf("schedule (%d, %g), want (%d, %g)",
-			rr.RebaseEvery, rr.DriftThreshold, rs.RebaseEvery, rs.DriftThreshold)
+	x := Vector{1, 0.5, 0, -1}
+	for i := 0; i < rebaseEvery; i++ {
+		rs.Observe(x, 1)
+		restored.Observe(x, 1)
+		if restored.SinceRebase() != rs.SinceRebase() {
+			t.Fatalf("update %d: restored sinceRebase %d, want %d", i, restored.SinceRebase(), rs.SinceRebase())
+		}
 	}
 }
 
-// TestSnapshotErrors pins the refusal paths.
+// TestSnapshotErrors pins the structural refusal paths.
 func TestSnapshotErrors(t *testing.T) {
-	if _, err := RestoreRidgeCore(nil); err == nil {
+	if _, err := RestoreRidgeState(nil); err == nil {
 		t.Fatal("nil snapshot accepted")
 	}
-	if _, err := RestoreRidgeCore(&RidgeSnapshot{Backend: "sm", Dim: 0, Lambda: 1}); err == nil {
+	if _, err := RestoreRidgeState(&RidgeSnapshot{Backend: "sm", Dim: 0, Lambda: 1}); err == nil {
 		t.Fatal("zero dim accepted")
 	}
-	good := NewRidgeState(3, 1).Snapshot()
-	good.Backend = "nope"
-	if _, err := RestoreRidgeCore(good); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-	bad := NewCholState(3, 1).Snapshot()
-	bad.L = bad.L[:4]
-	if _, err := RestoreRidgeCore(bad); err == nil {
+	bad := NewRidgeState(3, 1).Snapshot()
+	bad.VInv = bad.VInv[:4]
+	if _, err := RestoreRidgeState(bad); err == nil {
 		t.Fatal("truncated payload accepted")
+	}
+	// A dimension the payload does not back fails on the payload length,
+	// before anything sized Dim² is allocated.
+	huge := NewRidgeState(3, 1).Snapshot()
+	huge.Dim = 1 << 30
+	if _, err := RestoreRidgeState(huge); err == nil {
+		t.Fatal("dimension larger than the payload accepted")
+	}
+}
+
+// TestRestoreRidgeStateRejects is the snapshot trust boundary: a
+// snapshot written by another backend or with a rebase-schedule
+// override fails with *RemovedOptionError, and one holding a NaN or
+// ±Inf fails with *NonFiniteError naming the field, instead of
+// restoring into a state whose theta is NaN.
+func TestRestoreRidgeStateRejects(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	withFloats := func(enc string, at int, v float64) string {
+		vals, err := floatenc.Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals[at] = v
+		return floatenc.Encode(vals)
+	}
+	cases := []struct {
+		name    string
+		mutate  func(*RidgeSnapshot)
+		removed string // RemovedOptionError.Option, or "" for NonFiniteError
+		field   string // NonFiniteError.Field
+	}{
+		{"backend chol", func(s *RidgeSnapshot) { s.Backend = "chol" }, "backend", ""},
+		{"backend unknown", func(s *RidgeSnapshot) { s.Backend = "qr" }, "backend", ""},
+		{"backend empty", func(s *RidgeSnapshot) { s.Backend = "" }, "backend", ""},
+		{"rebase every", func(s *RidgeSnapshot) { s.RebaseEvery = 64 }, "RebaseEvery", ""},
+		{"drift threshold", func(s *RidgeSnapshot) { s.DriftThreshold = -1 }, "DriftThreshold", ""},
+		{"lambda NaN", func(s *RidgeSnapshot) { s.Lambda = nan }, "", "Lambda"},
+		{"lambda +Inf", func(s *RidgeSnapshot) { s.Lambda = inf }, "", "Lambda"},
+		{"lambda -Inf", func(s *RidgeSnapshot) { s.Lambda = -inf }, "", "Lambda"},
+		{"drift NaN", func(s *RidgeSnapshot) { s.Drift = nan }, "", "Drift"},
+		{"B NaN", func(s *RidgeSnapshot) {
+			s.B = floatenc.Encode([]float64{nan, nan, nan})
+		}, "", "B"},
+		{"V +Inf", func(s *RidgeSnapshot) { s.V = withFloats(s.V, 4, inf) }, "", "V"},
+		{"VInv -Inf", func(s *RidgeSnapshot) { s.VInv = withFloats(s.VInv, 0, -inf) }, "", "VInv"},
+		{"VInv NaN", func(s *RidgeSnapshot) { s.VInv = withFloats(s.VInv, 8, nan) }, "", "VInv"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rs := NewRidgeState(3, 1)
+			rs.Observe(Vector{1, 2, 0}, 3)
+			snap := rs.Snapshot()
+			tc.mutate(snap)
+			got, err := RestoreRidgeState(snap)
+			if err == nil {
+				t.Fatalf("restored a bad snapshot; theta %v", got.Theta())
+			}
+			if tc.removed != "" {
+				var re *RemovedOptionError
+				if !errors.As(err, &re) || re.Option != tc.removed {
+					t.Fatalf("err = %v (%T), want RemovedOptionError for %s", err, err, tc.removed)
+				}
+				return
+			}
+			var ne *NonFiniteError
+			if !errors.As(err, &ne) || ne.Field != tc.field {
+				t.Fatalf("err = %v (%T), want NonFiniteError for %s", err, err, tc.field)
+			}
+		})
 	}
 }

@@ -18,15 +18,11 @@ import (
 // through the O(nnz²) sparse ridge kernels (bit-identical to the dense
 // path — see internal/linalg).
 //
-// The ridge regression itself is pluggable (linalg.RidgeCore): the
-// default Sherman–Morrison explicit-inverse backend, or the factored
-// Cholesky backend that maintains no inverse at all. Scoring goes
-// through the backend's memoised theta and batched width kernels, so
-// theta is derived at most once per state change and the per-arm work
-// is one dot product plus one batched quadratic form.
+// Scoring goes through the ridge state's memoised theta and batched
+// width kernel, so theta is derived at most once per state change and
+// the per-arm work is one dot product plus one batched quadratic form.
 type C2UCB struct {
-	state   linalg.RidgeCore
-	backend string // resolved ridge-backend name the bandit runs on
+	state *linalg.RidgeState
 	// Alpha returns the exploration-boost factor for round t (1-based).
 	Alpha func(t int) float64
 	round int
@@ -36,10 +32,6 @@ type C2UCB struct {
 	// (simulated seconds here, where queries range from milliseconds to
 	// hundreds of seconds).
 	rewardScale float64
-
-	// forgetRank mirrors the SM backend's low-rank Forget budget so a
-	// snapshot restore (which rebuilds the backend) can re-apply it.
-	forgetRank int
 }
 
 // DefaultAlpha is the exploration schedule used by the experiments: a
@@ -49,60 +41,15 @@ func DefaultAlpha(t int) float64 {
 }
 
 // NewC2UCB creates the bandit with context dimension dim and ridge
-// regularisation lambda on the default (Sherman–Morrison) backend. A
-// nil alpha uses DefaultAlpha.
+// regularisation lambda. A nil alpha uses DefaultAlpha.
 func NewC2UCB(dim int, lambda float64, alpha func(int) float64) *C2UCB {
-	b, err := NewC2UCBBackend(linalg.BackendSM, dim, lambda, alpha)
-	if err != nil {
-		panic(err) // unreachable: the default backend always constructs
-	}
-	return b
-}
-
-// NewC2UCBBackend creates the bandit on the named ridge backend ("" or
-// linalg.BackendSM for Sherman–Morrison, linalg.BackendChol for the
-// factored Cholesky core). A nil alpha uses DefaultAlpha.
-func NewC2UCBBackend(backend string, dim int, lambda float64, alpha func(int) float64) (*C2UCB, error) {
-	core, err := linalg.NewRidgeCore(backend, dim, lambda)
-	if err != nil {
-		return nil, err
-	}
-	if backend == "" {
-		backend = linalg.BackendSM
-	}
 	if alpha == nil {
 		alpha = DefaultAlpha
 	}
 	return &C2UCB{
-		state:       core,
-		backend:     backend,
+		state:       linalg.NewRidgeState(dim, lambda),
 		Alpha:       alpha,
 		rewardScale: 1,
-	}, nil
-}
-
-// SetRebaseSchedule overrides the Sherman–Morrison backend's
-// inverse-maintenance schedule: every is the fixed fallback cadence (0
-// keeps the default), driftThreshold the adaptive rank-1 drift trigger
-// (0 keeps the default, negative disables the adaptive schedule). See
-// linalg.RidgeState. The factored backend maintains no inverse, so it
-// has no schedule and the call is a no-op.
-func (b *C2UCB) SetRebaseSchedule(every int, driftThreshold float64) {
-	if rs, ok := b.state.(*linalg.RidgeState); ok {
-		rs.RebaseEvery = every
-		rs.DriftThreshold = driftThreshold
-	}
-}
-
-// SetForgetRank budgets the Sherman–Morrison backend's low-rank Forget
-// correction (see linalg.RidgeState.ForgetRank); 0 keeps the exact
-// Forget-triggered rebase. The factored backend forgets on the factor
-// directly and has no rebase to replace, so there the call only records
-// the setting.
-func (b *C2UCB) SetForgetRank(k int) {
-	b.forgetRank = k
-	if rs, ok := b.state.(*linalg.RidgeState); ok {
-		rs.ForgetRank = k
 	}
 }
 
@@ -116,8 +63,8 @@ func (b *C2UCB) Round() int { return b.round }
 //
 //	r_hat(i) = theta' x(i) + alpha_t * sqrt(x(i)' V^{-1} x(i))
 //
-// The widths for the whole candidate batch are computed in one blocked
-// pass over the backend state and theta comes from the backend's memo,
+// The widths for the whole candidate batch are computed in one pass
+// over the ridge state and theta comes from its memo,
 // so no per-arm call re-derives either; each entry is bit-identical to
 // the historical per-arm theta.DotSparse + ConfidenceWidthSparse form.
 func (b *C2UCB) Scores(contexts []linalg.SparseVector) []float64 {
@@ -130,7 +77,7 @@ func (b *C2UCB) Scores(contexts []linalg.SparseVector) []float64 {
 // len(contexts)) — the tuner's round loop reuses one scores buffer across
 // rounds. Results are byte-identical to Scores.
 func (b *C2UCB) ScoresInto(contexts []linalg.SparseVector, out []float64) {
-	theta := b.state.ThetaCached()
+	theta := b.state.Theta()
 	alpha := b.Alpha(b.round) * b.rewardScale
 	b.state.ConfidenceWidthBatch(contexts, out)
 	for i, x := range contexts {
@@ -141,7 +88,7 @@ func (b *C2UCB) ScoresInto(contexts []linalg.SparseVector, out []float64) {
 // ExpectedScores returns the exploitation-only point estimates theta'x,
 // used by tests and diagnostics.
 func (b *C2UCB) ExpectedScores(contexts []linalg.SparseVector) []float64 {
-	theta := b.state.ThetaCached()
+	theta := b.state.Theta()
 	out := make([]float64, len(contexts))
 	for i, x := range contexts {
 		out[i] = theta.DotSparse(x)
@@ -174,12 +121,8 @@ func (b *C2UCB) Update(contexts []linalg.SparseVector, rewards []float64) {
 func (b *C2UCB) Forget(gamma float64) { b.state.Forget(gamma) }
 
 // Theta exposes the current coefficient estimate (diagnostics/tests).
-// The vector is owned by the ridge backend; callers must not mutate it.
+// The vector is owned by the ridge state; callers must not mutate it.
 func (b *C2UCB) Theta() linalg.Vector { return b.state.Theta() }
 
 // Dim returns the context dimensionality.
-func (b *C2UCB) Dim() int { return b.state.Dimension() }
-
-// Backend names the ridge backend the bandit runs on (the resolved
-// name passed to NewC2UCBBackend).
-func (b *C2UCB) Backend() string { return b.backend }
+func (b *C2UCB) Dim() int { return b.state.Dim }

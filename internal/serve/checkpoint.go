@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"dbabandits/internal/index"
+	"dbabandits/internal/linalg"
 	"dbabandits/internal/policy"
 	"dbabandits/internal/query"
 )
@@ -34,10 +35,11 @@ type Checkpoint struct {
 	Seed          int64
 	MemoryBudgetX float64
 
-	// Policy rebuild. ForgetRank shapes future forgetting arithmetic, so
-	// it is restored with the backend; it is not policy state (the
-	// bandit's learned state lives in PolicyState).
-	Policy       string
+	// Policy rebuild.
+	Policy string
+	// RidgeBackend and ForgetRank are the ridge options older builds
+	// recorded ("sm" and 0 at their default flags). They are only read:
+	// Restore refuses a checkpoint written with any other value.
 	RidgeBackend string `json:",omitempty"`
 	ForgetRank   int    `json:",omitempty"`
 	Guardrail    GuardrailOptions
@@ -77,8 +79,6 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 		Seed:          s.opts.Seed,
 		MemoryBudgetX: s.opts.MemoryBudgetX,
 		Policy:        s.opts.Policy,
-		RidgeBackend:  s.opts.RidgeBackend,
-		ForgetRank:    s.opts.ForgetRank,
 		Guardrail:     s.opts.Guardrail,
 		Window:        s.window,
 		LastWindow:    s.lastWindow,
@@ -149,11 +149,22 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // policy's state is restored from the snapshot, and the serving
 // position, configurations and guardrail counters are reinstated. The
 // restored session's next Feed behaves exactly as the checkpointed
-// session's would have.
+// session's would have. A checkpoint written with a removed ridge option
+// (another backend, or a low-rank Forget budget) fails with
+// *linalg.RemovedOptionError rather than resuming under different
+// arithmetic.
 func Restore(ck *Checkpoint) (*Session, error) {
 	if ck.Version != CheckpointVersion {
 		return nil, fmt.Errorf("serve: checkpoint version %d, this build reads version %d",
 			ck.Version, CheckpointVersion)
+	}
+	if ck.RidgeBackend != "" && ck.RidgeBackend != "sm" {
+		return nil, fmt.Errorf("serve: checkpoint: %w",
+			&linalg.RemovedOptionError{Option: "RidgeBackend", Value: ck.RidgeBackend})
+	}
+	if ck.ForgetRank != 0 {
+		return nil, fmt.Errorf("serve: checkpoint: %w",
+			&linalg.RemovedOptionError{Option: "ForgetRank", Value: fmt.Sprint(ck.ForgetRank)})
 	}
 	s, err := New(Options{
 		Benchmark:     ck.Benchmark,
@@ -162,8 +173,6 @@ func Restore(ck *Checkpoint) (*Session, error) {
 		Seed:          ck.Seed,
 		MemoryBudgetX: ck.MemoryBudgetX,
 		Policy:        ck.Policy,
-		RidgeBackend:  ck.RidgeBackend,
-		ForgetRank:    ck.ForgetRank,
 		Guardrail:     ck.Guardrail,
 	})
 	if err != nil {

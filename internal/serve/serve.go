@@ -13,8 +13,6 @@ import (
 
 	"dbabandits/internal/env"
 	"dbabandits/internal/index"
-	"dbabandits/internal/linalg"
-	"dbabandits/internal/mab"
 	"dbabandits/internal/policy"
 	"dbabandits/internal/query"
 )
@@ -37,13 +35,6 @@ type Options struct {
 	// Policy names the tuning strategy from the policy registry
 	// (default "mab").
 	Policy string
-	// RidgeBackend selects the bandit's ridge core (linalg.BackendSM
-	// default, linalg.BackendChol).
-	RidgeBackend string
-	// ForgetRank budgets the SM ridge backend's low-rank Forget
-	// correction (0 = exact rebase). Shift- and quarantine-triggered
-	// forgetting both go through it.
-	ForgetRank int
 	// Guardrail configures the safety supervisor.
 	Guardrail GuardrailOptions
 }
@@ -107,14 +98,6 @@ type Session struct {
 // and guardrail. The caller owns the session and must Close it.
 func New(opts Options) (*Session, error) {
 	opts = opts.withDefaults()
-	if !linalg.ValidRidgeBackend(opts.RidgeBackend) {
-		return nil, fmt.Errorf("serve: unknown ridge backend %q (available: %v)",
-			opts.RidgeBackend, linalg.RidgeBackends())
-	}
-	mabOpts := mab.TunerOptions{
-		RidgeBackend: opts.RidgeBackend,
-		ForgetRank:   opts.ForgetRank,
-	}
 	e, err := env.New(env.Options{
 		Benchmark:     opts.Benchmark,
 		Regime:        env.Static,
@@ -122,7 +105,6 @@ func New(opts Options) (*Session, error) {
 		MaxStoredRows: opts.MaxStoredRows,
 		Seed:          opts.Seed,
 		MemoryBudgetX: opts.MemoryBudgetX,
-		MABOptions:    mabOpts,
 		DDQNSeed:      opts.Seed,
 		RandomSeed:    opts.Seed,
 	})
@@ -130,7 +112,6 @@ func New(opts Options) (*Session, error) {
 		return nil, err
 	}
 	p, err := policy.New(opts.Policy, e, policy.Params{
-		MAB:        mabOpts,
 		DDQNSeed:   opts.Seed,
 		RandomSeed: opts.Seed,
 	})

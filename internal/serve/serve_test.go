@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -63,70 +64,88 @@ func reportJSON(t *testing.T, reps []*WindowReport) string {
 	return string(data)
 }
 
-// TestKillRestoreDeterminism pins the tentpole contract on both ridge
-// backends: a session checkpointed mid-stream, killed, and restored
-// from disk produces byte-identical window reports and an identical
-// final configuration to a session that was never interrupted.
+// TestKillRestoreDeterminism pins the tentpole contract: a session
+// checkpointed mid-stream, killed, and restored from disk produces
+// byte-identical window reports and an identical final configuration to
+// a session that was never interrupted.
 //
-// The same checkpoint is also restored with the scoring-worker key that
-// older builds wrote spliced in (see writeLegacyCheckpoint): the loader
-// ignores unknown keys, so such a checkpoint must restore to the same
-// session.
+// Two older checkpoints of the same session must restore the same way:
+// the fresh checkpoint with the scoring-worker key older builds wrote
+// spliced in (see writeLegacyCheckpoint), which the loader ignores, and
+// testdata/parent_default.ckpt, written by the build before the ridge
+// options were removed at its default flags. The "sm" subtest checks
+// all three. Checkpoints that build wrote with -ridge chol or
+// -forget-rank 3 must instead fail Restore with
+// *linalg.RemovedOptionError (the "chol" and "forget_rank" subtests).
 func TestKillRestoreDeterminism(t *testing.T) {
-	for _, backend := range linalg.RidgeBackends() {
-		t.Run(backend, func(t *testing.T) {
-			opts := testOptions()
-			opts.RidgeBackend = backend
+	t.Run("sm", func(t *testing.T) {
+		opts := testOptions()
 
-			golden, err := New(opts)
+		golden, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer golden.Close()
+		wantReps := feedAll(t, golden, NewStream(strings.NewReader(testStream), golden), 0)
+
+		const cut = 3
+		victim, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		headReps := feedAll(t, victim, NewStream(strings.NewReader(testStream), victim), cut)
+		dir := t.TempDir()
+		path := filepath.Join(dir, "session.ckpt")
+		if err := victim.WriteCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		victim.Close() // the kill
+
+		legacyPath := filepath.Join(dir, "legacy.ckpt")
+		writeLegacyCheckpoint(t, path, legacyPath)
+
+		for _, p := range []string{path, legacyPath, filepath.Join("testdata", "parent_default.ckpt")} {
+			restored, err := RestoreFile(p)
 			if err != nil {
+				t.Fatalf("%s: %v", filepath.Base(p), err)
+			}
+			defer restored.Close()
+			if restored.Window() != cut {
+				t.Fatalf("%s: restored at window %d, want %d", filepath.Base(p), restored.Window(), cut)
+			}
+			st := NewStream(strings.NewReader(testStream), restored)
+			if err := st.Skip(cut); err != nil {
 				t.Fatal(err)
 			}
-			defer golden.Close()
-			wantReps := feedAll(t, golden, NewStream(strings.NewReader(testStream), golden), 0)
+			tailReps := feedAll(t, restored, st, 0)
 
-			const cut = 3
-			victim, err := New(opts)
-			if err != nil {
-				t.Fatal(err)
+			got := reportJSON(t, append(append([]*WindowReport{}, headReps...), tailReps...))
+			want := reportJSON(t, wantReps)
+			if got != want {
+				t.Fatalf("%s: kill-and-restore diverged from uninterrupted run:\n%s\nvs\n%s", filepath.Base(p), got, want)
 			}
-			headReps := feedAll(t, victim, NewStream(strings.NewReader(testStream), victim), cut)
-			dir := t.TempDir()
-			path := filepath.Join(dir, "session.ckpt")
-			if err := victim.WriteCheckpoint(path); err != nil {
-				t.Fatal(err)
+			if g, w := strings.Join(restored.Config(), ","), strings.Join(golden.Config(), ","); g != w {
+				t.Fatalf("%s: final configuration diverged: %q vs %q", filepath.Base(p), g, w)
 			}
-			victim.Close() // the kill
+			if restored.Quarantines() != golden.Quarantines() {
+				t.Fatalf("%s: quarantine count diverged: %d vs %d", filepath.Base(p), restored.Quarantines(), golden.Quarantines())
+			}
+		}
+	})
 
-			legacyPath := filepath.Join(dir, "legacy.ckpt")
-			writeLegacyCheckpoint(t, path, legacyPath)
-
-			for _, p := range []string{path, legacyPath} {
-				restored, err := RestoreFile(p)
-				if err != nil {
-					t.Fatalf("%s: %v", filepath.Base(p), err)
-				}
-				defer restored.Close()
-				if restored.Window() != cut {
-					t.Fatalf("%s: restored at window %d, want %d", filepath.Base(p), restored.Window(), cut)
-				}
-				st := NewStream(strings.NewReader(testStream), restored)
-				if err := st.Skip(cut); err != nil {
-					t.Fatal(err)
-				}
-				tailReps := feedAll(t, restored, st, 0)
-
-				got := reportJSON(t, append(append([]*WindowReport{}, headReps...), tailReps...))
-				want := reportJSON(t, wantReps)
-				if got != want {
-					t.Fatalf("%s: kill-and-restore diverged from uninterrupted run:\n%s\nvs\n%s", filepath.Base(p), got, want)
-				}
-				if g, w := strings.Join(restored.Config(), ","), strings.Join(golden.Config(), ","); g != w {
-					t.Fatalf("%s: final configuration diverged: %q vs %q", filepath.Base(p), g, w)
-				}
-				if restored.Quarantines() != golden.Quarantines() {
-					t.Fatalf("%s: quarantine count diverged: %d vs %d", filepath.Base(p), restored.Quarantines(), golden.Quarantines())
-				}
+	for sub, c := range map[string]struct{ file, option string }{
+		"chol":        {"parent_ridge_chol.ckpt", "RidgeBackend"},
+		"forget_rank": {"parent_forget_rank.ckpt", "ForgetRank"},
+	} {
+		t.Run(sub, func(t *testing.T) {
+			s, err := RestoreFile(filepath.Join("testdata", c.file))
+			if err == nil {
+				s.Close()
+				t.Fatalf("%s: restored a checkpoint written with a removed ridge option", c.file)
+			}
+			var removed *linalg.RemovedOptionError
+			if !errors.As(err, &removed) || removed.Option != c.option {
+				t.Fatalf("%s: err = %v, want *linalg.RemovedOptionError for %s", c.file, err, c.option)
 			}
 		})
 	}
@@ -283,11 +302,6 @@ func TestStreamErrors(t *testing.T) {
 // TestSessionValidation pins constructor and Feed validation.
 func TestSessionValidation(t *testing.T) {
 	bad := testOptions()
-	bad.RidgeBackend = "lu"
-	if _, err := New(bad); err == nil {
-		t.Fatal("unknown ridge backend accepted")
-	}
-	bad = testOptions()
 	bad.Policy = "no-such-policy"
 	if _, err := New(bad); err == nil {
 		t.Fatal("unknown policy accepted")
