@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt vet smoke cover bench benchsweep benchsmoke benchdiff ci
+.PHONY: build test race fmt vet benchmod smoke cover bench benchsweep benchsmoke benchdiff ci
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# The bench/ module (the repository benchmark's driver) is a separate Go
+# module, so ./... above never compiles it; vet and test it on its own so
+# an API change in env, policy or serve cannot break bench/run.sh unseen.
+benchmod:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # End-to-end smoke run: Figure 2, shrunken rounds, 4-way parallel sweep.
 smoke:
@@ -81,4 +87,4 @@ benchsmoke:
 
 # cover subsumes test (go test -cover runs the full suite), so ci pays
 # for one suite pass plus the race pass, matching the CI workflow.
-ci: fmt vet build cover race smoke benchsmoke benchdiff
+ci: fmt vet build cover benchmod race smoke benchsmoke benchdiff

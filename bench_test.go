@@ -222,7 +222,7 @@ func BenchmarkAblationContextEncoding(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			exp := benchExperiment(b, "tpch", harness.Static, benchRounds)
-			exp.Opts.MABOptions = mab.TunerOptions{
+			exp.Opts.MAB = mab.TunerOptions{
 				MemoryBudgetBytes: exp.Budget,
 				OneHotContext:     oneHot,
 			}
@@ -248,7 +248,7 @@ func BenchmarkAblationForgetting(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			exp := benchExperiment(b, "tpch-skew", harness.Shifting, benchShiftRounds)
-			exp.Opts.MABOptions = mab.TunerOptions{
+			exp.Opts.MAB = mab.TunerOptions{
 				MemoryBudgetBytes: exp.Budget,
 				DisableForgetting: disabled,
 			}
@@ -274,7 +274,7 @@ func BenchmarkAblationCreationPenalty(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			exp := benchExperiment(b, "ssb", harness.Static, benchRounds)
-			exp.Opts.MABOptions = mab.TunerOptions{
+			exp.Opts.MAB = mab.TunerOptions{
 				MemoryBudgetBytes: exp.Budget,
 				NoCreationPenalty: off,
 			}
@@ -321,7 +321,7 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 // a naive top-k-by-score selection.
 func BenchmarkAblationOracleFiltering(b *testing.B) {
 	schema, db := benchArmFixture(b)
-	gen := mab.NewArmGenerator(schema, mab.ArmGenOptions{})
+	gen := mab.NewArmGenerator(schema)
 	bench, _ := workload.ByName("tpch")
 	rng := rand.New(rand.NewSource(1))
 	var qs []*Query
@@ -435,7 +435,7 @@ func BenchmarkRidgeObserve(b *testing.B) {
 func BenchmarkC2UCBScores(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	dim := 128
-	bandit := mab.NewC2UCB(dim, 0.25, nil)
+	bandit := mab.NewC2UCB(dim, 0.25)
 	bandit.BeginRound()
 	var ctxs []linalg.SparseVector
 	for k := 0; k < 200; k++ {
@@ -453,7 +453,7 @@ func BenchmarkC2UCBScores(b *testing.B) {
 
 func BenchmarkArmGeneration(b *testing.B) {
 	schema, db := benchArmFixture(b)
-	gen := mab.NewArmGenerator(schema, mab.ArmGenOptions{})
+	gen := mab.NewArmGenerator(schema)
 	bench, _ := workload.ByName("tpch")
 	rng := rand.New(rand.NewSource(3))
 	var qs []*Query
@@ -645,7 +645,7 @@ func BenchmarkChoosePlanMiss(b *testing.B) {
 // plan-cache miss.
 func BenchmarkWhatIfSingleIndexSweep(b *testing.B) {
 	cached, _, q, _, _ := benchPlanFixture(b)
-	arms := mab.NewArmGenerator(cached.Schema, mab.ArmGenOptions{}).Generate([]*Query{q})
+	arms := mab.NewArmGenerator(cached.Schema).Generate([]*Query{q})
 	trial := index.NewConfig()
 	b.ReportAllocs()
 	b.ResetTimer()

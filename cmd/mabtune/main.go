@@ -44,14 +44,14 @@ func main() {
 	flag.Parse()
 
 	opts := harness.Options{
-		Benchmark:          *bench,
-		Regime:             harness.Regime(*regime),
-		Rounds:             *rounds,
-		ScaleFactor:        *sf,
-		MaxStoredRows:      *rows,
-		Seed:               *seed,
-		MemoryBudgetX:      *budget,
-		PDToolTimeLimitSec: *pdLimit,
+		Benchmark:     *bench,
+		Regime:        harness.Regime(*regime),
+		Rounds:        *rounds,
+		ScaleFactor:   *sf,
+		MaxStoredRows: *rows,
+		Seed:          *seed,
+		MemoryBudgetX: *budget,
+		Params:        policy.Params{PDToolTimeLimitSec: *pdLimit},
 	}
 	exp, err := harness.New(opts)
 	if err != nil {

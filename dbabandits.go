@@ -102,7 +102,9 @@ import (
 type (
 	// Tuner is the MAB index tuner implementing Algorithm 2.
 	Tuner = mab.Tuner
-	// TunerOptions configures the tuner (budget, exploration, ablations).
+	// TunerOptions configures the tuner: the memory budget, the HTAP
+	// update-aware context, and the ablation switches. The tuning
+	// constants are fixed (see the README's "Tuning constants").
 	TunerOptions = mab.TunerOptions
 	// Recommendation is one round's output: the configuration to
 	// materialise plus the modelled recommendation time.

@@ -18,56 +18,44 @@ type transition struct {
 }
 
 // AgentOptions configure the DDQN agent. Defaults follow the paper's
-// Section V-C experiment setup.
+// Section V-C experiment setup; the settings no caller varies are the
+// constants below.
 type AgentOptions struct {
-	// Hidden is the hidden layout; default 4 layers of 8 neurons.
-	Hidden []int
-	// Gamma is the discount factor; default 0.99.
-	Gamma float64
-	// EpsStart/EpsEnd/EpsDecaySamples define the exponential exploration
-	// decay: epsilon starts at EpsStart and reaches EpsEnd at sample
-	// EpsDecaySamples. Defaults 1.0 / 0.01 / 2400.
-	EpsStart        float64
-	EpsEnd          float64
+	// EpsDecaySamples is the sample at which the exponential exploration
+	// decay reaches epsEnd. Default 2400.
 	EpsDecaySamples int
-	// LR is the SGD learning rate; default 5e-3.
-	LR float64
 	// BufferSize / BatchSize / TrainStepsPerRound control replay
 	// training; defaults 2048 / 32 / 8.
 	BufferSize         int
 	BatchSize          int
 	TrainStepsPerRound int
-	// TargetSyncEvery synchronises the target network every N training
-	// rounds; default 5.
-	TargetSyncEvery int
 	// SingleColumn restricts candidates to single-column indexes (the
 	// DDQN-SC variant of Sharma et al. as run in Figure 8).
 	SingleColumn bool
-	// RewardScale divides rewards before regression to keep targets in a
-	// numerically friendly range; default 100 (seconds).
-	RewardScale float64
 	// Seed drives all randomisation (exploration and initial weights).
 	Seed int64
 }
 
+const (
+	// gamma is the discount factor.
+	gamma = 0.99
+	// epsStart and epsEnd bound the exponential exploration decay:
+	// epsilon starts at epsStart and reaches epsEnd at EpsDecaySamples.
+	epsStart = 1.0
+	epsEnd   = 0.01
+	// learningRate is the SGD learning rate.
+	learningRate = 5e-3
+	// targetSyncEvery synchronises the target network every N training
+	// rounds.
+	targetSyncEvery = 5
+	// rewardScale divides rewards before regression to keep targets in a
+	// numerically friendly range (seconds).
+	rewardScale = 100
+)
+
 func (o AgentOptions) withDefaults() AgentOptions {
-	if o.Hidden == nil {
-		o.Hidden = []int{8, 8, 8, 8}
-	}
-	if o.Gamma == 0 {
-		o.Gamma = 0.99
-	}
-	if o.EpsStart == 0 {
-		o.EpsStart = 1
-	}
-	if o.EpsEnd == 0 {
-		o.EpsEnd = 0.01
-	}
 	if o.EpsDecaySamples == 0 {
 		o.EpsDecaySamples = 2400
-	}
-	if o.LR == 0 {
-		o.LR = 5e-3
 	}
 	if o.BufferSize == 0 {
 		o.BufferSize = 2048
@@ -77,12 +65,6 @@ func (o AgentOptions) withDefaults() AgentOptions {
 	}
 	if o.TrainStepsPerRound == 0 {
 		o.TrainStepsPerRound = 8
-	}
-	if o.TargetSyncEvery == 0 {
-		o.TargetSyncEvery = 5
-	}
-	if o.RewardScale == 0 {
-		o.RewardScale = 100
 	}
 	return o
 }
@@ -113,7 +95,8 @@ func NewAgent(dim int, opts AgentOptions) *Agent {
 	// plain rand.New(rand.NewSource(seed)) used historically, so every
 	// pinned fixture is unchanged — and the agent becomes checkpointable.
 	rng := snaprand.New(opts.Seed)
-	online := NewMLP(rng.Rand, dim, opts.Hidden)
+	// The Q-network's hidden layout: 4 layers of 8 neurons.
+	online := NewMLP(rng.Rand, dim, []int{8, 8, 8, 8})
 	return &Agent{
 		opts:   opts,
 		rng:    rng,
@@ -124,14 +107,13 @@ func NewAgent(dim int, opts AgentOptions) *Agent {
 }
 
 // Epsilon returns the current exploration probability (exponential decay
-// from EpsStart to EpsEnd over EpsDecaySamples samples).
+// from epsStart to epsEnd over EpsDecaySamples samples).
 func (a *Agent) Epsilon() float64 {
-	o := a.opts
-	if a.samples >= o.EpsDecaySamples {
-		return o.EpsEnd
+	if a.samples >= a.opts.EpsDecaySamples {
+		return epsEnd
 	}
-	rate := math.Log(o.EpsStart/o.EpsEnd) / float64(o.EpsDecaySamples)
-	return o.EpsStart * math.Exp(-rate*float64(a.samples))
+	rate := math.Log(epsStart/epsEnd) / float64(a.opts.EpsDecaySamples)
+	return epsStart * math.Exp(-rate*float64(a.samples))
 }
 
 // ParamCount exposes the trainable parameter count.
@@ -214,7 +196,7 @@ func (a *Agent) Observe(contexts []linalg.Vector, rewards []float64, nextCandida
 		next[i] = x
 	}
 	for i, x := range contexts {
-		tr := transition{x: x, r: rewards[i] / a.opts.RewardScale, next: next}
+		tr := transition{x: x, r: rewards[i] / rewardScale, next: next}
 		if len(a.buffer) < a.opts.BufferSize {
 			a.buffer = append(a.buffer, tr)
 		} else {
@@ -229,12 +211,12 @@ func (a *Agent) Observe(contexts []linalg.Vector, rewards []float64, nextCandida
 	for step := 0; step < a.opts.TrainStepsPerRound; step++ {
 		for b := 0; b < a.opts.BatchSize; b++ {
 			tr := a.buffer[a.rng.Intn(len(a.buffer))]
-			y := tr.r + a.opts.Gamma*a.doubleQBootstrap(tr.next)
-			a.online.TrainStep(tr.x, y, a.opts.LR)
+			y := tr.r + gamma*a.doubleQBootstrap(tr.next)
+			a.online.TrainStep(tr.x, y, learningRate)
 		}
 	}
 	a.trainRounds++
-	if a.trainRounds%a.opts.TargetSyncEvery == 0 {
+	if a.trainRounds%targetSyncEvery == 0 {
 		a.target.CopyFrom(a.online)
 	}
 }

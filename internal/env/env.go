@@ -8,13 +8,13 @@ package env
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dbabandits/internal/catalog"
 	"dbabandits/internal/datagen"
 	"dbabandits/internal/engine"
 	"dbabandits/internal/index"
-	"dbabandits/internal/mab"
 	"dbabandits/internal/optimizer"
 	"dbabandits/internal/policy"
 	"dbabandits/internal/query"
@@ -53,29 +53,13 @@ type Options struct {
 	// MemoryBudgetX is the index budget as a multiple of the data size
 	// (default 1.0, the paper's setting).
 	MemoryBudgetX float64
-	// PDToolTimeLimitSec caps a single PDTool invocation (the paper caps
-	// TPC-DS dynamic random at 1 hour). 0 = unlimited.
-	PDToolTimeLimitSec float64
-	// MABOptions tweaks the bandit (ablations).
-	MABOptions mab.TunerOptions
-	// MABWarmStartRounds pre-trains the bandit with what-if estimated
-	// rewards over the first round's workload before the real loop (the
-	// cold-start mitigation of Section VII). 0 disables.
-	MABWarmStartRounds int
-	// MABTransferGain, when non-nil and MABWarmStartRounds > 0, replaces
-	// the what-if gain estimator for those warm-start rounds with an
-	// external per-arm estimate — the fleet layer's cross-tenant transfer
-	// (a donor tenant's posterior via mab.TransferBasis). Read at Run
-	// time like the rest of Opts, so one Environment can run a
-	// transfer-warmed span and then a cold control.
-	MABTransferGain func(*mab.Arm) float64
-	// DDQNSeed seeds the agent separately (Figure 8 repeats runs).
-	DDQNSeed int64
-	// RandomSeed seeds the random-configuration control policy; 0 falls
-	// back to Seed.
-	RandomSeed int64
-	// HTAP tunes the hybrid regime's update-heavy rounds (update cadence,
-	// statements per round, write volume). Ignored by other regimes.
+	// Params carries the per-strategy knobs (bandit options, warm start,
+	// policy seeds, the PDTool time limit; see policy.Params). A zero
+	// RandomSeed falls back to Seed. Read at Run time like the rest of
+	// Opts, so callers may tweak them between runs.
+	policy.Params
+	// HTAP tunes the hybrid regime's update cadence. Ignored by other
+	// regimes.
 	HTAP workload.HTAPOptions
 }
 
@@ -99,6 +83,14 @@ func New(opts Options) (*Environment, error) {
 	bench, err := workload.ByName(opts.Benchmark)
 	if err != nil {
 		return nil, err
+	}
+	// NaN and ±Inf slip past the "<= 0 means default" checks below and
+	// would size the data or the budget as garbage.
+	if !finite(opts.ScaleFactor) {
+		return nil, fmt.Errorf("env: ScaleFactor must be finite, got %v", opts.ScaleFactor)
+	}
+	if !finite(opts.MemoryBudgetX) {
+		return nil, fmt.Errorf("env: MemoryBudgetX must be finite, got %v", opts.MemoryBudgetX)
 	}
 	if opts.ScaleFactor <= 0 {
 		opts.ScaleFactor = 10
@@ -144,6 +136,8 @@ func New(opts Options) (*Environment, error) {
 	}
 	return e, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // PlanCacheStats returns the optimiser's cumulative plan-cache counters
 // for this environment — zero-valued when Opt is an uncached optimiser
@@ -316,21 +310,15 @@ func (e *Environment) UpdatesAt(r int) []query.Update {
 	return nil
 }
 
-// policyParams projects the experiment options onto the per-strategy
-// knobs, read at Run time so callers may tweak Opts between runs.
+// policyParams returns the per-strategy knobs of Opts, read at Run time
+// so callers may tweak Opts between runs; a zero RandomSeed falls back
+// to Seed.
 func (e *Environment) policyParams() policy.Params {
-	randomSeed := e.Opts.RandomSeed
-	if randomSeed == 0 {
-		randomSeed = e.Opts.Seed
+	p := e.Opts.Params
+	if p.RandomSeed == 0 {
+		p.RandomSeed = e.Opts.Seed
 	}
-	return policy.Params{
-		MAB:                e.Opts.MABOptions,
-		MABWarmStartRounds: e.Opts.MABWarmStartRounds,
-		MABTransferGain:    e.Opts.MABTransferGain,
-		DDQNSeed:           e.Opts.DDQNSeed,
-		RandomSeed:         randomSeed,
-		PDToolTimeLimitSec: e.Opts.PDToolTimeLimitSec,
-	}
+	return p
 }
 
 var (

@@ -1,6 +1,7 @@
 package env
 
 import (
+	"math"
 	"testing"
 
 	"dbabandits/internal/engine"
@@ -167,6 +168,27 @@ func TestAdvisorPolicyConverges(t *testing.T) {
 	rec, _, _, _ := adv.Totals()
 	if rec <= 0 {
 		t.Fatal("advisor reported zero recommendation time despite what-if calls")
+	}
+}
+
+// TestNonFiniteSizingRejected pins that NaN and ±Inf scale factors and
+// budgets are errors rather than silently sizing the data or the budget
+// as garbage, while zero and negative values keep meaning "default".
+func TestNonFiniteSizingRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(Options{Benchmark: "ssb", Regime: Static, ScaleFactor: v, MaxStoredRows: 200}); err == nil {
+			t.Errorf("ScaleFactor %v accepted", v)
+		}
+		if _, err := New(Options{Benchmark: "ssb", Regime: Static, MemoryBudgetX: v, MaxStoredRows: 200}); err == nil {
+			t.Errorf("MemoryBudgetX %v accepted", v)
+		}
+	}
+	e, err := New(Options{Benchmark: "ssb", Regime: Static, ScaleFactor: -1, MemoryBudgetX: 0, MaxStoredRows: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Opts.ScaleFactor != 10 || e.Opts.MemoryBudgetX != 1 {
+		t.Fatalf("defaults not applied: sf %v, budget x %v", e.Opts.ScaleFactor, e.Opts.MemoryBudgetX)
 	}
 }
 

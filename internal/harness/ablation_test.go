@@ -34,13 +34,13 @@ func TestWarmStartReducesEarlyCost(t *testing.T) {
 
 func TestCreationPenaltyAblationIncreasesCreation(t *testing.T) {
 	base := smallExperiment(t, Static, 8)
-	base.Opts.MABOptions = mab.TunerOptions{MemoryBudgetBytes: base.Budget}
+	base.Opts.MAB = mab.TunerOptions{MemoryBudgetBytes: base.Budget}
 	baseRes, err := base.Run(MAB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	free := smallExperiment(t, Static, 8)
-	free.Opts.MABOptions = mab.TunerOptions{
+	free.Opts.MAB = mab.TunerOptions{
 		MemoryBudgetBytes: free.Budget,
 		NoCreationPenalty: true,
 	}
@@ -57,7 +57,7 @@ func TestCreationPenaltyAblationIncreasesCreation(t *testing.T) {
 
 func TestOneHotContextAblationRuns(t *testing.T) {
 	e := smallExperiment(t, Static, 4)
-	e.Opts.MABOptions = mab.TunerOptions{
+	e.Opts.MAB = mab.TunerOptions{
 		MemoryBudgetBytes: e.Budget,
 		OneHotContext:     true,
 	}

@@ -20,7 +20,7 @@ func TestWarmContextBuildAllocs(t *testing.T) {
 	}
 	schema, db, wls := tpcdsBenchFixture(t, 1)
 	ctxb := NewContextBuilder(schema)
-	gen := NewArmGenerator(schema, ArmGenOptions{})
+	gen := NewArmGenerator(schema)
 	arms := gen.Generate(wls[0])
 	info := ArmInfo{
 		PredicateColumns: PredicateColumnSet(wls[0]),
@@ -48,7 +48,7 @@ func TestWarmGenerateAllocs(t *testing.T) {
 		t.Skip("alloc counts are not stable under the race detector")
 	}
 	schema, _, wls := tpcdsBenchFixture(t, 1)
-	gen := NewArmGenerator(schema, ArmGenOptions{})
+	gen := NewArmGenerator(schema)
 	gen.Generate(wls[0]) // populate the memo
 	if got := testing.AllocsPerRun(20, func() { gen.Generate(wls[0]) }); got != 1 {
 		t.Fatalf("warm Generate allocated %v times per call, want exactly 1 (the fresh result slice)", got)

@@ -43,20 +43,14 @@ func (a *Arm) ID() string { return a.Index.ID() }
 // IsCovering reports whether the arm covers any motivating query.
 func (a *Arm) IsCovering() bool { return len(a.CoveringFor) > 0 }
 
-// ArmGenOptions bound the arm-generation combinatorics.
-type ArmGenOptions struct {
-	// MaxPermutationCols is the largest predicate-column-set size for
+const (
+	// maxPermutationCols is the largest predicate-column-set size for
 	// which all permutations are generated (larger sets fall back to
-	// canonical orderings). Default 3.
-	MaxPermutationCols int
-	// MaxArmsPerTableQuery caps arms generated per (query, table) pair.
-	// Default 24.
-	MaxArmsPerTableQuery int
-	// DisablePayload turns off covering-arm generation (key permutations
-	// of the full predicate set with payload columns as includes).
-	// Covering arms are on by default; this exists for ablations.
-	DisablePayload bool
-}
+	// canonical orderings).
+	maxPermutationCols = 3
+	// maxArmsPerTableQuery caps arms generated per (query, table) pair.
+	maxArmsPerTableQuery = 24
+)
 
 // armProto is one memoised candidate of a (query shape, table) pair: the
 // index object (with its id string already built), its estimated size,
@@ -90,7 +84,6 @@ const maxCachedArmSets = 256
 // tuner instance owns one).
 type ArmGenerator struct {
 	schema *catalog.Schema
-	opts   ArmGenOptions
 
 	protos  map[protoKey][]armProto // (query shape, table) -> protos
 	results map[string][]*Arm       // ordered (template id, shape) list -> arms
@@ -114,17 +107,10 @@ type protoKey struct {
 	table string
 }
 
-// NewArmGenerator returns a generator with defaulted options.
-func NewArmGenerator(schema *catalog.Schema, opts ArmGenOptions) *ArmGenerator {
-	if opts.MaxPermutationCols <= 0 {
-		opts.MaxPermutationCols = 3
-	}
-	if opts.MaxArmsPerTableQuery <= 0 {
-		opts.MaxArmsPerTableQuery = 24
-	}
+// NewArmGenerator returns a generator over the schema.
+func NewArmGenerator(schema *catalog.Schema) *ArmGenerator {
 	return &ArmGenerator{
 		schema:  schema,
-		opts:    opts,
 		protos:  map[protoKey][]armProto{},
 		results: map[string][]*Arm{},
 		shapes:  map[string]string{},
@@ -313,13 +299,13 @@ func (g *ArmGenerator) protosForTable(q *query.Query, meta *catalog.Table) []arm
 	}
 
 	var keys [][]string
-	if len(cols) <= g.opts.MaxPermutationCols {
+	if len(cols) <= maxPermutationCols {
 		keys = permutationsOfSubsets(cols)
 	} else {
-		keys = g.cappedKeyOrders(q, meta, cols, g.opts.MaxPermutationCols)
+		keys = g.cappedKeyOrders(q, meta, cols)
 	}
-	if len(keys) > g.opts.MaxArmsPerTableQuery {
-		keys = keys[:g.opts.MaxArmsPerTableQuery]
+	if len(keys) > maxArmsPerTableQuery {
+		keys = keys[:maxArmsPerTableQuery]
 	}
 
 	payload := q.PayloadColumnsOn(meta.Name)
@@ -342,7 +328,7 @@ func (g *ArmGenerator) protosForTable(q *query.Query, meta *catalog.Table) []arm
 	for _, key := range keys {
 		addProto(key, nil)
 		// Covering variant: full-predicate-set keys with payload includes.
-		if !g.opts.DisablePayload && len(payload) > 0 && len(key) == len(cols) {
+		if len(payload) > 0 && len(key) == len(cols) {
 			addProto(key, payload)
 		}
 	}
@@ -359,10 +345,9 @@ func hasAllColumns(ix *index.Index, cols []string) bool {
 }
 
 // permutationsOfSubsets returns every permutation of every non-empty
-// subset of cols (cols must be small; callers cap at
-// MaxPermutationCols). The permutations share one flat backing array
-// sized exactly in advance, so the enumeration costs three allocations
-// however many orderings it emits.
+// subset of cols (at most maxPermutationCols of them). The permutations
+// share one flat backing array sized exactly in advance, so the
+// enumeration costs three allocations however many orderings it emits.
 func permutationsOfSubsets(cols []string) [][]string {
 	n := len(cols)
 	perms, entries := 0, 0
@@ -374,18 +359,10 @@ func permutationsOfSubsets(cols []string) [][]string {
 	}
 	out := make([][]string, 0, perms)
 	flat := make([]string, 0, entries)
-	// Small fixed-size working arrays (n is capped at MaxPermutationCols,
-	// default 3); only out and flat escape. Oversized option values fall
-	// back to heap slices.
-	var curArr [8]string
-	var usedArr [8]bool
-	var cur []string
-	var used []bool
-	if n <= len(usedArr) {
-		cur, used = curArr[:0], usedArr[:n]
-	} else {
-		cur, used = make([]string, 0, n), make([]bool, n)
-	}
+	// Fixed-size working arrays; only out and flat escape.
+	var curArr [maxPermutationCols]string
+	var usedArr [maxPermutationCols]bool
+	cur, used := curArr[:0], usedArr[:n]
 	var rec func()
 	rec = func() {
 		if len(cur) > 0 {
@@ -415,15 +392,15 @@ func permutationsOfSubsets(cols []string) [][]string {
 // of the most selective columns, and a canonical full ordering (equality
 // columns by descending NDV — most selective seeks first — then the
 // rest).
-func (g *ArmGenerator) cappedKeyOrders(q *query.Query, meta *catalog.Table, cols []string, maxPerm int) [][]string {
+func (g *ArmGenerator) cappedKeyOrders(q *query.Query, meta *catalog.Table, cols []string) [][]string {
 	var out [][]string
 	for _, c := range cols {
 		out = append(out, []string{c})
 	}
 	ranked := g.rankColumns(q, meta, cols)
 	top := ranked
-	if len(top) > maxPerm {
-		top = top[:maxPerm]
+	if len(top) > maxPermutationCols {
+		top = top[:maxPermutationCols]
 	}
 	for _, a := range top {
 		for _, b := range top {

@@ -24,7 +24,7 @@ func figure1Query() *query.Query {
 
 func TestGenerateFigure1Example(t *testing.T) {
 	schema, _ := testdb.Build(1)
-	g := NewArmGenerator(schema, ArmGenOptions{})
+	g := NewArmGenerator(schema)
 	arms := g.Generate([]*query.Query{figure1Query()})
 	// Paper's Example 3: two predicates generate six arms — four key-only
 	// permutations (2 singles + 2 ordered pairs) and two covering
@@ -54,7 +54,7 @@ func TestGenerateFigure1Example(t *testing.T) {
 
 func TestGenerateIncludesJoinColumns(t *testing.T) {
 	schema, _ := testdb.Build(1)
-	g := NewArmGenerator(schema, ArmGenOptions{})
+	g := NewArmGenerator(schema)
 	q := &query.Query{
 		TemplateID: 2,
 		Tables:     []string{"orders", "customer"},
@@ -84,7 +84,7 @@ func TestGenerateIncludesJoinColumns(t *testing.T) {
 
 func TestGenerateDeduplicatesAcrossQueries(t *testing.T) {
 	schema, _ := testdb.Build(1)
-	g := NewArmGenerator(schema, ArmGenOptions{})
+	g := NewArmGenerator(schema)
 	q1 := figure1Query()
 	q2 := figure1Query()
 	q2.TemplateID = 7
@@ -98,7 +98,7 @@ func TestGenerateDeduplicatesAcrossQueries(t *testing.T) {
 
 func TestGenerateCapsWidePredicateSets(t *testing.T) {
 	schema, _ := testdb.Build(1)
-	g := NewArmGenerator(schema, ArmGenOptions{MaxPermutationCols: 3, MaxArmsPerTableQuery: 24})
+	g := NewArmGenerator(schema)
 	q := &query.Query{
 		TemplateID: 3,
 		Tables:     []string{"orders"},
@@ -134,7 +134,7 @@ func TestGenerateCapsWidePredicateSets(t *testing.T) {
 
 func TestGenerateDeterministicOrder(t *testing.T) {
 	schema, _ := testdb.Build(1)
-	g := NewArmGenerator(schema, ArmGenOptions{})
+	g := NewArmGenerator(schema)
 	a := g.Generate([]*query.Query{figure1Query()})
 	b := g.Generate([]*query.Query{figure1Query()})
 	if len(a) != len(b) {
@@ -152,7 +152,7 @@ func TestGenerateMemoisedAcrossInstances(t *testing.T) {
 	// memoised generator must produce identical arm sets for both — and
 	// identical to a cold generator's output.
 	schema, _ := testdb.Build(1)
-	warm := NewArmGenerator(schema, ArmGenOptions{})
+	warm := NewArmGenerator(schema)
 	q1 := figure1Query()
 	first := warm.Generate([]*query.Query{q1})
 
@@ -160,7 +160,7 @@ func TestGenerateMemoisedAcrossInstances(t *testing.T) {
 	q2.Filters[0].Lo, q2.Filters[0].Hi = 99, 99 // fresh constants, same shape
 	second := warm.Generate([]*query.Query{q2})
 
-	cold := NewArmGenerator(schema, ArmGenOptions{}).Generate([]*query.Query{q2})
+	cold := NewArmGenerator(schema).Generate([]*query.Query{q2})
 	for _, other := range [][]*Arm{second, cold} {
 		if len(first) != len(other) {
 			t.Fatalf("arm counts differ: %d vs %d", len(first), len(other))
@@ -181,7 +181,7 @@ func TestGenerateMemoReturnsFreshSlice(t *testing.T) {
 	// candidates); the memo must hand out a fresh slice each round so a
 	// caller's reordering cannot corrupt later rounds.
 	schema, _ := testdb.Build(1)
-	g := NewArmGenerator(schema, ArmGenOptions{})
+	g := NewArmGenerator(schema)
 	qs := []*query.Query{figure1Query()}
 	a := g.Generate(qs)
 	if len(a) < 2 {
@@ -200,7 +200,7 @@ func TestGenerateMemoKeyedByQoISet(t *testing.T) {
 	// Growing and shrinking the QoI set must not leak motivating-template
 	// lists across cache entries.
 	schema, _ := testdb.Build(1)
-	g := NewArmGenerator(schema, ArmGenOptions{})
+	g := NewArmGenerator(schema)
 	q1 := figure1Query()
 	q2 := figure1Query()
 	q2.TemplateID = 7
@@ -234,7 +234,7 @@ func TestGenerateMemoDistinguishesJoins(t *testing.T) {
 	// join columns into the candidate keys — the memo must not serve a
 	// join-free query's protos to a signature-colliding joined query.
 	schema, _ := testdb.Build(1)
-	g := NewArmGenerator(schema, ArmGenOptions{})
+	g := NewArmGenerator(schema)
 	plain := &query.Query{
 		TemplateID: 4,
 		Tables:     []string{"orders", "customer"},
@@ -278,7 +278,7 @@ func TestPermutationsOfSubsets(t *testing.T) {
 
 func TestArmSizePositive(t *testing.T) {
 	schema, _ := testdb.Build(1)
-	g := NewArmGenerator(schema, ArmGenOptions{})
+	g := NewArmGenerator(schema)
 	for _, a := range g.Generate([]*query.Query{figure1Query()}) {
 		if a.SizeBytes <= 0 {
 			t.Fatalf("arm %s has non-positive size", a.ID())

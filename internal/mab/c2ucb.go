@@ -23,8 +23,6 @@ import (
 // the per-arm work is one dot product plus one batched quadratic form.
 type C2UCB struct {
 	state *linalg.RidgeState
-	// Alpha returns the exploration-boost factor for round t (1-based).
-	Alpha func(t int) float64
 	round int
 
 	// rewardScale tracks the magnitude of observed rewards so the
@@ -41,14 +39,10 @@ func DefaultAlpha(t int) float64 {
 }
 
 // NewC2UCB creates the bandit with context dimension dim and ridge
-// regularisation lambda. A nil alpha uses DefaultAlpha.
-func NewC2UCB(dim int, lambda float64, alpha func(int) float64) *C2UCB {
-	if alpha == nil {
-		alpha = DefaultAlpha
-	}
+// regularisation lambda; exploration follows DefaultAlpha.
+func NewC2UCB(dim int, lambda float64) *C2UCB {
 	return &C2UCB{
 		state:       linalg.NewRidgeState(dim, lambda),
-		Alpha:       alpha,
 		rewardScale: 1,
 	}
 }
@@ -78,7 +72,7 @@ func (b *C2UCB) Scores(contexts []linalg.SparseVector) []float64 {
 // rounds. Results are byte-identical to Scores.
 func (b *C2UCB) ScoresInto(contexts []linalg.SparseVector, out []float64) {
 	theta := b.state.Theta()
-	alpha := b.Alpha(b.round) * b.rewardScale
+	alpha := DefaultAlpha(b.round) * b.rewardScale
 	b.state.ConfidenceWidthBatch(contexts, out)
 	for i, x := range contexts {
 		out[i] = theta.DotSparse(x) + alpha*out[i]

@@ -13,7 +13,7 @@ func TestC2UCBLearnsLinearScores(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	dim := 5
 	theta := linalg.Vector{2, -1, 0.5, 3, -2}
-	b := NewC2UCB(dim, 0.25, nil)
+	b := NewC2UCB(dim, 0.25)
 	for round := 0; round < 200; round++ {
 		b.BeginRound()
 		var ctxs []linalg.SparseVector
@@ -35,7 +35,7 @@ func TestC2UCBLearnsLinearScores(t *testing.T) {
 }
 
 func TestC2UCBScoresIncludeExplorationBoost(t *testing.T) {
-	b := NewC2UCB(3, 1, nil)
+	b := NewC2UCB(3, 1)
 	b.BeginRound()
 	x := linalg.SparseFromDense(linalg.Vector{1, 0, 0})
 	ucb := b.Scores([]linalg.SparseVector{x})[0]
@@ -46,7 +46,7 @@ func TestC2UCBScoresIncludeExplorationBoost(t *testing.T) {
 }
 
 func TestC2UCBBoostShrinksWithObservations(t *testing.T) {
-	b := NewC2UCB(3, 1, nil)
+	b := NewC2UCB(3, 1)
 	x := linalg.SparseFromDense(linalg.Vector{1, 0.5, 0})
 	b.BeginRound()
 	before := b.Scores([]linalg.SparseVector{x})[0] - b.ExpectedScores([]linalg.SparseVector{x})[0]
@@ -65,7 +65,7 @@ func TestC2UCBGeneralisesToUnseenArms(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dim := 4
 	theta := linalg.Vector{5, 0, -3, 1}
-	b := NewC2UCB(dim, 0.25, nil)
+	b := NewC2UCB(dim, 0.25)
 	for round := 0; round < 300; round++ {
 		b.BeginRound()
 		x := linalg.NewVector(dim)
@@ -82,7 +82,7 @@ func TestC2UCBGeneralisesToUnseenArms(t *testing.T) {
 }
 
 func TestC2UCBForgetResetsKnowledge(t *testing.T) {
-	b := NewC2UCB(2, 1, nil)
+	b := NewC2UCB(2, 1)
 	x := linalg.SparseFromDense(linalg.Vector{1, 0})
 	for i := 0; i < 50; i++ {
 		b.Update([]linalg.SparseVector{x}, []float64{10})
@@ -97,7 +97,7 @@ func TestC2UCBForgetResetsKnowledge(t *testing.T) {
 }
 
 func TestC2UCBRewardScaleAdapts(t *testing.T) {
-	b := NewC2UCB(2, 1, nil)
+	b := NewC2UCB(2, 1)
 	if b.rewardScale != 1 {
 		t.Fatalf("initial scale = %v", b.rewardScale)
 	}
@@ -133,7 +133,7 @@ func TestQuickC2UCBUnbiased(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dim := 2 + rng.Intn(3)
-		b := NewC2UCB(dim, 0.1, nil)
+		b := NewC2UCB(dim, 0.1)
 		w := make(linalg.Vector, dim)
 		for i := range w {
 			w[i] = float64(rng.Intn(10)) - 5

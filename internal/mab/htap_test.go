@@ -100,7 +100,7 @@ func TestTunerChurnStatistics(t *testing.T) {
 		t.Fatalf("untouched table exposure = %v, want 0", got)
 	}
 
-	// A quiet round decays both statistics by ChurnDecay (default 0.5).
+	// A quiet round decays both statistics by churnDecay (0.5).
 	tuner.ObserveUpdates(nil, nil)
 	if got := tuner.armChurn(totalArm); got != 0.09375 {
 		t.Fatalf("decayed exposure = %v, want 0.09375", got)

@@ -92,7 +92,7 @@ func tpcdsScoresFixture(b testing.TB) (*C2UCB, []linalg.SparseVector, int) {
 	schema, db, wls := tpcdsBenchFixture(b, 1)
 	dbSize := db.DataSizeBytes()
 	ctxb := NewContextBuilder(schema)
-	gen := NewArmGenerator(schema, ArmGenOptions{})
+	gen := NewArmGenerator(schema)
 	arms := gen.Generate(wls[0])
 	predCols := PredicateColumnSet(wls[0])
 	ctxs := make([]linalg.SparseVector, len(arms))
@@ -102,7 +102,7 @@ func tpcdsScoresFixture(b testing.TB) (*C2UCB, []linalg.SparseVector, int) {
 			DatabaseBytes:    dbSize,
 		})
 	}
-	bandit := NewC2UCB(ctxb.Dim(), 0.25, nil)
+	bandit := NewC2UCB(ctxb.Dim(), 0.25)
 	bandit.BeginRound()
 	for r := 0; r < 4; r++ {
 		bandit.Update(ctxs[:8], make([]float64, 8))
@@ -154,7 +154,7 @@ func BenchmarkScoresBatch(b *testing.B) {
 func BenchmarkScoresSparse(b *testing.B) {
 	bandit, ctxs, _ := tpcdsScoresFixture(b)
 	theta := bandit.state.Theta()
-	alpha := bandit.Alpha(1)
+	alpha := DefaultAlpha(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
@@ -176,7 +176,7 @@ func BenchmarkScoresDenseTPCDS(b *testing.B) {
 		dense[i] = x.Dense()
 	}
 	theta := bandit.state.Theta()
-	alpha := bandit.Alpha(1)
+	alpha := DefaultAlpha(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64

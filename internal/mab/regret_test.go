@@ -59,7 +59,7 @@ func (sb *syntheticBandit) optimalReward() float64 {
 // play runs T rounds of C2UCB with a top-m oracle and returns the
 // cumulative regret trajectory.
 func (sb *syntheticBandit) play(T int) []float64 {
-	bandit := NewC2UCB(len(sb.theta), 0.25, nil)
+	bandit := NewC2UCB(len(sb.theta), 0.25)
 	opt := sb.optimalReward()
 	regret := make([]float64, T)
 	var cum float64
@@ -117,7 +117,7 @@ func TestRegretSublinearGrowth(t *testing.T) {
 
 func TestRegretConvergesToOptimalSuperArm(t *testing.T) {
 	sb := newSyntheticBandit(3, 4, 20, 2, 0.05)
-	bandit := NewC2UCB(len(sb.theta), 0.25, nil)
+	bandit := NewC2UCB(len(sb.theta), 0.25)
 	// After enough rounds the greedy selection matches the true top-m.
 	for t1 := 0; t1 < 300; t1++ {
 		bandit.BeginRound()
@@ -160,7 +160,7 @@ func TestRegretConvergesToOptimalSuperArm(t *testing.T) {
 // regressions").
 func TestRegretRobustToAdversarialStart(t *testing.T) {
 	sb := newSyntheticBandit(4, 4, 10, 1, 0.05)
-	bandit := NewC2UCB(len(sb.theta), 0.25, nil)
+	bandit := NewC2UCB(len(sb.theta), 0.25)
 	truth := make([]float64, len(sb.contexts))
 	for i, x := range sb.contexts {
 		truth[i] = sb.theta.DotSparse(x)

@@ -2,6 +2,7 @@ package mab
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dbabandits/internal/index"
@@ -65,9 +66,8 @@ func (qs *QueryStore) Restore(s *QueryStoreSnapshot) {
 }
 
 // C2UCBSnapshot is the serialisable state of the bandit: the ridge
-// state plus the round counter and the adaptive reward
-// scale. The alpha schedule is code, not state — the restored bandit
-// keeps the schedule it was constructed with.
+// state plus the round counter and the adaptive reward scale. The alpha
+// schedule (DefaultAlpha) is code, not state.
 type C2UCBSnapshot struct {
 	Ridge       *linalg.RidgeSnapshot
 	Round       int
@@ -88,9 +88,14 @@ func (b *C2UCB) Snapshot() *C2UCBSnapshot {
 // snapshot was taken under different context options and cannot be
 // meaningfully resumed. A ridge snapshot written under a removed option
 // fails with *linalg.RemovedOptionError (see linalg.RestoreRidgeState).
+// A reward scale below 1 (or non-finite) is refused: Update never lets
+// the live scale drop under 1, so such a snapshot is corrupt.
 func (b *C2UCB) Restore(s *C2UCBSnapshot) error {
 	if s == nil || s.Ridge == nil {
 		return fmt.Errorf("mab: nil bandit snapshot")
+	}
+	if math.IsNaN(s.RewardScale) || math.IsInf(s.RewardScale, 0) || s.RewardScale < 1 {
+		return fmt.Errorf("mab: bandit snapshot reward scale %v, want a finite value >= 1", s.RewardScale)
 	}
 	if s.Ridge.Dim != b.state.Dim {
 		return fmt.Errorf("mab: bandit snapshot dimension %d, tuner built for %d (context options differ)",
@@ -143,11 +148,16 @@ func (t *Tuner) Snapshot() (*TunerSnapshot, error) {
 // Restore replaces the tuner's state with the snapshot's. The tuner
 // must have been constructed (NewTuner) with the same schema and
 // options the snapshotted tuner ran under; everything the options
-// derive (context builder, arm generator, alpha schedule) is rebuilt by
-// construction and only the learned state is carried over.
+// derive (context builder, arm generator) is rebuilt by construction and
+// only the learned state is carried over. A query-store window below 1
+// is refused: under it QoI returns nothing, and the tuner would stop
+// generating arms for the rest of the session.
 func (t *Tuner) Restore(s *TunerSnapshot) error {
 	if s == nil || s.Bandit == nil || s.Store == nil {
 		return fmt.Errorf("mab: nil tuner snapshot")
+	}
+	if s.Store.Window < 1 {
+		return fmt.Errorf("mab: query-store snapshot window %d, want >= 1", s.Store.Window)
 	}
 	if err := t.bandit.Restore(s.Bandit); err != nil {
 		return err

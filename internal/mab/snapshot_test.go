@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -98,6 +99,52 @@ func TestTunerRestoreRejectsDimensionMismatch(t *testing.T) {
 	h2 := newMiniHarness(t, TunerOptions{UpdateAwareContext: true})
 	if err := h2.tuner.Restore(snap); err == nil {
 		t.Fatal("dimension mismatch accepted")
+	}
+}
+
+// TestTunerRestoreRejectsCorruptState pins that a snapshot whose bandit
+// reward scale is below 1 or non-finite (Update clamps the live scale
+// to at least 1), or whose query-store window is below 1 (QoI would
+// return nothing ever after), is refused, and that a refused restore
+// leaves the tuner untouched.
+func TestTunerRestoreRejectsCorruptState(t *testing.T) {
+	h := newMiniHarness(t, TunerOptions{})
+	h.round(t, selectiveWorkload(1))
+	cases := []struct {
+		name   string
+		mutate func(*TunerSnapshot)
+	}{
+		{"reward scale 0.5", func(s *TunerSnapshot) { s.Bandit.RewardScale = 0.5 }},
+		{"reward scale 0", func(s *TunerSnapshot) { s.Bandit.RewardScale = 0 }},
+		{"reward scale NaN", func(s *TunerSnapshot) { s.Bandit.RewardScale = math.NaN() }},
+		{"reward scale +Inf", func(s *TunerSnapshot) { s.Bandit.RewardScale = math.Inf(1) }},
+		{"window 0", func(s *TunerSnapshot) { s.Store.Window = 0 }},
+		{"window -1", func(s *TunerSnapshot) { s.Store.Window = -1 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			snap, err := h.tuner.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.mutate(snap)
+			fresh := newMiniHarness(t, TunerOptions{}).tuner
+			if err := fresh.Restore(snap); err == nil {
+				t.Fatal("corrupt snapshot accepted")
+			}
+			if fresh.round != 0 || fresh.bandit.Round() != 0 || fresh.store.Window != 3 {
+				t.Fatalf("refused restore mutated the tuner: round %d, bandit round %d, window %d",
+					fresh.round, fresh.bandit.Round(), fresh.store.Window)
+			}
+		})
+	}
+	// The unmutated snapshot still restores.
+	snap, err := h.tuner.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := newMiniHarness(t, TunerOptions{}).tuner.Restore(snap); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -8,76 +8,50 @@ import (
 	"dbabandits/internal/query"
 )
 
-// TunerOptions configure the MAB tuner.
+// TunerOptions configure the MAB tuner: the memory budget, the HTAP
+// context extension, and three ablation switches. The tuning constants
+// below are not options; the README's "Tuning constants" table lists
+// them.
 type TunerOptions struct {
 	// MemoryBudgetBytes is the secondary-index budget M (the experiments
 	// use 1x the data size).
 	MemoryBudgetBytes int64
-	// Lambda is the ridge regularisation (the paper notes it "becomes
-	// less relevant as rounds are observed"). Default 0.25.
-	Lambda float64
-	// Alpha overrides the exploration schedule; nil uses DefaultAlpha.
-	Alpha func(t int) float64
-	// QoIWindow is the query-store recency window in rounds. Default 3.
-	QoIWindow int
-	// ArmGen bounds arm generation.
-	ArmGen ArmGenOptions
-	// ShiftForgetThreshold is the shift intensity above which the bandit
-	// forgets proportionally; default 0.5.
-	ShiftForgetThreshold float64
 	// DisableForgetting turns shift-scaled forgetting off (ablation).
 	DisableForgetting bool
-	// MaxForgetFactor caps the forgetting discount applied on a workload
-	// shift; 1.0 resets fully on a complete shift. Retaining a fraction
-	// of the learned creation-cost weights tempers post-shift
-	// re-exploration. Default 0.7.
-	MaxForgetFactor float64
 	// NoCreationPenalty removes creation time from rewards (ablation;
 	// invites index oscillation).
 	NoCreationPenalty bool
 	// OneHotContext switches Part 1 to bag-of-columns (ablation).
 	OneHotContext bool
-	// UsageDecay is the per-round decay of the usage statistic D3.
-	// Default 0.6.
-	UsageDecay float64
-	// MaxNewIndexesPerRound throttles materialisations per round (see
-	// SelectSuperArmThrottled). Default 6; negative disables throttling.
-	MaxNewIndexesPerRound int
 	// UpdateAwareContext appends the HTAP update-sensitivity components
 	// (churn exposure + size-weighted churn) to every arm context, so the
 	// bandit can learn to drop high-churn indexes. Off by default:
 	// enabling it changes the context dimensionality, so analytical runs
 	// keep the exact pre-HTAP numbers.
 	UpdateAwareContext bool
-	// ChurnDecay is the per-round decay of the learned table/column churn
-	// statistics. Default 0.5.
-	ChurnDecay float64
 }
 
-func (o TunerOptions) withDefaults() TunerOptions {
-	if o.Lambda <= 0 {
-		o.Lambda = 0.25
-	}
-	if o.QoIWindow <= 0 {
-		o.QoIWindow = 3
-	}
-	if o.ShiftForgetThreshold <= 0 {
-		o.ShiftForgetThreshold = 0.5
-	}
-	if o.UsageDecay <= 0 {
-		o.UsageDecay = 0.6
-	}
-	if o.MaxForgetFactor <= 0 {
-		o.MaxForgetFactor = 0.7
-	}
-	if o.MaxNewIndexesPerRound == 0 {
-		o.MaxNewIndexesPerRound = 6
-	}
-	if o.ChurnDecay <= 0 {
-		o.ChurnDecay = 0.5
-	}
-	return o
-}
+const (
+	// ridgeLambda is the ridge regularisation (the paper notes it
+	// "becomes less relevant as rounds are observed").
+	ridgeLambda = 0.25
+	// shiftForgetThreshold is the shift intensity above which the bandit
+	// forgets proportionally.
+	shiftForgetThreshold = 0.5
+	// maxForgetFactor caps the forgetting discount applied on a workload
+	// shift (1.0 would reset fully on a complete shift). Retaining a
+	// fraction of the learned creation-cost weights tempers post-shift
+	// re-exploration.
+	maxForgetFactor = 0.7
+	// usageDecay is the per-round decay of the usage statistic D3.
+	usageDecay = 0.6
+	// maxNewIndexesPerRound throttles materialisations per round (see
+	// SelectSuperArmThrottled).
+	maxNewIndexesPerRound = 6
+	// churnDecay is the per-round decay of the learned table/column
+	// churn statistics.
+	churnDecay = 0.5
+)
 
 // Tuner is the end-to-end MAB index tuner (Algorithm 2): it observes each
 // round's workload, generates arms and contexts, asks C2UCB for a super
@@ -147,20 +121,16 @@ type roundScratch struct {
 // NewTuner constructs the tuner for a schema. dbSizeBytes is the logical
 // data size used to normalise the context's size component.
 func NewTuner(schema *catalog.Schema, dbSizeBytes int64, opts TunerOptions) *Tuner {
-	opts = opts.withDefaults()
 	ctxb := NewContextBuilder(schema)
 	ctxb.OneHot = opts.OneHotContext
 	ctxb.UpdateDims = opts.UpdateAwareContext
-	store := NewQueryStore()
-	store.Window = opts.QoIWindow
-	bandit := NewC2UCB(ctxb.Dim(), opts.Lambda, opts.Alpha)
 	return &Tuner{
 		schema:     schema,
 		opts:       opts,
-		bandit:     bandit,
+		bandit:     NewC2UCB(ctxb.Dim(), ridgeLambda),
 		ctxb:       ctxb,
-		gen:        NewArmGenerator(schema, opts.ArmGen),
-		store:      store,
+		gen:        NewArmGenerator(schema),
+		store:      NewQueryStore(),
 		cfg:        index.NewConfig(),
 		usage:      map[string]float64{},
 		tableChurn: map[string]float64{},
@@ -202,11 +172,8 @@ func (t *Tuner) Recommend(lastWorkload []*query.Query) *Recommendation {
 	if len(lastWorkload) > 0 {
 		t.store.Observe(t.round-1, lastWorkload)
 		if !t.opts.DisableForgetting {
-			if shift := t.store.ShiftIntensity(); shift >= t.opts.ShiftForgetThreshold && t.round > 2 {
-				if shift > t.opts.MaxForgetFactor {
-					shift = t.opts.MaxForgetFactor
-				}
-				t.bandit.Forget(shift)
+			if shift := t.store.ShiftIntensity(); shift >= shiftForgetThreshold && t.round > 2 {
+				t.bandit.Forget(min(shift, maxForgetFactor))
 			}
 		}
 	}
@@ -246,11 +213,7 @@ func (t *Tuner) Recommend(lastWorkload []*query.Query) *Recommendation {
 	t.bandit.ScoresInto(contexts, scores)
 	clear(s.existing)
 	t.cfg.EachID(func(id string) { s.existing[id] = true })
-	maxNew := t.opts.MaxNewIndexesPerRound
-	if maxNew < 0 {
-		maxNew = 0
-	}
-	selected := selectSuperArmScratch(arms, scores, t.opts.MemoryBudgetBytes, s.existing, maxNew, &s.oracle)
+	selected := selectSuperArmScratch(arms, scores, t.opts.MemoryBudgetBytes, s.existing, maxNewIndexesPerRound, &s.oracle)
 
 	next := index.NewConfig()
 	for _, a := range selected {
@@ -353,15 +316,14 @@ func (t *Tuner) ObserveExecution(stats []*engine.ExecStats, creationSec map[stri
 func (t *Tuner) ObserveUpdates(updates []query.Update, perIndexSec map[string]float64) {
 	t.pendingMaint = perIndexSec
 
-	decay := t.opts.ChurnDecay
 	for k := range t.tableChurn {
-		t.tableChurn[k] *= decay
+		t.tableChurn[k] *= churnDecay
 		if t.tableChurn[k] < 1e-9 {
 			delete(t.tableChurn, k)
 		}
 	}
 	for k := range t.colChurn {
-		t.colChurn[k] *= decay
+		t.colChurn[k] *= churnDecay
 		if t.colChurn[k] < 1e-9 {
 			delete(t.colChurn, k)
 		}
@@ -400,7 +362,7 @@ func (t *Tuner) armChurn(a *Arm) float64 {
 // decayUsage applies the per-round decay and adds 1 for used indexes.
 func (t *Tuner) decayUsage(used map[string]bool) {
 	for id := range t.usage {
-		t.usage[id] *= t.opts.UsageDecay
+		t.usage[id] *= usageDecay
 		if t.usage[id] < 1e-6 {
 			delete(t.usage, id)
 		}

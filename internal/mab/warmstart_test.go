@@ -111,15 +111,6 @@ func TestThrottleDisabled(t *testing.T) {
 	}
 }
 
-func TestQoIWindowOption(t *testing.T) {
-	h := newMiniHarness(t, TunerOptions{QoIWindow: 1})
-	h.round(t, selectiveWorkload(1))
-	h.round(t, selectiveWorkload(2))
-	if h.tuner.Store().Window != 1 {
-		t.Fatalf("window = %d", h.tuner.Store().Window)
-	}
-}
-
 func TestTunerRewardSignWiring(t *testing.T) {
 	// End-to-end reward check: run until a covering index is used, then
 	// verify theta predicts a positive score for its materialised context

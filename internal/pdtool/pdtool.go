@@ -31,37 +31,25 @@ import (
 type Options struct {
 	// MemoryBudgetBytes bounds the total size of recommended indexes.
 	MemoryBudgetBytes int64
-	// MaxGreedyCandidates keeps only the top-K standalone candidates for
-	// the combinatorial greedy phase (controls what-if call volume, as
-	// commercial tools do with candidate pruning). Default 64.
-	MaxGreedyCandidates int
-	// MaxIterations bounds greedy additions. Default 16.
-	MaxIterations int
-	// WhatIfSecPerCall converts optimiser invocations into modelled
-	// recommendation seconds. Default 0.05.
-	WhatIfSecPerCall float64
 	// TimeLimitSec stops the search once the modelled recommendation time
 	// exceeds it (0 = unlimited). Mirrors the paper's 1-hour cap for the
 	// TPC-DS dynamic random experiment.
 	TimeLimitSec float64
-	// ArmGen bounds candidate generation (shared with the MAB's).
-	ArmGen mab.ArmGenOptions
 	// DisableMerging turns off the index-merging pass (ablation).
 	DisableMerging bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxGreedyCandidates <= 0 {
-		o.MaxGreedyCandidates = 64
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 16
-	}
-	if o.WhatIfSecPerCall <= 0 {
-		o.WhatIfSecPerCall = 0.05
-	}
-	return o
-}
+const (
+	// maxGreedyCandidates keeps only the top-K standalone candidates for
+	// the combinatorial greedy phase (controls what-if call volume, as
+	// commercial tools do with candidate pruning).
+	maxGreedyCandidates = 64
+	// maxIterations bounds greedy additions.
+	maxIterations = 16
+	// whatIfSecPerCall converts optimiser invocations into modelled
+	// recommendation seconds.
+	whatIfSecPerCall = 0.05
+)
 
 // Advisor is the offline physical design tool.
 type Advisor struct {
@@ -73,12 +61,11 @@ type Advisor struct {
 
 // New constructs an advisor.
 func New(schema *catalog.Schema, opt *optimizer.Optimizer, opts Options) *Advisor {
-	opts = opts.withDefaults()
 	return &Advisor{
 		schema: schema,
 		opt:    opt,
 		opts:   opts,
-		gen:    mab.NewArmGenerator(schema, opts.ArmGen),
+		gen:    mab.NewArmGenerator(schema),
 	}
 }
 
@@ -157,15 +144,15 @@ func (a *Advisor) Recommend(training []*query.Query) *Recommendation {
 		}
 		return ranked[i].arm.ID() < ranked[j].arm.ID()
 	})
-	if len(ranked) > a.opts.MaxGreedyCandidates {
-		ranked = ranked[:a.opts.MaxGreedyCandidates]
+	if len(ranked) > maxGreedyCandidates {
+		ranked = ranked[:maxGreedyCandidates]
 	}
 
 	// Combinatorial greedy: add the candidate with the best marginal
 	// estimated improvement each iteration.
 	curCost := totalCost(baseCost)
 	remaining := a.opts.MemoryBudgetBytes
-	for iter := 0; iter < a.opts.MaxIterations && !a.overTimeLimit(rec); iter++ {
+	for iter := 0; iter < maxIterations && !a.overTimeLimit(rec); iter++ {
 		bestIdx := -1
 		bestCost := curCost
 		for i, cand := range ranked {
@@ -199,7 +186,7 @@ func (a *Advisor) Recommend(training []*query.Query) *Recommendation {
 	}
 
 	rec.EstimatedBenefitSec = totalCost(baseCost) - curCost
-	rec.RecommendSec = float64(rec.WhatIfCalls) * a.opts.WhatIfSecPerCall
+	rec.RecommendSec = float64(rec.WhatIfCalls) * whatIfSecPerCall
 	if a.opts.TimeLimitSec > 0 && rec.RecommendSec > a.opts.TimeLimitSec {
 		rec.RecommendSec = a.opts.TimeLimitSec
 	}
@@ -303,7 +290,7 @@ func (a *Advisor) overTimeLimit(rec *Recommendation) bool {
 	if a.opts.TimeLimitSec <= 0 {
 		return false
 	}
-	return float64(rec.WhatIfCalls)*a.opts.WhatIfSecPerCall >= a.opts.TimeLimitSec
+	return float64(rec.WhatIfCalls)*whatIfSecPerCall >= a.opts.TimeLimitSec
 }
 
 func totalCost(m map[*query.Query]float64) float64 {

@@ -103,7 +103,7 @@ func TestRecommendationTimeGrowsWithWorkload(t *testing.T) {
 }
 
 func TestTimeLimitCapsSearch(t *testing.T) {
-	a, _ := newAdvisor(t, Options{TimeLimitSec: 0.3, WhatIfSecPerCall: 0.05})
+	a, _ := newAdvisor(t, Options{TimeLimitSec: 0.3})
 	rec := a.Recommend(trainingWorkload())
 	if rec.RecommendSec > 0.3+1e-9 {
 		t.Fatalf("recommendation time %v exceeds limit", rec.RecommendSec)

@@ -53,7 +53,7 @@ const advisorGainDecay = 0.5
 func newAdvisor(e Env, _ Params) (Policy, error) {
 	return &advisorPolicy{
 		opt:          e.WhatIf(),
-		gen:          mab.NewArmGenerator(e.Catalog(), mab.ArmGenOptions{}),
+		gen:          mab.NewArmGenerator(e.Catalog()),
 		store:        mab.NewQueryStore(),
 		budget:       e.MemoryBudgetBytes(),
 		priceIndex:   e.IndexCreationSec,

@@ -60,7 +60,7 @@ func newDDQN(e Env, p Params, singleColumn bool) (Policy, error) {
 		name:  name,
 		agent: ddqn.NewAgent(ctxb.Dim(), ddqn.AgentOptions{Seed: p.DDQNSeed, SingleColumn: singleColumn}),
 		ctxb:  ctxb,
-		gen:   mab.NewArmGenerator(e.Catalog(), mab.ArmGenOptions{}),
+		gen:   mab.NewArmGenerator(e.Catalog()),
 		store: mab.NewQueryStore(),
 
 		dbSize: e.DataSizeBytes(),

@@ -167,11 +167,13 @@ type Params struct {
 	// mab.TransferBasis (fleet cross-tenant warm start). Only consulted
 	// when MABWarmStartRounds > 0.
 	MABTransferGain func(*mab.Arm) float64
-	// DDQNSeed seeds the DDQN agent (repetitions use distinct seeds).
+	// DDQNSeed seeds the DDQN agent (Figure 8's repetitions use distinct
+	// seeds).
 	DDQNSeed int64
 	// RandomSeed seeds the random-configuration control policy.
 	RandomSeed int64
-	// PDToolTimeLimitSec caps a single PDTool invocation. 0 = unlimited.
+	// PDToolTimeLimitSec caps a single PDTool invocation (the paper caps
+	// TPC-DS dynamic random at 1 hour). 0 = unlimited.
 	PDToolTimeLimitSec float64
 }
 

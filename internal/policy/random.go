@@ -45,7 +45,7 @@ func newRandomConfig(e Env, p Params) (Policy, error) {
 		// plain rand.New(rand.NewSource(...)) used historically, so the
 		// pinned goldens are unchanged — and the control is checkpointable.
 		rng:    snaprand.New(seed*1_000_003 + 17),
-		gen:    mab.NewArmGenerator(e.Catalog(), mab.ArmGenOptions{}),
+		gen:    mab.NewArmGenerator(e.Catalog()),
 		store:  mab.NewQueryStore(),
 		budget: e.MemoryBudgetBytes(),
 		cfg:    index.NewConfig(),

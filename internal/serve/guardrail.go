@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"fmt"
+	"math"
+
 	"dbabandits/internal/index"
 	"dbabandits/internal/optimizer"
 	"dbabandits/internal/query"
@@ -41,6 +44,25 @@ type GuardrailOptions struct {
 	// the stronger medicine for a policy whose learned state itself
 	// went bad.
 	ForgetFactor float64
+}
+
+// validate rejects what withDefaults cannot repair: a non-finite budget
+// or forget factor, or a forget factor outside [0, 1]. A NaN budget
+// would survive withDefaults (NaN <= 0 is false) and then switch the
+// guardrail off silently, since no realized cost exceeds NaN*baseline.
+func (o GuardrailOptions) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"BudgetX", o.BudgetX}, {"BudgetSec", o.BudgetSec}, {"ForgetFactor", o.ForgetFactor}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("serve: guardrail %s must be finite, got %v", f.name, f.v)
+		}
+	}
+	if o.ForgetFactor < 0 || o.ForgetFactor > 1 {
+		return fmt.Errorf("serve: guardrail ForgetFactor must be in [0, 1], got %v", o.ForgetFactor)
+	}
+	return nil
 }
 
 func (o GuardrailOptions) withDefaults() GuardrailOptions {

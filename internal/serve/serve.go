@@ -97,6 +97,9 @@ type Session struct {
 // New prepares a serving session: benchmark data, environment, policy
 // and guardrail. The caller owns the session and must Close it.
 func New(opts Options) (*Session, error) {
+	if err := opts.Guardrail.validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	e, err := env.New(env.Options{
 		Benchmark:     opts.Benchmark,
@@ -105,8 +108,6 @@ func New(opts Options) (*Session, error) {
 		MaxStoredRows: opts.MaxStoredRows,
 		Seed:          opts.Seed,
 		MemoryBudgetX: opts.MemoryBudgetX,
-		DDQNSeed:      opts.Seed,
-		RandomSeed:    opts.Seed,
 	})
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -305,6 +306,48 @@ func TestSessionValidation(t *testing.T) {
 	bad.Policy = "no-such-policy"
 	if _, err := New(bad); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"ScaleFactor NaN", func(o *Options) { o.ScaleFactor = nan }},
+		{"ScaleFactor +Inf", func(o *Options) { o.ScaleFactor = inf }},
+		{"MemoryBudgetX NaN", func(o *Options) { o.MemoryBudgetX = nan }},
+		{"MemoryBudgetX -Inf", func(o *Options) { o.MemoryBudgetX = -inf }},
+		{"guard BudgetX NaN", func(o *Options) { o.Guardrail.BudgetX = nan }},
+		{"guard BudgetX +Inf", func(o *Options) { o.Guardrail.BudgetX = inf }},
+		{"guard BudgetSec NaN", func(o *Options) { o.Guardrail.BudgetSec = nan }},
+		{"guard BudgetSec -Inf", func(o *Options) { o.Guardrail.BudgetSec = -inf }},
+		{"guard ForgetFactor NaN", func(o *Options) { o.Guardrail.ForgetFactor = nan }},
+		{"guard ForgetFactor -0.1", func(o *Options) { o.Guardrail.ForgetFactor = -0.1 }},
+		{"guard ForgetFactor 1.5", func(o *Options) { o.Guardrail.ForgetFactor = 1.5 }},
+	} {
+		o := testOptions()
+		c.set(&o)
+		if s, err := New(o); err == nil {
+			s.Close()
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+	edge := testOptions()
+	edge.Guardrail.ForgetFactor = 1
+	es, err := New(edge)
+	if err != nil {
+		t.Fatalf("ForgetFactor 1 refused: %v", err)
+	}
+	// Restore goes through New, so a checkpoint carrying a bad guardrail
+	// is refused too.
+	ck, err := es.Checkpoint()
+	es.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Guardrail.ForgetFactor = 1.5
+	if r, err := Restore(ck); err == nil {
+		r.Close()
+		t.Error("checkpoint with guardrail ForgetFactor 1.5 restored")
 	}
 
 	s, err := New(testOptions())

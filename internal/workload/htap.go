@@ -29,24 +29,21 @@ type HTAPOptions struct {
 	// alternate analytical and hybrid rounds). Negative disables updates
 	// entirely, reducing the sequencer to its analytical base.
 	UpdateEvery int
-	// Statements is the number of update statements per update-heavy
-	// round (default 4).
-	Statements int
-	// MaxRowsFrac caps the fraction of a fact table's logical rows one
-	// statement writes (default 0.02); drawn volumes vary uniformly in
-	// (MaxRowsFrac/4, MaxRowsFrac].
-	MaxRowsFrac float64
 }
+
+const (
+	// htapStatements is the number of update statements per update-heavy
+	// round.
+	htapStatements = 4
+	// htapMaxRowsFrac caps the fraction of a fact table's logical rows
+	// one statement writes; drawn volumes vary uniformly in
+	// (htapMaxRowsFrac/4, htapMaxRowsFrac].
+	htapMaxRowsFrac = 0.02
+)
 
 func (o HTAPOptions) withDefaults() HTAPOptions {
 	if o.UpdateEvery == 0 {
 		o.UpdateEvery = 2
-	}
-	if o.Statements <= 0 {
-		o.Statements = 4
-	}
-	if o.MaxRowsFrac <= 0 {
-		o.MaxRowsFrac = 0.02
 	}
 	return o
 }
@@ -120,11 +117,11 @@ func (s *HTAPSequencer) UpdatesAt(r int) []query.Update {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(s.seed ^ int64(r)*777_767))
-	out := make([]query.Update, 0, s.opts.Statements)
-	for i := 0; i < s.opts.Statements; i++ {
+	out := make([]query.Update, 0, htapStatements)
+	for i := 0; i < htapStatements; i++ {
 		table := s.facts[rng.Intn(len(s.facts))]
 		tbl := s.db.MustTable(table)
-		frac := s.opts.MaxRowsFrac * (0.25 + 0.75*rng.Float64())
+		frac := htapMaxRowsFrac * (0.25 + 0.75*rng.Float64())
 		u := query.Update{
 			Table: table,
 			Rows:  frac * tbl.LogicalRows(),

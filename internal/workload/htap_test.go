@@ -84,7 +84,7 @@ func TestHTAPUpdateCadenceAndDeterminism(t *testing.T) {
 			}
 			tbl := db.MustTable(u.Table)
 			if u.Rows > 0.02*tbl.LogicalRows() {
-				t.Fatalf("round %d: volume %v exceeds MaxRowsFrac cap", r, u.Rows)
+				t.Fatalf("round %d: volume %v exceeds htapMaxRowsFrac cap", r, u.Rows)
 			}
 			switch u.Kind {
 			case query.UpdateInsert:
