@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fmt vet benchmod smoke cover bench benchsweep benchsmoke benchdiff ci
+.PHONY: build test race fmt vet benchmod smoke cover fuzz bench benchsweep benchsmoke benchdiff ci
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,18 @@ benchmod:
 smoke:
 	$(GO) run ./cmd/experiments -exp fig2 -quick -parallel 4 -progress
 
+# Native fuzzing of the trust-boundary decoders, 10 s per target
+# (go test -fuzz takes one target and one package per run; for a longer
+# local run call go test -fuzz directly). Each target's committed seed
+# corpus under testdata/fuzz also runs as part of the ordinary test
+# suite. Minimising a new input is capped at 100 runs: at the default
+# 60 s, shrinking one 25 KB checkpoint image takes the whole budget and
+# the fuzzer makes no further progress.
+FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 100x
+fuzz:
+	$(FUZZ) -fuzz '^FuzzDecodeCheckpoint$$' ./internal/serve/
+	$(FUZZ) -fuzz '^FuzzFloatencDecode$$' ./internal/floatenc/
+
 # Per-package coverage, as published in the CI workflow summary.
 cover:
 	$(GO) test -cover ./...
@@ -47,7 +59,7 @@ cover:
 # cmd/benchjson, so the perf trajectory is tracked in-repo. Compare
 # against BENCH_baseline.json (captured at the pre-sparse-fast-path
 # commit) — see the README's Performance section.
-BENCH_PATTERN = 'BenchmarkTunerRecommendTPCDS$$|BenchmarkTunerRecommendSteadyState$$|BenchmarkScoresTPCDS$$|BenchmarkScoresBatch$$|BenchmarkScoresSparse$$|BenchmarkScoresDenseTPCDS$$|BenchmarkThetaCached$$|BenchmarkThetaRecompute$$|BenchmarkRidgeObserveScore$$|BenchmarkRidgeObserveScoreSparse$$|BenchmarkRidgeForget$$|BenchmarkRidgeObserve$$|BenchmarkC2UCBScores$$|BenchmarkArmGeneration$$|BenchmarkFleetRound$$|BenchmarkChoosePlanCold$$|BenchmarkChoosePlanWarm$$|BenchmarkChoosePlanMiss$$|BenchmarkWhatIfCost$$|BenchmarkWhatIfSingleIndexSweep$$|BenchmarkWhatIfWorkloadCold$$|BenchmarkWhatIfWorkloadWarm$$|BenchmarkEnvRoundSteadyState$$|BenchmarkQueryExecution$$|BenchmarkExecuteWorkloadTPCDS$$'
+BENCH_PATTERN = 'BenchmarkTunerRecommendTPCDS$$|BenchmarkTunerRecommendSteadyState$$|BenchmarkScoresTPCDS$$|BenchmarkScoresBatch$$|BenchmarkScoresSparse$$|BenchmarkScoresDenseTPCDS$$|BenchmarkThetaCached$$|BenchmarkThetaRecompute$$|BenchmarkRidgeObserveScore$$|BenchmarkRidgeObserveScoreSparse$$|BenchmarkRidgeForget$$|BenchmarkRidgeObserve$$|BenchmarkC2UCBScores$$|BenchmarkArmGeneration$$|BenchmarkFleetRound$$|BenchmarkChoosePlanCold$$|BenchmarkChoosePlanWarm$$|BenchmarkChoosePlanMiss$$|BenchmarkWhatIfCost$$|BenchmarkWhatIfSingleIndexSweep$$|BenchmarkWhatIfWorkloadCold$$|BenchmarkWhatIfWorkloadWarm$$|BenchmarkEnvRoundSteadyState$$|BenchmarkQueryExecution$$|BenchmarkExecuteWorkloadTPCDS$$|BenchmarkWriteCheckpoint$$|BenchmarkRestoreCheckpoint$$'
 
 bench:
 	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem ./... > .bench.out
@@ -59,16 +71,20 @@ bench:
 BENCH_LATEST = BENCH_1b520dd.json
 
 # Perf regression tripwire mirroring CI: re-runs the Observe/Scores,
-# recommend-round and engine-execution hot paths, captures them through
-# benchjson, and fails if any benchmark present in both captures
-# regressed ns/op OR allocs/op by more than 30% against the committed
-# latest capture — the alloc budget is what keeps TunerRecommend's arena
-# path and Execute's pooled buffers flat.
+# recommend-round, engine-execution and checkpoint restore hot paths,
+# captures them through benchjson, and fails if any benchmark present in
+# both captures regressed ns/op OR allocs/op by more than 30% against
+# the committed latest capture — the alloc budget is what keeps
+# TunerRecommend's arena path and Execute's pooled buffers flat.
 # Benchmarks new since that capture are reported but never gated.
+# BenchmarkWriteCheckpoint stays out of the gate: its ns/op includes two
+# fsyncs, i.e. disk latency that varies far more than 30% across
+# runners. It is captured by `make bench`, and TestCheckpointAllocs in
+# internal/serve pins its allocations.
 benchdiff:
-	$(GO) test -run '^$$' -bench 'Observe|Scores|TunerRecommend|ChoosePlan|WhatIf|EnvRound|QueryExecution|ExecuteWorkload' -benchmem . ./internal/linalg/ ./internal/mab/ ./internal/env/ > .benchdiff.out
+	$(GO) test -run '^$$' -bench 'Observe|Scores|TunerRecommend|ChoosePlan|WhatIf|EnvRound|QueryExecution|ExecuteWorkload|RestoreCheckpoint' -benchmem . ./internal/linalg/ ./internal/mab/ ./internal/env/ ./internal/serve/ > .benchdiff.out
 	$(GO) run ./cmd/benchjson < .benchdiff.out > .benchdiff.json
-	@$(GO) run ./cmd/benchdiff -only 'Observe|Scores|TunerRecommend|ChoosePlan|WhatIf|EnvRound|QueryExecution|ExecuteWorkload' -fail-over 30 -fail-over-allocs 30 $(BENCH_LATEST) .benchdiff.json; \
+	@$(GO) run ./cmd/benchdiff -only 'Observe|Scores|TunerRecommend|ChoosePlan|WhatIf|EnvRound|QueryExecution|ExecuteWorkload|RestoreCheckpoint' -fail-over 30 -fail-over-allocs 30 $(BENCH_LATEST) .benchdiff.json; \
 	status=$$?; rm -f .benchdiff.out .benchdiff.json; exit $$status
 
 # Parallel-runner speedup benchmark (sequential vs all-CPU sweep).
@@ -87,4 +103,4 @@ benchsmoke:
 
 # cover subsumes test (go test -cover runs the full suite), so ci pays
 # for one suite pass plus the race pass, matching the CI workflow.
-ci: fmt vet build cover benchmod race smoke benchsmoke benchdiff
+ci: fmt vet build cover benchmod race fuzz smoke benchsmoke benchdiff

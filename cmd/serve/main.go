@@ -17,11 +17,14 @@
 //
 // A restored session skips the stream's already-served prefix and then
 // recommends byte-identically to a session that was never interrupted —
-// the property TestCommandSmokes checks end to end.
+// the property TestCommandSmokes checks end to end. A checkpoint that
+// is truncated, fails its checksum, has another format version or does
+// not parse is refused: -restore exits 1 naming the kind.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,6 +65,10 @@ func main() {
 			cli.Fatal("serve", fmt.Errorf("-restore needs -checkpoint"))
 		}
 		s, err = serve.RestoreFile(*ckptPath)
+		var ce *serve.CheckpointError
+		if errors.As(err, &ce) {
+			cli.Fatal("serve", fmt.Errorf("-restore refused a %s checkpoint: %w", ce.Kind, err))
+		}
 	} else {
 		s, err = serve.New(serve.Options{
 			Benchmark:     *bench,

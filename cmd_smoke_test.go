@@ -22,7 +22,10 @@ import (
 //     disk (the process-local "Served" counter in the summary line is
 //     masked);
 //   - removed flags: -ridge and -forget-rank are gone, so passing either
-//     exits 2 like any unknown flag.
+//     exits 2 like any unknown flag;
+//   - refused checkpoint: -restore from the serve case's checkpoint cut
+//     in half exits 1, names the refusal's kind on stderr and prints no
+//     report.
 func TestCommandSmokes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the commands")
@@ -118,6 +121,28 @@ func TestCommandSmokes(t *testing.T) {
 			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 				t.Errorf("%s: err %v, want exit status 2", strings.Join(args, " "), err)
 			}
+		}
+	})
+
+	t.Run("refused checkpoint", func(t *testing.T) {
+		img, err := os.ReadFile(filepath.Join(work, "serve.ckpt"))
+		if err != nil {
+			t.Fatalf("the serve case leaves no checkpoint: %v", err)
+		}
+		if err := os.WriteFile(filepath.Join(work, "cut.ckpt"), img[:len(img)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(filepath.Join(bin, "serve"), "-restore", "-stream", "stream.txt", "-checkpoint", "cut.ckpt")
+		cmd.Dir = work
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || len(out) != 0 {
+			t.Fatalf("restore from a cut checkpoint: err %v, stdout %q; want exit status 1 and no output", err, out)
+		}
+		if !strings.Contains(stderr.String(), "refused a truncated checkpoint") {
+			t.Fatalf("stderr %q does not name the refusal's kind", stderr.String())
 		}
 	})
 }

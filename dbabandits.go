@@ -289,13 +289,17 @@ type (
 	ServeWindowReport = serve.WindowReport
 	// ServeCheckpoint is the versioned on-disk session image.
 	ServeCheckpoint = serve.Checkpoint
+	// ServeCheckpointError is the typed refusal of a checkpoint that is
+	// truncated, fails its checksum, has another format version or does
+	// not parse; its Kind says which.
+	ServeCheckpointError = serve.CheckpointError
 	// ServeStream reads the serving line protocol (one window of
 	// template ids per line, instantiated deterministically).
 	ServeStream = serve.Stream
 )
 
 // ServeCheckpointVersion is the checkpoint format version this build
-// reads and writes.
+// writes; it also reads version 1 files, migrating them on load.
 const ServeCheckpointVersion = serve.CheckpointVersion
 
 // NewServeSession prepares a serving session; the caller must Close it.
@@ -303,7 +307,8 @@ func NewServeSession(opts ServeOptions) (*ServeSession, error) { return serve.Ne
 
 // RestoreServeSession resumes a session from a checkpoint file. The
 // restored session's next Feed behaves exactly as the checkpointed
-// session's would have.
+// session's would have. A file it refuses yields a
+// *ServeCheckpointError and no session.
 func RestoreServeSession(path string) (*ServeSession, error) { return serve.RestoreFile(path) }
 
 // RestoreServeCheckpoint resumes a session from an in-memory checkpoint.

@@ -58,3 +58,28 @@ func TestEmptyAndErrors(t *testing.T) {
 		t.Fatalf("DecodeLen failed: %v, %v", vs, err)
 	}
 }
+
+// FuzzFloatencDecode round-trips arbitrary strings: Decode must never
+// panic, and whatever it accepts must re-encode to a string that
+// decodes to the same values bit for bit.
+func FuzzFloatencDecode(f *testing.F) {
+	f.Add(Encode([]float64{0, -1, math.Pi, math.Inf(1), math.NaN(), math.SmallestNonzeroFloat64}))
+	f.Fuzz(func(t *testing.T, s string) {
+		vs, err := Decode(s)
+		if err != nil {
+			return
+		}
+		again, err := Decode(Encode(vs))
+		if err != nil {
+			t.Fatalf("re-encoded values refused: %v", err)
+		}
+		if len(again) != len(vs) {
+			t.Fatalf("round trip changed the length: %d vs %d", len(again), len(vs))
+		}
+		for i := range vs {
+			if math.Float64bits(again[i]) != math.Float64bits(vs[i]) {
+				t.Fatalf("value %d: bits %x != %x", i, math.Float64bits(again[i]), math.Float64bits(vs[i]))
+			}
+		}
+	})
+}

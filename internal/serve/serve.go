@@ -9,6 +9,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 
 	"dbabandits/internal/env"
@@ -92,6 +93,8 @@ type Session struct {
 	lastWindow []*query.Query
 	guard      *guard
 	closed     bool
+
+	ckptBuf bytes.Buffer // WriteCheckpoint's image, reused across windows
 }
 
 // New prepares a serving session: benchmark data, environment, policy

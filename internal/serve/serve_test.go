@@ -36,7 +36,7 @@ func testOptions() Options {
 	}
 }
 
-func feedAll(t *testing.T, s *Session, st *Stream, max int) []*WindowReport {
+func feedAll(t testing.TB, s *Session, st *Stream, max int) []*WindowReport {
 	t.Helper()
 	var reps []*WindowReport
 	for max <= 0 || len(reps) < max {
@@ -56,7 +56,7 @@ func feedAll(t *testing.T, s *Session, st *Stream, max int) []*WindowReport {
 	return reps
 }
 
-func reportJSON(t *testing.T, reps []*WindowReport) string {
+func reportJSON(t testing.TB, reps []*WindowReport) string {
 	t.Helper()
 	data, err := json.Marshal(reps)
 	if err != nil {
@@ -70,12 +70,12 @@ func reportJSON(t *testing.T, reps []*WindowReport) string {
 // byte-identical window reports and an identical final configuration to
 // a session that was never interrupted.
 //
-// Two older checkpoints of the same session must restore the same way:
-// the fresh checkpoint with the scoring-worker key older builds wrote
-// spliced in (see writeLegacyCheckpoint), which the loader ignores, and
-// testdata/parent_default.ckpt, written by the build before the ridge
-// options were removed at its default flags. The "sm" subtest checks
-// all three. Checkpoints that build wrote with -ridge chol or
+// Two older (version 1) checkpoints of the same session must restore
+// the same way: testdata/parent_default.ckpt, written by the build
+// before the ridge options were removed at its default flags, and that
+// image with the scoring-worker key older builds wrote spliced in (see
+// writeLegacyCheckpoint), which the loader ignores. The "sm" subtest
+// checks all three. Checkpoints that build wrote with -ridge chol or
 // -forget-rank 3 must instead fail Restore with
 // *linalg.RemovedOptionError (the "chol" and "forget_rank" subtests).
 func TestKillRestoreDeterminism(t *testing.T) {
@@ -103,7 +103,7 @@ func TestKillRestoreDeterminism(t *testing.T) {
 		victim.Close() // the kill
 
 		legacyPath := filepath.Join(dir, "legacy.ckpt")
-		writeLegacyCheckpoint(t, path, legacyPath)
+		writeLegacyCheckpoint(t, legacyPath)
 
 		for _, p := range []string{path, legacyPath, filepath.Join("testdata", "parent_default.ckpt")} {
 			restored, err := RestoreFile(p)
@@ -156,11 +156,12 @@ func TestKillRestoreDeterminism(t *testing.T) {
 // arm-scoring worker count; Checkpoint no longer has that field.
 const legacyWorkersKey = "ScoreWorkers"
 
-// writeLegacyCheckpoint copies the checkpoint at src to dst with a
-// legacyWorkersKey of 4 added.
-func writeLegacyCheckpoint(t *testing.T, src, dst string) {
+// writeLegacyCheckpoint writes to dst the version 1 image
+// testdata/parent_default.ckpt with a legacyWorkersKey of 4 added,
+// indented as version 1 builds wrote it.
+func writeLegacyCheckpoint(t *testing.T, dst string) {
 	t.Helper()
-	data, err := os.ReadFile(src)
+	data, err := os.ReadFile(filepath.Join("testdata", "parent_default.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +173,11 @@ func writeLegacyCheckpoint(t *testing.T, src, dst string) {
 		t.Fatalf("checkpoint already carries a %s key", legacyWorkersKey)
 	}
 	fields[legacyWorkersKey] = json.RawMessage("4")
-	data, err = json.Marshal(fields)
+	data, err = json.MarshalIndent(fields, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(dst, data, 0o644); err != nil {
+	if err := os.WriteFile(dst, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -377,7 +378,8 @@ func TestCheckpointVersionGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck.Version = CheckpointVersion + 1
-	if _, err := Restore(ck); err == nil {
-		t.Fatal("future checkpoint version accepted")
+	var ce *CheckpointError
+	if _, err := Restore(ck); !errors.As(err, &ce) || ce.Kind != KindVersion {
+		t.Fatalf("future checkpoint version: err = %v, want a version *CheckpointError", err)
 	}
 }
