@@ -29,9 +29,9 @@ const (
 	benchStoredRows  = 1500
 )
 
-func benchExperiment(b *testing.B, bench string, regime harness.Regime, rounds int) *harness.Experiment {
+func benchExperiment(b *testing.B, bench string, regime env.Regime, rounds int) *env.Environment {
 	b.Helper()
-	exp, err := harness.New(harness.Options{
+	exp, err := env.New(env.Options{
 		Benchmark:     bench,
 		Regime:        regime,
 		Rounds:        rounds,
@@ -47,11 +47,11 @@ func benchExperiment(b *testing.B, bench string, regime harness.Regime, rounds i
 
 // runPair executes NoIndex/PDTool/MAB and reports their totals as
 // metrics.
-func runPair(b *testing.B, exp *harness.Experiment) {
+func runPair(b *testing.B, exp *env.Environment) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		totals := map[harness.TunerKind]float64{}
-		for _, kind := range []harness.TunerKind{harness.NoIndex, harness.PDTool, harness.MAB} {
+		totals := map[env.TunerKind]float64{}
+		for _, kind := range []env.TunerKind{env.NoIndex, env.PDTool, env.MAB} {
 			res, err := exp.Run(kind)
 			if err != nil {
 				b.Fatal(err)
@@ -59,9 +59,9 @@ func runPair(b *testing.B, exp *harness.Experiment) {
 			_, _, _, total := res.Totals()
 			totals[kind] = total
 		}
-		b.ReportMetric(totals[harness.NoIndex], "noindex-sec")
-		b.ReportMetric(totals[harness.PDTool], "pdtool-sec")
-		b.ReportMetric(totals[harness.MAB], "mab-sec")
+		b.ReportMetric(totals[env.NoIndex], "noindex-sec")
+		b.ReportMetric(totals[env.PDTool], "pdtool-sec")
+		b.ReportMetric(totals[env.MAB], "mab-sec")
 	}
 }
 
@@ -70,9 +70,9 @@ func runPair(b *testing.B, exp *harness.Experiment) {
 func BenchmarkFig2StaticConvergence(b *testing.B) {
 	for _, bench := range workload.AllNames() {
 		b.Run(bench, func(b *testing.B) {
-			exp := benchExperiment(b, bench, harness.Static, benchRounds)
+			exp := benchExperiment(b, bench, env.Static, benchRounds)
 			for i := 0; i < b.N; i++ {
-				res, err := exp.Run(harness.MAB)
+				res, err := exp.Run(env.MAB)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -85,7 +85,7 @@ func BenchmarkFig2StaticConvergence(b *testing.B) {
 func BenchmarkFig3StaticTotals(b *testing.B) {
 	for _, bench := range workload.AllNames() {
 		b.Run(bench, func(b *testing.B) {
-			runPair(b, benchExperiment(b, bench, harness.Static, benchRounds))
+			runPair(b, benchExperiment(b, bench, env.Static, benchRounds))
 		})
 	}
 }
@@ -95,9 +95,9 @@ func BenchmarkFig3StaticTotals(b *testing.B) {
 func BenchmarkFig4ShiftingConvergence(b *testing.B) {
 	for _, bench := range []string{"ssb", "tpch-skew"} {
 		b.Run(bench, func(b *testing.B) {
-			exp := benchExperiment(b, bench, harness.Shifting, benchShiftRounds)
+			exp := benchExperiment(b, bench, env.Shifting, benchShiftRounds)
 			for i := 0; i < b.N; i++ {
-				res, err := exp.Run(harness.MAB)
+				res, err := exp.Run(env.MAB)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -110,7 +110,7 @@ func BenchmarkFig4ShiftingConvergence(b *testing.B) {
 func BenchmarkFig5ShiftingTotals(b *testing.B) {
 	for _, bench := range workload.AllNames() {
 		b.Run(bench, func(b *testing.B) {
-			runPair(b, benchExperiment(b, bench, harness.Shifting, benchShiftRounds))
+			runPair(b, benchExperiment(b, bench, env.Shifting, benchShiftRounds))
 		})
 	}
 }
@@ -120,9 +120,9 @@ func BenchmarkFig5ShiftingTotals(b *testing.B) {
 func BenchmarkFig6RandomConvergence(b *testing.B) {
 	for _, bench := range []string{"tpcds", "imdb"} {
 		b.Run(bench, func(b *testing.B) {
-			exp := benchExperiment(b, bench, harness.Random, benchRounds)
+			exp := benchExperiment(b, bench, env.Random, benchRounds)
 			for i := 0; i < b.N; i++ {
-				res, err := exp.Run(harness.MAB)
+				res, err := exp.Run(env.MAB)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -135,7 +135,7 @@ func BenchmarkFig6RandomConvergence(b *testing.B) {
 func BenchmarkFig7RandomTotals(b *testing.B) {
 	for _, bench := range workload.AllNames() {
 		b.Run(bench, func(b *testing.B) {
-			runPair(b, benchExperiment(b, bench, harness.Random, benchRounds))
+			runPair(b, benchExperiment(b, bench, env.Random, benchRounds))
 		})
 	}
 }
@@ -143,15 +143,15 @@ func BenchmarkFig7RandomTotals(b *testing.B) {
 // --- Table I: time breakdown ---
 
 func BenchmarkTable1Breakdown(b *testing.B) {
-	for _, regime := range []harness.Regime{harness.Static, harness.Shifting, harness.Random} {
+	for _, regime := range []env.Regime{env.Static, env.Shifting, env.Random} {
 		rounds := benchRounds
-		if regime == harness.Shifting {
+		if regime == env.Shifting {
 			rounds = benchShiftRounds
 		}
 		b.Run(string(regime), func(b *testing.B) {
 			exp := benchExperiment(b, "tpch-skew", regime, rounds)
 			for i := 0; i < b.N; i++ {
-				res, err := exp.Run(harness.MAB)
+				res, err := exp.Run(env.MAB)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -169,9 +169,9 @@ func BenchmarkTable1Breakdown(b *testing.B) {
 func BenchmarkTable2ScaleFactors(b *testing.B) {
 	for _, sf := range []float64{1, 10, 100} {
 		b.Run(fmt.Sprintf("sf%.0f", sf), func(b *testing.B) {
-			exp, err := harness.New(harness.Options{
+			exp, err := env.New(env.Options{
 				Benchmark:     "tpch-skew",
-				Regime:        harness.Static,
+				Regime:        env.Static,
 				Rounds:        benchRounds,
 				ScaleFactor:   sf,
 				MaxStoredRows: benchStoredRows,
@@ -181,7 +181,7 @@ func BenchmarkTable2ScaleFactors(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				res, err := exp.Run(harness.MAB)
+				res, err := exp.Run(env.MAB)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -195,9 +195,9 @@ func BenchmarkTable2ScaleFactors(b *testing.B) {
 // --- Figure 8: DDQN vs MAB ---
 
 func BenchmarkFig8RLComparison(b *testing.B) {
-	for _, kind := range []harness.TunerKind{harness.MAB, harness.DDQN, harness.DDQNSC} {
+	for _, kind := range []env.TunerKind{env.MAB, env.DDQN, env.DDQNSC} {
 		b.Run(string(kind), func(b *testing.B) {
-			exp := benchExperiment(b, "tpch", harness.Static, benchRounds)
+			exp := benchExperiment(b, "tpch", env.Static, benchRounds)
 			for i := 0; i < b.N; i++ {
 				res, err := exp.Run(kind)
 				if err != nil {
@@ -221,13 +221,13 @@ func BenchmarkAblationContextEncoding(b *testing.B) {
 			name = "onehot"
 		}
 		b.Run(name, func(b *testing.B) {
-			exp := benchExperiment(b, "tpch", harness.Static, benchRounds)
+			exp := benchExperiment(b, "tpch", env.Static, benchRounds)
 			exp.Opts.MAB = mab.TunerOptions{
 				MemoryBudgetBytes: exp.Budget,
 				OneHotContext:     oneHot,
 			}
 			for i := 0; i < b.N; i++ {
-				res, err := exp.Run(harness.MAB)
+				res, err := exp.Run(env.MAB)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -247,13 +247,13 @@ func BenchmarkAblationForgetting(b *testing.B) {
 			name = "off"
 		}
 		b.Run(name, func(b *testing.B) {
-			exp := benchExperiment(b, "tpch-skew", harness.Shifting, benchShiftRounds)
+			exp := benchExperiment(b, "tpch-skew", env.Shifting, benchShiftRounds)
 			exp.Opts.MAB = mab.TunerOptions{
 				MemoryBudgetBytes: exp.Budget,
 				DisableForgetting: disabled,
 			}
 			for i := 0; i < b.N; i++ {
-				res, err := exp.Run(harness.MAB)
+				res, err := exp.Run(env.MAB)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -273,13 +273,13 @@ func BenchmarkAblationCreationPenalty(b *testing.B) {
 			name = "free-creation"
 		}
 		b.Run(name, func(b *testing.B) {
-			exp := benchExperiment(b, "ssb", harness.Static, benchRounds)
+			exp := benchExperiment(b, "ssb", env.Static, benchRounds)
 			exp.Opts.MAB = mab.TunerOptions{
 				MemoryBudgetBytes: exp.Budget,
 				NoCreationPenalty: off,
 			}
 			for i := 0; i < b.N; i++ {
-				res, err := exp.Run(harness.MAB)
+				res, err := exp.Run(env.MAB)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -300,10 +300,10 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 			name = "warm"
 		}
 		b.Run(name, func(b *testing.B) {
-			exp := benchExperiment(b, "ssb", harness.Static, benchRounds)
+			exp := benchExperiment(b, "ssb", env.Static, benchRounds)
 			exp.Opts.MABWarmStartRounds = warm
 			for i := 0; i < b.N; i++ {
-				res, err := exp.Run(harness.MAB)
+				res, err := exp.Run(env.MAB)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -368,11 +368,11 @@ func BenchmarkRunCellsStaticSweep(b *testing.B) {
 	specs := func() []harness.CellSpec {
 		var out []harness.CellSpec
 		for _, bench := range workload.AllNames() {
-			for _, kind := range []harness.TunerKind{harness.NoIndex, harness.PDTool, harness.MAB} {
+			for _, kind := range []env.TunerKind{env.NoIndex, env.PDTool, env.MAB} {
 				out = append(out, harness.CellSpec{
-					Options: harness.Options{
+					Options: env.Options{
 						Benchmark:     bench,
-						Regime:        harness.Static,
+						Regime:        env.Static,
 						Rounds:        benchRounds,
 						ScaleFactor:   10,
 						MaxStoredRows: benchStoredRows,

@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"dbabandits/internal/cli"
+	"dbabandits/internal/env"
 	"dbabandits/internal/harness"
 )
 
@@ -53,20 +54,20 @@ func main() {
 
 	// Figures 2-7 and Table I share their runs: collect the needed
 	// regimes and fan every cell out in a single sweep.
-	var regimes []harness.Regime
+	var regimes []env.Regime
 	if all || want["fig2"] || want["fig3"] || want["table1"] {
-		regimes = append(regimes, harness.Static)
+		regimes = append(regimes, env.Static)
 	}
 	if all || want["fig4"] || want["fig5"] || want["table1"] {
-		regimes = append(regimes, harness.Shifting)
+		regimes = append(regimes, env.Shifting)
 	}
 	if all || want["fig6"] || want["fig7"] || want["table1"] {
-		regimes = append(regimes, harness.Random)
+		regimes = append(regimes, env.Random)
 	}
 	byRegime := runRegimes(regimes)
-	staticRuns := byRegime[harness.Static]
-	shiftRuns := byRegime[harness.Shifting]
-	randomRuns := byRegime[harness.Random]
+	staticRuns := byRegime[env.Static]
+	shiftRuns := byRegime[env.Shifting]
+	randomRuns := byRegime[env.Random]
 
 	if all || want["fig2"] {
 		renderConvergenceSet("Figure 2 — static convergence", staticRuns)
@@ -90,10 +91,10 @@ func main() {
 		renderSpeedups(randomRuns)
 	}
 	if all || want["table1"] {
-		harness.RenderTable1(os.Stdout, map[harness.Regime]map[string][]*harness.RunResult{
-			harness.Static:   staticRuns,
-			harness.Shifting: shiftRuns,
-			harness.Random:   randomRuns,
+		harness.RenderTable1(os.Stdout, map[env.Regime]map[string][]*env.RunResult{
+			env.Static:   staticRuns,
+			env.Shifting: shiftRuns,
+			env.Random:   randomRuns,
 		})
 		fmt.Println()
 	}
@@ -109,14 +110,14 @@ func main() {
 }
 
 // rounds returns the regime's round count, shrunk in quick mode.
-func rounds(regime harness.Regime) int {
+func rounds(regime env.Regime) int {
 	if *quick {
-		if regime == harness.Shifting {
+		if regime == env.Shifting {
 			return 8
 		}
 		return 5
 	}
-	if regime == harness.Shifting {
+	if regime == env.Shifting {
 		return 80
 	}
 	return 25
@@ -145,8 +146,8 @@ func runCells(specs []harness.CellSpec) []harness.CellResult {
 }
 
 // cellSpec builds the sweep cell for one benchmark/regime/tuner point.
-func cellSpec(bench string, regime harness.Regime, kind harness.TunerKind) harness.CellSpec {
-	opts := harness.Options{
+func cellSpec(bench string, regime env.Regime, kind env.TunerKind) harness.CellSpec {
+	opts := env.Options{
 		Benchmark:     bench,
 		Regime:        regime,
 		Rounds:        rounds(regime),
@@ -154,7 +155,7 @@ func cellSpec(bench string, regime harness.Regime, kind harness.TunerKind) harne
 		MaxStoredRows: *rows,
 		Seed:          *seed,
 	}
-	if bench == "tpcds" && regime == harness.Random {
+	if bench == "tpcds" && regime == env.Random {
 		// The paper caps PDTool at 1 hour per invocation here.
 		opts.PDToolTimeLimitSec = 3600
 	}
@@ -164,29 +165,29 @@ func cellSpec(bench string, regime harness.Regime, kind harness.TunerKind) harne
 // runRegimes executes NoIndex/PDTool/MAB on all five benchmarks for
 // every requested regime as one parallel sweep, then regroups the
 // results per regime and benchmark in spec order.
-func runRegimes(regimes []harness.Regime) map[harness.Regime]map[string][]*harness.RunResult {
+func runRegimes(regimes []env.Regime) map[env.Regime]map[string][]*env.RunResult {
 	var specs []harness.CellSpec
 	for _, regime := range regimes {
 		for _, bench := range benches {
-			for _, kind := range []harness.TunerKind{harness.NoIndex, harness.PDTool, harness.MAB} {
+			for _, kind := range []env.TunerKind{env.NoIndex, env.PDTool, env.MAB} {
 				specs = append(specs, cellSpec(bench, regime, kind))
 			}
 		}
 	}
 	results := runCells(specs)
 
-	out := map[harness.Regime]map[string][]*harness.RunResult{}
+	out := map[env.Regime]map[string][]*env.RunResult{}
 	for _, r := range results {
 		regime, bench := r.Spec.Regime, r.Spec.Benchmark
 		if out[regime] == nil {
-			out[regime] = map[string][]*harness.RunResult{}
+			out[regime] = map[string][]*env.RunResult{}
 		}
 		out[regime][bench] = append(out[regime][bench], r.Res)
 	}
 	return out
 }
 
-func renderConvergenceSet(title string, runs map[string][]*harness.RunResult) {
+func renderConvergenceSet(title string, runs map[string][]*env.RunResult) {
 	for _, bench := range benches {
 		harness.RenderConvergence(os.Stdout, fmt.Sprintf("%s — %s", title, bench), runs[bench])
 		fmt.Println()
@@ -195,16 +196,16 @@ func renderConvergenceSet(title string, runs map[string][]*harness.RunResult) {
 
 // renderSpeedups prints MAB's relative improvement over PDTool per
 // benchmark, the headline numbers of the paper's text.
-func renderSpeedups(runs map[string][]*harness.RunResult) {
+func renderSpeedups(runs map[string][]*env.RunResult) {
 	fmt.Println("# MAB speed-up vs PDTool (total end-to-end time)")
 	for _, bench := range benches {
 		var pd, mab float64
 		for _, r := range runs[bench] {
 			_, _, _, total := r.Totals()
 			switch r.Tuner {
-			case harness.PDTool:
+			case env.PDTool:
 				pd = total
-			case harness.MAB:
+			case env.MAB:
 				mab = total
 			}
 		}
@@ -221,11 +222,11 @@ func table2() {
 	var specs []harness.CellSpec
 	for _, bench := range []string{"tpch", "tpch-skew"} {
 		for _, factor := range sfs {
-			for _, kind := range []harness.TunerKind{harness.PDTool, harness.MAB} {
-				opts := harness.Options{
+			for _, kind := range []env.TunerKind{env.PDTool, env.MAB} {
+				opts := env.Options{
 					Benchmark:     bench,
-					Regime:        harness.Static,
-					Rounds:        rounds(harness.Static),
+					Regime:        env.Static,
+					Rounds:        rounds(env.Static),
 					ScaleFactor:   factor,
 					MaxStoredRows: *rows,
 					Seed:          *seed,
@@ -258,8 +259,8 @@ func table2() {
 // renderer structure: RenderConvergence/RenderBreakdown/RenderTotals
 // derive their columns and rows from the runs, so adding a registered
 // policy here is the only edit a new baseline needs.
-var htapTuners = []harness.TunerKind{
-	harness.NoIndex, harness.RandomConfig, harness.PDTool, harness.Advisor, harness.MAB,
+var htapTuners = []env.TunerKind{
+	env.NoIndex, env.RandomConfig, env.PDTool, env.Advisor, env.MAB,
 }
 
 var htapBenches = []string{"ssb", "tpcds"}
@@ -273,12 +274,12 @@ func htapFig() {
 	var specs []harness.CellSpec
 	for _, bench := range htapBenches {
 		for _, kind := range htapTuners {
-			specs = append(specs, cellSpec(bench, harness.HTAP, kind))
+			specs = append(specs, cellSpec(bench, env.HTAP, kind))
 		}
 	}
 	results := runCells(specs)
 
-	byBench := map[string][]*harness.RunResult{}
+	byBench := map[string][]*env.RunResult{}
 	for _, r := range results {
 		byBench[r.Spec.Benchmark] = append(byBench[r.Spec.Benchmark], r.Res)
 	}
@@ -298,20 +299,20 @@ func fig8() {
 	if *quick {
 		fig8Rounds = 10
 	}
-	kinds := []harness.TunerKind{harness.PDTool, harness.MAB, harness.DDQN, harness.DDQNSC}
+	kinds := []env.TunerKind{env.PDTool, env.MAB, env.DDQN, env.DDQNSC}
 	var specs []harness.CellSpec
 	for _, bench := range []string{"tpch", "tpch-skew"} {
 		for _, kind := range kinds {
 			n := *reps
-			if kind == harness.PDTool || kind == harness.MAB {
+			if kind == env.PDTool || kind == env.MAB {
 				// Deterministic methods need no repetition (the paper
 				// highlights exactly this stability).
 				n = 1
 			}
 			for rep := 0; rep < n; rep++ {
-				opts := harness.Options{
+				opts := env.Options{
 					Benchmark:     bench,
-					Regime:        harness.Static,
+					Regime:        env.Static,
 					Rounds:        fig8Rounds,
 					ScaleFactor:   *sf,
 					MaxStoredRows: *rows,
@@ -329,10 +330,10 @@ func fig8() {
 	}
 	results := runCells(specs)
 
-	byBench := map[string]map[harness.TunerKind][]*harness.RunResult{}
+	byBench := map[string]map[env.TunerKind][]*env.RunResult{}
 	for _, r := range results {
 		if byBench[r.Spec.Benchmark] == nil {
-			byBench[r.Spec.Benchmark] = map[harness.TunerKind][]*harness.RunResult{}
+			byBench[r.Spec.Benchmark] = map[env.TunerKind][]*env.RunResult{}
 		}
 		byBench[r.Spec.Benchmark][r.Spec.Tuner] = append(byBench[r.Spec.Benchmark][r.Spec.Tuner], r.Res)
 	}

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"dbabandits/internal/cli"
+	"dbabandits/internal/env"
 	"dbabandits/internal/harness"
 	"dbabandits/internal/policy"
 )
@@ -43,9 +44,9 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := harness.Options{
+	opts := env.Options{
 		Benchmark:     *bench,
-		Regime:        harness.Regime(*regime),
+		Regime:        env.Regime(*regime),
 		Rounds:        *rounds,
 		ScaleFactor:   *sf,
 		MaxStoredRows: *rows,
@@ -53,7 +54,7 @@ func main() {
 		MemoryBudgetX: *budget,
 		Params:        policy.Params{PDToolTimeLimitSec: *pdLimit},
 	}
-	exp, err := harness.New(opts)
+	exp, err := env.New(opts)
 	if err != nil {
 		cli.Fatal("mabtune", err)
 	}
@@ -62,9 +63,9 @@ func main() {
 		*bench, *regime, *sf, exp.Seq.Rounds(),
 		float64(exp.DB.DataSizeBytes())/(1<<30), float64(exp.Budget)/(1<<30))
 
-	var runs []*harness.RunResult
+	var runs []*env.RunResult
 	for _, name := range strings.Split(*tuners, ",") {
-		kind := harness.TunerKind(strings.TrimSpace(name))
+		kind := env.TunerKind(strings.TrimSpace(name))
 		res, err := exp.Run(kind)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mabtune: %s: %v\n", kind, err)

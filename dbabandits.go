@@ -87,6 +87,7 @@ import (
 	"dbabandits/internal/catalog"
 	"dbabandits/internal/datagen"
 	"dbabandits/internal/engine"
+	"dbabandits/internal/env"
 	"dbabandits/internal/harness"
 	"dbabandits/internal/index"
 	"dbabandits/internal/mab"
@@ -145,17 +146,17 @@ type (
 // Experiment harness types.
 type (
 	// Experiment is a prepared benchmark environment.
-	Experiment = harness.Experiment
+	Experiment = env.Environment
 	// ExperimentOptions configures an experiment.
-	ExperimentOptions = harness.Options
+	ExperimentOptions = env.Options
 	// RunResult aggregates a run's per-round breakdown.
-	RunResult = harness.RunResult
+	RunResult = env.RunResult
 	// RoundResult is one round's breakdown.
-	RoundResult = harness.RoundResult
+	RoundResult = env.RoundResult
 	// TunerKind selects a tuning strategy.
-	TunerKind = harness.TunerKind
+	TunerKind = env.TunerKind
 	// Regime selects a workload regime.
-	Regime = harness.Regime
+	Regime = env.Regime
 	// CellSpec is one independent cell of a parallel sweep.
 	CellSpec = harness.CellSpec
 	// CellResult pairs a cell with its RunResult or error.
@@ -199,21 +200,21 @@ func PolicyNames() []string { return policy.Names() }
 
 // Tuning strategies.
 const (
-	NoIndex      = harness.NoIndex
-	PDTool       = harness.PDTool
-	MAB          = harness.MAB
-	DDQN         = harness.DDQN
-	DDQNSC       = harness.DDQNSC
-	Advisor      = harness.Advisor
-	RandomConfig = harness.RandomConfig
+	NoIndex      = env.NoIndex
+	PDTool       = env.PDTool
+	MAB          = env.MAB
+	DDQN         = env.DDQN
+	DDQNSC       = env.DDQNSC
+	Advisor      = env.Advisor
+	RandomConfig = env.RandomConfig
 )
 
 // Workload regimes.
 const (
-	Static   = harness.Static
-	Shifting = harness.Shifting
-	Random   = harness.Random
-	HTAP     = harness.HTAP
+	Static   = env.Static
+	Shifting = env.Shifting
+	Random   = env.Random
+	HTAP     = env.HTAP
 )
 
 // NewTuner constructs the MAB tuner for a schema. dbSizeBytes normalises
@@ -225,7 +226,7 @@ func NewTuner(schema *Schema, dbSizeBytes int64, opts TunerOptions) *Tuner {
 // NewExperiment prepares a benchmark experiment (data generation, cost
 // model, optimiser, workload sequencer).
 func NewExperiment(opts ExperimentOptions) (*Experiment, error) {
-	return harness.New(opts)
+	return env.New(opts)
 }
 
 // RunCells executes a sweep of independent experiment cells across a

@@ -1,9 +1,11 @@
 // Package env prepares and drives the simulation environment of the
 // paper's experiments: benchmark data generation, the optimiser and
 // executor, workload sequencing, what-if/creation costing, and per-round
-// accounting. Its single generic round-loop driver, RunPolicy, runs any
-// tuning strategy implementing policy.Policy — the four seed tuners and
-// every future baseline share this one loop.
+// accounting. One round of Algorithm 2 is stated once, in
+// Environment.Step: the batch driver RunPolicySpan (and RunPolicy over
+// it) loops Step over the sequencer, and the serving session runs the
+// same Step over each fed window, so every tuning strategy implementing
+// policy.Policy shares this one round.
 package env
 
 import (
@@ -148,17 +150,10 @@ func (e *Environment) PlanCacheStats() optimizer.PlanCacheStats {
 	return e.Opt.CacheStats()
 }
 
-// ExecuteWorkload runs one round's queries under the configuration and
-// returns the summed execution time plus the per-query stats. The
-// returned slice is freshly allocated and the caller's to keep; the
-// round-loop driver uses the scratch variant instead.
-func (e *Environment) ExecuteWorkload(queries []*query.Query, cfg *index.Config) (float64, []*engine.ExecStats, error) {
-	return e.executeWorkload(queries, cfg, make([]*engine.ExecStats, 0, len(queries)))
-}
-
-// executeWorkload is ExecuteWorkload appending into the supplied buffer
-// (reset first) — the driver hands the same backing array back every
-// round.
+// executeWorkload runs one round's queries under the configuration,
+// appending the per-query stats to the supplied buffer (reset first) —
+// Step hands the same backing array back every round — and returns the
+// summed execution time.
 func (e *Environment) executeWorkload(queries []*query.Query, cfg *index.Config, stats []*engine.ExecStats) (float64, []*engine.ExecStats, error) {
 	var total float64
 	stats = stats[:0]

@@ -36,9 +36,9 @@ func (e *Environment) NewPolicy(kind TunerKind) (policy.Policy, error) {
 	return policy.New(string(kind), e, e.policyParams())
 }
 
-// RunPolicy is the one round-loop driver of Algorithm 2's protocol,
-// shared by every tuning strategy: the full round span, with the policy
-// closed when the run ends. Close runs exactly once — deferred, so a
+// RunPolicy is the batch driver of Algorithm 2's protocol, shared by
+// every tuning strategy: the full round span, with the policy closed
+// when the run ends. Close runs exactly once — deferred, so a
 // round erroring mid-run still releases the policy before the error
 // propagates.
 func (e *Environment) RunPolicy(p policy.Policy) (*RunResult, error) {
@@ -65,15 +65,10 @@ type Span struct {
 }
 
 // RunPolicySpan drives rounds span.From..span.To of Algorithm 2's
-// protocol. Each round it (1) asks the policy for a configuration given
-// only the previously executed workload, (2) diffs it against the
-// current configuration and prices the index creations, (3) executes
-// the round's workload under it, (4) prices the index maintenance of
-// the round's update statements (HTAP regime only), and (5) feeds the
-// true execution statistics, creation costs and — for update-aware
-// policies — maintenance charges back to the policy. The per-round
-// recommendation / creation / execution / maintenance breakdown is
-// exactly what every figure and table of the evaluation reports.
+// protocol, one Step per round over the sequencer's workloads. The
+// per-round recommendation / creation / execution / maintenance
+// breakdown is exactly what every figure and table of the evaluation
+// reports.
 //
 // Unlike RunPolicy, the span driver does NOT close the policy: a
 // resumable policy outlives any one span (checkpoint, restore, resume),
@@ -97,72 +92,99 @@ func (e *Environment) RunPolicySpan(p policy.Policy, span Span) (*RunResult, err
 		Regime:    e.Opts.Regime,
 		Tuner:     TunerKind(p.Name()),
 	}
-	hasUpdates := e.HasUpdates()
-	cfg := span.StartConfig
-	if cfg == nil {
-		cfg = index.NewConfig()
-	}
-	var lastWorkload []*query.Query
+	st := RoundState{Config: span.StartConfig}
 	if from > 1 {
-		lastWorkload = e.Seq.Round(from - 1)
-	}
-	// Span-scoped cost-accounting scratch: the stats slice and the
-	// per-index second maps are cleared and refilled every round instead
-	// of reallocated, which is safe because Observe/ObserveUpdates only
-	// borrow their arguments for the call (see policy.Policy). The
-	// scratch is local to the span, so concurrent spans over one
-	// Environment stay independent.
-	sc := struct {
-		stats     []*engine.ExecStats
-		perCreate map[string]float64
-		perMaint  map[string]float64
-		ids       []string
-	}{
-		perCreate: map[string]float64{},
-		perMaint:  map[string]float64{},
+		st.Last = e.Seq.Round(from - 1)
 	}
 	for r := from; r <= to; r++ {
-		rec := p.Recommend(r, lastWorkload)
-		next := rec.Config
-		if next == nil {
-			next = cfg
-		}
-		createSec := e.creationCostInto(next.Diff(cfg), sc.perCreate)
-		cfg = next
-
-		wl := e.Seq.Round(r)
-		exec, stats, err := e.executeWorkload(wl, cfg, sc.stats)
+		rr, _, err := e.Step(p, &st, r, e.Seq.Round(r), nil)
 		if err != nil {
 			return nil, err
 		}
-		sc.stats = stats
-		var updates []query.Update
-		var maintSec float64
-		if hasUpdates {
-			updates = e.UpdatesAt(r)
-			var perMaint map[string]float64
-			if len(updates) > 0 && cfg.Len() > 0 {
-				perMaint = sc.perMaint
-				maintSec, sc.ids = e.maintenanceCostInto(updates, cfg, perMaint, sc.ids)
-			}
-			// Update-aware policies learn from the statements and the
-			// charges before shaping the round's rewards in Observe.
-			if ua, ok := p.(policy.UpdateAware); ok {
-				ua.ObserveUpdates(updates, perMaint)
-			}
-		}
-		p.Observe(stats, sc.perCreate)
-		lastWorkload = wl
-
-		res.Rounds = append(res.Rounds, RoundResult{
-			Round:          r,
-			RecommendSec:   rec.RecommendSec,
-			CreateSec:      createSec,
-			ExecSec:        exec,
-			MaintenanceSec: maintSec,
-			NumUpdates:     len(updates),
-			NumIndexes:     cfg.Len(),
-		})
+		res.Rounds = append(res.Rounds, rr)
 	}
 	return res, nil
+}
+
+// RoundState is what one round of Algorithm 2 hands the next: the
+// configuration in effect and the workload last executed, plus the
+// cost-accounting scratch Observe and ObserveUpdates borrow. The scratch
+// is cleared and refilled every round instead of reallocated, which is
+// safe because policies only borrow it for the call (see policy.Policy).
+// A RoundState belongs to one driver, so concurrent drivers over one
+// Environment stay independent. The zero value starts a run: an empty
+// configuration and no previous workload.
+type RoundState struct {
+	// Config is the materialised configuration; nil means empty.
+	Config *index.Config
+	// Last is the previously executed workload, nil before round 1.
+	Last []*query.Query
+
+	stats     []*engine.ExecStats
+	perCreate map[string]float64
+	perMaint  map[string]float64
+	ids       []string
+}
+
+// Step runs round r of Algorithm 2 over workload wl: it (1) asks the
+// policy for a configuration given only the previously executed
+// workload, (2) diffs it against the configuration in effect and prices
+// the index creations, (3) executes wl under it, (4) prices the index
+// maintenance of the round's update statements (HTAP regime only), and
+// (5) feeds the true execution statistics, creation costs and — for
+// update-aware policies — maintenance charges back to the policy. A
+// non-nil pin replaces the recommendation (the serving guardrail's
+// quarantine); the policy is still asked and still observes the round.
+//
+// Step returns the round's breakdown and the execution statistics,
+// which are st's scratch: valid until the next Step over st.
+func (e *Environment) Step(p policy.Policy, st *RoundState, r int, wl []*query.Query, pin *index.Config) (RoundResult, []*engine.ExecStats, error) {
+	if st.Config == nil {
+		st.Config = index.NewConfig()
+	}
+	if st.perCreate == nil {
+		st.perCreate, st.perMaint = map[string]float64{}, map[string]float64{}
+	}
+	rec := p.Recommend(r, st.Last)
+	next := rec.Config
+	if pin != nil {
+		next = pin
+	} else if next == nil {
+		next = st.Config
+	}
+	createSec := e.creationCostInto(next.Diff(st.Config), st.perCreate)
+	st.Config = next
+
+	exec, stats, err := e.executeWorkload(wl, st.Config, st.stats)
+	if err != nil {
+		return RoundResult{}, nil, err
+	}
+	st.stats = stats
+	var updates []query.Update
+	var maintSec float64
+	if e.HasUpdates() {
+		updates = e.UpdatesAt(r)
+		var perMaint map[string]float64
+		if len(updates) > 0 && st.Config.Len() > 0 {
+			perMaint = st.perMaint
+			maintSec, st.ids = e.maintenanceCostInto(updates, st.Config, perMaint, st.ids)
+		}
+		// Update-aware policies learn from the statements and the
+		// charges before shaping the round's rewards in Observe.
+		if ua, ok := p.(policy.UpdateAware); ok {
+			ua.ObserveUpdates(updates, perMaint)
+		}
+	}
+	p.Observe(stats, st.perCreate)
+	st.Last = wl
+
+	return RoundResult{
+		Round:          r,
+		RecommendSec:   rec.RecommendSec,
+		CreateSec:      createSec,
+		ExecSec:        exec,
+		MaintenanceSec: maintSec,
+		NumUpdates:     len(updates),
+		NumIndexes:     st.Config.Len(),
+	}, stats, nil
 }

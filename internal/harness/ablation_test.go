@@ -3,22 +3,23 @@ package harness
 import (
 	"testing"
 
+	"dbabandits/internal/env"
 	"dbabandits/internal/mab"
 )
 
 func TestWarmStartReducesEarlyCost(t *testing.T) {
-	cold := smallExperiment(t, Static, 5)
-	coldRes, err := cold.Run(MAB)
+	cold := smallExperiment(t, env.Static, 5)
+	coldRes, err := cold.Run(env.MAB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := smallExperiment(t, Static, 5)
+	warm := smallExperiment(t, env.Static, 5)
 	warm.Opts.MABWarmStartRounds = 3
-	warmRes, err := warm.Run(MAB)
+	warmRes, err := warm.Run(env.MAB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	early := func(r *RunResult) float64 {
+	early := func(r *env.RunResult) float64 {
 		var s float64
 		for _, rr := range r.Rounds[:3] {
 			s += rr.ExecSec
@@ -33,18 +34,18 @@ func TestWarmStartReducesEarlyCost(t *testing.T) {
 }
 
 func TestCreationPenaltyAblationIncreasesCreation(t *testing.T) {
-	base := smallExperiment(t, Static, 8)
+	base := smallExperiment(t, env.Static, 8)
 	base.Opts.MAB = mab.TunerOptions{MemoryBudgetBytes: base.Budget}
-	baseRes, err := base.Run(MAB)
+	baseRes, err := base.Run(env.MAB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	free := smallExperiment(t, Static, 8)
+	free := smallExperiment(t, env.Static, 8)
 	free.Opts.MAB = mab.TunerOptions{
 		MemoryBudgetBytes: free.Budget,
 		NoCreationPenalty: true,
 	}
-	freeRes, err := free.Run(MAB)
+	freeRes, err := free.Run(env.MAB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +57,12 @@ func TestCreationPenaltyAblationIncreasesCreation(t *testing.T) {
 }
 
 func TestOneHotContextAblationRuns(t *testing.T) {
-	e := smallExperiment(t, Static, 4)
+	e := smallExperiment(t, env.Static, 4)
 	e.Opts.MAB = mab.TunerOptions{
 		MemoryBudgetBytes: e.Budget,
 		OneHotContext:     true,
 	}
-	res, err := e.Run(MAB)
+	res, err := e.Run(env.MAB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +73,9 @@ func TestOneHotContextAblationRuns(t *testing.T) {
 
 func TestScaleFactorGrowsTotals(t *testing.T) {
 	mk := func(sf float64) float64 {
-		e, err := New(Options{
+		e, err := env.New(env.Options{
 			Benchmark:     "tpch",
-			Regime:        Static,
+			Regime:        env.Static,
 			Rounds:        3,
 			ScaleFactor:   sf,
 			MaxStoredRows: 1000,
@@ -83,7 +84,7 @@ func TestScaleFactorGrowsTotals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run(NoIndex)
+		res, err := e.Run(env.NoIndex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,14 +100,14 @@ func TestScaleFactorGrowsTotals(t *testing.T) {
 }
 
 func TestPDToolTimeLimitShrinksRecommendation(t *testing.T) {
-	unlimited := smallExperiment(t, Random, 9)
-	uRes, err := unlimited.Run(PDTool)
+	unlimited := smallExperiment(t, env.Random, 9)
+	uRes, err := unlimited.Run(env.PDTool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	limited := smallExperiment(t, Random, 9)
+	limited := smallExperiment(t, env.Random, 9)
 	limited.Opts.PDToolTimeLimitSec = 1
-	lRes, err := limited.Run(PDTool)
+	lRes, err := limited.Run(env.PDTool)
 	if err != nil {
 		t.Fatal(err)
 	}

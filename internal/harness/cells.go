@@ -1,9 +1,17 @@
+// Package harness is what only experiments add over internal/env:
+// parallel sweep cells (RunCells), which fan independent benchmark ×
+// regime × tuner × repetition runs across a bounded worker pool, and the
+// figure, table and fleet renderers. Environments, policies and the
+// round itself (env.Step, looped by Environment.RunPolicy) come from
+// internal/env and internal/policy directly; adding a tuning strategy
+// means registering a policy.Factory, and no code here changes.
 package harness
 
 import (
 	"fmt"
 	"io"
 
+	"dbabandits/internal/env"
 	"dbabandits/internal/runner"
 )
 
@@ -14,9 +22,9 @@ import (
 // a sweep may run them in any order, concurrently, without changing any
 // cell's numbers.
 type CellSpec struct {
-	Options
+	env.Options
 	// Tuner selects the strategy this cell runs.
-	Tuner TunerKind
+	Tuner env.TunerKind
 	// Rep distinguishes repeated runs of stochastic tuners (the paper
 	// repeats DDQN ten times in Figure 8). Deterministic tuners use 0.
 	Rep int
@@ -43,10 +51,10 @@ func (s CellSpec) Key() string {
 // per-cell stochastic state (the DDQN agent) splits off the base seed,
 // keyed by the cell's identity so repetitions differ deterministically.
 func (s CellSpec) withDerivedSeeds() CellSpec {
-	if s.DDQNSeed == 0 && (s.Tuner == DDQN || s.Tuner == DDQNSC) {
+	if s.DDQNSeed == 0 && (s.Tuner == env.DDQN || s.Tuner == env.DDQNSC) {
 		s.DDQNSeed = runner.CellSeed(s.Seed, s.Key())
 	}
-	if s.RandomSeed == 0 && s.Tuner == RandomConfig {
+	if s.RandomSeed == 0 && s.Tuner == env.RandomConfig {
 		s.RandomSeed = runner.CellSeed(s.Seed, s.Key())
 	}
 	return s
@@ -56,7 +64,7 @@ func (s CellSpec) withDerivedSeeds() CellSpec {
 // set.
 type CellResult struct {
 	Spec CellSpec
-	Res  *RunResult
+	Res  *env.RunResult
 	Err  error
 }
 
@@ -77,7 +85,7 @@ type RunCellsOptions struct {
 // RunCells with Parallel: 1 is the sequential reference that any other
 // parallelism level reproduces exactly.
 func RunCells(specs []CellSpec, opts RunCellsOptions) []CellResult {
-	tasks := make([]runner.Task[*RunResult], len(specs))
+	tasks := make([]runner.Task[*env.RunResult], len(specs))
 	derived := make([]CellSpec, len(specs))
 	labels := make([]string, len(specs))
 	for i := range specs {
@@ -86,7 +94,7 @@ func RunCells(specs []CellSpec, opts RunCellsOptions) []CellResult {
 		spec := specs[i].withDerivedSeeds()
 		derived[i] = spec
 		labels[i] = spec.Key()
-		tasks[i] = func() (*RunResult, error) { return runCell(spec) }
+		tasks[i] = func() (*env.RunResult, error) { return runCell(spec) }
 	}
 	ropts := runner.Options{Parallel: opts.Parallel}
 	if opts.Progress != nil {
@@ -101,8 +109,8 @@ func RunCells(specs []CellSpec, opts RunCellsOptions) []CellResult {
 }
 
 // runCell prepares and runs one cell end to end.
-func runCell(spec CellSpec) (*RunResult, error) {
-	exp, err := New(spec.Options)
+func runCell(spec CellSpec) (*env.RunResult, error) {
+	exp, err := env.New(spec.Options)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", spec.Key(), err)
 	}

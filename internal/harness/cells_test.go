@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dbabandits/internal/env"
 )
 
 // sweepSpecs builds a small static sweep: two benchmarks × three
@@ -12,11 +14,11 @@ func sweepSpecs(t *testing.T) []CellSpec {
 	t.Helper()
 	var specs []CellSpec
 	for _, bench := range []string{"ssb", "tpch"} {
-		for _, kind := range []TunerKind{NoIndex, PDTool, MAB} {
+		for _, kind := range []env.TunerKind{env.NoIndex, env.PDTool, env.MAB} {
 			specs = append(specs, CellSpec{
-				Options: Options{
+				Options: env.Options{
 					Benchmark:     bench,
-					Regime:        Static,
+					Regime:        env.Static,
 					Rounds:        3,
 					ScaleFactor:   10,
 					MaxStoredRows: 600,
@@ -65,12 +67,12 @@ func TestRunCellsDeterministic(t *testing.T) {
 // error without aborting sibling cells.
 func TestRunCellsErrorIsolation(t *testing.T) {
 	specs := []CellSpec{
-		{Options: Options{Benchmark: "ssb", Regime: Static, Rounds: 2,
-			MaxStoredRows: 400, Seed: 1}, Tuner: NoIndex},
-		{Options: Options{Benchmark: "no-such-benchmark", Regime: Static, Rounds: 2,
-			MaxStoredRows: 400, Seed: 1}, Tuner: MAB},
-		{Options: Options{Benchmark: "ssb", Regime: Static, Rounds: 2,
-			MaxStoredRows: 400, Seed: 1}, Tuner: MAB},
+		{Options: env.Options{Benchmark: "ssb", Regime: env.Static, Rounds: 2,
+			MaxStoredRows: 400, Seed: 1}, Tuner: env.NoIndex},
+		{Options: env.Options{Benchmark: "no-such-benchmark", Regime: env.Static, Rounds: 2,
+			MaxStoredRows: 400, Seed: 1}, Tuner: env.MAB},
+		{Options: env.Options{Benchmark: "ssb", Regime: env.Static, Rounds: 2,
+			MaxStoredRows: 400, Seed: 1}, Tuner: env.MAB},
 	}
 	results := RunCells(specs, RunCellsOptions{Parallel: 3})
 	if results[0].Err != nil || results[0].Res == nil {
@@ -111,8 +113,8 @@ func TestRunCellsProgress(t *testing.T) {
 // and an explicit DDQNSeed wins over derivation.
 func TestCellSeedDerivation(t *testing.T) {
 	base := CellSpec{
-		Options: Options{Benchmark: "tpch", Regime: Static, Seed: 7},
-		Tuner:   DDQN,
+		Options: env.Options{Benchmark: "tpch", Regime: env.Static, Seed: 7},
+		Tuner:   env.DDQN,
 	}
 
 	d0 := base.withDerivedSeeds()
@@ -139,7 +141,7 @@ func TestCellSeedDerivation(t *testing.T) {
 	}
 
 	mab := base
-	mab.Tuner = MAB
+	mab.Tuner = env.MAB
 	if dm := mab.withDerivedSeeds(); dm.DDQNSeed != 0 {
 		t.Errorf("deterministic tuner derived DDQNSeed %d, want 0", dm.DDQNSeed)
 	}

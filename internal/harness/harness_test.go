@@ -3,12 +3,14 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"dbabandits/internal/env"
 )
 
 // smallExperiment builds a fast SSB experiment for integration tests.
-func smallExperiment(t *testing.T, regime Regime, rounds int) *Experiment {
+func smallExperiment(t *testing.T, regime env.Regime, rounds int) *env.Environment {
 	t.Helper()
-	e, err := New(Options{
+	e, err := env.New(env.Options{
 		Benchmark:     "ssb",
 		Regime:        regime,
 		ScaleFactor:   10,
@@ -23,8 +25,8 @@ func smallExperiment(t *testing.T, regime Regime, rounds int) *Experiment {
 }
 
 func TestExperimentAllTunersRun(t *testing.T) {
-	e := smallExperiment(t, Static, 5)
-	for _, kind := range []TunerKind{NoIndex, PDTool, MAB, DDQN, DDQNSC} {
+	e := smallExperiment(t, env.Static, 5)
+	for _, kind := range []env.TunerKind{env.NoIndex, env.PDTool, env.MAB, env.DDQN, env.DDQNSC} {
 		res, err := e.Run(kind)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -40,8 +42,8 @@ func TestExperimentAllTunersRun(t *testing.T) {
 }
 
 func TestNoIndexHasNoOverheads(t *testing.T) {
-	e := smallExperiment(t, Static, 3)
-	res, err := e.Run(NoIndex)
+	e := smallExperiment(t, env.Static, 3)
+	res, err := e.Run(env.NoIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +59,8 @@ func TestNoIndexHasNoOverheads(t *testing.T) {
 }
 
 func TestPDToolInvokedOnSchedule(t *testing.T) {
-	e := smallExperiment(t, Static, 6)
-	res, err := e.Run(PDTool)
+	e := smallExperiment(t, env.Static, 6)
+	res, err := e.Run(env.PDTool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +75,8 @@ func TestPDToolInvokedOnSchedule(t *testing.T) {
 		}
 	}
 
-	er := smallExperiment(t, Random, 12)
-	resR, err := er.Run(PDTool)
+	er := smallExperiment(t, env.Random, 12)
+	resR, err := er.Run(env.PDTool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +98,12 @@ func TestPDToolInvokedOnSchedule(t *testing.T) {
 }
 
 func TestMABConvergesOnStaticSSB(t *testing.T) {
-	e := smallExperiment(t, Static, 10)
-	noIdx, err := e.Run(NoIndex)
+	e := smallExperiment(t, env.Static, 10)
+	noIdx, err := e.Run(env.NoIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mabRes, err := e.Run(MAB)
+	mabRes, err := e.Run(env.MAB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +121,15 @@ func TestMABConvergesOnStaticSSB(t *testing.T) {
 }
 
 func TestShiftingRegimeRuns(t *testing.T) {
-	e := smallExperiment(t, Shifting, 8) // 4 groups x 2 rounds
-	res, err := e.Run(MAB)
+	e := smallExperiment(t, env.Shifting, 8) // 4 groups x 2 rounds
+	res, err := e.Run(env.MAB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rounds) != 8 {
 		t.Fatalf("rounds = %d", len(res.Rounds))
 	}
-	pd, err := e.Run(PDTool)
+	pd, err := e.Run(env.PDTool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +146,9 @@ func TestShiftingRegimeRuns(t *testing.T) {
 }
 
 func TestRenderersProduceOutput(t *testing.T) {
-	e := smallExperiment(t, Static, 4)
-	var runs []*RunResult
-	for _, kind := range []TunerKind{NoIndex, PDTool, MAB} {
+	e := smallExperiment(t, env.Static, 4)
+	var runs []*env.RunResult
+	for _, kind := range []env.TunerKind{env.NoIndex, env.PDTool, env.MAB} {
 		r, err := e.Run(kind)
 		if err != nil {
 			t.Fatal(err)
@@ -159,12 +161,12 @@ func TestRenderersProduceOutput(t *testing.T) {
 		t.Fatalf("convergence output missing columns:\n%s", sb.String())
 	}
 	sb.Reset()
-	RenderTotals(&sb, "static totals", map[string][]*RunResult{"ssb": runs})
+	RenderTotals(&sb, "static totals", map[string][]*env.RunResult{"ssb": runs})
 	if !strings.Contains(sb.String(), "ssb") {
 		t.Fatalf("totals output wrong:\n%s", sb.String())
 	}
 	sb.Reset()
-	RenderTable1(&sb, map[Regime]map[string][]*RunResult{Static: {"ssb": runs}})
+	RenderTable1(&sb, map[env.Regime]map[string][]*env.RunResult{env.Static: {"ssb": runs}})
 	if !strings.Contains(sb.String(), "Table I") {
 		t.Fatal("table 1 missing header")
 	}
@@ -180,17 +182,17 @@ func TestRenderersProduceOutput(t *testing.T) {
 }
 
 func TestSummariseRunsQuartiles(t *testing.T) {
-	e := smallExperiment(t, Static, 3)
-	var runs []*RunResult
+	e := smallExperiment(t, env.Static, 3)
+	var runs []*env.RunResult
 	for seed := int64(0); seed < 3; seed++ {
 		e.Opts.DDQNSeed = seed
-		r, err := e.Run(DDQN)
+		r, err := e.Run(env.DDQN)
 		if err != nil {
 			t.Fatal(err)
 		}
 		runs = append(runs, r)
 	}
-	st := SummariseRuns(DDQN, runs)
+	st := SummariseRuns(env.DDQN, runs)
 	if len(st.MedianRounds) != 3 || len(st.Totals) != 3 {
 		t.Fatalf("summary shape wrong: %+v", st)
 	}
@@ -216,14 +218,14 @@ func TestSpeedupFormat(t *testing.T) {
 }
 
 func TestUnknownBenchmarkAndRegime(t *testing.T) {
-	if _, err := New(Options{Benchmark: "nope", Regime: Static}); err == nil {
+	if _, err := env.New(env.Options{Benchmark: "nope", Regime: env.Static}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	if _, err := New(Options{Benchmark: "ssb", Regime: "weird"}); err == nil {
+	if _, err := env.New(env.Options{Benchmark: "ssb", Regime: "weird"}); err == nil {
 		t.Fatal("unknown regime accepted")
 	}
-	e := smallExperiment(t, Static, 2)
-	if _, err := e.Run(TunerKind("alien")); err == nil {
+	e := smallExperiment(t, env.Static, 2)
+	if _, err := e.Run(env.TunerKind("alien")); err == nil {
 		t.Fatal("unknown tuner accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dbabandits/internal/engine"
+	"dbabandits/internal/env"
 	"dbabandits/internal/index"
 )
 
@@ -21,8 +22,8 @@ func TestProbeTPCHPlans(t *testing.T) {
 	if mode == "skew" {
 		bench = "tpch-skew"
 	}
-	e, err := New(Options{
-		Benchmark: bench, Regime: Static, ScaleFactor: 10,
+	e, err := env.New(env.Options{
+		Benchmark: bench, Regime: env.Static, ScaleFactor: 10,
 		MaxStoredRows: 5000, Rounds: 3, Seed: 7,
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dbabandits/internal/engine"
+	"dbabandits/internal/env"
 	"dbabandits/internal/mab"
 	"dbabandits/internal/query"
 )
@@ -17,8 +18,8 @@ func TestProbeMABTrace(t *testing.T) {
 	if bench == "" {
 		t.Skip("set HARNESS_MAB_TRACE=<benchmark> to run")
 	}
-	e, err := New(Options{
-		Benchmark: bench, Regime: Static, ScaleFactor: 10,
+	e, err := env.New(env.Options{
+		Benchmark: bench, Regime: env.Static, ScaleFactor: 10,
 		MaxStoredRows: 5000, Rounds: 12, Seed: 7,
 	})
 	if err != nil {

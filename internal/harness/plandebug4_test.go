@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dbabandits/internal/engine"
+	"dbabandits/internal/env"
 	"dbabandits/internal/index"
 	"dbabandits/internal/pdtool"
 )
@@ -16,8 +17,8 @@ func TestProbePDToolSkew(t *testing.T) {
 	if os.Getenv("HARNESS_PDTOOL_SKEW") == "" {
 		t.Skip("set HARNESS_PDTOOL_SKEW=1 to run")
 	}
-	e, err := New(Options{
-		Benchmark: "tpch-skew", Regime: Static, ScaleFactor: 10,
+	e, err := env.New(env.Options{
+		Benchmark: "tpch-skew", Regime: env.Static, ScaleFactor: 10,
 		MaxStoredRows: 5000, Rounds: 3, Seed: 7,
 	})
 	if err != nil {

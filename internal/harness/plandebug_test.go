@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dbabandits/internal/engine"
+	"dbabandits/internal/env"
 	"dbabandits/internal/index"
 )
 
@@ -15,7 +16,7 @@ func TestProbePlans(t *testing.T) {
 	if os.Getenv("HARNESS_PLANS") == "" {
 		t.Skip("set HARNESS_PLANS=1 to run")
 	}
-	e := smallExperiment(t, Static, 3)
+	e := smallExperiment(t, env.Static, 3)
 	wl := e.Seq.Round(1)
 
 	ideal := index.NewConfig()

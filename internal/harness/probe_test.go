@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"dbabandits/internal/env"
 )
 
 // TestProbeConvergence prints per-round series for manual calibration;
@@ -13,9 +15,9 @@ func TestProbeConvergence(t *testing.T) {
 	if bench == "" {
 		t.Skip("set HARNESS_PROBE=<benchmark> to run")
 	}
-	e, err := New(Options{
+	e, err := env.New(env.Options{
 		Benchmark:     bench,
-		Regime:        Static,
+		Regime:        env.Static,
 		ScaleFactor:   10,
 		MaxStoredRows: 2000,
 		Rounds:        25,
@@ -24,7 +26,7 @@ func TestProbeConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []TunerKind{NoIndex, PDTool, MAB} {
+	for _, kind := range []env.TunerKind{env.NoIndex, env.PDTool, env.MAB} {
 		res, err := e.Run(kind)
 		if err != nil {
 			t.Fatal(err)

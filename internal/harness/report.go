@@ -5,12 +5,14 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"dbabandits/internal/env"
 )
 
 // RenderConvergence prints the per-round total-time series of several
 // tuners side by side — the data behind the paper's convergence plots
 // (Figures 2, 4, 6). Output is aligned columns, one row per round.
-func RenderConvergence(w io.Writer, title string, runs []*RunResult) {
+func RenderConvergence(w io.Writer, title string, runs []*env.RunResult) {
 	fmt.Fprintf(w, "# %s — total time per round (sec)\n", title)
 	fmt.Fprintf(w, "%-6s", "round")
 	for _, r := range runs {
@@ -37,18 +39,18 @@ func RenderConvergence(w io.Writer, title string, runs []*RunResult) {
 // displayNames maps registry names to the figure labels of the paper.
 // Unlisted policies fall back to their registry name, so a newly
 // registered baseline appears in every figure without renderer edits.
-var displayNames = map[TunerKind]string{
-	NoIndex:      "NoIndex",
-	PDTool:       "PDTool",
-	MAB:          "MAB",
-	DDQN:         "DDQN",
-	DDQNSC:       "DDQN-SC",
-	Advisor:      "Advisor",
-	RandomConfig: "Random",
+var displayNames = map[env.TunerKind]string{
+	env.NoIndex:      "NoIndex",
+	env.PDTool:       "PDTool",
+	env.MAB:          "MAB",
+	env.DDQN:         "DDQN",
+	env.DDQNSC:       "DDQN-SC",
+	env.Advisor:      "Advisor",
+	env.RandomConfig: "Random",
 }
 
 // DisplayName returns the figure label of a tuning strategy.
-func DisplayName(k TunerKind) string {
+func DisplayName(k env.TunerKind) string {
 	if n, ok := displayNames[k]; ok {
 		return n
 	}
@@ -61,14 +63,14 @@ func DisplayName(k TunerKind) string {
 // follow whatever registered-policy subset a sweep ran — the seed
 // NoIndex/PDTool/MAB sweeps keep their historical column order, and new
 // baselines appear with zero renderer edits.
-func TunerColumns(results map[string][]*RunResult) []TunerKind {
+func TunerColumns(results map[string][]*env.RunResult) []env.TunerKind {
 	var names []string
 	for name := range results {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var order []TunerKind
-	seen := map[TunerKind]bool{}
+	var order []env.TunerKind
+	seen := map[env.TunerKind]bool{}
 	for _, name := range names {
 		for _, r := range results[name] {
 			if !seen[r.Tuner] {
@@ -84,7 +86,7 @@ func TunerColumns(results map[string][]*RunResult) []TunerKind {
 // tuner — the data behind the total-time bar charts (Figures 3, 5, 7).
 // Columns are derived from the runs present (see TunerColumns), one per
 // tuner that ran.
-func RenderTotals(w io.Writer, title string, results map[string][]*RunResult) {
+func RenderTotals(w io.Writer, title string, results map[string][]*env.RunResult) {
 	fmt.Fprintf(w, "# %s — total end-to-end workload time (sec)\n", title)
 	cols := TunerColumns(results)
 	fmt.Fprintf(w, "%-12s", "workload")
@@ -98,7 +100,7 @@ func RenderTotals(w io.Writer, title string, results map[string][]*RunResult) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		byTuner := map[TunerKind]float64{}
+		byTuner := map[env.TunerKind]float64{}
 		for _, r := range results[name] {
 			_, _, _, total := r.Totals()
 			byTuner[r.Tuner] = total
@@ -115,7 +117,7 @@ func RenderTotals(w io.Writer, title string, results map[string][]*RunResult) {
 // maintenance / total breakdown of one benchmark's runs, one row per
 // tuner in run order — the HTAP comparison table. Like RenderTotals it
 // is generic over whatever registered policies the sweep ran.
-func RenderBreakdown(w io.Writer, title string, runs []*RunResult) {
+func RenderBreakdown(w io.Writer, title string, runs []*env.RunResult) {
 	fmt.Fprintf(w, "# %s — time breakdown (sec)\n", title)
 	fmt.Fprintf(w, "%-10s%14s%14s%14s%14s%14s\n",
 		"method", "Recommend", "IndexCreate", "Execution", "Maintenance", "Total")
@@ -130,11 +132,11 @@ func RenderBreakdown(w io.Writer, title string, runs []*RunResult) {
 // breakdown in minutes for every benchmark x regime combination — the
 // paper's Table I. Bold markers are replaced by an asterisk on the better
 // entry of each PDTool/MAB pair.
-func RenderTable1(w io.Writer, results map[Regime]map[string][]*RunResult) {
+func RenderTable1(w io.Writer, results map[env.Regime]map[string][]*env.RunResult) {
 	fmt.Fprintln(w, "# Table I — total time breakdown (min); * marks the better of each pair")
 	fmt.Fprintf(w, "%-10s%-12s%16s%16s%16s%16s\n",
 		"regime", "workload", "Recommendation", "Creation", "Execution", "Total")
-	for _, regime := range []Regime{Static, Shifting, Random} {
+	for _, regime := range []env.Regime{env.Static, env.Shifting, env.Random} {
 		benches := results[regime]
 		var names []string
 		for n := range benches {
@@ -142,12 +144,12 @@ func RenderTable1(w io.Writer, results map[Regime]map[string][]*RunResult) {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			var pd, mab *RunResult
+			var pd, mab *env.RunResult
 			for _, r := range benches[name] {
 				switch r.Tuner {
-				case PDTool:
+				case env.PDTool:
 					pd = r
-				case MAB:
+				case env.MAB:
 					mab = r
 				}
 			}
@@ -196,7 +198,7 @@ type Table2Row struct {
 
 // Fig8Stats summarises repeated RL-comparison runs of one method.
 type Fig8Stats struct {
-	Tuner  TunerKind
+	Tuner  env.TunerKind
 	Totals []float64 // total workload time per repetition
 	// Per-round medians and quartiles across repetitions.
 	MedianRounds               []float64
@@ -206,7 +208,7 @@ type Fig8Stats struct {
 }
 
 // SummariseRuns computes Fig8Stats from repeated runs of one tuner.
-func SummariseRuns(kind TunerKind, runs []*RunResult) Fig8Stats {
+func SummariseRuns(kind env.TunerKind, runs []*env.RunResult) Fig8Stats {
 	st := Fig8Stats{Tuner: kind}
 	if len(runs) == 0 {
 		return st
@@ -296,7 +298,7 @@ func quantile(sorted []float64, q float64) float64 {
 
 // SeriesCSV renders a run's per-round totals as a CSV line block for
 // external plotting.
-func SeriesCSV(runs []*RunResult) string {
+func SeriesCSV(runs []*env.RunResult) string {
 	var b strings.Builder
 	b.WriteString("round")
 	for _, r := range runs {

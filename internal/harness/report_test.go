@@ -5,14 +5,16 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dbabandits/internal/env"
 )
 
 // fakeRun builds a synthetic one-round RunResult for renderer tests.
-func fakeRun(bench string, tuner TunerKind, rec, create, exec, maint float64) *RunResult {
-	return &RunResult{
+func fakeRun(bench string, tuner env.TunerKind, rec, create, exec, maint float64) *env.RunResult {
+	return &env.RunResult{
 		Benchmark: bench,
 		Tuner:     tuner,
-		Rounds: []RoundResult{{
+		Rounds: []env.RoundResult{{
 			Round:          1,
 			RecommendSec:   rec,
 			CreateSec:      create,
@@ -31,37 +33,37 @@ func fakeRun(bench string, tuner TunerKind, rec, create, exec, maint float64) *R
 func TestTunerColumnsOrdering(t *testing.T) {
 	cases := []struct {
 		name    string
-		results map[string][]*RunResult
-		want    []TunerKind
+		results map[string][]*env.RunResult
+		want    []env.TunerKind
 	}{
 		{
 			name: "seed set keeps historical order",
-			results: map[string][]*RunResult{
-				"ssb": {fakeRun("ssb", NoIndex, 0, 0, 1, 0), fakeRun("ssb", PDTool, 0, 0, 1, 0), fakeRun("ssb", MAB, 0, 0, 1, 0)},
+			results: map[string][]*env.RunResult{
+				"ssb": {fakeRun("ssb", env.NoIndex, 0, 0, 1, 0), fakeRun("ssb", env.PDTool, 0, 0, 1, 0), fakeRun("ssb", env.MAB, 0, 0, 1, 0)},
 			},
-			want: []TunerKind{NoIndex, PDTool, MAB},
+			want: []env.TunerKind{env.NoIndex, env.PDTool, env.MAB},
 		},
 		{
 			name: "htap comparison set in sweep order",
-			results: map[string][]*RunResult{
-				"tpcds": {fakeRun("tpcds", NoIndex, 0, 0, 1, 0), fakeRun("tpcds", RandomConfig, 0, 0, 1, 0), fakeRun("tpcds", PDTool, 0, 0, 1, 0), fakeRun("tpcds", Advisor, 0, 0, 1, 0), fakeRun("tpcds", MAB, 0, 0, 1, 0)},
+			results: map[string][]*env.RunResult{
+				"tpcds": {fakeRun("tpcds", env.NoIndex, 0, 0, 1, 0), fakeRun("tpcds", env.RandomConfig, 0, 0, 1, 0), fakeRun("tpcds", env.PDTool, 0, 0, 1, 0), fakeRun("tpcds", env.Advisor, 0, 0, 1, 0), fakeRun("tpcds", env.MAB, 0, 0, 1, 0)},
 			},
-			want: []TunerKind{NoIndex, RandomConfig, PDTool, Advisor, MAB},
+			want: []env.TunerKind{env.NoIndex, env.RandomConfig, env.PDTool, env.Advisor, env.MAB},
 		},
 		{
 			name: "benchmarks scanned alphabetically, duplicates ignored",
-			results: map[string][]*RunResult{
-				"zzz": {fakeRun("zzz", DDQN, 0, 0, 1, 0), fakeRun("zzz", MAB, 0, 0, 1, 0)},
-				"aaa": {fakeRun("aaa", MAB, 0, 0, 1, 0), fakeRun("aaa", Advisor, 0, 0, 1, 0)},
+			results: map[string][]*env.RunResult{
+				"zzz": {fakeRun("zzz", env.DDQN, 0, 0, 1, 0), fakeRun("zzz", env.MAB, 0, 0, 1, 0)},
+				"aaa": {fakeRun("aaa", env.MAB, 0, 0, 1, 0), fakeRun("aaa", env.Advisor, 0, 0, 1, 0)},
 			},
-			want: []TunerKind{MAB, Advisor, DDQN},
+			want: []env.TunerKind{env.MAB, env.Advisor, env.DDQN},
 		},
 		{
 			name: "unregistered future policy appears under its own name",
-			results: map[string][]*RunResult{
-				"ssb": {fakeRun("ssb", TunerKind("wfit"), 0, 0, 1, 0), fakeRun("ssb", MAB, 0, 0, 1, 0)},
+			results: map[string][]*env.RunResult{
+				"ssb": {fakeRun("ssb", env.TunerKind("wfit"), 0, 0, 1, 0), fakeRun("ssb", env.MAB, 0, 0, 1, 0)},
 			},
-			want: []TunerKind{TunerKind("wfit"), MAB},
+			want: []env.TunerKind{env.TunerKind("wfit"), env.MAB},
 		},
 	}
 	for _, c := range cases {
@@ -76,9 +78,9 @@ func TestTunerColumnsOrdering(t *testing.T) {
 // renderer used to hardcode these three columns), so Figures 3, 5 and 7
 // cannot drift by a byte.
 func TestRenderTotalsSeedSetByteIdentical(t *testing.T) {
-	results := map[string][]*RunResult{
-		"ssb":  {fakeRun("ssb", NoIndex, 0, 0, 400, 0), fakeRun("ssb", PDTool, 10, 20, 300, 0), fakeRun("ssb", MAB, 1, 30, 250.25, 0)},
-		"tpch": {fakeRun("tpch", NoIndex, 0, 0, 900, 0), fakeRun("tpch", PDTool, 15, 25, 700, 0), fakeRun("tpch", MAB, 2, 35, 600, 0)},
+	results := map[string][]*env.RunResult{
+		"ssb":  {fakeRun("ssb", env.NoIndex, 0, 0, 400, 0), fakeRun("ssb", env.PDTool, 10, 20, 300, 0), fakeRun("ssb", env.MAB, 1, 30, 250.25, 0)},
+		"tpch": {fakeRun("tpch", env.NoIndex, 0, 0, 900, 0), fakeRun("tpch", env.PDTool, 15, 25, 700, 0), fakeRun("tpch", env.MAB, 2, 35, 600, 0)},
 	}
 	var sb strings.Builder
 	RenderTotals(&sb, "Figure 3 — static totals", results)
@@ -94,11 +96,11 @@ func TestRenderTotalsSeedSetByteIdentical(t *testing.T) {
 // TestRenderTotalsArbitrarySubset checks that a non-seed policy subset
 // renders one correctly ordered, correctly labelled column per tuner.
 func TestRenderTotalsArbitrarySubset(t *testing.T) {
-	results := map[string][]*RunResult{
+	results := map[string][]*env.RunResult{
 		"imdb": {
-			fakeRun("imdb", RandomConfig, 0, 5, 100, 2),
-			fakeRun("imdb", Advisor, 3, 4, 80, 1),
-			fakeRun("imdb", TunerKind("wfit"), 1, 2, 70, 0.5),
+			fakeRun("imdb", env.RandomConfig, 0, 5, 100, 2),
+			fakeRun("imdb", env.Advisor, 3, 4, 80, 1),
+			fakeRun("imdb", env.TunerKind("wfit"), 1, 2, 70, 0.5),
 		},
 	}
 	var sb strings.Builder
@@ -120,10 +122,10 @@ func TestRenderTotalsArbitrarySubset(t *testing.T) {
 // per run in run order, display names, and a maintenance column that
 // feeds the total.
 func TestRenderBreakdownColumns(t *testing.T) {
-	runs := []*RunResult{
-		fakeRun("ssb", NoIndex, 0, 0, 400, 0),
-		fakeRun("ssb", RandomConfig, 0, 50, 350, 25),
-		fakeRun("ssb", MAB, 2, 30, 250, 10),
+	runs := []*env.RunResult{
+		fakeRun("ssb", env.NoIndex, 0, 0, 400, 0),
+		fakeRun("ssb", env.RandomConfig, 0, 50, 350, 25),
+		fakeRun("ssb", env.MAB, 2, 30, 250, 10),
 	}
 	var sb strings.Builder
 	RenderBreakdown(&sb, "HTAP — ssb", runs)
@@ -144,16 +146,16 @@ func TestRenderBreakdownColumns(t *testing.T) {
 // TestDisplayNames pins the figure labels of the registered strategies
 // and the fallback for future ones.
 func TestDisplayNames(t *testing.T) {
-	cases := map[TunerKind]string{
-		NoIndex:            "NoIndex",
-		PDTool:             "PDTool",
-		MAB:                "MAB",
-		DDQN:               "DDQN",
-		DDQNSC:             "DDQN-SC",
-		Advisor:            "Advisor",
-		RandomConfig:       "Random",
-		TunerKind("wfit"):  "wfit",
-		TunerKind("other"): "other",
+	cases := map[env.TunerKind]string{
+		env.NoIndex:            "NoIndex",
+		env.PDTool:             "PDTool",
+		env.MAB:                "MAB",
+		env.DDQN:               "DDQN",
+		env.DDQNSC:             "DDQN-SC",
+		env.Advisor:            "Advisor",
+		env.RandomConfig:       "Random",
+		env.TunerKind("wfit"):  "wfit",
+		env.TunerKind("other"): "other",
 	}
 	for k, want := range cases {
 		if got := DisplayName(k); got != want {

@@ -82,13 +82,6 @@ func (m *Matrix) AddOuterScaled(alpha float64, x Vector) {
 	}
 }
 
-// ScaleInPlace multiplies every entry by alpha.
-func (m *Matrix) ScaleInPlace(alpha float64) {
-	for i := range m.Data {
-		m.Data[i] *= alpha
-	}
-}
-
 // QuadraticForm computes x' * m * x without allocating.
 func (m *Matrix) QuadraticForm(x Vector) float64 {
 	n := len(x)

@@ -109,9 +109,6 @@ func (o *Optimizer) CacheStats() PlanCacheStats {
 	return PlanCacheStats{Hits: c.hits, Misses: c.misses, Invalidations: c.invalidations}
 }
 
-// CacheEnabled reports whether this optimiser carries a plan cache.
-func (o *Optimizer) CacheEnabled() bool { return o.cache != nil }
-
 // relIndex is one index that passed the relevance screen, with the
 // screen's per-index facts kept for the access-path pricing.
 type relIndex struct {

@@ -3,8 +3,9 @@
 // simulation environment a policy may consult (Env), and a name-keyed
 // registry through which strategies are constructed.
 //
-// The round loop itself lives in internal/env (Environment.RunPolicy);
-// this package deliberately knows nothing about how rounds are driven.
+// The round itself lives in internal/env (Environment.Step, which batch
+// runs and serving sessions both drive); this package deliberately knows
+// nothing about how rounds are driven.
 // A new baseline therefore needs only three things: a type implementing
 // Policy, a Factory building it from an Env, and a Register call — no
 // harness or driver edits. The seed strategies of the paper's evaluation
@@ -56,11 +57,11 @@ type Policy interface {
 	// Observe feeds back the round's true execution: per-query stats and
 	// per-index creation seconds (only ids materialised this round).
 	//
-	// Both arguments are borrowed: the driver reuses the stats slice and
-	// the map across rounds, so a policy that wants to keep either past
-	// the round's feedback must copy what it needs (the *ExecStats
-	// values themselves are freshly built each round and safe to
-	// retain).
+	// Both arguments are borrowed: env.Step reuses the stats slice and
+	// the map across a batch run's rounds and a serving session's
+	// windows alike, so a policy that wants to keep either past the
+	// round's feedback must copy what it needs (the *ExecStats values
+	// themselves are freshly built each round and safe to retain).
 	Observe(stats []*engine.ExecStats, creationSec map[string]float64)
 	// Close releases policy resources at the end of a run.
 	Close()

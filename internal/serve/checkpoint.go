@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strconv"
 
+	"dbabandits/internal/catalog"
+	"dbabandits/internal/env"
 	"dbabandits/internal/index"
 	"dbabandits/internal/linalg"
 	"dbabandits/internal/policy"
@@ -40,22 +42,16 @@ const CheckpointVersion = 2
 type Checkpoint struct {
 	Version int
 
-	// Environment rebuild scalars — data generation is deterministic in
-	// these, so the checkpoint does not carry the database.
-	Benchmark     string
-	ScaleFactor   float64
-	MaxStoredRows int
-	Seed          int64
-	MemoryBudgetX float64
+	// Options rebuild the environment (data generation is deterministic
+	// in them, so the checkpoint does not carry the database), the
+	// policy and the guardrail.
+	Options
 
-	// Policy rebuild.
-	Policy string
 	// RidgeBackend and ForgetRank are the ridge options older builds
 	// recorded ("sm" and 0 at their default flags). They are only read:
 	// Restore refuses a checkpoint written with any other value.
 	RidgeBackend string `json:",omitempty"`
 	ForgetRank   int    `json:",omitempty"`
-	Guardrail    GuardrailOptions
 
 	// Serving position.
 	Window     int
@@ -272,22 +268,16 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 		return nil, fmt.Errorf("serve: checkpoint window %d: %w", s.window, err)
 	}
 	return &Checkpoint{
-		Version:       CheckpointVersion,
-		Benchmark:     s.opts.Benchmark,
-		ScaleFactor:   s.opts.ScaleFactor,
-		MaxStoredRows: s.opts.MaxStoredRows,
-		Seed:          s.opts.Seed,
-		MemoryBudgetX: s.opts.MemoryBudgetX,
-		Policy:        s.opts.Policy,
-		Guardrail:     s.opts.Guardrail,
-		Window:        s.window,
-		LastWindow:    s.lastWindow,
-		Config:        s.cfg.Defs(),
-		SafeConfig:    s.guard.safe.Defs(),
-		Streak:        s.guard.streak,
-		Cooldown:      s.guard.cooldown,
-		Quarantines:   s.guard.quarantines,
-		PolicyState:   state,
+		Version:     CheckpointVersion,
+		Options:     s.opts,
+		Window:      s.window,
+		LastWindow:  s.round.Last,
+		Config:      s.round.Config.Defs(),
+		SafeConfig:  s.guard.safe.Defs(),
+		Streak:      s.guard.streak,
+		Cooldown:    s.guard.cooldown,
+		Quarantines: s.guard.quarantines,
+		PolicyState: state,
 	}, nil
 }
 
@@ -369,6 +359,10 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // A checkpoint written with a removed ridge option (another backend, or
 // a low-rank Forget budget) fails with *linalg.RemovedOptionError rather
 // than resuming under different arithmetic.
+// A checkpoint whose configurations name an unknown table or column or
+// hold an empty or repeated key, or whose window or guardrail counters
+// are negative, fails with a malformed *CheckpointError: a version 1
+// file has no checksum, and no checksum stops a hand-written file.
 func Restore(ck *Checkpoint) (*Session, error) {
 	if ck.Version != CheckpointVersion {
 		return nil, versionErr(ck.Version)
@@ -381,17 +375,21 @@ func Restore(ck *Checkpoint) (*Session, error) {
 		return nil, fmt.Errorf("serve: checkpoint: %w",
 			&linalg.RemovedOptionError{Option: "ForgetRank", Value: fmt.Sprint(ck.ForgetRank)})
 	}
-	s, err := New(Options{
-		Benchmark:     ck.Benchmark,
-		ScaleFactor:   ck.ScaleFactor,
-		MaxStoredRows: ck.MaxStoredRows,
-		Seed:          ck.Seed,
-		MemoryBudgetX: ck.MemoryBudgetX,
-		Policy:        ck.Policy,
-		Guardrail:     ck.Guardrail,
-	})
+	if ck.Window < 0 || ck.Streak < 0 || ck.Cooldown < 0 || ck.Quarantines < 0 {
+		return nil, ckptErr(KindMalformed, "negative serving position or guardrail counter")
+	}
+	s, err := New(ck.Options)
 	if err != nil {
 		return nil, err
+	}
+	// Configurations are checked against the rebuilt schema before any
+	// Feed plans with them: an index with an empty key or a column the
+	// table lacks would otherwise crash the optimiser.
+	for _, defs := range [][]index.Def{ck.Config, ck.SafeConfig} {
+		if err := validDefs(s.env.Schema, defs); err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
 	snap, ok := s.pol.(policy.Snapshotter)
 	if !ok {
@@ -403,13 +401,27 @@ func Restore(ck *Checkpoint) (*Session, error) {
 		return nil, fmt.Errorf("serve: restore policy %q: %w", ck.Policy, err)
 	}
 	s.window = ck.Window
-	s.lastWindow = ck.LastWindow
-	s.cfg = index.ConfigFromDefs(ck.Config)
+	s.round = env.RoundState{Config: index.ConfigFromDefs(ck.Config), Last: ck.LastWindow}
 	s.guard.safe = index.ConfigFromDefs(ck.SafeConfig)
 	s.guard.streak = ck.Streak
 	s.guard.cooldown = ck.Cooldown
 	s.guard.quarantines = ck.Quarantines
 	return s, nil
+}
+
+// validDefs checks every index definition against the schema: a known
+// table, a non-empty duplicate-free key, and columns the table has.
+func validDefs(schema *catalog.Schema, defs []index.Def) error {
+	for _, d := range defs {
+		meta, ok := schema.Table(d.Table)
+		if !ok {
+			return ckptErr(KindMalformed, "index on unknown table %q", d.Table)
+		}
+		if err := d.Build().Valid(meta); err != nil {
+			return ckptErr(KindMalformed, "%v", err)
+		}
+	}
+	return nil
 }
 
 // RestoreFile loads a checkpoint from path and restores a session.
@@ -418,5 +430,10 @@ func RestoreFile(path string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Restore(ck)
+	s, err := Restore(ck)
+	var ce *CheckpointError
+	if errors.As(err, &ce) {
+		ce.Path = path
+	}
+	return s, err
 }

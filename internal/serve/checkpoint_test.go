@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"dbabandits/internal/index"
 	"dbabandits/internal/policy"
 	"dbabandits/internal/workload"
 )
@@ -121,6 +122,64 @@ func TestCheckpointCorruption(t *testing.T) {
 // reseal appends to body a trailer sealing it.
 func reseal(body []byte) []byte {
 	return fmt.Appendf(bytes.Clone(body), trailerFormat, len(body), crc32.Checksum(body, castagnoli))
+}
+
+// TestRestoreRefusesCraftedCheckpoint checks that a checkpoint whose
+// checksum holds but whose content does not fit the session is refused
+// with a malformed *CheckpointError and no session, instead of crashing
+// the first Feed: configurations are checked against the rebuilt
+// schema, and the serving position and guardrail counters must not be
+// negative.
+func TestRestoreRefusesCraftedCheckpoint(t *testing.T) {
+	img := freshImage(t)
+	for _, c := range []struct {
+		name string
+		set  func(*Checkpoint)
+	}{
+		{"empty key", func(ck *Checkpoint) {
+			ck.SafeConfig = append(ck.SafeConfig, index.Def{Table: "lineorder", Key: []string{}})
+		}},
+		{"unknown table", func(ck *Checkpoint) {
+			ck.Config = append(ck.Config, index.Def{Table: "no_such_table", Key: []string{"lo_custkey"}})
+		}},
+		{"unknown column", func(ck *Checkpoint) {
+			ck.Config = append(ck.Config, index.Def{Table: "lineorder", Key: []string{"no_such_column"}})
+		}},
+		{"unknown include column", func(ck *Checkpoint) {
+			ck.SafeConfig = append(ck.SafeConfig, index.Def{Table: "lineorder", Key: []string{"lo_custkey"}, Include: []string{"no_such_column"}})
+		}},
+		{"repeated key column", func(ck *Checkpoint) {
+			ck.SafeConfig = append(ck.SafeConfig, index.Def{Table: "lineorder", Key: []string{"lo_custkey", "lo_custkey"}})
+		}},
+		{"negative window", func(ck *Checkpoint) { ck.Window = -1 }},
+		{"negative streak", func(ck *Checkpoint) { ck.Streak = -1 }},
+		{"negative cooldown", func(ck *Checkpoint) { ck.Cooldown = -1 }},
+		{"negative quarantines", func(ck *Checkpoint) { ck.Quarantines = -1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ck, err := decodeCheckpoint(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.set(ck)
+			var b bytes.Buffer
+			if err := encodeCheckpoint(&b, ck); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "crafted.ckpt")
+			if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := RestoreFile(path)
+			var ce *CheckpointError
+			if s != nil || !errors.As(err, &ce) || ce.Kind != KindMalformed || ce.Path != path {
+				if s != nil {
+					s.Close()
+				}
+				t.Fatalf("RestoreFile = %v, %v; want no session and a malformed *CheckpointError naming the file", s != nil, err)
+			}
+		})
+	}
 }
 
 // TestCheckpointV2Layout pins the on-disk layout: a compact header line

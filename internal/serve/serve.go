@@ -1,11 +1,12 @@
 // Package serve implements the online serving mode: a long-lived tuner
 // session fed statement windows as they arrive, rather than a
-// preplanned experiment regime. Two capability seams distinguish it
-// from the batch driver in internal/env: sessions checkpoint to disk
-// and resume byte-identically (policy.Snapshotter), and a runtime
-// safety guardrail supervises the tuner, quarantining it back to the
-// last-known-safe configuration when realized cost regresses past a
-// budget.
+// preplanned experiment regime. Each window is one env.Step, the round
+// the batch driver runs, so serving and batch runs share one statement
+// of Algorithm 2. What serve adds around that step is what batch runs
+// lack: a runtime safety guardrail that supervises the tuner,
+// quarantining it back to the last-known-safe configuration when
+// realized cost regresses past a budget, and a checkpoint file from
+// which a session resumes byte-identically (policy.Snapshotter).
 package serve
 
 import (
@@ -88,11 +89,10 @@ type Session struct {
 	env  *env.Environment
 	pol  policy.Policy
 
-	window     int
-	cfg        *index.Config
-	lastWindow []*query.Query
-	guard      *guard
-	closed     bool
+	window int
+	round  env.RoundState // the configuration, last window and Step's scratch
+	guard  *guard
+	closed bool
 
 	ckptBuf bytes.Buffer // WriteCheckpoint's image, reused across windows
 }
@@ -126,7 +126,7 @@ func New(opts Options) (*Session, error) {
 		opts:  opts,
 		env:   e,
 		pol:   p,
-		cfg:   index.NewConfig(),
+		round: env.RoundState{Config: index.NewConfig()},
 		guard: newGuard(opts.Guardrail),
 	}, nil
 }
@@ -138,15 +138,14 @@ func (s *Session) Options() Options { return s.opts }
 func (s *Session) Window() int { return s.window }
 
 // Config returns the identifiers of the materialised configuration.
-func (s *Session) Config() []string { return s.cfg.IDs() }
+func (s *Session) Config() []string { return s.round.Config.IDs() }
 
-// Feed serves one statement window: the policy recommends a
-// configuration given only the previous window, the guardrail may
-// override it, index creations are priced against the materialised
-// state, the window executes, the guardrail judges the realized cost
-// against its baseline, and the true execution feedback reaches the
-// policy — the same protocol the batch driver runs, minus the
-// preplanned sequencer.
+// Feed serves one statement window: the guardrail prices the window
+// under its last-known-safe configuration, env.Step runs the window as
+// a round of the batch protocol (the policy recommends given only the
+// previous window; during a quarantine the safe configuration is pinned
+// in its place), and the guardrail judges the realized cost against its baseline,
+// reverting the configuration on a quarantine.
 func (s *Session) Feed(queries []*query.Query) (*WindowReport, error) {
 	if s.closed {
 		return nil, fmt.Errorf("serve: session is closed")
@@ -155,53 +154,47 @@ func (s *Session) Feed(queries []*query.Query) (*WindowReport, error) {
 		return nil, fmt.Errorf("serve: empty window")
 	}
 	s.window++
-	rep := &WindowReport{Window: s.window, NumQueries: len(queries)}
-
-	rec := s.pol.Recommend(s.window, s.lastWindow)
-	next := rec.Config
-	if next == nil {
-		next = s.cfg
-	}
-	rep.RecommendSec = rec.RecommendSec
+	// The baseline reads only the window, the safe configuration and
+	// the optimiser, whose plans are pure functions of (query,
+	// configuration), so pricing it ahead of the step changes no number.
+	baseline, failed := s.guard.baseline(s.env.WhatIf(), queries)
+	var pin *index.Config
 	if s.guard.quarantined() {
 		// Cooldown: the tuner still observes the window (its learning
 		// continues) but its configuration choice is overridden.
-		next = s.guard.safe.Clone()
-		rep.Quarantined = true
+		pin = s.guard.safe.Clone()
 	}
-
-	perCreate, createSec := s.env.CreationCost(next.Diff(s.cfg))
-	s.cfg = next
-	rep.CreateSec = createSec
-	// The report describes the configuration the window executed under;
-	// a quarantine later this window reverts state, not history.
-	rep.NumIndexes = s.cfg.Len()
-	rep.Indexes = s.cfg.IDs()
-
-	execSec, stats, err := s.env.ExecuteWorkload(queries, s.cfg)
+	rr, stats, err := s.env.Step(s.pol, &s.round, s.window, queries, pin)
 	if err != nil {
 		return nil, err
 	}
-	rep.ExecSec = execSec
-	baseline, failed := s.guard.baseline(s.env.WhatIf(), queries)
-	rep.BaselineSec = baseline
-
-	s.pol.Observe(stats, perCreate)
-	s.lastWindow = queries
+	// The report describes the configuration the window executed under;
+	// a quarantine later this window reverts state, not history.
+	rep := &WindowReport{
+		Window:       s.window,
+		NumQueries:   len(queries),
+		RecommendSec: rr.RecommendSec,
+		CreateSec:    rr.CreateSec,
+		ExecSec:      rr.ExecSec,
+		BaselineSec:  baseline,
+		NumIndexes:   rr.NumIndexes,
+		Indexes:      s.round.Config.IDs(),
+		Quarantined:  pin != nil,
+	}
 
 	// Judge like against like: a query the baseline could not price is
 	// excluded from the realized side too, so an unpriceable query can
 	// never deflate the yardstick and spuriously trip quarantine.
-	realized := createSec + execSec
+	realized := rr.CreateSec + rr.ExecSec
 	for _, i := range failed {
 		realized -= stats[i].TotalSec
 	}
-	violation, quarantineNow := s.guard.observe(realized, rep.BaselineSec, s.cfg)
+	violation, quarantineNow := s.guard.observe(realized, baseline, s.round.Config)
 	rep.Violation = violation
 	if quarantineNow {
 		// Revert immediately: dropping indexes is free, so the safe
 		// configuration takes effect for the very next window.
-		s.cfg = s.guard.safe.Clone()
+		s.round.Config = s.guard.safe.Clone()
 		rep.Intervention = "quarantine"
 		if f, ok := s.pol.(policy.Forgetter); ok && s.guard.opts.ForgetFactor > 0 {
 			f.Forget(s.guard.opts.ForgetFactor)

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"dbabandits/internal/env"
 	"dbabandits/internal/linalg"
+	"dbabandits/internal/policy"
 	"dbabandits/internal/query"
 )
 
@@ -298,6 +300,61 @@ func TestStreamErrors(t *testing.T) {
 	}
 	if err := NewStream(strings.NewReader("1\n"), s).Skip(2); err == nil {
 		t.Fatal("skip past stream end accepted")
+	}
+}
+
+// TestServeMatchesBatch pins that serving and batch runs share one
+// round: for every registered policy, a guardrail-disabled session fed
+// the static sequencer's rounds reports, window by window, the same
+// recommendation, creation and execution seconds and index count as the
+// batch driver's RoundResults, bit for bit.
+func TestServeMatchesBatch(t *testing.T) {
+	const seed, rounds = 5, 8
+	for _, name := range policy.Names() {
+		t.Run(name, func(t *testing.T) {
+			e, err := env.New(env.Options{
+				Benchmark:     "ssb",
+				Regime:        env.Static,
+				MaxStoredRows: 1500,
+				Seed:          seed,
+				Params:        policy.Params{DDQNSeed: seed},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := e.NewPolicy(env.TunerKind(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.RunPolicySpan(p, env.Span{To: rounds})
+			p.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			s, err := New(Options{
+				Benchmark:     "ssb",
+				MaxStoredRows: 1500,
+				Seed:          seed,
+				Policy:        name,
+				Guardrail:     GuardrailOptions{Disabled: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for r := 1; r <= rounds; r++ {
+				rep, err := s.Feed(e.Seq.Round(r))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := res.Rounds[r-1]
+				got := env.RoundResult{Round: rep.Window, RecommendSec: rep.RecommendSec, CreateSec: rep.CreateSec, ExecSec: rep.ExecSec, NumIndexes: rep.NumIndexes}
+				if got != want {
+					t.Fatalf("window %d: serve %+v, batch %+v", r, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -146,13 +146,3 @@ func (s *HTAPSequencer) UpdatesAt(r int) []query.Update {
 	}
 	return out
 }
-
-// UpdateVolume sums the logical rows written by a round's statements
-// (diagnostics and tests).
-func UpdateVolume(updates []query.Update) float64 {
-	var total float64
-	for _, u := range updates {
-		total += u.Rows
-	}
-	return total
-}
