@@ -49,6 +49,7 @@ FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 100x
 fuzz:
 	$(FUZZ) -fuzz '^FuzzDecodeCheckpoint$$' ./internal/serve/
 	$(FUZZ) -fuzz '^FuzzFloatencDecode$$' ./internal/floatenc/
+	$(FUZZ) -fuzz '^FuzzRestoreRidgeState$$' ./internal/linalg/
 
 # Per-package coverage, as published in the CI workflow summary.
 cover:

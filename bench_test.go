@@ -212,32 +212,6 @@ func BenchmarkFig8RLComparison(b *testing.B) {
 
 // --- Ablations (DESIGN.md section 5) ---
 
-// BenchmarkAblationContextEncoding compares the paper's column-prefix
-// context against a one-hot bag-of-columns.
-func BenchmarkAblationContextEncoding(b *testing.B) {
-	for _, oneHot := range []bool{false, true} {
-		name := "prefix"
-		if oneHot {
-			name = "onehot"
-		}
-		b.Run(name, func(b *testing.B) {
-			exp := benchExperiment(b, "tpch", env.Static, benchRounds)
-			exp.Opts.MAB = mab.TunerOptions{
-				MemoryBudgetBytes: exp.Budget,
-				OneHotContext:     oneHot,
-			}
-			for i := 0; i < b.N; i++ {
-				res, err := exp.Run(env.MAB)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, _, _, total := res.Totals()
-				b.ReportMetric(total, "total-sec")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationForgetting runs the shifting regime with and without
 // shift-scaled forgetting.
 func BenchmarkAblationForgetting(b *testing.B) {

@@ -56,21 +56,6 @@ func TestCreationPenaltyAblationIncreasesCreation(t *testing.T) {
 	}
 }
 
-func TestOneHotContextAblationRuns(t *testing.T) {
-	e := smallExperiment(t, env.Static, 4)
-	e.Opts.MAB = mab.TunerOptions{
-		MemoryBudgetBytes: e.Budget,
-		OneHotContext:     true,
-	}
-	res, err := e.Run(env.MAB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rounds) != 4 {
-		t.Fatalf("rounds = %d", len(res.Rounds))
-	}
-}
-
 func TestScaleFactorGrowsTotals(t *testing.T) {
 	mk := func(sf float64) float64 {
 		e, err := env.New(env.Options{

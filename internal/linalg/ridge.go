@@ -11,18 +11,8 @@ import (
 // coefficient estimate is theta_t = V_t^{-1} b_t.
 //
 // Sherman–Morrison accumulates floating-point error over many rank-1
-// updates, so the inverse is periodically recomputed from a fresh
-// Cholesky factorisation of V (a rebase). Two triggers compose:
-//
-//   - a rank-1-aware adaptive trigger: each update contributes
-//     q/(1+q) (q = x'V^{-1}x) to an accumulated drift score — the relative
-//     weight of that update's correction to the inverse, i.e. how much of
-//     VInv became one more generation of rank-1 arithmetic — and the state
-//     rebases once the score reaches driftThreshold. Heavy early updates
-//     (large q against a weak prior) spend the budget quickly, the
-//     converged tail (q → 0) barely at all, matching where
-//     Sherman–Morrison conditioning is actually lost;
-//   - a fixed cadence of rebaseEvery rank-1 updates as a fallback bound.
+// updates, so the inverse is recomputed from V every rebaseEvery rank-1
+// updates (a rebase), and by every Forget.
 //
 // Over 10⁵ sparse observations at the TPC-DS context dimension the
 // maintained theta and widths stay within ~1e-15 relative error of a
@@ -39,9 +29,8 @@ type RidgeState struct {
 	B      Vector  // response accumulator
 	Lambda float64
 
-	updates     int     // observations folded in over the state's lifetime
-	sinceRebase int     // rank-1 updates applied since the last rebase
-	drift       float64 // accumulated q/(1+q) since the last rebase
+	updates     int // observations folded in over the state's lifetime
+	sinceRebase int // rank-1 updates applied since the last rebase
 
 	// theta memoises V^{-1} b between observations; thetaValid is
 	// cleared whenever V or b change (Observe/ObserveSparse/Forget) and
@@ -50,13 +39,9 @@ type RidgeState struct {
 	thetaValid bool
 }
 
-// The rebase triggers: the fixed fallback cadence in rank-1 updates and
-// the adaptive drift-score threshold. Every committed golden was
-// captured under these values.
-const (
-	rebaseEvery    = 256
-	driftThreshold = 48
-)
+// rebaseEvery is the rebase cadence in rank-1 updates. Every committed
+// golden was captured under this value.
+const rebaseEvery = 256
 
 // NewRidgeState initialises V = lambda*I, VInv = I/lambda, b = 0.
 func NewRidgeState(dim int, lambda float64) *RidgeState {
@@ -145,7 +130,7 @@ func (rs *RidgeState) Observe(x Vector, reward float64) {
 	u := rs.VInv.MulVec(x) // V^{-1} x (VInv symmetric, so also x' V^{-1})
 	denom := 1 + x.Dot(u)
 	rs.VInv.AddOuterScaled(-1/denom, u)
-	rs.afterRank1(denom)
+	rs.afterRank1()
 }
 
 // ObserveSparse is Observe through the sparse kernels: the V and b
@@ -163,23 +148,18 @@ func (rs *RidgeState) ObserveSparse(x SparseVector, reward float64) {
 	u := rs.VInv.MulVecSparse(x)
 	denom := 1 + u.DotSparse(x)
 	rs.VInv.AddOuterScaled(-1/denom, u)
-	rs.afterRank1(denom)
+	rs.afterRank1()
 }
 
-// afterRank1 advances the update counters and rebases once either
-// trigger fires. denom is the Sherman–Morrison denominator
-// 1 + x'V^{-1}x of the update just applied.
-//
-// Both triggers are measured since the last rebase: sinceRebase counts
-// the rank-1 updates the current inverse has absorbed (reset by every
-// rebase, including Forget's), while updates counts observations over
+// afterRank1 advances the update counters and rebases once the current
+// inverse has absorbed rebaseEvery rank-1 updates. sinceRebase is reset
+// by every rebase, including Forget's; updates counts observations over
 // the state's lifetime and never resets.
-func (rs *RidgeState) afterRank1(denom float64) {
+func (rs *RidgeState) afterRank1() {
 	rs.updates++
 	rs.sinceRebase++
 	rs.thetaValid = false
-	rs.drift += 1 - 1/denom // == q/(1+q)
-	if rs.sinceRebase >= rebaseEvery || rs.drift >= driftThreshold {
+	if rs.sinceRebase >= rebaseEvery {
 		rs.rebase()
 	}
 }
@@ -214,11 +194,9 @@ func (rs *RidgeState) Forget(gamma float64) {
 	rs.rebase()
 }
 
-// rebase recomputes VInv from V exactly, discarding Sherman–Morrison
-// drift, and zeroes both since-rebase measures (the drift score and the
-// update counter the fixed cadence runs on).
+// rebase recomputes VInv from V exactly, discarding the accumulated
+// Sherman–Morrison error, and restarts the cadence count.
 func (rs *RidgeState) rebase() {
-	rs.drift = 0
 	rs.sinceRebase = 0
 	rs.thetaValid = false
 	rs.V.SymmetrizeInPlace()
@@ -240,11 +218,7 @@ func (rs *RidgeState) rebase() {
 func (rs *RidgeState) Updates() int { return rs.updates }
 
 // SinceRebase reports how many rank-1 updates the current inverse has
-// absorbed since the last exact recomputation — the quantity the fixed
-// cadence is measured against. Any rebase (fixed-cadence,
-// drift-triggered, or Forget's) resets it to zero.
+// absorbed since the last exact recomputation — the quantity the
+// cadence is measured against. Any rebase (the cadence's or Forget's)
+// resets it to zero.
 func (rs *RidgeState) SinceRebase() int { return rs.sinceRebase }
-
-// Drift reports the accumulated drift score since the last rebase
-// (diagnostics and tests).
-func (rs *RidgeState) Drift() float64 { return rs.drift }

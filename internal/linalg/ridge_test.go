@@ -36,11 +36,10 @@ func randomRidgeWorkload(dim, steps, forgetEvery int, seed int64) *RidgeState {
 // Forget every 5000 observations, the maintained theta and the
 // confidence widths of 64 probe contexts must stay within 1e-12
 // relative error of the same quantities computed from a fresh inverse
-// of V. With the rebase triggers this run measures about 1e-15; with
-// both triggers disabled it still reaches only about 3e-13, so the test
-// pins the accuracy of the one ridge core rather than the triggers
-// themselves (TestSinceRebaseCounter and TestAdaptiveRebaseFiresOnDrift
-// pin those).
+// of V. With the rebase cadence this run measures about 1e-15; with
+// the cadence disabled it still reaches only about 3e-13, so the test
+// pins the accuracy of the one ridge core rather than the cadence
+// itself (TestSinceRebaseCounter pins that).
 func TestRidgeDriftBoundedAgainstFreshInverse(t *testing.T) {
 	const (
 		dim   = 83
@@ -268,14 +267,10 @@ func TestThetaMemoisation(t *testing.T) {
 // TestSinceRebaseCounter pins the separated counter semantics: Updates
 // counts observations over the state's lifetime and never resets, while
 // SinceRebase counts rank-1 updates absorbed by the current inverse and
-// is zeroed by every rebase — Forget's, the fixed cadence's and the
-// drift trigger's.
+// is zeroed by every rebase — Forget's and the cadence's.
 func TestSinceRebaseCounter(t *testing.T) {
 	const dim = 4
 	rs := NewRidgeState(dim, 0.25)
-	// Repeating one unit direction keeps the drift score far below its
-	// threshold (q/(1+q) ≈ 1/k on the k-th repeat), so only the fixed
-	// cadence can fire.
 	x := NewVector(dim)
 	x[0] = 1
 	observe := func(n int) {
@@ -297,7 +292,7 @@ func TestSinceRebaseCounter(t *testing.T) {
 		t.Fatalf("Forget's internal rebase left SinceRebase=%d, want 0", rs.SinceRebase())
 	}
 
-	// The fixed cadence runs from the Forget rebase: rebaseEvery-1 more
+	// The cadence runs from the Forget rebase: rebaseEvery-1 more
 	// updates stay inside the window, the next one fires it.
 	observe(rebaseEvery - 1)
 	if rs.SinceRebase() != rebaseEvery-1 {
@@ -311,20 +306,4 @@ func TestSinceRebaseCounter(t *testing.T) {
 		t.Fatalf("updates=%d, want %d", rs.Updates(), want)
 	}
 
-	// A drift-triggered rebase resets the window too: heavy updates along
-	// fresh orthogonal directions each add nearly 1 to the drift score,
-	// so the threshold trips long before the cadence.
-	const wide = 64
-	rs2 := NewRidgeState(wide, 0.25)
-	for i := 0; i < wide && rs2.SinceRebase() == rs2.Updates(); i++ {
-		e := NewVector(wide)
-		e[i] = 100
-		rs2.Observe(e, 1)
-	}
-	if rs2.SinceRebase() != 0 || rs2.Drift() != 0 {
-		t.Fatalf("drift rebase left sinceRebase=%d drift=%g, want 0/0", rs2.SinceRebase(), rs2.Drift())
-	}
-	if n := rs2.Updates(); n <= driftThreshold || n >= rebaseEvery {
-		t.Fatalf("drift rebase fired at update %d, want just past %d", n, driftThreshold)
-	}
 }

@@ -30,11 +30,11 @@ type RidgeSnapshot struct {
 	B string
 
 	// The scatter matrix, its maintained inverse, and the position in
-	// the rebase schedule.
+	// the rebase schedule. Older builds also recorded a "Drift" score
+	// for a second rebase trigger; decoding ignores it.
 	V           string
 	VInv        string
-	SinceRebase int     `json:",omitempty"`
-	Drift       float64 `json:",omitempty"`
+	SinceRebase int `json:",omitempty"`
 
 	// RebaseEvery and DriftThreshold are the rebase-schedule overrides
 	// older builds could record. They are only read, to refuse a
@@ -78,7 +78,6 @@ func (rs *RidgeState) Snapshot() *RidgeSnapshot {
 		V:           floatenc.Encode(rs.V.Data),
 		VInv:        floatenc.Encode(rs.VInv.Data),
 		SinceRebase: rs.sinceRebase,
-		Drift:       rs.drift,
 	}
 }
 
@@ -87,8 +86,7 @@ func (rs *RidgeState) Snapshot() *RidgeSnapshot {
 // rebase-schedule position. The restored state's subsequent results are
 // bit-identical to the original's. A snapshot from another backend or
 // with a rebase-schedule override fails with *RemovedOptionError; a NaN
-// or ±Inf in lambda, the drift score or any payload fails with
-// *NonFiniteError.
+// or ±Inf in lambda or any payload fails with *NonFiniteError.
 func RestoreRidgeState(s *RidgeSnapshot) (*RidgeState, error) {
 	if s == nil {
 		return nil, fmt.Errorf("linalg: nil ridge snapshot")
@@ -104,9 +102,6 @@ func RestoreRidgeState(s *RidgeSnapshot) (*RidgeState, error) {
 	}
 	if !finite(s.Lambda) {
 		return nil, &NonFiniteError{Field: "Lambda"}
-	}
-	if !finite(s.Drift) {
-		return nil, &NonFiniteError{Field: "Drift"}
 	}
 	if s.Dim <= 0 || s.Lambda <= 0 {
 		return nil, fmt.Errorf("linalg: ridge snapshot with dim %d, lambda %g", s.Dim, s.Lambda)
@@ -131,7 +126,6 @@ func RestoreRidgeState(s *RidgeSnapshot) (*RidgeState, error) {
 		Lambda:      s.Lambda,
 		updates:     s.Updates,
 		sinceRebase: s.SinceRebase,
-		drift:       s.Drift,
 	}, nil
 }
 

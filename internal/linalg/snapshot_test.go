@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dbabandits/internal/floatenc"
@@ -124,9 +125,8 @@ func TestSnapshotRebaseSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.SinceRebase() != rs.SinceRebase() || restored.Drift() != rs.Drift() {
-		t.Fatalf("rebase position (%d, %g), want (%d, %g)",
-			restored.SinceRebase(), restored.Drift(), rs.SinceRebase(), rs.Drift())
+	if restored.SinceRebase() != rs.SinceRebase() {
+		t.Fatalf("rebase position %d, want %d", restored.SinceRebase(), rs.SinceRebase())
 	}
 	x := Vector{1, 0.5, 0, -1}
 	for i := 0; i < rebaseEvery; i++ {
@@ -135,6 +135,38 @@ func TestSnapshotRebaseSchedule(t *testing.T) {
 		if restored.SinceRebase() != rs.SinceRebase() {
 			t.Fatalf("update %d: restored sinceRebase %d, want %d", i, restored.SinceRebase(), rs.SinceRebase())
 		}
+	}
+}
+
+// TestSnapshotLegacyDriftKey pins that a snapshot written while the
+// ridge still kept a drift score restores: the "Drift" key is ignored
+// and the restored state is the one the snapshot was taken from.
+func TestSnapshotLegacyDriftKey(t *testing.T) {
+	rs := NewRidgeState(4, 1)
+	feed(t, rs, 4, 17, 3)
+	raw, err := json.Marshal(rs.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["Drift"] = 47.5
+	legacy, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap RidgeSnapshot
+	if err := json.Unmarshal(legacy, &snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreRidgeState(&snap)
+	if err != nil {
+		t.Fatalf("legacy snapshot refused: %v", err)
+	}
+	if got, want := restored.Snapshot(), rs.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored state differs:\n%+v\nwant\n%+v", got, want)
 	}
 }
 
@@ -189,7 +221,6 @@ func TestRestoreRidgeStateRejects(t *testing.T) {
 		{"lambda NaN", func(s *RidgeSnapshot) { s.Lambda = nan }, "", "Lambda"},
 		{"lambda +Inf", func(s *RidgeSnapshot) { s.Lambda = inf }, "", "Lambda"},
 		{"lambda -Inf", func(s *RidgeSnapshot) { s.Lambda = -inf }, "", "Lambda"},
-		{"drift NaN", func(s *RidgeSnapshot) { s.Drift = nan }, "", "Drift"},
 		{"B NaN", func(s *RidgeSnapshot) {
 			s.B = floatenc.Encode([]float64{nan, nan, nan})
 		}, "", "B"},
@@ -220,4 +251,45 @@ func TestRestoreRidgeStateRejects(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzRestoreRidgeState feeds arbitrary JSON through the ridge snapshot
+// decoder. It must never panic; a refusal is a *RemovedOptionError only
+// for a removed option actually recorded, a *NonFiniteError only for a
+// float field, or a plain error; and an accepted state must snapshot
+// and restore to the same snapshot. The seed corpus is committed under
+// testdata/fuzz.
+func FuzzRestoreRidgeState(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var snap RidgeSnapshot
+		if json.Unmarshal(data, &snap) != nil {
+			return
+		}
+		rs, err := RestoreRidgeState(&snap)
+		if err != nil {
+			var re *RemovedOptionError
+			var ne *NonFiniteError
+			switch {
+			case errors.As(err, &re):
+				if snap.Backend == snapshotBackend && snap.RebaseEvery == 0 && snap.DriftThreshold == 0 {
+					t.Fatalf("refused as a removed option with none recorded: %v", err)
+				}
+			case errors.As(err, &ne):
+				switch ne.Field {
+				case "Lambda", "B", "V", "VInv":
+				default:
+					t.Fatalf("non-finite refusal names field %q", ne.Field)
+				}
+			}
+			return
+		}
+		again := rs.Snapshot()
+		restored, err := RestoreRidgeState(again)
+		if err != nil {
+			t.Fatalf("snapshot of an accepted state refused: %v", err)
+		}
+		if got := restored.Snapshot(); !reflect.DeepEqual(got, again) {
+			t.Fatalf("snapshot does not survive a restore:\n%+v\nvs\n%+v", got, again)
+		}
+	})
 }

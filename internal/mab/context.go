@@ -23,11 +23,6 @@ type ContextBuilder struct {
 	colIdx map[query.ColumnRef]int // (table, column) -> dimension
 	cols   int                     // column-dimension count (Part 1)
 
-	// OneHot switches Part 1 to a plain bag-of-columns encoding (1 for
-	// any key column). Only the ablation benches enable it; the paper
-	// argues prefix encoding is essential because "similarity of arms
-	// depends on having similar column prefixes".
-	OneHot bool
 	// UpdateDims appends the two update-sensitivity components of the
 	// HTAP extension ("No DBA? No regret!"): the arm's decayed churn
 	// exposure and its size-weighted churn (a linear proxy for modelled
@@ -123,11 +118,7 @@ func (cb *ContextBuilder) BuildArena(arm *Arm, info ArmInfo, a *linalg.SparseAre
 		if !ok {
 			continue
 		}
-		if cb.OneHot {
-			a.Append(idx, 1)
-		} else {
-			a.Append(idx, math.Pow(10, -float64(j)))
-		}
+		a.Append(idx, math.Pow(10, -float64(j)))
 	}
 	x := a.Take(cb.Dim(), mark)
 	// Key columns arrive in key order, not dimension order.

@@ -106,24 +106,6 @@ func TestContextDerivedParts(t *testing.T) {
 	}
 }
 
-func TestContextOneHotAblation(t *testing.T) {
-	schema, _ := testdb.Build(1)
-	cb := NewContextBuilder(schema)
-	cb.OneHot = true
-	arm := &Arm{
-		Index: index.New("orders", []string{"o_status", "o_date"}, nil),
-		Table: "orders",
-	}
-	info := ArmInfo{
-		PredicateColumns: map[query.ColumnRef]bool{query.ColumnRef{Table: "orders", Column: "o_status"}: true, query.ColumnRef{Table: "orders", Column: "o_date"}: true},
-		DatabaseBytes:    1,
-	}
-	x := cb.Build(arm, info).Dense()
-	if x[cb.colIdx[query.ColumnRef{Table: "orders", Column: "o_date"}]] != 1 || x[cb.colIdx[query.ColumnRef{Table: "orders", Column: "o_status"}]] != 1 {
-		t.Fatal("one-hot encoding should set both components to 1")
-	}
-}
-
 func TestContextDistinguishesPrefixOrder(t *testing.T) {
 	// The central claim of Part 1: (a,b) and (b,a) get different
 	// contexts, unlike bag-of-words.
@@ -137,11 +119,5 @@ func TestContextDistinguishesPrefixOrder(t *testing.T) {
 	ba := cb.Build(&Arm{Index: index.New("orders", []string{"o_date", "o_status"}, nil), Table: "orders"}, info).Dense()
 	if ab.Equal(ba, 1e-12) {
 		t.Fatal("prefix encoding failed to distinguish key orders")
-	}
-	cb.OneHot = true
-	ab1 := cb.Build(&Arm{Index: index.New("orders", []string{"o_status", "o_date"}, nil), Table: "orders"}, info).Dense()
-	ba1 := cb.Build(&Arm{Index: index.New("orders", []string{"o_date", "o_status"}, nil), Table: "orders"}, info).Dense()
-	if !ab1.Equal(ba1, 1e-12) {
-		t.Fatal("one-hot encoding should NOT distinguish key orders")
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // TunerOptions configure the MAB tuner: the memory budget, the HTAP
-// context extension, and three ablation switches. The tuning constants
+// context extension, and two ablation switches. The tuning constants
 // below are not options; the README's "Tuning constants" table lists
 // them.
 type TunerOptions struct {
@@ -21,8 +21,6 @@ type TunerOptions struct {
 	// NoCreationPenalty removes creation time from rewards (ablation;
 	// invites index oscillation).
 	NoCreationPenalty bool
-	// OneHotContext switches Part 1 to bag-of-columns (ablation).
-	OneHotContext bool
 	// UpdateAwareContext appends the HTAP update-sensitivity components
 	// (churn exposure + size-weighted churn) to every arm context, so the
 	// bandit can learn to drop high-churn indexes. Off by default:
@@ -122,7 +120,6 @@ type roundScratch struct {
 // data size used to normalise the context's size component.
 func NewTuner(schema *catalog.Schema, dbSizeBytes int64, opts TunerOptions) *Tuner {
 	ctxb := NewContextBuilder(schema)
-	ctxb.OneHot = opts.OneHotContext
 	ctxb.UpdateDims = opts.UpdateAwareContext
 	return &Tuner{
 		schema:     schema,

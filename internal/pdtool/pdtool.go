@@ -99,11 +99,18 @@ func (a *Advisor) Recommend(training []*query.Query) *Recommendation {
 			queriesByTable[t] = append(queriesByTable[t], q)
 		}
 	}
+	// baseTotal sums the base costs in training order, each query once,
+	// so the total (and every merge decision measured against it) does
+	// not depend on map iteration order.
 	baseCost := map[*query.Query]float64{}
+	var baseTotal float64
 	for _, q := range training {
 		c, err := a.opt.WhatIfCost(q, rec.Config)
 		if err != nil {
 			continue
+		}
+		if _, dup := baseCost[q]; !dup {
+			baseTotal += c
 		}
 		baseCost[q] = c
 		rec.WhatIfCalls++
@@ -150,7 +157,7 @@ func (a *Advisor) Recommend(training []*query.Query) *Recommendation {
 
 	// Combinatorial greedy: add the candidate with the best marginal
 	// estimated improvement each iteration.
-	curCost := totalCost(baseCost)
+	curCost := baseTotal
 	remaining := a.opts.MemoryBudgetBytes
 	for iter := 0; iter < maxIterations && !a.overTimeLimit(rec); iter++ {
 		bestIdx := -1
@@ -185,7 +192,7 @@ func (a *Advisor) Recommend(training []*query.Query) *Recommendation {
 		a.mergePass(rec, training, &curCost, &remaining)
 	}
 
-	rec.EstimatedBenefitSec = totalCost(baseCost) - curCost
+	rec.EstimatedBenefitSec = baseTotal - curCost
 	rec.RecommendSec = float64(rec.WhatIfCalls) * whatIfSecPerCall
 	if a.opts.TimeLimitSec > 0 && rec.RecommendSec > a.opts.TimeLimitSec {
 		rec.RecommendSec = a.opts.TimeLimitSec
@@ -291,12 +298,4 @@ func (a *Advisor) overTimeLimit(rec *Recommendation) bool {
 		return false
 	}
 	return float64(rec.WhatIfCalls)*whatIfSecPerCall >= a.opts.TimeLimitSec
-}
-
-func totalCost(m map[*query.Query]float64) float64 {
-	var s float64
-	for _, v := range m {
-		s += v
-	}
-	return s
 }

@@ -24,13 +24,24 @@ type pdtoolPolicy struct {
 	regime      string
 	cfg         *index.Config
 
-	history []*query.Query   // previous round's workload
-	windows [][]*query.Query // all observed rounds, oldest first
+	// windows holds the last pdtoolTrainWindow observed rounds, oldest
+	// first: the random regime trains on all of them, the others on the
+	// last one.
+	windows [][]*query.Query
 }
 
 // pdtoolTrainWindow is the number of trailing observed rounds used as
-// the training workload in the random regime.
+// the training workload in the random regime, and so the number the
+// policy keeps.
 const pdtoolTrainWindow = 4
+
+// lastWindows trims ws to its last pdtoolTrainWindow windows.
+func lastWindows(ws [][]*query.Query) [][]*query.Query {
+	if n := len(ws); n > pdtoolTrainWindow {
+		ws = append(ws[:0], ws[n-pdtoolTrainWindow:]...)
+	}
+	return ws
+}
 
 func newPDTool(e Env, p Params) (Policy, error) {
 	return &pdtoolPolicy{
@@ -87,26 +98,21 @@ func (p *pdtoolPolicy) Name() string { return "pdtool" }
 
 func (p *pdtoolPolicy) Recommend(round int, lastWorkload []*query.Query) Recommendation {
 	if lastWorkload != nil {
-		p.history = lastWorkload
-		p.windows = append(p.windows, lastWorkload)
+		p.windows = lastWindows(append(p.windows, lastWorkload))
 	}
 	if !p.invocations[round] {
 		return Recommendation{Config: p.cfg}
 	}
 	var training []*query.Query
 	if p.regime == "random" {
-		start := len(p.windows) - pdtoolTrainWindow
-		if start < 0 {
-			start = 0
-		}
-		for _, w := range p.windows[start:] {
+		for _, w := range p.windows {
 			training = append(training, w...)
 		}
-	} else {
+	} else if n := len(p.windows); n > 0 {
 		// Static and shifting: the previous round's queries are
 		// representative of what's to come (the paper's
 		// PDTool-favourable assumption).
-		training = p.history
+		training = p.windows[n-1]
 	}
 	rec := p.advisor.Recommend(training)
 	p.cfg = rec.Config
@@ -118,12 +124,14 @@ func (p *pdtoolPolicy) Observe([]*engine.ExecStats, map[string]float64) {}
 func (p *pdtoolPolicy) Close() {}
 
 // pdtoolSnapshot is the offline tool's serialisable state: the current
-// configuration and the observed workload history the scheduled
-// retrainings draw from. The advisor itself is stateless and the
-// invocation schedule derives from the environment.
+// configuration and the trailing windows the scheduled retrainings draw
+// from. The advisor itself is stateless and the invocation schedule
+// derives from the environment. Older builds also wrote a "History" key
+// (a copy of the last window) and every window ever observed; decoding
+// ignores the first and Restore keeps the last pdtoolTrainWindow of the
+// second, the state those builds ever read.
 type pdtoolSnapshot struct {
 	Config  []index.Def      `json:",omitempty"`
-	History []*query.Query   `json:",omitempty"`
 	Windows [][]*query.Query `json:",omitempty"`
 }
 
@@ -131,7 +139,6 @@ type pdtoolSnapshot struct {
 func (p *pdtoolPolicy) Snapshot() (json.RawMessage, error) {
 	return json.Marshal(&pdtoolSnapshot{
 		Config:  p.cfg.Defs(),
-		History: p.history,
 		Windows: p.windows,
 	})
 }
@@ -143,8 +150,7 @@ func (p *pdtoolPolicy) Restore(raw json.RawMessage) error {
 		return fmt.Errorf("pdtool policy snapshot: %w", err)
 	}
 	p.cfg = index.ConfigFromDefs(snap.Config)
-	p.history = snap.History
-	p.windows = snap.Windows
+	p.windows = lastWindows(snap.Windows)
 	return nil
 }
 

@@ -1,9 +1,13 @@
 package policy
 
 import (
+	"encoding/json"
 	"reflect"
 	"sort"
 	"testing"
+
+	"dbabandits/internal/index"
+	"dbabandits/internal/query"
 )
 
 func sortedRounds(m map[int]bool) []int {
@@ -86,5 +90,47 @@ func TestInvocationRoundsUnknownRegime(t *testing.T) {
 func TestInvocationRoundsHTAP(t *testing.T) {
 	if got := sortedRounds(InvocationRounds("htap", 40)); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("htap schedule = %v, want [2]", got)
+	}
+}
+
+// TestPDToolKeepsTrailingWindows pins that the policy holds only the
+// windows a retraining can read: after 40 observed rounds it keeps the
+// last pdtoolTrainWindow, and restoring an older snapshot that carries
+// every window (and the "History" key older builds wrote) keeps the same
+// trailing windows.
+func TestPDToolKeepsTrailingWindows(t *testing.T) {
+	window := func(r int) []*query.Query { return []*query.Query{{TemplateID: r}} }
+	lastIDs := func(ws [][]*query.Query) []int {
+		ids := make([]int, len(ws))
+		for i, w := range ws {
+			ids[i] = w[0].TemplateID
+		}
+		return ids
+	}
+	want := []int{37, 38, 39, 40}
+
+	p := &pdtoolPolicy{invocations: map[int]bool{}, cfg: index.NewConfig()}
+	p.Recommend(1, nil)
+	for r := 2; r <= 41; r++ {
+		p.Recommend(r, window(r-1))
+	}
+	if got := lastIDs(p.windows); !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept windows %v, want %v", got, want)
+	}
+
+	var all [][]*query.Query
+	for r := 1; r <= 40; r++ {
+		all = append(all, window(r))
+	}
+	legacy, err := json.Marshal(map[string]any{"History": all[39], "Windows": all})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := &pdtoolPolicy{invocations: map[int]bool{}, cfg: index.NewConfig()}
+	if err := restored.Restore(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if got := lastIDs(restored.windows); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored windows %v, want %v", got, want)
 	}
 }

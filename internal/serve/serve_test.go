@@ -3,15 +3,18 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dbabandits/internal/env"
 	"dbabandits/internal/linalg"
+	"dbabandits/internal/mab"
 	"dbabandits/internal/policy"
 	"dbabandits/internal/query"
 )
@@ -228,6 +231,115 @@ func TestGuardrailQuarantineRound(t *testing.T) {
 	}
 	if s.Quarantines() != 2 {
 		t.Fatalf("quarantines = %d, want 2", s.Quarantines())
+	}
+}
+
+// forgetRecorder records every guardrail Forget call before passing it
+// on to the wrapped policy.
+type forgetRecorder struct {
+	policy.Policy
+	gammas []float64
+}
+
+func (f *forgetRecorder) Forget(gamma float64) {
+	f.gammas = append(f.gammas, gamma)
+	f.Policy.(policy.Forgetter).Forget(gamma)
+}
+
+// TestGuardrailForgetFactor pins the -guard-forget path: with a positive
+// ForgetFactor every quarantine discounts the policy's learned state
+// once, by that factor, and the discount reaches the bandit's ridge (its
+// Forget rebases, so the quarantine window ends with a fresh inverse);
+// with ForgetFactor 0 the guardrail never calls Forget.
+func TestGuardrailForgetFactor(t *testing.T) {
+	for _, factor := range []float64{0.5, 0} {
+		t.Run(fmt.Sprint(factor), func(t *testing.T) {
+			opts := testOptions()
+			opts.Guardrail = GuardrailOptions{
+				BudgetX:         1e-9, // every window violates
+				QuarantineAfter: 2,
+				CooldownWindows: 2,
+				ForgetFactor:    factor,
+			}
+			s, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			rec := &forgetRecorder{Policy: s.pol}
+			s.pol = rec
+			st := NewStream(strings.NewReader(testStream), s)
+			for w := 1; w <= 6; w++ {
+				reps := feedAll(t, s, st, 1)
+				raw, err := rec.Policy.(policy.Snapshotter).Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var state mab.TunerSnapshot
+				if err := json.Unmarshal(raw, &state); err != nil {
+					t.Fatal(err)
+				}
+				// The bandit's own shift-scaled forgetting rebases too, so
+				// only a quarantine window is conclusive: it observed at
+				// least one arm, and only the guardrail's Forget can have
+				// rebased after that.
+				ridge := state.Bandit.Ridge
+				if reps[0].Intervention == "quarantine" && (ridge.SinceRebase == 0) != (factor > 0) {
+					t.Fatalf("quarantine window %d: ridge SinceRebase=%d after %d updates",
+						w, ridge.SinceRebase, ridge.Updates)
+				}
+			}
+			if s.Quarantines() != 2 {
+				t.Fatalf("quarantines = %d, want 2", s.Quarantines())
+			}
+			want := []float64{factor, factor}
+			if factor == 0 {
+				want = nil
+			}
+			if !reflect.DeepEqual(rec.gammas, want) {
+				t.Fatalf("Forget calls %v, want %v", rec.gammas, want)
+			}
+		})
+	}
+}
+
+// TestPDToolSessionStateBounded pins that a pdtool serving session's
+// checkpointed state stops growing once the policy holds the windows a
+// retraining can read: after 40 windows it carries 4 of them, and its
+// size matches the state after 10 windows to within one window's worth.
+func TestPDToolSessionStateBounded(t *testing.T) {
+	opts := testOptions()
+	opts.Policy = "pdtool"
+	s, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var lines strings.Builder
+	for w := 0; w < 40; w++ {
+		fmt.Fprintf(&lines, "%d %d %d\n", 1+w%5, 1+(w+2)%5, 1+(w+4)%5)
+	}
+	st := NewStream(strings.NewReader(lines.String()), s)
+	stateAt := func() []byte {
+		ck, err := s.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ck.PolicyState
+	}
+	feedAll(t, s, st, 10)
+	at10 := len(stateAt())
+	feedAll(t, s, st, 30)
+	state := stateAt()
+	var snap struct{ Windows [][]*query.Query }
+	if err := json.Unmarshal(state, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Windows) != 4 {
+		t.Fatalf("state after 40 windows holds %d windows, want 4", len(snap.Windows))
+	}
+	if len(state) > at10*5/4 {
+		t.Fatalf("state grew from %d bytes at window 10 to %d at window 40", at10, len(state))
 	}
 }
 
