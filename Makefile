@@ -12,11 +12,11 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent code (worker pool + harness)
-# and the ridge, bandit, policy/env/serve, fleet, optimiser and engine
-# layers every experiment cell, fleet tenant and serving session drives
-# from those workers.
+# and the ridge, bandit, policy/env/serve, fleet, optimiser, engine and
+# storage layers every experiment cell, fleet tenant and serving session
+# drives from those workers (storage builds its join lookups lazily).
 race:
-	$(GO) test -race ./internal/runner/... ./internal/linalg/... ./internal/mab/... ./internal/harness/... ./internal/policy/... ./internal/env/... ./internal/serve/... ./internal/fleet/... ./internal/optimizer/... ./internal/engine/...
+	$(GO) test -race ./internal/runner/... ./internal/linalg/... ./internal/mab/... ./internal/harness/... ./internal/policy/... ./internal/env/... ./internal/serve/... ./internal/fleet/... ./internal/optimizer/... ./internal/engine/... ./internal/storage/...
 
 # Fails when any file needs gofmt, listing the offenders.
 fmt:
@@ -38,7 +38,8 @@ benchmod:
 smoke:
 	$(GO) run ./cmd/experiments -exp fig2 -quick -parallel 4 -progress
 
-# Native fuzzing of the trust-boundary decoders, 10 s per target
+# Native fuzzing of the trust-boundary decoders and the serving stream
+# parser, 10 s per target
 # (go test -fuzz takes one target and one package per run; for a longer
 # local run call go test -fuzz directly). Each target's committed seed
 # corpus under testdata/fuzz also runs as part of the ordinary test
@@ -50,6 +51,7 @@ fuzz:
 	$(FUZZ) -fuzz '^FuzzDecodeCheckpoint$$' ./internal/serve/
 	$(FUZZ) -fuzz '^FuzzFloatencDecode$$' ./internal/floatenc/
 	$(FUZZ) -fuzz '^FuzzRestoreRidgeState$$' ./internal/linalg/
+	$(FUZZ) -fuzz '^FuzzStream$$' ./internal/serve/
 
 # Per-package coverage, as published in the CI workflow summary.
 cover:
@@ -60,7 +62,7 @@ cover:
 # cmd/benchjson, so the perf trajectory is tracked in-repo. Compare
 # against BENCH_baseline.json (captured at the pre-sparse-fast-path
 # commit) — see the README's Performance section.
-BENCH_PATTERN = 'BenchmarkTunerRecommendTPCDS$$|BenchmarkTunerRecommendSteadyState$$|BenchmarkScoresTPCDS$$|BenchmarkScoresBatch$$|BenchmarkScoresSparse$$|BenchmarkScoresDenseTPCDS$$|BenchmarkThetaCached$$|BenchmarkThetaRecompute$$|BenchmarkRidgeObserveScore$$|BenchmarkRidgeObserveScoreSparse$$|BenchmarkRidgeForget$$|BenchmarkRidgeObserve$$|BenchmarkC2UCBScores$$|BenchmarkArmGeneration$$|BenchmarkFleetRound$$|BenchmarkChoosePlanCold$$|BenchmarkChoosePlanWarm$$|BenchmarkChoosePlanMiss$$|BenchmarkWhatIfCost$$|BenchmarkWhatIfSingleIndexSweep$$|BenchmarkWhatIfWorkloadCold$$|BenchmarkWhatIfWorkloadWarm$$|BenchmarkEnvRoundSteadyState$$|BenchmarkQueryExecution$$|BenchmarkExecuteWorkloadTPCDS$$|BenchmarkWriteCheckpoint$$|BenchmarkRestoreCheckpoint$$'
+BENCH_PATTERN = 'BenchmarkTunerRecommendTPCDS$$|BenchmarkTunerRecommendSteadyState$$|BenchmarkScoresTPCDS$$|BenchmarkScoresBatch$$|BenchmarkScoresSparse$$|BenchmarkScoresDenseTPCDS$$|BenchmarkThetaCached$$|BenchmarkThetaRecompute$$|BenchmarkRidgeObserveScore$$|BenchmarkRidgeObserveScoreSparse$$|BenchmarkRidgeForget$$|BenchmarkRidgeObserve$$|BenchmarkC2UCBScores$$|BenchmarkArmGeneration$$|BenchmarkFleetRound$$|BenchmarkChoosePlanCold$$|BenchmarkChoosePlanWarm$$|BenchmarkChoosePlanMiss$$|BenchmarkWhatIfCost$$|BenchmarkWhatIfSingleIndexSweep$$|BenchmarkWhatIfWorkloadCold$$|BenchmarkWhatIfWorkloadWarm$$|BenchmarkEnvRoundSteadyState$$|BenchmarkQueryExecution$$|BenchmarkExecuteWorkloadTPCDS$$|BenchmarkWriteCheckpoint$$|BenchmarkRestoreCheckpoint$$|BenchmarkServeWindowTPCDS$$'
 
 bench:
 	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem ./... > .bench.out
@@ -72,7 +74,8 @@ bench:
 BENCH_LATEST = BENCH_1b520dd.json
 
 # Perf regression tripwire mirroring CI: re-runs the Observe/Scores,
-# recommend-round, engine-execution and checkpoint restore hot paths,
+# recommend-round, engine-execution, serve-window and checkpoint restore
+# hot paths,
 # captures them through benchjson, and fails if any benchmark present in
 # both captures regressed ns/op OR allocs/op by more than 30% against
 # the committed latest capture — the alloc budget is what keeps
@@ -83,9 +86,9 @@ BENCH_LATEST = BENCH_1b520dd.json
 # runners. It is captured by `make bench`, and TestCheckpointAllocs in
 # internal/serve pins its allocations.
 benchdiff:
-	$(GO) test -run '^$$' -bench 'Observe|Scores|TunerRecommend|ChoosePlan|WhatIf|EnvRound|QueryExecution|ExecuteWorkload|RestoreCheckpoint' -benchmem . ./internal/linalg/ ./internal/mab/ ./internal/env/ ./internal/serve/ > .benchdiff.out
+	$(GO) test -run '^$$' -bench 'Observe|Scores|TunerRecommend|ChoosePlan|WhatIf|EnvRound|QueryExecution|ExecuteWorkload|RestoreCheckpoint|ServeWindow' -benchmem . ./internal/linalg/ ./internal/mab/ ./internal/env/ ./internal/serve/ > .benchdiff.out
 	$(GO) run ./cmd/benchjson < .benchdiff.out > .benchdiff.json
-	@$(GO) run ./cmd/benchdiff -only 'Observe|Scores|TunerRecommend|ChoosePlan|WhatIf|EnvRound|QueryExecution|ExecuteWorkload|RestoreCheckpoint' -fail-over 30 -fail-over-allocs 30 $(BENCH_LATEST) .benchdiff.json; \
+	@$(GO) run ./cmd/benchdiff -only 'Observe|Scores|TunerRecommend|ChoosePlan|WhatIf|EnvRound|QueryExecution|ExecuteWorkload|RestoreCheckpoint|ServeWindow' -fail-over 30 -fail-over-allocs 30 $(BENCH_LATEST) .benchdiff.json; \
 	status=$$?; rm -f .benchdiff.out .benchdiff.json; exit $$status
 
 # Parallel-runner speedup benchmark (sequential vs all-CPU sweep).

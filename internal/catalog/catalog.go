@@ -185,6 +185,9 @@ func NewSchema(name string, tables ...*Table) (*Schema, error) {
 			return nil, fmt.Errorf("catalog: duplicate table %q in schema %q", t.Name, name)
 		}
 		s.tblIdx[t.Name] = i
+		// Built here, not on first lookup, so goroutines sharing the
+		// schema (fleet tenants, concurrent Execute calls) only read it.
+		t.buildIndex()
 	}
 	return s, nil
 }

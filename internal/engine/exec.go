@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -48,112 +47,34 @@ type execScratch struct {
 	// id per joined table (stride = tuple width); they swap after every
 	// join step.
 	cur, next []int32
-	// ids holds the inner rows a join step selects.
-	ids []int32
+	// ids holds the inner rows a filtered join step selects; rowSel
+	// marks them by row id and bucketSel marks their lookup buckets.
+	ids               []int32
+	rowSel, bucketSel []bool
 	// slots names the table behind each tuple position.
 	slots []string
 	// seek collects an index access's seek predicates.
-	seek   []query.Predicate
-	lookup joinLookup
+	seek []query.Predicate
 }
 
 // scratchPool hands each Execute call its own scratch, so concurrent
 // callers (fleet tenants) never share one.
 var scratchPool = sync.Pool{New: func() any { return new(execScratch) }}
 
-// joinLookup maps an inner join-column value to the inner rows holding
-// it, in compressed sparse row form: the rows of bucket b are
-// rows[start[b]:start[b+1]], in ascending row-id order. Values find
-// their bucket through an open-addressing table with linear probing,
-// sized to more than twice the rows at every build and hashed by a
-// fixed multiplier. Unlike a Go map, which draws a new random seed on
-// every clear and keeps the capacity of its largest build, the table
-// probes the same slots for the same values in every process and
-// costs a build no more than its own rows. None of the slices hold
-// pointers, so the collector never scans them.
-type joinLookup struct {
-	table []lookupSlot
-	shift uint // 64 - log2(len(table))
-	start []int32
-	rows  []int32
-	of    []int32 // bucket of each input row, build scratch
-}
-
-// lookupSlot is one table entry; bucket holds the bucket index plus
-// one, and 0 marks an empty slot.
-type lookupSlot struct {
-	value  int64
-	bucket int32
-}
-
-// slot returns the table position that holds v, or the empty position
-// where v would go.
-func (l *joinLookup) slot(v int64) int {
-	mask := len(l.table) - 1
-	i := int((uint64(v) * 0x9E3779B97F4A7C15) >> l.shift)
-	for l.table[i].bucket != 0 && l.table[i].value != v {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// build indexes the rows ids (ascending) by their value in col.
-func (l *joinLookup) build(col []int64, ids []int32) {
-	// A power of two above 2*len(ids) keeps the table under half full.
-	logSize := bits.Len(uint(len(ids))) + 1
-	l.table = slices.Grow(l.table[:0], 1<<logSize)[:1<<logSize]
-	clear(l.table)
-	l.shift = uint(64 - logSize)
-	// First pass: assign buckets and count each one's rows into
-	// start[b+1].
-	l.start = append(l.start[:0], 0)
-	l.of = l.of[:0]
-	for _, r := range ids {
-		v := col[r]
-		i := l.slot(v)
-		if l.table[i].bucket == 0 {
-			l.table[i] = lookupSlot{value: v, bucket: int32(len(l.start))}
-			l.start = append(l.start, 0)
-		}
-		b := l.table[i].bucket - 1
-		l.start[b+1]++
-		l.of = append(l.of, b)
-	}
-	for b := 1; b < len(l.start); b++ {
-		l.start[b] += l.start[b-1]
-	}
-	// Second pass: place each row at its bucket's cursor start[b], which
-	// leaves start[b] at bucket b+1's first slot; shifting start right by
-	// one restores the offsets.
-	l.rows = slices.Grow(l.rows[:0], len(ids))[:len(ids)]
-	for i, r := range ids {
-		b := l.of[i]
-		l.rows[l.start[b]] = r
-		l.start[b]++
-	}
-	copy(l.start[1:], l.start)
-	l.start[0] = 0
-}
-
-// match returns the inner rows whose join value is v.
-func (l *joinLookup) match(v int64) []int32 {
-	b := l.table[l.slot(v)].bucket - 1
-	if b < 0 {
-		return nil
-	}
-	return l.rows[l.start[b]:l.start[b+1]]
-}
-
 // Execute runs the plan against the database, computing true operator
 // times from stored-data cardinalities. It returns an error only for
 // malformed plans (unknown tables/columns); optimiser-produced plans are
 // always well-formed.
 //
-// Each table in the pipeline gets one selection scan for its filter
-// predicates: the driver's matching rows seed the pipeline and each join
-// step's inner rows feed its lookup. Access times are priced apart from that scan:
-// they depend on the predicates and on how many rows an index seek
-// touches, never on which rows survive the filters.
+// The driver's selection scan seeds the pipeline. Each join step probes
+// the inner join column's storage.Lookup, built once per stored column
+// and kept with its table; an inner table with filter predicates gets
+// one selection scan, whose rows (and their lookup buckets) are marked
+// so that unmarked matches are skipped. Matches come in ascending row
+// order, so the tuple order and hence the maxTuples down-sampling are
+// those of a per-step hash join over the selected rows. Access times are priced apart from the
+// scans: they depend on the predicates and on how many rows an index
+// seek touches, never on which rows survive the filters.
 func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 	q := p.Query
 	st := &ExecStats{
@@ -215,28 +136,46 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown join column %s.%s", step.OuterTable, step.OuterColumn)
 		}
-		innerCol, ok := inner.Column(step.InnerColumn)
+		lookup, ok := inner.Lookup(step.InnerColumn)
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown join column %s.%s", step.InnerTable, step.InnerColumn)
 		}
 
-		ids, okSel := inner.AppendSelectRows(sc.ids[:0], q.Filters)
-		sc.ids = ids
-		if !okSel {
-			return nil, fmt.Errorf("engine: predicate on missing column of %s", step.InnerTable)
+		// The lookup is exact in stored space for both algorithms (the
+		// difference is only in what the step costs). A filtered inner
+		// marks its selected rows and the buckets holding them, so a
+		// probe of a bucket with no selected row reads none of its rows.
+		innerRows := inner.StoredRows
+		var rowSel, bucketSel []bool
+		if filterCount(q, step.InnerTable) > 0 {
+			ids, okSel := inner.AppendSelectRows(sc.ids[:0], q.Filters)
+			sc.ids = ids
+			if !okSel {
+				return nil, fmt.Errorf("engine: predicate on missing column of %s", step.InnerTable)
+			}
+			rowSel = resetMarks(&sc.rowSel, inner.StoredRows)
+			bucketSel = resetMarks(&sc.bucketSel, lookup.Buckets())
+			innerCol := inner.MustColumn(step.InnerColumn)
+			for _, r := range ids {
+				rowSel[r] = true
+				bucketSel[lookup.Bucket(innerCol[r])] = true
+			}
+			innerRows = len(ids)
 		}
-
-		// Lookup from inner join-column value to inner row ids; exact in
-		// stored space for both algorithms (the difference is only in
-		// what the step costs).
-		sc.lookup.build(innerCol, ids)
 
 		width := len(sc.slots)
 		n := len(sc.cur) / width
 		out := sc.next[:0]
 		for t := 0; t < len(sc.cur); t += width {
 			tup := sc.cur[t : t+width]
-			for _, r := range sc.lookup.match(outerCol[tup[outerSlot]]) {
+			b := lookup.Bucket(outerCol[tup[outerSlot]])
+			if b < 0 || bucketSel != nil && !bucketSel[b] {
+				continue
+			}
+			for _, r := range lookup.Rows(b) {
+				if rowSel != nil && !rowSel[r] {
+					continue
+				}
 				out = append(out, tup...)
 				out = append(out, r)
 			}
@@ -248,7 +187,7 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 			logicalFactor = inner.Mult
 		}
 		outLogical := float64(nOut) * sampleFactor * logicalFactor
-		innerMatchedLogical := float64(len(ids)) * inner.Mult
+		innerMatchedLogical := float64(innerRows) * inner.Mult
 
 		var stepSec float64
 		switch step.Algo {
@@ -304,6 +243,13 @@ func Execute(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error) {
 	st.OutRows = float64(len(sc.cur)/len(sc.slots)) * sampleFactor * logicalFactor
 	st.TotalSec += cm.OutputSec(st.OutRows, q.AggWidth)
 	return st, nil
+}
+
+// resetMarks returns (*buf)[:n] all false, growing *buf as needed.
+func resetMarks(buf *[]bool, n int) []bool {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	clear(*buf)
+	return *buf
 }
 
 // filterCount returns how many of the query's filter predicates are on

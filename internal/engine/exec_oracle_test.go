@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -197,6 +196,22 @@ func TestExecuteMatchesReference(t *testing.T) {
 	}
 }
 
+// fixtureTable builds a stored table of integer columns, named in
+// order, whose row r holds cols[name](r).
+func fixtureTable(name string, rows int, mult float64, cols map[string]func(r int) int64, order ...string) *storage.Table {
+	meta := &catalog.Table{Name: name, BaseRows: int64(rows), RowCount: int64(float64(rows) * mult)}
+	t := &storage.Table{Meta: meta, StoredRows: rows, Mult: mult}
+	for _, c := range order {
+		meta.Columns = append(meta.Columns, catalog.Column{Name: c, Kind: catalog.KindInt})
+		col := make([]int64, rows)
+		for r := range col {
+			col[r] = cols[c](r)
+		}
+		t.Cols = append(t.Cols, col)
+	}
+	return t
+}
+
 // manyToManyDB is a fixture whose joins pass maxTuples twice. All 701
 // rows of a and 401 of b share one join key, so a ⋈ b has 281,101
 // tuples and is down-sampled by 2. a.v is the row id and c holds five
@@ -204,31 +219,18 @@ func TestExecuteMatchesReference(t *testing.T) {
 // tuples, down-sampled again; d then keeps the tuples whose b.w is 0, 1
 // or 2. Which tuples survive each sampling thus shows in the output.
 func manyToManyDB() *storage.Database {
-	mk := func(name string, rows int, mult float64, cols map[string]func(r int) int64, order ...string) *storage.Table {
-		meta := &catalog.Table{Name: name, BaseRows: int64(rows), RowCount: int64(float64(rows) * mult)}
-		t := &storage.Table{Meta: meta, StoredRows: rows, Mult: mult}
-		for _, c := range order {
-			meta.Columns = append(meta.Columns, catalog.Column{Name: c, Kind: catalog.KindInt})
-			col := make([]int64, rows)
-			for r := range col {
-				col[r] = cols[c](r)
-			}
-			t.Cols = append(t.Cols, col)
-		}
-		return t
-	}
-	a := mk("a", 701, 3, map[string]func(int) int64{
+	a := fixtureTable("a", 701, 3, map[string]func(int) int64{
 		"k": func(int) int64 { return 0 },
 		"v": func(r int) int64 { return int64(r) },
 	}, "k", "v")
-	b := mk("b", 401, 1, map[string]func(int) int64{
+	b := fixtureTable("b", 401, 1, map[string]func(int) int64{
 		"k": func(int) int64 { return 0 },
 		"w": func(r int) int64 { return int64(r % 5) },
 	}, "k", "w")
-	c := mk("c", 1000, 2, map[string]func(int) int64{
+	c := fixtureTable("c", 1000, 2, map[string]func(int) int64{
 		"v": func(r int) int64 { return int64(500 + r%200) },
 	}, "v")
-	d := mk("d", 3, 1, map[string]func(int) int64{
+	d := fixtureTable("d", 3, 1, map[string]func(int) int64{
 		"w": func(r int) int64 { return int64(r) },
 	}, "w")
 	return &storage.Database{
@@ -279,47 +281,6 @@ func TestExecuteDownSamplesManyToMany(t *testing.T) {
 		}
 		if diff := sameStats(got, want); diff != "" {
 			t.Fatalf("%s: %s differs from the reference", algo, diff)
-		}
-	}
-}
-
-// TestJoinLookupMatchesMap builds one lookup over and over, large then
-// small, from value domains narrow (many rows per value), wide and at the
-// int64 extremes, and checks every value against a map of row lists,
-// including values the build never saw.
-func TestJoinLookupMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var l joinLookup
-	for trial := 0; trial < 300; trial++ {
-		n := rng.Intn(2000)
-		if trial%2 == 1 {
-			n = rng.Intn(8)
-		}
-		col := make([]int64, n)
-		for i := range col {
-			switch trial % 3 {
-			case 0:
-				col[i] = int64(rng.Intn(20))
-			case 1:
-				col[i] = rng.Int63n(1<<40) - 1<<39
-			default:
-				col[i] = []int64{math.MinInt64, math.MaxInt64, -1, 0, 1 << 62}[rng.Intn(5)]
-			}
-		}
-		var ids []int32
-		want := map[int64][]int32{}
-		for r := range col {
-			if rng.Intn(3) > 0 {
-				ids = append(ids, int32(r))
-				want[col[r]] = append(want[col[r]], int32(r))
-			}
-		}
-		l.build(col, ids)
-		probes := append([]int64{math.MinInt64, math.MaxInt64, 0, 7, -7}, col...)
-		for _, v := range probes {
-			if got := l.match(v); !slices.Equal(got, want[v]) {
-				t.Fatalf("trial %d: value %d matches %v, want %v", trial, v, got, want[v])
-			}
 		}
 	}
 }
@@ -436,5 +397,123 @@ func TestWarmExecuteAllocs(t *testing.T) {
 	run() // grow the pooled scratch to this plan's footprint
 	if got := testing.AllocsPerRun(20, run); got != 5 {
 		t.Fatalf("warm 3-way Execute allocated %v times, want exactly 5 (the ExecStats, and each of its maps' header and table)", got)
+	}
+}
+
+// wideKeyDB is a fixture whose join keys are spaced 10⁹ apart, far too
+// wide for direct addressing, so every join probes a hashed lookup. No
+// benchmark schema reaches that path. dim holds keys 0, 10⁹, ... with
+// two filter columns; fact references them at random, plus keys no dim
+// row holds, and carries a filter column of its own.
+func wideKeyDB() *storage.Database {
+	rng := rand.New(rand.NewSource(9))
+	const spacing = 1_000_000_000
+	dim := fixtureTable("dim", 400, 2, map[string]func(int) int64{
+		"d_key": func(r int) int64 { return int64(r) * spacing },
+		"d_grp": func(r int) int64 { return int64(r % 9) },
+		"d_val": func(r int) int64 { return int64(rng.Intn(100)) },
+	}, "d_key", "d_grp", "d_val")
+	fact := fixtureTable("fact", 3000, 3, map[string]func(int) int64{
+		"f_key": func(int) int64 { return int64(rng.Intn(450)) * spacing },
+		"f_val": func(int) int64 { return int64(rng.Intn(100)) },
+	}, "f_key", "f_val")
+	return &storage.Database{
+		Schema: catalog.MustSchema("wide", dim.Meta, fact.Meta),
+		Tables: map[string]*storage.Table{"dim": dim, "fact": fact},
+	}
+}
+
+// TestExecuteWideKeysMatchesReference runs hash and index-NL joins in
+// both directions over hashed lookups, filtered and unfiltered, and
+// holds each to the reference executor bit for bit.
+func TestExecuteWideKeysMatchesReference(t *testing.T) {
+	db := wideKeyDB()
+	for _, c := range [][2]string{{"dim", "d_key"}, {"fact", "f_key"}} {
+		if l, ok := db.MustTable(c[0]).Lookup(c[1]); !ok || l.Dense() {
+			t.Fatalf("%s.%s: the fixture no longer reaches the hashed lookup", c[0], c[1])
+		}
+	}
+	cm := DefaultCostModel()
+	filters := [][]query.Predicate{
+		nil,
+		{{Table: "dim", Column: "d_val", Op: query.OpLt, Hi: 40}},
+		{{Table: "fact", Column: "f_val", Op: query.OpGt, Lo: 70}},
+		{
+			{Table: "dim", Column: "d_grp", Op: query.OpEq, Lo: 3},
+			{Table: "fact", Column: "f_val", Op: query.OpRange, Lo: 10, Hi: 60},
+		},
+	}
+	ix := index.New("fact", []string{"f_key"}, nil)
+	for fi, f := range filters {
+		q := &query.Query{Tables: []string{"dim", "fact"}, Filters: f}
+		for _, algo := range []JoinAlgo{JoinHash, JoinIndexNL} {
+			dimInner := Access{Table: "dim", Kind: AccessSeqScan}
+			factInner := Access{Table: "fact", Kind: AccessSeqScan}
+			if algo == JoinIndexNL {
+				dimInner = Access{Table: "dim", Kind: AccessClusteredSeek}
+				factInner = Access{Table: "fact", Kind: AccessIndexSeek, Index: ix, EqLen: 1}
+			}
+			plans := []*Plan{
+				{Query: q, Driver: Access{Table: "fact", Kind: AccessSeqScan}, Steps: []JoinStep{
+					{OuterTable: "fact", OuterColumn: "f_key", InnerTable: "dim", InnerColumn: "d_key", Inner: dimInner, Algo: algo},
+				}},
+				{Query: q, Driver: Access{Table: "dim", Kind: AccessSeqScan}, Steps: []JoinStep{
+					{OuterTable: "dim", OuterColumn: "d_key", InnerTable: "fact", InnerColumn: "f_key", Inner: factInner, Algo: algo},
+				}},
+			}
+			for _, p := range plans {
+				got, err := Execute(db, p, cm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := executeRef(db, p, cm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := sameStats(got, want); diff != "" {
+					t.Fatalf("filters %d, %s: %s differs from the reference", fi, p, diff)
+				}
+				if got.OutRows == 0 && fi == 0 {
+					t.Fatalf("%s: an unfiltered join matched nothing", p)
+				}
+			}
+		}
+	}
+}
+
+// TestWarmExecuteSeekDriverAllocs pins a warm join whose driver is an
+// index seek, priced through CountRows, at the allocations of its
+// result alone, like TestWarmExecuteAllocs.
+func TestWarmExecuteSeekDriverAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not stable under the race detector")
+	}
+	_, db := testdb.BuildScaled(1, 2, 1500)
+	q := &query.Query{
+		Tables: []string{"orders", "customer"},
+		Filters: []query.Predicate{
+			{Table: "orders", Column: "o_date", Op: query.OpRange, Lo: 100, Hi: 900},
+			{Table: "orders", Column: "o_status", Op: query.OpLt, Hi: 3},
+			{Table: "customer", Column: "c_segment", Op: query.OpEq, Lo: 2},
+		},
+	}
+	ix := index.New("orders", []string{"o_date"}, nil)
+	p := &Plan{
+		Query:  q,
+		Driver: Access{Table: "orders", Kind: AccessIndexSeek, Index: ix, HasRange: true},
+		Steps: []JoinStep{
+			{OuterTable: "orders", OuterColumn: "o_custkey", InnerTable: "customer", InnerColumn: "c_id",
+				Inner: Access{Table: "customer", Kind: AccessSeqScan}, Algo: JoinHash},
+		},
+	}
+	cm := DefaultCostModel()
+	run := func() {
+		if _, err := Execute(db, p, cm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // grow the pooled scratch and build the join lookup
+	if got := testing.AllocsPerRun(20, run); got != 5 {
+		t.Fatalf("warm index-seek-driven Execute allocated %v times, want exactly 5 (the ExecStats, and each of its maps' header and table)", got)
 	}
 }

@@ -290,19 +290,7 @@ func tpcdsSession(tb testing.TB) *Session {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b, err := workload.ByName("tpcds")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	var text strings.Builder
-	for w := 0; w < 20; w++ {
-		for i := 0; i < 20; i++ {
-			text.WriteString(strconv.Itoa(b.Templates[rng.Intn(len(b.Templates))].ID) + " ")
-		}
-		text.WriteByte('\n')
-	}
-	st := NewStream(strings.NewReader(text.String()), s)
+	st := NewStream(strings.NewReader(tpcdsStreamText(tb, 1, 20)), s)
 	for w := 0; w < 20; w++ {
 		win, err := st.Next()
 		if err != nil {
@@ -313,6 +301,25 @@ func tpcdsSession(tb testing.TB) *Session {
 		}
 	}
 	return s
+}
+
+// tpcdsStreamText returns windows lines of the serving line protocol,
+// each 20 TPC-DS template ids drawn from the seed.
+func tpcdsStreamText(tb testing.TB, seed int64, windows int) string {
+	tb.Helper()
+	b, err := workload.ByName("tpcds")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var text strings.Builder
+	for w := 0; w < windows; w++ {
+		for i := 0; i < 20; i++ {
+			text.WriteString(strconv.Itoa(b.Templates[rng.Intn(len(b.Templates))].ID) + " ")
+		}
+		text.WriteByte('\n')
+	}
+	return text.String()
 }
 
 // allocsPerRun returns the mean heap objects and bytes f allocates per

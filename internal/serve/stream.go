@@ -29,6 +29,9 @@ type Stream struct {
 	window    int
 }
 
+// maxLineBytes bounds one line of the stream, its newline included.
+const maxLineBytes = 1 << 20
+
 // NewStream wraps a line-protocol reader for the given session.
 func NewStream(r io.Reader, s *Session) *Stream {
 	bench := s.env.Bench
@@ -37,7 +40,7 @@ func NewStream(r io.Reader, s *Session) *Stream {
 		templates[ts.ID] = ts
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	return &Stream{
 		sc:        sc,
 		templates: templates,
@@ -50,7 +53,9 @@ func NewStream(r io.Reader, s *Session) *Stream {
 
 // Skip consumes n windows without instantiating them — how a restored
 // session fast-forwards past the part of the stream the checkpointed
-// run already served. It errors if the stream ends early.
+// run already served. It errors if the stream ends early. Every error
+// names the window it stopped at; Window counts the windows consumed
+// before it.
 func (st *Stream) Skip(n int) error {
 	// The skip target is absolute: n windows past wherever the stream
 	// already is, not window n (a restored stream may have consumed a
@@ -69,7 +74,10 @@ func (st *Stream) Skip(n int) error {
 }
 
 // Next reads and instantiates the next window. It returns io.EOF when
-// the stream is exhausted.
+// the stream is exhausted. Any other error names the window it failed
+// on: a window with a bad or unknown template id counts as consumed, a
+// window that could not be read (a line over 1 MiB, a failed reader)
+// does not.
 func (st *Stream) Next() ([]*query.Query, error) {
 	line, err := st.nextLine()
 	if err != nil {
@@ -108,7 +116,7 @@ func (st *Stream) nextLine() (string, error) {
 		return line, nil
 	}
 	if err := st.sc.Err(); err != nil {
-		return "", err
+		return "", fmt.Errorf("serve: window %d: %w", st.window+1, err)
 	}
 	return "", io.EOF
 }

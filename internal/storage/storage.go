@@ -24,11 +24,19 @@ import (
 )
 
 // Table is the physical storage of one logical table.
+//
+// Stored columns are immutable: datagen writes Cols while it builds the
+// database and nothing writes them afterwards (HTAP updates are priced,
+// never applied). The per-column join lookups rely on this, since each
+// is built once from its column and kept for the life of the table.
+// A Table must not be copied after first use.
 type Table struct {
 	Meta       *catalog.Table
 	Cols       [][]int64 // column-major; parallel to Meta.Columns
 	StoredRows int
 	Mult       float64 // logical rows / stored rows (>= 1)
+
+	lookups lookups
 }
 
 // Column returns the physical column array by name.
@@ -118,36 +126,51 @@ func (t *Table) AppendSelectRows(dst []int32, preds []query.Predicate) ([]int32,
 	return dst, true
 }
 
+// countBlock is how many rows CountRows filters at a time.
+const countBlock = 256
+
 // CountRows returns only the number of stored rows matching the
-// conjunction; cheaper than SelectRows when ids are not needed.
+// conjunction; cheaper than SelectRows when ids are not needed. It
+// filters a block of rows at a time, a column at a time, in a
+// fixed-size mask, so it allocates nothing.
 func (t *Table) CountRows(preds []query.Predicate) (int, bool) {
-	var cols [][]int64
-	var ps []query.Predicate
+	filtered := false
 	for _, p := range preds {
 		if p.Table != t.Meta.Name {
 			continue
 		}
-		c, ok := t.Column(p.Column)
-		if !ok {
+		if _, ok := t.Column(p.Column); !ok {
 			return 0, false
 		}
-		cols = append(cols, c)
-		ps = append(ps, p)
+		filtered = true
 	}
-	if len(ps) == 0 {
+	if !filtered {
 		return t.StoredRows, true
 	}
+	var miss [countBlock]bool
 	n := 0
-	for r := 0; r < t.StoredRows; r++ {
-		match := true
-		for i, p := range ps {
-			if !p.Matches(cols[i][r]) {
-				match = false
-				break
+	for base := 0; base < t.StoredRows; base += countBlock {
+		blk := miss[:min(countBlock, t.StoredRows-base)]
+		clear(blk)
+		for _, p := range preds {
+			if p.Table != t.Meta.Name {
+				continue
+			}
+			lo, hi := p.Bounds()
+			if lo > hi {
+				return 0, true
+			}
+			// v lies in [lo, hi] exactly when v-lo, taken unsigned, is
+			// at most hi-lo.
+			span := uint64(hi - lo)
+			for i, v := range t.MustColumn(p.Column)[base : base+len(blk)] {
+				blk[i] = blk[i] || uint64(v-lo) > span
 			}
 		}
-		if match {
-			n++
+		for _, m := range blk {
+			if !m {
+				n++
+			}
 		}
 	}
 	return n, true

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -186,5 +187,69 @@ func TestQuickSelectCountAgreement(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCountRowsMatchesNaive holds the block-wise CountRows to a
+// row-at-a-time count over a table spanning several blocks and a
+// partial last one, with zero to three predicates of every operator,
+// including ones that match nothing and ones on other tables.
+func TestCountRowsMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const rows = 3*countBlock + 17
+	meta := &catalog.Table{Name: "t", BaseRows: rows, RowCount: rows}
+	tbl := &Table{Meta: meta, StoredRows: rows, Mult: 1}
+	for _, c := range []string{"a", "b", "c"} {
+		meta.Columns = append(meta.Columns, catalog.Column{Name: c, Kind: catalog.KindInt})
+		col := make([]int64, rows)
+		for r := range col {
+			col[r] = int64(rng.Intn(40)) - 5
+		}
+		tbl.Cols = append(tbl.Cols, col)
+	}
+	for trial := 0; trial < 500; trial++ {
+		var preds []query.Predicate
+		for i := rng.Intn(4); i > 0; i-- {
+			table := "t"
+			if rng.Intn(5) == 0 {
+				table = "other"
+			}
+			preds = append(preds, query.Predicate{
+				Table:  table,
+				Column: []string{"a", "b", "c"}[rng.Intn(3)],
+				Op:     query.Op(rng.Intn(4)),
+				Lo:     int64(rng.Intn(50)) - 10,
+				Hi:     int64(rng.Intn(50)) - 10,
+			})
+		}
+		want := 0
+		for r := 0; r < rows; r++ {
+			match := true
+			for _, p := range preds {
+				if p.Table == "t" && !p.Matches(tbl.MustColumn(p.Column)[r]) {
+					match = false
+				}
+			}
+			if match {
+				want++
+			}
+		}
+		if got, ok := tbl.CountRows(preds); !ok || got != want {
+			t.Fatalf("trial %d %v: CountRows = %d, %v; want %d", trial, preds, got, ok, want)
+		}
+	}
+}
+
+// TestCountRowsAllocs pins CountRows, which prices every index seek, at
+// zero allocations.
+func TestCountRowsAllocs(t *testing.T) {
+	tbl := fixtureTable()
+	preds := []query.Predicate{
+		{Table: "t", Column: "a", Op: query.OpRange, Lo: 2, Hi: 7},
+		{Table: "t", Column: "b", Op: query.OpEq, Lo: 1},
+		{Table: "u", Column: "x", Op: query.OpEq, Lo: 1},
+	}
+	if got := testing.AllocsPerRun(50, func() { tbl.CountRows(preds) }); got != 0 {
+		t.Fatalf("CountRows allocated %v times, want 0", got)
 	}
 }
