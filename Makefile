@@ -12,11 +12,13 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent code (worker pool + harness)
-# and the ridge, bandit, policy/env/serve, fleet, optimiser, engine and
-# storage layers every experiment cell, fleet tenant and serving session
-# drives from those workers (storage builds its join lookups lazily).
+# and the ridge, bandit, policy/env/serve, fleet, optimiser, index,
+# engine and storage layers every experiment cell, fleet tenant and
+# serving session drives from those workers (index.Config memoises its
+# table signatures and storage builds its join lookups lazily, both on
+# first read).
 race:
-	$(GO) test -race ./internal/runner/... ./internal/linalg/... ./internal/mab/... ./internal/harness/... ./internal/policy/... ./internal/env/... ./internal/serve/... ./internal/fleet/... ./internal/optimizer/... ./internal/engine/... ./internal/storage/...
+	$(GO) test -race ./internal/runner/... ./internal/linalg/... ./internal/mab/... ./internal/harness/... ./internal/policy/... ./internal/env/... ./internal/serve/... ./internal/fleet/... ./internal/optimizer/... ./internal/index/... ./internal/engine/... ./internal/storage/...
 
 # Fails when any file needs gofmt, listing the offenders.
 fmt:

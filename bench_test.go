@@ -549,9 +549,10 @@ func BenchmarkChoosePlanCold(b *testing.B) {
 	}
 }
 
-// BenchmarkChoosePlanWarm re-prices an unchanged configuration — the
-// steady-state round's dominant call pattern, answered by the cache's
-// (config pointer, epoch) fast path.
+// BenchmarkChoosePlanWarm re-prices an unchanged configuration: a
+// plan-cache fingerprint hit, the path every repeat pricing of a known
+// instance takes (about a third of htap-tpcds-advisor's what-if calls).
+// Batch rounds bring fresh instances and never hit.
 func BenchmarkChoosePlanWarm(b *testing.B) {
 	cached, _, q, _, cfg := benchPlanFixture(b)
 	if _, err := cached.ChoosePlan(q, cfg); err != nil {
@@ -580,7 +581,8 @@ func BenchmarkWhatIfWorkloadCold(b *testing.B) {
 }
 
 // BenchmarkWhatIfWorkloadWarm prices the same workload with the cache
-// primed — the advisor/PDTool/guardrail repeat-pricing pattern.
+// primed: one fingerprint hit per query, the cost of re-pricing known
+// instances under a configuration whose relevant indexes are unchanged.
 func BenchmarkWhatIfWorkloadWarm(b *testing.B) {
 	cached, _, _, wl, cfg := benchPlanFixture(b)
 	if _, _, err := cached.WhatIfWorkloadCost(wl, cfg); err != nil {

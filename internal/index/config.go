@@ -14,17 +14,13 @@ type Config struct {
 	byID    map[string]*Index
 	byTable map[string][]*Index
 
-	// epoch counts content mutations (successful Add/Drop). The
-	// optimiser's plan cache uses (pointer, epoch) as a same-content
-	// fast path: a Config can only change through Add/Drop, so an
-	// unchanged epoch on the same object proves unchanged content.
-	epoch uint64
 	// sigs memoises TableSig per table, invalidated on Add/Drop. Lazy:
-	// configs that never reach the optimiser pay nothing. sigMu permits
-	// concurrent TableSig readers (parallel what-if pricing of one
-	// config) to race only on the memo, never on the content maps —
-	// mutating a Config while it is being priced remains forbidden,
-	// exactly as for OnTable.
+	// configs that never reach the optimiser pay nothing. TableSig reads
+	// like OnTable but fills the memo, so sigMu keeps it as safe as the
+	// other read methods for concurrent readers, such as two optimisers
+	// pricing one Config from separate goroutines; they then share only
+	// the memo, never a write to the content maps. Mutating a Config
+	// while it is being read remains forbidden, exactly as for OnTable.
 	sigMu sync.Mutex
 	sigs  map[string]string
 }
@@ -81,25 +77,14 @@ func (c *Config) Drop(id string) bool {
 	return true
 }
 
-// mutated records a content change: the epoch advances and the touched
-// table's memoised signature is invalidated.
+// mutated records a content change: the touched table's memoised
+// signature is invalidated.
 func (c *Config) mutated(table string) {
-	c.epoch++
 	if c.sigs != nil {
 		c.sigMu.Lock()
 		delete(c.sigs, table)
 		c.sigMu.Unlock()
 	}
-}
-
-// Epoch returns the mutation counter: it advances on every successful
-// Add or Drop and never otherwise, so equal epochs on the same Config
-// object guarantee identical content. A nil Config reports 0.
-func (c *Config) Epoch() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.epoch
 }
 
 // TableSig returns a canonical content signature of the configuration's

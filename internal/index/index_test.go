@@ -300,32 +300,6 @@ func TestQuickSeekPrefixBounds(t *testing.T) {
 	}
 }
 
-func TestConfigEpochAdvancesOnMutation(t *testing.T) {
-	c := NewConfig()
-	if c.Epoch() != 0 {
-		t.Fatalf("fresh epoch = %d", c.Epoch())
-	}
-	a := New("orders", []string{"o_custkey"}, nil)
-	c.Add(a)
-	if c.Epoch() != 1 {
-		t.Fatalf("epoch after add = %d", c.Epoch())
-	}
-	// Failed mutations are not content changes.
-	c.Add(New("orders", []string{"o_custkey"}, nil)) // duplicate
-	c.Drop("no-such-id")
-	if c.Epoch() != 1 {
-		t.Fatalf("epoch moved on no-op mutations: %d", c.Epoch())
-	}
-	c.Drop(a.ID())
-	if c.Epoch() != 2 {
-		t.Fatalf("epoch after drop = %d", c.Epoch())
-	}
-	var nilCfg *Config
-	if nilCfg.Epoch() != 0 {
-		t.Fatal("nil Config epoch non-zero")
-	}
-}
-
 func TestConfigTableSig(t *testing.T) {
 	c := NewConfig()
 	if c.TableSig("orders") != "" {

@@ -22,19 +22,26 @@ import (
 //
 //  1. a plan cache per query instance, keyed by the concatenated
 //     relevant-index fingerprint (index.Config.TableSig per table,
-//     screened per query), so the advisor/PDTool/guardrail paths that
-//     re-price the same queries against many candidate configurations
-//     plan each distinct relevant combination once;
-//  2. an accessChoice/NL-access memo per (table, predicate-set,
-//     relevant-index-set), shared across the per-driver loop inside one
+//     screened per query), so the advisor and HTAP paths that re-price
+//     the same instances against many candidate configurations plan
+//     each distinct relevant combination once;
+//  2. a bestAccess memo per (query instance, table) for the relevant set
+//     currently loaded, shared across the per-driver loop inside one
 //     ChoosePlan (the greedy search calls bestAccess O(tables²) times)
-//     and across every configuration mapping to the same relevant set;
+//     and kept until the table's signature changes;
 //  3. per-instance planning state (metas, filtered-row estimates,
-//     FiltersOn results, referenced columns) computed once per query
-//     instance, plus cache-wide scratch (the fingerprint, screen and
-//     joined-set buffers, step buffers) reused by every miss, so a
-//     re-plan of a known instance allocates only the plan, its Steps,
-//     any new relevant set and the plan's fingerprint key.
+//     FiltersOn results, referenced columns, the screened relevant set)
+//     computed once per query instance, plus cache-wide scratch (the
+//     fingerprint and joined-set buffers, step buffers) reused by every
+//     miss, so a re-plan of a known instance allocates only the plan,
+//     its Steps and the plan's fingerprint key.
+//
+// Nothing else is memoised, because the traffic barely repeats it. Over
+// one seed-1 episode per repository benchmark workload, no instance was
+// priced twice in a row under one unchanged Config object, a table
+// returned to a signature it had seen before on about 3% of rescans
+// (advisor only), and the index-NL inner choice, a scan of the table's
+// few relevant indexes, repeated on under a quarter of its calls.
 //
 // Everything is byte-identical to the uncached search: the screen
 // filters cfg.OnTable's deterministic order without reordering, costs
@@ -54,16 +61,16 @@ const (
 	maxCachedQueries = 512
 	// maxPlansPerQuery bounds one query's fingerprint→plan map.
 	maxPlansPerQuery = 1024
-	// maxSetsPerTable bounds one table's signature→relevant-set memo.
-	maxSetsPerTable = 512
 )
 
 // PlanCacheStats are the cache's cumulative counters. Hits and Misses
 // count ChoosePlan calls answered from / added to the plan cache;
-// Invalidations counts relevant-set rescans forced by configuration
-// content changes plus capacity evictions, where each generation flip
-// of the entry map counts as one. They feed benchmarks and logs only —
-// no golden-pinned output includes them.
+// Invalidations counts relevant-set rescans (a table priced under a
+// signature other than the one it last saw, whether or not it has seen
+// that signature before) plus capacity evictions, where each generation
+// flip of the entry map and each reset of a full plan map counts as one.
+// They feed benchmarks and logs only — no golden-pinned output includes
+// them.
 type PlanCacheStats struct {
 	Hits, Misses, Invalidations uint64
 }
@@ -83,8 +90,6 @@ type planCache struct {
 
 	// Cold-path scratch, reused across the misses of every entry.
 	fpBuf     []byte
-	relBuf    []relIndex
-	idsBuf    []byte
 	joined    []bool
 	curSteps  []engine.JoinStep
 	bestSteps []engine.JoinStep
@@ -118,33 +123,16 @@ type relIndex struct {
 	covering bool
 }
 
-// nlChoice memoises nlInnerAccess for one (relevant set, inner column).
+// nlChoice is nlInnerAccess's result with the entry width its cost needs.
 type nlChoice struct {
 	acc        engine.Access
 	ok         bool
 	entryWidth float64 // leaf entry width (row width for clustered PK)
 }
 
-// nlMemo is one inner column's memoised nlChoice.
-type nlMemo struct {
-	col    string
-	choice nlChoice
-}
-
-// relevantSet is one distinct relevant-index subset of a table, shared
-// across every configuration signature mapping to it. The access and nl
-// memos make repeat pricing under any such configuration allocation-free.
-type relevantSet struct {
-	ids      string // canonical fingerprint component: screened index ids
-	ixs      []relIndex
-	access   accessChoice
-	accessOK bool
-	nl       []nlMemo // one per inner column probed; a table has few join columns
-}
-
 // qtable is the per-(query, table) planning state: everything ChoosePlan
 // previously recomputed per call that does not depend on the
-// configuration, plus the relevant-set memo that does.
+// configuration, plus the relevant set of the signature last priced.
 type qtable struct {
 	name         string
 	meta         *catalog.Table
@@ -156,12 +144,14 @@ type qtable struct {
 	rowWidth     float64           // float64(meta.RowWidthBytes())
 	seqCost      float64           // CM.TableScanSec(meta, len(preds))
 
-	sig      string       // TableSig of the relevant set currently loaded
-	relevant *relevantSet // nil until the first refresh
-	// Memo of every signature seen and its interned relevant set (equal
-	// screen results share one set); nil until a second signature.
-	bySig map[string]*relevantSet
-	byIDs map[string]*relevantSet
+	// The relevant set, rescreened into the same buffers whenever the
+	// table's signature changes; plans keep no reference into them.
+	loaded   bool       // false until the first refresh
+	sig      string     // TableSig the relevant set was screened under
+	rel      []relIndex // screened indexes, in cfg.OnTable order
+	ids      []byte     // canonical fingerprint component: screened index ids
+	access   accessChoice
+	accessOK bool
 }
 
 // queryEntry is one query instance's cache entry.
@@ -170,13 +160,6 @@ type queryEntry struct {
 	tables []qtable // distinct tables, in first-appearance order
 	order  []int    // q.Tables[i] → index into tables
 	plans  map[string]*engine.Plan
-
-	// Epoch fast path: the last (config object, epoch) priced and its
-	// plan. The steady-state loop re-prices the same Config object with
-	// unchanged content, which this answers without touching signatures.
-	lastCfg   *index.Config
-	lastEpoch uint64
-	lastPlan  *engine.Plan
 }
 
 // choosePlan is the cached ChoosePlan.
@@ -187,22 +170,17 @@ func (c *planCache) choosePlan(o *Optimizer, q *query.Query, cfg *index.Config) 
 	if err != nil {
 		return nil, err
 	}
-	if cfg != nil && cfg == e.lastCfg && cfg.Epoch() == e.lastEpoch && e.lastPlan != nil {
-		c.hits++
-		return e.lastPlan, nil
-	}
 	for i := range e.tables {
 		c.refreshRelevant(&e.tables[i], cfg)
 	}
 	fp := c.fpBuf[:0]
 	for i := range e.tables {
-		fp = append(fp, e.tables[i].relevant.ids...)
+		fp = append(fp, e.tables[i].ids...)
 		fp = append(fp, 0x1e)
 	}
 	c.fpBuf = fp
 	if plan, ok := e.plans[string(fp)]; ok {
 		c.hits++
-		e.noteLast(cfg, plan)
 		return plan, nil
 	}
 	plan, err := c.planEntry(o, e)
@@ -217,7 +195,6 @@ func (c *planCache) choosePlan(o *Optimizer, q *query.Query, cfg *index.Config) 
 		c.invalidations++
 	}
 	e.plans[string(fp)] = plan
-	e.noteLast(cfg, plan)
 	return plan, nil
 }
 
@@ -245,12 +222,6 @@ func (c *planCache) entry(o *Optimizer, q *query.Query) (*queryEntry, error) {
 	}
 	c.cur[q] = e
 	return e, nil
-}
-
-func (e *queryEntry) noteLast(cfg *index.Config, plan *engine.Plan) {
-	e.lastCfg = cfg
-	e.lastEpoch = cfg.Epoch()
-	e.lastPlan = plan
 }
 
 // newQueryEntry precomputes the query's configuration-independent
@@ -335,54 +306,22 @@ func appendDistinct(list []string, s string) []string {
 	return append(list, s)
 }
 
-// refreshRelevant points the qtable at the relevant set for cfg's
-// current content, rescanning only when the table's signature has not
-// been seen before.
+// refreshRelevant rescreens the table's indexes when cfg's signature for
+// it differs from the one the relevant set was screened under.
 func (c *planCache) refreshRelevant(t *qtable, cfg *index.Config) {
 	sig := cfg.TableSig(t.name)
-	if t.relevant != nil && sig == t.sig {
+	if t.loaded && sig == t.sig {
 		return
 	}
-	if rs, ok := t.bySig[sig]; ok {
-		t.sig, t.relevant = sig, rs
-		return
-	}
-	if t.relevant != nil {
+	if t.loaded {
 		c.invalidations++
-		if t.bySig == nil {
-			// A second signature starts the memo; a table only ever
-			// priced under one content never builds it.
-			t.bySig = map[string]*relevantSet{t.sig: t.relevant}
-			t.byIDs = map[string]*relevantSet{t.relevant.ids: t.relevant}
-		}
 	}
 	var list []*index.Index
 	if cfg != nil {
 		list = cfg.OnTable(t.name)
 	}
-	// Screen into the cache's scratch and intern: a screen result seen
-	// before under another signature allocates nothing.
-	c.relBuf, c.idsBuf = t.screen(list, c.relBuf[:0], c.idsBuf[:0])
-	rs, ok := t.byIDs[string(c.idsBuf)]
-	if !ok {
-		rs = &relevantSet{ixs: slices.Clone(c.relBuf)}
-		if len(rs.ixs) == len(list) {
-			rs.ids = sig // nothing screened out: the ids spell the signature
-		} else {
-			rs.ids = string(c.idsBuf)
-		}
-	}
-	if t.bySig != nil {
-		t.byIDs[rs.ids] = rs
-		if len(t.bySig) >= maxSetsPerTable {
-			clear(t.bySig)
-			clear(t.byIDs)
-			t.byIDs[rs.ids] = rs
-			c.invalidations++
-		}
-		t.bySig[sig] = rs
-	}
-	t.sig, t.relevant = sig, rs
+	t.rel, t.ids = t.screen(list, t.rel[:0], t.ids[:0])
+	t.loaded, t.sig, t.accessOK = true, sig, false
 }
 
 // screen filters the table's indexes down to the ones that can affect
@@ -554,18 +493,18 @@ func (c *planCache) planFromDriverEntry(o *Optimizer, e *queryEntry, driver int)
 	return cost, curRows, drv, nil
 }
 
-// entryBestAccess is bestAccess over the relevant set, memoised per set.
+// entryBestAccess is bestAccess over the relevant set, memoised until
+// the next rescreen.
 func (o *Optimizer) entryBestAccess(t *qtable) accessChoice {
-	rs := t.relevant
-	if rs.accessOK {
-		return rs.access
+	if t.accessOK {
+		return t.access
 	}
 	best := accessChoice{
 		acc:     engine.Access{Table: t.name, Kind: engine.AccessSeqScan},
 		estCost: t.seqCost,
 		estRows: t.filteredRows,
 	}
-	for _, ri := range rs.ixs {
+	for _, ri := range t.rel {
 		if ri.eqLen == 0 && !ri.hasRange && !ri.covering {
 			continue // relevant only as an NL inner
 		}
@@ -600,15 +539,15 @@ func (o *Optimizer) entryBestAccess(t *qtable) accessChoice {
 			}
 		}
 	}
-	rs.access = best
-	rs.accessOK = true
+	t.access = best
+	t.accessOK = true
 	return best
 }
 
-// entryNLAccess is nlInnerAccess memoised per (relevant set, inner
-// column). The screen keeps every index whose leading key column is a
-// join column of the table, so scanning rs.ixs visits exactly the
-// candidates the uncached scan would, in the same order.
+// entryNLAccess is nlInnerAccess over the relevant set. The screen keeps
+// every index whose leading key column is a join column of the table, so
+// scanning t.rel visits exactly the candidates the uncached scan would,
+// in the same order.
 func (o *Optimizer) entryNLAccess(t *qtable, innerCol string) nlChoice {
 	if len(t.meta.PK) > 0 && t.meta.PK[0] == innerCol {
 		// The clustered primary key wins regardless of the relevant set.
@@ -618,16 +557,9 @@ func (o *Optimizer) entryNLAccess(t *qtable, innerCol string) nlChoice {
 			entryWidth: t.rowWidth,
 		}
 	}
-	rs := t.relevant
-	for i := range rs.nl {
-		if rs.nl[i].col == innerCol {
-			return rs.nl[i].choice
-		}
-	}
-	var nc nlChoice
 	var best *index.Index
 	bestCovering := false
-	for _, ri := range rs.ixs {
+	for _, ri := range t.rel {
 		if len(ri.ix.Key) == 0 || ri.ix.Key[0] != innerCol {
 			continue
 		}
@@ -639,24 +571,20 @@ func (o *Optimizer) entryNLAccess(t *qtable, innerCol string) nlChoice {
 			bestCovering = ri.covering
 		}
 	}
-	if best != nil {
-		nc = nlChoice{
-			acc: engine.Access{
-				Table: t.name, Kind: engine.AccessIndexSeek, Index: best,
-				EqLen: 1, Covering: bestCovering,
-			},
-			ok:         true,
-			entryWidth: float64(best.EntryWidthBytes(t.meta)),
-		}
+	if best == nil {
+		return nlChoice{}
 	}
-	if rs.nl == nil {
-		rs.nl = make([]nlMemo, 0, len(t.joinCols))
+	return nlChoice{
+		acc: engine.Access{
+			Table: t.name, Kind: engine.AccessIndexSeek, Index: best,
+			EqLen: 1, Covering: bestCovering,
+		},
+		ok:         true,
+		entryWidth: float64(best.EntryWidthBytes(t.meta)),
 	}
-	rs.nl = append(rs.nl, nlMemo{col: innerCol, choice: nc})
-	return nc
 }
 
-// entryEstimateNLJoin is estimateNLJoin over the memoised access choice.
+// entryEstimateNLJoin is estimateNLJoin over an entryNLAccess choice.
 func (o *Optimizer) entryEstimateNLJoin(t *qtable, nc nlChoice, probeRows, outRows float64) float64 {
 	fetch := 0.0
 	if nc.acc.Kind != engine.AccessClusteredSeek && nc.acc.Index != nil && !nc.acc.Covering {

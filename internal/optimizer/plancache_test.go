@@ -128,7 +128,7 @@ func TestPlanCacheConsistencyRandomMutations(t *testing.T) {
 		}
 	}
 
-	check(-1, nil) // nil config never takes the epoch fast path
+	check(-1, nil)
 	cfg := index.NewConfig()
 	rng := rand.New(rand.NewSource(42))
 	for step := 0; step < 300; step++ {
@@ -152,9 +152,9 @@ func TestPlanCacheConsistencyRandomMutations(t *testing.T) {
 }
 
 // TestPlanCacheHitMissAccounting pins the counter semantics: miss on
-// first sight, epoch fast-path hit on unchanged config, fingerprint hit
+// first sight, fingerprint hit on unchanged config, fingerprint hit
 // (plus one invalidation) after irrelevant-index churn, miss after a
-// relevant change.
+// relevant change, and a rescan plus fingerprint hit on dropping back.
 func TestPlanCacheHitMissAccounting(t *testing.T) {
 	schema, _ := testdb.Build(1)
 	o := New(schema, engine.DefaultCostModel())
@@ -175,7 +175,7 @@ func TestPlanCacheHitMissAccounting(t *testing.T) {
 	if _, err := o.ChoosePlan(q, cfg); err != nil {
 		t.Fatal(err)
 	}
-	assertStats("epoch fast path", 1, 1, 0)
+	assertStats("unchanged config", 1, 1, 0)
 
 	// An index that fails every relevance screen for q (no seek prefix on
 	// q's predicates, not covering, leading key not a join column):
@@ -194,14 +194,14 @@ func TestPlanCacheHitMissAccounting(t *testing.T) {
 	}
 	assertStats("relevant add", 2, 2, 2)
 
-	// Dropping back restores a previously-seen table signature: the memo
-	// swaps the relevant set without a rescan (no invalidation) and the
-	// restored fingerprint hits the plan cache.
+	// Dropping back restores a previously-seen table signature: the
+	// table rescans (one invalidation) and the restored fingerprint hits
+	// the plan cache.
 	cfg.Drop(index.New("orders", []string{"o_custkey", "o_date"}, nil).ID())
 	if _, err := o.ChoosePlan(q, cfg); err != nil {
 		t.Fatal(err)
 	}
-	assertStats("relevant drop back", 3, 2, 2)
+	assertStats("relevant drop back", 3, 2, 3)
 }
 
 // TestPlanCacheErrorsNotCached pins that error results are re-derived

@@ -89,8 +89,8 @@ func (p *advisorPolicy) Recommend(round int, lastWorkload []*query.Query) Recomm
 		}
 	}
 	// One trial configuration serves every arm: swapping the previous
-	// arm's index for the next advances its epoch and resets the touched
-	// tables' signatures, so the plan cache never serves a stale plan.
+	// arm's index for the next resets the touched tables' memoised
+	// signatures, so the plan cache never serves a stale plan.
 	scores := make([]float64, len(arms))
 	trial := index.NewConfig()
 	for i, a := range arms {
