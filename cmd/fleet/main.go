@@ -10,7 +10,11 @@
 // warm-start their bandit posterior from the most schema-similar
 // incumbent tenant (cross-tenant transfer through the snapshot seam)
 // and run a cold-start control over the identical environment, so the
-// report shows the measured transfer benefit per admitted tenant.
+// report shows the measured transfer benefit per admitted tenant: the
+// control's regret minus the warm run's over the first five rounds.
+//
+// DefaultFleet gives each tenant its scale factor, so there is no -sf
+// flag; -rows and -seed apply to every tenant.
 //
 // Output is byte-identical at any -parallel setting: seeds derive from
 // tenant identity alone and results are collected in spec order.
@@ -20,7 +24,6 @@
 //	fleet                        # 8 tenants, one worker per CPU
 //	fleet -tenants 16 -rounds 10 # a bigger fleet, longer runs
 //	fleet -parallel 1            # sequential reference run
-//	fleet -no-transfer           # admitted tenants run cold
 package main
 
 import (
@@ -35,15 +38,13 @@ import (
 )
 
 var (
-	_, rows, seed      = cli.Data(flag.CommandLine)
 	pol                = cli.Policy(flag.CommandLine, "policy", "mab")
 	parallel, progress = cli.Parallel(flag.CommandLine)
 
-	tenants        = flag.Int("tenants", 8, "fleet size (last quarter admitted late)")
-	rounds         = flag.Int("rounds", 5, "tuning rounds per tenant (0 = regime default)")
-	transferRounds = flag.Int("transfer-rounds", 3, "warm-start rounds an admitted tenant pre-trains from its donor")
-	noTransfer     = flag.Bool("no-transfer", false, "run admitted tenants cold (topology only, no cross-tenant learning)")
-	earlyK         = flag.Int("early-rounds", 5, "early-round window the transfer benefit is summed over")
+	tenants = flag.Int("tenants", 8, "fleet size (last quarter admitted late)")
+	rounds  = flag.Int("rounds", 5, "tuning rounds per tenant (0 = regime default)")
+	rows    = flag.Int("rows", 5000, "max stored (physical) rows per table, every tenant")
+	seed    = flag.Int64("seed", 1, "fleet seed every tenant's seed derives from")
 )
 
 func main() {
@@ -51,11 +52,9 @@ func main() {
 
 	specs := fleet.DefaultFleet(*tenants, *rounds, *rows)
 	opts := fleet.Options{
-		BaseSeed:        *seed,
-		Policy:          env.TunerKind(*pol),
-		TransferRounds:  *transferRounds,
-		DisableTransfer: *noTransfer,
-		Parallel:        *parallel,
+		BaseSeed: *seed,
+		Policy:   env.TunerKind(*pol),
+		Parallel: *parallel,
 	}
 	if *progress {
 		opts.Progress = os.Stderr
@@ -64,7 +63,7 @@ func main() {
 	if err != nil {
 		cli.Fatal("fleet", err)
 	}
-	harness.RenderFleet(os.Stdout, "Fleet", res, *earlyK)
+	harness.RenderFleet(os.Stdout, "Fleet", res)
 	if errs := res.Errs(); len(errs) > 0 {
 		for _, e := range errs {
 			fmt.Fprintln(os.Stderr, "fleet:", e)

@@ -21,8 +21,10 @@ import (
 //     stream served to a window-3 checkpoint, killed, and restored from
 //     disk (the process-local "Served" counter in the summary line is
 //     masked);
-//   - removed flags: -ridge and -forget-rank are gone, so passing either
-//     exits 2 like any unknown flag;
+//   - removed flags: -ridge and -forget-rank are gone, and so are
+//     fleet's -sf (each tenant's scale factor comes from the fleet
+//     generator), -no-transfer, -transfer-rounds and -early-rounds, so
+//     passing any of them exits 2 like any unknown flag;
 //   - refused checkpoint: -restore from the serve case's checkpoint cut
 //     in half exits 1, names the refusal's kind on stderr and prints no
 //     report.
@@ -113,6 +115,10 @@ func TestCommandSmokes(t *testing.T) {
 			{"serve", "-ridge", "sm"},
 			{"mabtune", "-forget-rank", "0"},
 			{"serve", "-forget-rank", "0"},
+			{"fleet", "-sf", "1"},
+			{"fleet", "-no-transfer"},
+			{"fleet", "-transfer-rounds", "3"},
+			{"fleet", "-early-rounds", "5"},
 		} {
 			cmd := exec.Command(filepath.Join(bin, args[0]), args[1:]...)
 			cmd.Dir = work

@@ -284,7 +284,10 @@ type (
 	ServeSession = serve.Session
 	// ServeOptions configures a serving session.
 	ServeOptions = serve.Options
-	// ServeGuardrailOptions configures the safety supervisor.
+	// ServeGuardrailOptions configures the safety supervisor: a window
+	// costing more than BudgetX × its what-if baseline (default 2.0) is
+	// a violation, and QuarantineAfter violations in a row revert to the
+	// last-known-safe configuration for CooldownWindows windows.
 	ServeGuardrailOptions = serve.GuardrailOptions
 	// ServeWindowReport is the per-window account Feed returns.
 	ServeWindowReport = serve.WindowReport

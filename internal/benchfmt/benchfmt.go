@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"strconv"
@@ -34,13 +35,16 @@ var procSuffix = regexp.MustCompile(`-\d+$`)
 
 // Parse reads `go test -bench` text output and builds a Document. Lines
 // that are not platform headers or benchmark result rows are ignored,
-// so the full `go test` stdout can be piped through unfiltered.
+// so the full `go test` stdout can be piped through unfiltered. A row
+// ends at its first value that is not a finite number, since JSON has
+// no NaN or Inf, and invalid UTF-8 becomes U+FFFD as JSON would make
+// it: every Document Parse returns encodes and decodes unchanged.
 func Parse(r io.Reader) (*Document, error) {
 	doc := &Document{Benchmarks: map[string]map[string]float64{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		line := sc.Text()
+		line := strings.ToValidUTF8(sc.Text(), "\uFFFD")
 		switch {
 		case strings.HasPrefix(line, "goos: "):
 			doc.Goos = strings.TrimPrefix(line, "goos: ")
@@ -59,15 +63,15 @@ func Parse(r io.Reader) (*Document, error) {
 		if len(fields) < 4 {
 			continue
 		}
-		runs, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
+		runs, ok := parseFinite(fields[1])
+		if !ok {
 			continue
 		}
 		name := procSuffix.ReplaceAllString(fields[0], "")
 		metrics := map[string]float64{"runs": runs}
 		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
+			v, ok := parseFinite(fields[i])
+			if !ok {
 				break
 			}
 			metrics[fields[i+1]] = v
@@ -78,6 +82,12 @@ func Parse(r io.Reader) (*Document, error) {
 		return nil, err
 	}
 	return doc, nil
+}
+
+// parseFinite parses s as a finite float64.
+func parseFinite(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 // ReadFile loads a committed capture (a BENCH_<sha>.json file).

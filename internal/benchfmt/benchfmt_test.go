@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -70,4 +71,29 @@ func TestReadFileRoundTrip(t *testing.T) {
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file did not error")
 	}
+}
+
+// FuzzBenchfmtParse feeds Parse arbitrary text, seeded with the
+// committed `go test -bench` excerpt above. Parse must never panic, and
+// every document it accepts must survive cmd/benchjson's JSON encoding
+// and ReadFile's decoding unchanged.
+func FuzzBenchfmtParse(f *testing.F) {
+	f.Add(sampleBenchOutput)
+	f.Fuzz(func(t *testing.T, text string) {
+		doc, err := Parse(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatalf("accepted document does not encode: %v", err)
+		}
+		var got Document
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatalf("encoded document does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(&got, doc) {
+			t.Fatalf("JSON round trip changed the document:\n%+v\nvs\n%+v", got, *doc)
+		}
+	})
 }

@@ -128,9 +128,9 @@ func New(opts Options) (*Environment, error) {
 	case Shifting:
 		// Ragged totals are supported: rounds are floor-partitioned over
 		// the four groups rather than truncated to a multiple of four.
-		e.Seq = workload.NewShiftingTotal(bench, db, opts.Seed, 4, opts.Rounds)
+		e.Seq = workload.NewShifting(bench, db, opts.Seed, opts.Rounds)
 	case Random:
-		e.Seq = workload.NewRandom(bench, db, opts.Seed, opts.Rounds, 0)
+		e.Seq = workload.NewRandom(bench, db, opts.Seed, opts.Rounds)
 	case HTAP:
 		e.Seq = workload.NewHTAP(bench, db, opts.Seed, opts.Rounds, opts.HTAP)
 	default:

@@ -78,13 +78,6 @@ type Options struct {
 	// mab). Cross-tenant transfer engages only for mab — other policies
 	// run the fleet topology without warm starts.
 	Policy env.TunerKind
-	// TransferRounds is the number of hypothetical warm-start rounds an
-	// admitted tenant pre-trains with donor-estimated gains (default 3;
-	// the what-if warm start uses the same knob single-tenant).
-	TransferRounds int
-	// DisableTransfer runs admitted tenants cold (the fleet topology
-	// without cross-tenant learning); Control runs are still produced.
-	DisableTransfer bool
 	// Parallel bounds concurrently running tenants; <= 0 means
 	// runtime.GOMAXPROCS(0). Results are identical at any setting.
 	Parallel int
@@ -93,7 +86,9 @@ type Options struct {
 	Progress io.Writer
 }
 
-const defaultTransferRounds = 3
+// transferRounds is the number of hypothetical warm-start rounds an
+// admitted tenant pre-trains with donor-estimated gains.
+const transferRounds = 3
 
 // TenantResult is one tenant's outcome within a fleet run.
 type TenantResult struct {
@@ -101,7 +96,7 @@ type TenantResult struct {
 	// Seed is the tenant's derived private seed.
 	Seed int64
 	// Run is the tenant's tuned run — warm-started from the donor for
-	// admitted tenants (unless transfer was disabled or no donor
+	// admitted tenants (unless the policy is not mab or no donor
 	// matched).
 	Run *env.RunResult
 	// Baseline is the tenant's noindex run over the identical
@@ -135,8 +130,9 @@ type donor struct {
 	snap   *mab.TunerSnapshot
 }
 
-// phase1Out carries an incumbent tenant's result plus its donor state.
-type phase1Out struct {
+// tenantOut carries a tenant's result plus, for an incumbent whose
+// posterior can be transferred, its donor state.
+type tenantOut struct {
 	tr TenantResult
 	d  *donor
 }
@@ -163,13 +159,7 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 	if opts.Policy == "" {
 		opts.Policy = env.MAB
 	}
-	if opts.TransferRounds <= 0 {
-		opts.TransferRounds = defaultTransferRounds
-	}
 
-	// Phase 1: incumbents. Index bookkeeping maps phase-local task
-	// order back to fleet spec order, so the final Tenants slice is in
-	// spec order however the phases interleave.
 	var incumbents, admitted []int
 	for i, t := range tenants {
 		if t.Admitted {
@@ -179,13 +169,31 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 		}
 	}
 	out := &Result{Tenants: make([]TenantResult, len(tenants))}
+	donors := runPhase(tenants, incumbents, opts, out.Tenants, func(t TenantSpec) (tenantOut, error) {
+		return runIncumbent(t, opts)
+	})
+	// Admitted tenants each run against the complete donor pool. Donor
+	// order is incumbent spec order, so best-donor ties break
+	// deterministically.
+	runPhase(tenants, admitted, opts, out.Tenants, func(t TenantSpec) (tenantOut, error) {
+		return runAdmitted(t, opts, donors)
+	})
+	return out, nil
+}
 
-	tasks := make([]runner.Task[phase1Out], len(incumbents))
-	labels := make([]string, len(incumbents))
-	for k, i := range incumbents {
+// runPhase runs the tenants at spec positions idx across the worker
+// pool and stores each result at its spec position in out, so the
+// fleet's Tenants are in spec order however the phases interleave. It
+// returns the donors the phase produced, in spec order (runner.Run
+// returns results in input order).
+func runPhase(tenants []TenantSpec, idx []int, opts Options, out []TenantResult,
+	run func(TenantSpec) (tenantOut, error)) []*donor {
+	tasks := make([]runner.Task[tenantOut], len(idx))
+	labels := make([]string, len(idx))
+	for k, i := range idx {
 		spec := tenants[i]
 		labels[k] = spec.Key()
-		tasks[k] = func() (phase1Out, error) { return runIncumbent(spec, opts) }
+		tasks[k] = func() (tenantOut, error) { return run(spec) }
 	}
 	ropts := runner.Options{Parallel: opts.Parallel}
 	if opts.Progress != nil {
@@ -193,45 +201,24 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 	}
 	var donors []*donor
 	for k, r := range runner.Run(tasks, ropts) {
-		i := incumbents[k]
+		i := idx[k]
 		if r.Err != nil {
-			out.Tenants[i] = TenantResult{Spec: tenants[i], Err: r.Err, Error: r.Err.Error()}
+			out[i] = TenantResult{Spec: tenants[i], Err: r.Err, Error: r.Err.Error()}
 			continue
 		}
-		out.Tenants[i] = r.Value.tr
+		out[i] = r.Value.tr
 		if r.Value.d != nil {
 			donors = append(donors, r.Value.d)
 		}
 	}
-
-	// Phase 2: admitted tenants, each against the complete donor pool.
-	// Donor order is incumbent spec order (runner.Run returns results
-	// in input order), so best-donor ties break deterministically.
-	tasks2 := make([]runner.Task[TenantResult], len(admitted))
-	labels2 := make([]string, len(admitted))
-	for k, i := range admitted {
-		spec := tenants[i]
-		labels2[k] = spec.Key()
-		tasks2[k] = func() (TenantResult, error) { return runAdmitted(spec, opts, donors) }
-	}
-	ropts2 := runner.Options{Parallel: opts.Parallel}
-	if opts.Progress != nil {
-		ropts2.OnDone = runner.Progress(opts.Progress, labels2)
-	}
-	for k, r := range runner.Run(tasks2, ropts2) {
-		i := admitted[k]
-		if r.Err != nil {
-			out.Tenants[i] = TenantResult{Spec: tenants[i], Err: r.Err, Error: r.Err.Error()}
-			continue
-		}
-		out.Tenants[i] = r.Value
-	}
-	return out, nil
+	return donors
 }
 
-// newTenantEnv prepares one tenant's environment from its spec.
-func newTenantEnv(t TenantSpec, seed int64) (*env.Environment, error) {
-	return env.New(env.Options{
+// startTenant derives the tenant's seed, builds its environment and
+// runs its noindex baseline over it: the start both phases share.
+func startTenant(t TenantSpec, opts Options) (*env.Environment, TenantResult, error) {
+	seed := runner.CellSeed(opts.BaseSeed, t.Key())
+	e, err := env.New(env.Options{
 		Benchmark:     t.Benchmark,
 		Regime:        t.Regime,
 		ScaleFactor:   t.ScaleFactor,
@@ -239,47 +226,46 @@ func newTenantEnv(t TenantSpec, seed int64) (*env.Environment, error) {
 		Rounds:        t.Rounds,
 		Seed:          seed,
 	})
+	if err != nil {
+		return nil, TenantResult{}, fmt.Errorf("%s: %w", t.Key(), err)
+	}
+	baseline, err := e.Run(env.NoIndex)
+	if err != nil {
+		return nil, TenantResult{}, fmt.Errorf("%s: noindex baseline: %w", t.Key(), err)
+	}
+	return e, TenantResult{Spec: t, Seed: seed, Baseline: baseline}, nil
 }
 
 // runIncumbent trains one incumbent tenant end to end: noindex
 // baseline, tuned run, and — for the mab policy — a round-boundary
 // snapshot of the trained posterior through the policy.Snapshotter
 // seam, making the tenant a transfer donor.
-func runIncumbent(t TenantSpec, opts Options) (phase1Out, error) {
-	seed := runner.CellSeed(opts.BaseSeed, t.Key())
-	e, err := newTenantEnv(t, seed)
+func runIncumbent(t TenantSpec, opts Options) (tenantOut, error) {
+	e, tr, err := startTenant(t, opts)
 	if err != nil {
-		return phase1Out{}, fmt.Errorf("%s: %w", t.Key(), err)
-	}
-	baseline, err := e.Run(env.NoIndex)
-	if err != nil {
-		return phase1Out{}, fmt.Errorf("%s: noindex baseline: %w", t.Key(), err)
+		return tenantOut{}, err
 	}
 	p, err := e.NewPolicy(opts.Policy)
 	if err != nil {
-		return phase1Out{}, fmt.Errorf("%s: %w", t.Key(), err)
+		return tenantOut{}, fmt.Errorf("%s: %w", t.Key(), err)
 	}
 	defer p.Close()
-	res, err := e.RunPolicySpan(p, env.Span{})
+	tr.Run, err = e.RunPolicySpan(p, env.Span{})
 	if err != nil {
-		return phase1Out{}, fmt.Errorf("%s: %w", t.Key(), err)
+		return tenantOut{}, fmt.Errorf("%s: %w", t.Key(), err)
 	}
-	res.Tuner = opts.Policy
-	out := phase1Out{tr: TenantResult{Spec: t, Seed: seed, Run: res, Baseline: baseline}}
+	tr.Run.Tuner = opts.Policy
+	out := tenantOut{tr: tr}
 	if opts.Policy != env.MAB {
 		return out, nil
 	}
-	sn, ok := p.(policy.Snapshotter)
-	if !ok {
-		return out, nil
-	}
-	raw, err := sn.Snapshot()
+	raw, err := p.(policy.Snapshotter).Snapshot()
 	if err != nil {
-		return phase1Out{}, fmt.Errorf("%s: donor snapshot: %w", t.Key(), err)
+		return tenantOut{}, fmt.Errorf("%s: donor snapshot: %w", t.Key(), err)
 	}
 	var snap mab.TunerSnapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
-		return phase1Out{}, fmt.Errorf("%s: donor snapshot decode: %w", t.Key(), err)
+		return tenantOut{}, fmt.Errorf("%s: donor snapshot decode: %w", t.Key(), err)
 	}
 	out.d = &donor{id: t.ID, schema: e.Schema, snap: &snap}
 	return out, nil
@@ -288,26 +274,20 @@ func runIncumbent(t TenantSpec, opts Options) (phase1Out, error) {
 // runAdmitted runs one newly admitted tenant: a warm-started run
 // transferring from the most schema-similar donor, then a cold-start
 // control over the identical environment. Transfer engages only for
-// the mab policy, with at least one donor of non-zero similarity, and
-// unless disabled; otherwise the "warm" run is itself cold and Donor
-// stays empty — the control still runs, so the output shape is stable.
-func runAdmitted(t TenantSpec, opts Options, donors []*donor) (TenantResult, error) {
-	seed := runner.CellSeed(opts.BaseSeed, t.Key())
-	e, err := newTenantEnv(t, seed)
+// the mab policy with at least one donor of non-zero similarity;
+// otherwise the "warm" run is itself cold and Donor stays empty — the
+// control still runs, so the output shape is stable.
+func runAdmitted(t TenantSpec, opts Options, donors []*donor) (tenantOut, error) {
+	e, tr, err := startTenant(t, opts)
 	if err != nil {
-		return TenantResult{}, fmt.Errorf("%s: %w", t.Key(), err)
-	}
-	tr := TenantResult{Spec: t, Seed: seed}
-	tr.Baseline, err = e.Run(env.NoIndex)
-	if err != nil {
-		return TenantResult{}, fmt.Errorf("%s: noindex baseline: %w", t.Key(), err)
+		return tenantOut{}, err
 	}
 
 	// Donor selection: maximum schema similarity, first donor winning
 	// ties (donor order is incumbent spec order, so this is
 	// deterministic at any parallelism).
 	var best *donor
-	if opts.Policy == env.MAB && !opts.DisableTransfer {
+	if opts.Policy == env.MAB {
 		for _, d := range donors {
 			sim := mab.SchemaSimilarity(d.schema, e.Schema)
 			if sim > tr.Similarity {
@@ -318,21 +298,19 @@ func runAdmitted(t TenantSpec, opts Options, donors []*donor) (TenantResult, err
 	if best != nil {
 		basis, err := mab.NewTransferBasis(best.schema, best.snap)
 		if err != nil {
-			return TenantResult{}, fmt.Errorf("%s: transfer from %s: %w", t.Key(), best.id, err)
+			return tenantOut{}, fmt.Errorf("%s: transfer from %s: %w", t.Key(), best.id, err)
 		}
 		tr.Donor = best.id
 		predCols := mab.PredicateColumnSet(e.WorkloadAt(1))
 		dbBytes := e.DataSizeBytes()
-		e.Opts.MABWarmStartRounds = opts.TransferRounds
+		e.Opts.MABWarmStartRounds = transferRounds
 		e.Opts.MABTransferGain = func(a *mab.Arm) float64 {
 			return basis.Gain(a, predCols, dbBytes)
 		}
-	} else {
-		tr.Similarity = 0
 	}
 	tr.Run, err = e.Run(opts.Policy)
 	if err != nil {
-		return TenantResult{}, fmt.Errorf("%s: %w", t.Key(), err)
+		return tenantOut{}, fmt.Errorf("%s: %w", t.Key(), err)
 	}
 
 	// Cold-start control: same environment, no warm start. policyParams
@@ -342,9 +320,9 @@ func runAdmitted(t TenantSpec, opts Options, donors []*donor) (TenantResult, err
 	e.Opts.MABTransferGain = nil
 	tr.Control, err = e.Run(opts.Policy)
 	if err != nil {
-		return TenantResult{}, fmt.Errorf("%s: cold-start control: %w", t.Key(), err)
+		return tenantOut{}, fmt.Errorf("%s: cold-start control: %w", t.Key(), err)
 	}
-	return tr, nil
+	return tenantOut{tr: tr}, nil
 }
 
 // DefaultFleet builds n heterogeneous tenants cycling through every

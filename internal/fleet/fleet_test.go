@@ -83,7 +83,7 @@ func TestFleetTransferBeatsColdStart(t *testing.T) {
 		{ID: "donor", Benchmark: "ssb", Regime: env.Static, ScaleFactor: 10, Rounds: 15, MaxStoredRows: 1200},
 		{ID: "newbie", Benchmark: "ssb", Regime: env.Static, ScaleFactor: 10, Rounds: 10, MaxStoredRows: 1200, Admitted: true},
 	}
-	res, err := Run(tenants, Options{BaseSeed: 2, TransferRounds: 3, Parallel: 2})
+	res, err := Run(tenants, Options{BaseSeed: 2, Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +109,15 @@ func TestFleetTransferBeatsColdStart(t *testing.T) {
 	}
 }
 
-// TestFleetTransferDisabled: with transfer off the admitted tenant
-// runs cold, reports no donor, and its "warm" run equals its control —
-// the topology without the learning.
+// TestFleetTransferDisabled: under a policy other than mab the admitted
+// tenant runs cold, reports no donor, and its "warm" run equals its
+// control — the topology without the learning.
 func TestFleetTransferDisabled(t *testing.T) {
 	tenants := []TenantSpec{
 		{ID: "a", Benchmark: "ssb", Regime: env.Static, Rounds: 3, MaxStoredRows: 400},
 		{ID: "b", Benchmark: "ssb", Regime: env.Static, Rounds: 3, MaxStoredRows: 400, Admitted: true},
 	}
-	res, err := Run(tenants, Options{BaseSeed: 1, DisableTransfer: true, Parallel: 1})
+	res, err := Run(tenants, Options{BaseSeed: 1, Policy: env.PDTool, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +126,10 @@ func TestFleetTransferDisabled(t *testing.T) {
 	}
 	tr := &res.Tenants[1]
 	if tr.Donor != "" {
-		t.Fatalf("transfer disabled but donor %q recorded", tr.Donor)
+		t.Fatalf("pdtool tenant recorded donor %q", tr.Donor)
 	}
 	if tr.Control == nil {
-		t.Fatal("control run missing with transfer disabled")
+		t.Fatal("control run missing without transfer")
 	}
 	_, _, _, got := tr.Run.Totals()
 	_, _, _, want := tr.Control.Totals()
@@ -137,7 +137,7 @@ func TestFleetTransferDisabled(t *testing.T) {
 		t.Fatalf("cold 'warm' run total %v differs from control total %v", got, want)
 	}
 	if b := tr.TransferBenefit(3); b != 0 {
-		t.Fatalf("transfer benefit %v with transfer disabled, want 0", b)
+		t.Fatalf("transfer benefit %v without transfer, want 0", b)
 	}
 }
 

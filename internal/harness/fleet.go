@@ -7,18 +7,17 @@ import (
 	"dbabandits/internal/fleet"
 )
 
+// benefitRounds is the early-round window RenderFleet sums the transfer
+// benefit over.
+const benefitRounds = 5
+
 // RenderFleet prints a fleet run: one row per tenant (totals, whole-run
 // regret against the tenant's own noindex baseline, and — for admitted
 // tenants — the transfer donor, schema similarity, and the early-round
 // transfer benefit over the cold-start control), followed by the
-// fleet-level p50/p95/p99 block over every tenant-round. earlyK is the
-// early-round window the transfer benefit is summed over (<= 0 means
-// 5, matching the fleet transfer tests). Output is deterministic: spec
-// order, fixed formats.
-func RenderFleet(w io.Writer, title string, res *fleet.Result, earlyK int) {
-	if earlyK <= 0 {
-		earlyK = 5
-	}
+// fleet-level p50/p95/p99 block over every tenant-round. Output is
+// deterministic: spec order, fixed formats.
+func RenderFleet(w io.Writer, title string, res *fleet.Result) {
 	admitted := 0
 	for i := range res.Tenants {
 		if res.Tenants[i].Spec.Admitted {
@@ -45,7 +44,7 @@ func RenderFleet(w io.Writer, title string, res *fleet.Result, earlyK int) {
 		if tr.Donor != "" {
 			donor = tr.Donor
 			sim = fmt.Sprintf("%.2f", tr.Similarity)
-			benefit = fmt.Sprintf("%.2f", tr.TransferBenefit(earlyK))
+			benefit = fmt.Sprintf("%.2f", tr.TransferBenefit(benefitRounds))
 		}
 		fmt.Fprintf(w, "%-26s%-11s%-10s%5g%7d%12.2f%12.2f  %-26s%6s%10s\n",
 			s.ID, s.Benchmark, s.Regime, sf, len(tr.Run.Rounds), total, regret, donor, sim, benefit)

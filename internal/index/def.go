@@ -1,5 +1,11 @@
 package index
 
+import (
+	"fmt"
+
+	"dbabandits/internal/catalog"
+)
+
 // Def is the serialisable definition of one index — exactly the inputs
 // New takes. Checkpoints persist configurations as Def lists and
 // rebuild them with Build/ConfigFromDefs, so the on-disk form carries
@@ -35,4 +41,19 @@ func ConfigFromDefs(defs []Def) *Config {
 		cfg.Add(d.Build())
 	}
 	return cfg
+}
+
+// ValidDefs checks every definition against the schema: a known table,
+// a non-empty duplicate-free key, and columns the table has.
+func ValidDefs(schema *catalog.Schema, defs []Def) error {
+	for _, d := range defs {
+		meta, ok := schema.Table(d.Table)
+		if !ok {
+			return fmt.Errorf("index on unknown table %q", d.Table)
+		}
+		if err := d.Build().Valid(meta); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -151,13 +151,17 @@ func (t *Tuner) Snapshot() (*TunerSnapshot, error) {
 // derive (context builder, arm generator) is rebuilt by construction and
 // only the learned state is carried over. A query-store window below 1
 // is refused: under it QoI returns nothing, and the tuner would stop
-// generating arms for the rest of the session.
+// generating arms for the rest of the session. So is a configuration
+// that does not fit the schema (index.ValidDefs).
 func (t *Tuner) Restore(s *TunerSnapshot) error {
 	if s == nil || s.Bandit == nil || s.Store == nil {
 		return fmt.Errorf("mab: nil tuner snapshot")
 	}
 	if s.Store.Window < 1 {
 		return fmt.Errorf("mab: query-store snapshot window %d, want >= 1", s.Store.Window)
+	}
+	if err := index.ValidDefs(t.schema, s.Config); err != nil {
+		return fmt.Errorf("mab: tuner snapshot: %w", err)
 	}
 	if err := t.bandit.Restore(s.Bandit); err != nil {
 		return err

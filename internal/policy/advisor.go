@@ -171,6 +171,9 @@ func (p *advisorPolicy) Restore(raw json.RawMessage) error {
 	if snap.Store == nil {
 		return fmt.Errorf("advisor policy snapshot: missing query store")
 	}
+	if err := index.ValidDefs(p.opt.Schema, snap.Config); err != nil {
+		return fmt.Errorf("advisor policy snapshot: %w", err)
+	}
 	p.store.Restore(snap.Store)
 	p.cfg = index.ConfigFromDefs(snap.Config)
 	p.observedGain = map[string]float64{}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"dbabandits/internal/catalog"
 	"dbabandits/internal/ddqn"
 	"dbabandits/internal/engine"
 	"dbabandits/internal/floatenc"
@@ -24,6 +25,7 @@ func init() {
 // the double-Q bootstrap needs the next round's candidate contexts.
 type ddqnPolicy struct {
 	name   string
+	schema *catalog.Schema
 	agent  *ddqn.Agent
 	ctxb   *mab.ContextBuilder
 	gen    *mab.ArmGenerator
@@ -57,11 +59,12 @@ func newDDQN(e Env, p Params, singleColumn bool) (Policy, error) {
 	}
 	ctxb := mab.NewContextBuilder(e.Catalog())
 	return &ddqnPolicy{
-		name:  name,
-		agent: ddqn.NewAgent(ctxb.Dim(), ddqn.AgentOptions{Seed: p.DDQNSeed, SingleColumn: singleColumn}),
-		ctxb:  ctxb,
-		gen:   mab.NewArmGenerator(e.Catalog()),
-		store: mab.NewQueryStore(),
+		name:   name,
+		schema: e.Catalog(),
+		agent:  ddqn.NewAgent(ctxb.Dim(), ddqn.AgentOptions{Seed: p.DDQNSeed, SingleColumn: singleColumn}),
+		ctxb:   ctxb,
+		gen:    mab.NewArmGenerator(e.Catalog()),
+		store:  mab.NewQueryStore(),
 
 		dbSize: e.DataSizeBytes(),
 		budget: e.MemoryBudgetBytes(),
@@ -188,6 +191,9 @@ func (p *ddqnPolicy) Restore(raw json.RawMessage) error {
 	if len(snap.PendingCtxs) != len(snap.PendingRewards) {
 		return fmt.Errorf("%s policy snapshot: %d pending contexts for %d rewards",
 			p.name, len(snap.PendingCtxs), len(snap.PendingRewards))
+	}
+	if err := index.ValidDefs(p.schema, snap.Config); err != nil {
+		return fmt.Errorf("%s policy snapshot: %w", p.name, err)
 	}
 	if err := p.agent.Restore(snap.Agent); err != nil {
 		return err

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"dbabandits/internal/catalog"
 	"dbabandits/internal/engine"
 	"dbabandits/internal/index"
 	"dbabandits/internal/pdtool"
 	"dbabandits/internal/query"
+	"dbabandits/internal/workload"
 )
 
 func init() {
@@ -19,6 +21,7 @@ func init() {
 // invocations the configuration is held fixed, as a DBA re-running a
 // commercial tool would.
 type pdtoolPolicy struct {
+	schema      *catalog.Schema
 	advisor     *pdtool.Advisor
 	invocations map[int]bool
 	regime      string
@@ -45,6 +48,7 @@ func lastWindows(ws [][]*query.Query) [][]*query.Query {
 
 func newPDTool(e Env, p Params) (Policy, error) {
 	return &pdtoolPolicy{
+		schema: e.Catalog(),
 		advisor: pdtool.New(e.Catalog(), e.WhatIf(), pdtool.Options{
 			MemoryBudgetBytes: e.MemoryBudgetBytes(),
 			TimeLimitSec:      p.PDToolTimeLimitSec,
@@ -57,17 +61,18 @@ func newPDTool(e Env, p Params) (Policy, error) {
 
 // InvocationRounds returns the rounds at which the PDTool is retrained,
 // per the paper: static — round 2 (after observing round 1); shifting —
-// the round after each of the four groups' first round (2, 22, 42, 62 at
-// 80 rounds); random — every 4 rounds (5, 9, 13, ...), trained on the
-// trailing window. The HTAP regime's analytical side is the static
-// workload, so it shares the static schedule — the offline tool tunes
-// once and then pays the maintenance its write-blind configuration
-// incurs, exactly the failure mode the journal follow-up highlights.
+// the round after each of the workload.ShiftGroups groups' first round
+// (2, 22, 42, 62 at 80 rounds); random — every 4 rounds (5, 9, 13, ...),
+// trained on the trailing window. The HTAP regime's analytical side is
+// the static workload, so it shares the static schedule — the offline
+// tool tunes once and then pays the maintenance its write-blind
+// configuration incurs, exactly the failure mode the journal follow-up
+// highlights.
 //
-// The shifting schedule partitions total rounds into four groups with
+// The shifting schedule partitions total rounds into the groups with
 // the same floor division the shifting sequencer uses for templates, so
-// ragged totals (not divisible by 4) still yield one invocation per
-// group instead of collapsing onto round 2.
+// ragged totals (not divisible by the group count) still yield one
+// invocation per group instead of collapsing onto round 2.
 func InvocationRounds(regime string, total int) map[int]bool {
 	out := map[int]bool{}
 	switch regime {
@@ -76,9 +81,8 @@ func InvocationRounds(regime string, total int) map[int]bool {
 			out[2] = true
 		}
 	case "shifting":
-		const groups = 4
-		for g := 0; g < groups; g++ {
-			r := g*total/groups + 2 // second round of group g
+		for g := 0; g < workload.ShiftGroups; g++ {
+			r := g*total/workload.ShiftGroups + 2 // second round of group g
 			if r > total {
 				r = total
 			}
@@ -147,6 +151,9 @@ func (p *pdtoolPolicy) Snapshot() (json.RawMessage, error) {
 func (p *pdtoolPolicy) Restore(raw json.RawMessage) error {
 	var snap pdtoolSnapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
+		return fmt.Errorf("pdtool policy snapshot: %w", err)
+	}
+	if err := index.ValidDefs(p.schema, snap.Config); err != nil {
 		return fmt.Errorf("pdtool policy snapshot: %w", err)
 	}
 	p.cfg = index.ConfigFromDefs(snap.Config)

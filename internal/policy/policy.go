@@ -119,11 +119,14 @@ type UpdateAware interface {
 // serialised one. The contract is byte-identical resumption: a policy
 // constructed with the same Env and Params, restored from a snapshot,
 // must produce exactly the recommendations the snapshotted policy
-// would have produced from that round on. Policies holding mid-round
-// feedback state return an error from Snapshot rather than serialise a
-// torn round. Every seed policy implements Snapshotter; like
-// UpdateAware, drivers discover the capability by type assertion, so
-// external policies without it simply cannot be checkpointed.
+// would have produced from that round on. A snapshot can arrive from
+// outside the process (a serving checkpoint), so Restore refuses one
+// whose index configuration does not fit the schema (index.ValidDefs)
+// rather than crash the next round's planning. Policies holding
+// mid-round feedback state return an error from Snapshot rather than
+// serialise a torn round. Every seed policy implements Snapshotter;
+// like UpdateAware, drivers discover the capability by type assertion,
+// so external policies without it simply cannot be checkpointed.
 type Snapshotter interface {
 	Snapshot() (json.RawMessage, error)
 	Restore(json.RawMessage) error

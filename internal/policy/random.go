@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"dbabandits/internal/catalog"
 	"dbabandits/internal/engine"
 	"dbabandits/internal/index"
 	"dbabandits/internal/mab"
@@ -23,6 +24,7 @@ func init() {
 // creations. Like every baseline it is registered through the policy
 // registry alone, with zero driver or harness edits.
 type randomConfig struct {
+	schema *catalog.Schema
 	rng    *snaprand.Rand
 	gen    *mab.ArmGenerator
 	store  *mab.QueryStore
@@ -44,6 +46,7 @@ func newRandomConfig(e Env, p Params) (Policy, error) {
 		// The draw-counting generator emits the identical sequence to the
 		// plain rand.New(rand.NewSource(...)) used historically, so the
 		// pinned goldens are unchanged — and the control is checkpointable.
+		schema: e.Catalog(),
 		rng:    snaprand.New(seed*1_000_003 + 17),
 		gen:    mab.NewArmGenerator(e.Catalog()),
 		store:  mab.NewQueryStore(),
@@ -116,6 +119,9 @@ func (p *randomConfig) Restore(raw json.RawMessage) error {
 	}
 	if snap.Store == nil {
 		return fmt.Errorf("random policy snapshot: missing query store")
+	}
+	if err := index.ValidDefs(p.schema, snap.Config); err != nil {
+		return fmt.Errorf("random policy snapshot: %w", err)
 	}
 	p.rng = snaprand.Restore(snap.Seed, snap.Draws)
 	p.store.Restore(snap.Store)

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"dbabandits/internal/catalog"
 	"dbabandits/internal/env"
 	"dbabandits/internal/index"
 	"dbabandits/internal/linalg"
@@ -360,9 +359,11 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // a low-rank Forget budget) fails with *linalg.RemovedOptionError rather
 // than resuming under different arithmetic.
 // A checkpoint whose configurations name an unknown table or column or
-// hold an empty or repeated key, or whose window or guardrail counters
-// are negative, fails with a malformed *CheckpointError: a version 1
-// file has no checksum, and no checksum stops a hand-written file.
+// hold an empty or repeated key (index.ValidDefs), or whose window or
+// guardrail counters are negative, fails with a malformed
+// *CheckpointError: a version 1 file has no checksum, and no checksum
+// stops a hand-written file. The policy's Restore applies the same
+// check to the configuration inside its own state.
 func Restore(ck *Checkpoint) (*Session, error) {
 	if ck.Version != CheckpointVersion {
 		return nil, versionErr(ck.Version)
@@ -386,9 +387,9 @@ func Restore(ck *Checkpoint) (*Session, error) {
 	// Feed plans with them: an index with an empty key or a column the
 	// table lacks would otherwise crash the optimiser.
 	for _, defs := range [][]index.Def{ck.Config, ck.SafeConfig} {
-		if err := validDefs(s.env.Schema, defs); err != nil {
+		if err := index.ValidDefs(s.env.Schema, defs); err != nil {
 			s.Close()
-			return nil, err
+			return nil, ckptErr(KindMalformed, "%v", err)
 		}
 	}
 	snap, ok := s.pol.(policy.Snapshotter)
@@ -407,21 +408,6 @@ func Restore(ck *Checkpoint) (*Session, error) {
 	s.guard.cooldown = ck.Cooldown
 	s.guard.quarantines = ck.Quarantines
 	return s, nil
-}
-
-// validDefs checks every index definition against the schema: a known
-// table, a non-empty duplicate-free key, and columns the table has.
-func validDefs(schema *catalog.Schema, defs []index.Def) error {
-	for _, d := range defs {
-		meta, ok := schema.Table(d.Table)
-		if !ok {
-			return ckptErr(KindMalformed, "index on unknown table %q", d.Table)
-		}
-		if err := d.Build().Valid(meta); err != nil {
-			return ckptErr(KindMalformed, "%v", err)
-		}
-	}
-	return nil
 }
 
 // RestoreFile loads a checkpoint from path and restores a session.

@@ -182,6 +182,66 @@ func TestRestoreRefusesCraftedCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesCraftedPolicyState checks, for every registered
+// policy, that an index with an empty key spliced into the
+// configuration inside the policy's own state is refused at restore,
+// instead of crashing the first Feed. noindex keeps no state, so it
+// has nothing to refuse; its restored session must still serve.
+func TestRestoreRefusesCraftedPolicyState(t *testing.T) {
+	for _, name := range policy.Names() {
+		t.Run(name, func(t *testing.T) {
+			o := testOptions()
+			o.Policy = name
+			s, err := New(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedAll(t, s, NewStream(strings.NewReader(testStream), s), 3)
+			ck, err := s.Checkpoint()
+			s.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var state map[string]json.RawMessage
+			if err := json.Unmarshal(ck.PolicyState, &state); err != nil {
+				t.Fatal(err)
+			}
+			var cfg []index.Def
+			if raw, ok := state["Config"]; ok {
+				if err := json.Unmarshal(raw, &cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg = append(cfg, index.Def{Table: "lineorder", Key: []string{}})
+			if state["Config"], err = json.Marshal(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if ck.PolicyState, err = json.Marshal(state); err != nil {
+				t.Fatal(err)
+			}
+
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("crafted %s state panicked: %v", name, p)
+				}
+			}()
+			r, err := Restore(ck)
+			if name != "noindex" {
+				if err == nil {
+					r.Close()
+					t.Fatalf("crafted %s state restored", name)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			feedAll(t, r, NewStream(strings.NewReader(testStream), r), 1)
+		})
+	}
+}
+
 // TestCheckpointV2Layout pins the on-disk layout: a compact header line
 // without the policy state, the Snapshot bytes verbatim, and a trailer
 // sealing both — and that a well-sealed image with a future version or

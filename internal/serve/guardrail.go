@@ -21,14 +21,10 @@ type GuardrailOptions struct {
 	// violations, no interventions.
 	Disabled bool
 	// BudgetX is the allowed multiple of the baseline; a window whose
-	// realized cost exceeds BudgetX*baseline + BudgetSec is a
-	// violation. Default 2.0 — generous, because the baseline is a
-	// what-if estimate and the realized cost includes index creations
-	// the baseline never pays.
+	// realized cost exceeds BudgetX*baseline is a violation. Default
+	// 2.0 — generous, because the baseline is a what-if estimate and the
+	// realized cost includes index creations the baseline never pays.
 	BudgetX float64
-	// BudgetSec is the additive slack of the regression budget.
-	// Default 0.
-	BudgetSec float64
 	// QuarantineAfter is the violation streak (consecutive violating
 	// windows) that triggers quarantine. Default 2: one bad window is
 	// noise, two in a row is a regression.
@@ -46,20 +42,15 @@ type GuardrailOptions struct {
 	ForgetFactor float64
 }
 
-// validate rejects what withDefaults cannot repair: a non-finite budget
-// or forget factor, or a forget factor outside [0, 1]. A NaN budget
-// would survive withDefaults (NaN <= 0 is false) and then switch the
+// validate rejects what withDefaults cannot repair: a non-finite budget,
+// or a forget factor outside [0, 1] (NaN included). A NaN budget would
+// survive withDefaults (NaN <= 0 is false) and then switch the
 // guardrail off silently, since no realized cost exceeds NaN*baseline.
 func (o GuardrailOptions) validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"BudgetX", o.BudgetX}, {"BudgetSec", o.BudgetSec}, {"ForgetFactor", o.ForgetFactor}} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("serve: guardrail %s must be finite, got %v", f.name, f.v)
-		}
+	if math.IsNaN(o.BudgetX) || math.IsInf(o.BudgetX, 0) {
+		return fmt.Errorf("serve: guardrail BudgetX must be finite, got %v", o.BudgetX)
 	}
-	if o.ForgetFactor < 0 || o.ForgetFactor > 1 {
+	if !(o.ForgetFactor >= 0 && o.ForgetFactor <= 1) {
 		return fmt.Errorf("serve: guardrail ForgetFactor must be in [0, 1], got %v", o.ForgetFactor)
 	}
 	return nil
@@ -133,7 +124,7 @@ func (g *guard) observe(realized, baseline float64, effective *index.Config) (vi
 		g.cooldown--
 		return false, false
 	}
-	if realized > g.opts.BudgetX*baseline+g.opts.BudgetSec {
+	if realized > g.opts.BudgetX*baseline {
 		g.streak++
 		if g.streak >= g.opts.QuarantineAfter {
 			g.streak = 0

@@ -488,8 +488,6 @@ func TestSessionValidation(t *testing.T) {
 		{"MemoryBudgetX -Inf", func(o *Options) { o.MemoryBudgetX = -inf }},
 		{"guard BudgetX NaN", func(o *Options) { o.Guardrail.BudgetX = nan }},
 		{"guard BudgetX +Inf", func(o *Options) { o.Guardrail.BudgetX = inf }},
-		{"guard BudgetSec NaN", func(o *Options) { o.Guardrail.BudgetSec = nan }},
-		{"guard BudgetSec -Inf", func(o *Options) { o.Guardrail.BudgetSec = -inf }},
 		{"guard ForgetFactor NaN", func(o *Options) { o.Guardrail.ForgetFactor = nan }},
 		{"guard ForgetFactor -0.1", func(o *Options) { o.Guardrail.ForgetFactor = -0.1 }},
 		{"guard ForgetFactor 1.5", func(o *Options) { o.Guardrail.ForgetFactor = 1.5 }},

@@ -48,10 +48,15 @@ func (s *StaticSequencer) Round(r int) []*query.Query {
 // Rounds implements Sequencer.
 func (s *StaticSequencer) Rounds() int { return s.rounds }
 
-// ShiftingSequencer divides the templates into equal groups; each group
-// runs for a span of rounds, then the workload switches to the next group
-// with no overlap ("the region of interest shifts over time from one
-// group of queries to another"). Defaults: 4 groups x 20 rounds.
+// ShiftGroups is the number of template groups the shifting regime
+// moves through (the paper's 4 x 20 rounds); policy.InvocationRounds
+// retrains the offline tool once per group.
+const ShiftGroups = 4
+
+// ShiftingSequencer divides the templates into ShiftGroups equal
+// groups; each group runs for a span of rounds, then the workload
+// switches to the next group with no overlap ("the region of interest
+// shifts over time from one group of queries to another").
 //
 // Round totals need not divide evenly: the rounds are floor-partitioned
 // across the groups (group g covers rounds g*total/G+1 through
@@ -66,37 +71,19 @@ type ShiftingSequencer struct {
 	totalRounds int
 }
 
-// NewShifting builds a shifting sequencer from a per-group round count
-// (the paper's 4 x 20 parameterisation).
-func NewShifting(bench *Benchmark, db *storage.Database, seed int64, numGroups, roundsPerGroup int) *ShiftingSequencer {
-	if numGroups <= 0 {
-		numGroups = 4
-	}
-	if roundsPerGroup <= 0 {
-		roundsPerGroup = 20
-	}
-	return NewShiftingTotal(bench, db, seed, numGroups, numGroups*roundsPerGroup)
-}
-
-// NewShiftingTotal builds a shifting sequencer from a total round count,
-// supporting ragged totals not divisible by the group count.
-func NewShiftingTotal(bench *Benchmark, db *storage.Database, seed int64, numGroups, totalRounds int) *ShiftingSequencer {
-	if numGroups <= 0 {
-		numGroups = 4
-	}
+// NewShifting builds a shifting sequencer of totalRounds rounds
+// (default 80, 20 per group).
+func NewShifting(bench *Benchmark, db *storage.Database, seed int64, totalRounds int) *ShiftingSequencer {
 	if totalRounds <= 0 {
-		totalRounds = numGroups * 20
+		totalRounds = ShiftGroups * 20
 	}
 	// Random equal division of templates into groups, deterministic in
 	// the seed.
 	rng := rand.New(rand.NewSource(seed*31 + 7))
 	perm := rng.Perm(len(bench.Templates))
-	groups := make([][]TemplateSpec, numGroups)
+	groups := make([][]TemplateSpec, ShiftGroups)
 	for i, pi := range perm {
-		g := i * numGroups / len(perm)
-		if g >= numGroups {
-			g = numGroups - 1
-		}
+		g := i * ShiftGroups / len(perm)
 		groups[g] = append(groups[g], bench.Templates[pi])
 	}
 	return &ShiftingSequencer{
@@ -108,13 +95,12 @@ func NewShiftingTotal(bench *Benchmark, db *storage.Database, seed int64, numGro
 // GroupOf returns which template group round r draws from: the group
 // whose floor-partitioned span contains r.
 func (s *ShiftingSequencer) GroupOf(r int) int {
-	numGroups := len(s.groups)
-	for g := 0; g < numGroups; g++ {
-		if r <= (g+1)*s.totalRounds/numGroups {
+	for g := 0; g < ShiftGroups; g++ {
+		if r <= (g+1)*s.totalRounds/ShiftGroups {
 			return g
 		}
 	}
-	return numGroups - 1
+	return ShiftGroups - 1
 }
 
 // Round implements Sequencer.
@@ -132,36 +118,33 @@ func (s *ShiftingSequencer) Round(r int) []*query.Query {
 func (s *ShiftingSequencer) Rounds() int { return s.totalRounds }
 
 // RandomSequencer models truly ad-hoc workloads: each round draws a
-// random multiset of templates (the paper reports 45-54% round-to-round
-// template repeat under this scheme; drawing k templates uniformly from n
-// with replacement reproduces that band for the benchmark sizes used).
+// random multiset of templates, as many as the benchmark has, so the
+// total sequence matches the static experiment's query volume, as in
+// the paper (which reports 45-54% round-to-round template repeat under
+// this scheme; drawing n templates uniformly from n with replacement
+// reproduces that band for the benchmark sizes used).
 type RandomSequencer struct {
-	bench           *Benchmark
-	db              *storage.Database
-	seed            int64
-	rounds          int
-	queriesPerRound int
+	bench  *Benchmark
+	db     *storage.Database
+	seed   int64
+	rounds int
 }
 
-// NewRandom builds a random sequencer; queriesPerRound defaults to the
-// template count (so the total sequence matches the static experiment's
-// query volume, as in the paper).
-func NewRandom(bench *Benchmark, db *storage.Database, seed int64, rounds, queriesPerRound int) *RandomSequencer {
+// NewRandom builds a random sequencer.
+func NewRandom(bench *Benchmark, db *storage.Database, seed int64, rounds int) *RandomSequencer {
 	if rounds <= 0 {
 		rounds = 25
 	}
-	if queriesPerRound <= 0 {
-		queriesPerRound = len(bench.Templates)
-	}
-	return &RandomSequencer{bench: bench, db: db, seed: seed, rounds: rounds, queriesPerRound: queriesPerRound}
+	return &RandomSequencer{bench: bench, db: db, seed: seed, rounds: rounds}
 }
 
 // Round implements Sequencer.
 func (s *RandomSequencer) Round(r int) []*query.Query {
 	rng := rand.New(rand.NewSource(s.seed ^ int64(r)*899_981))
-	out := make([]*query.Query, 0, s.queriesPerRound)
-	for i := 0; i < s.queriesPerRound; i++ {
-		ts := s.bench.Templates[rng.Intn(len(s.bench.Templates))]
+	n := len(s.bench.Templates)
+	out := make([]*query.Query, 0, n)
+	for i := 0; i < n; i++ {
+		ts := s.bench.Templates[rng.Intn(n)]
 		out = append(out, ts.Instantiate(rng, s.db, s.bench.Name))
 	}
 	return out

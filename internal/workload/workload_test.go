@@ -108,7 +108,7 @@ func TestStaticSequencerDeterministic(t *testing.T) {
 
 func TestShiftingSequencerGroups(t *testing.T) {
 	b, db := buildBench(t, "tpch")
-	s := NewShifting(b, db, 3, 4, 20)
+	s := NewShifting(b, db, 3, 80)
 	if s.Rounds() != 80 {
 		t.Fatalf("rounds = %d", s.Rounds())
 	}
@@ -143,25 +143,23 @@ func TestShiftingSequencerGroups(t *testing.T) {
 func TestShiftingSequencerRaggedTotals(t *testing.T) {
 	b, db := buildBench(t, "tpch")
 	cases := []struct {
-		total     int
-		numGroups int
+		total int
 		// wantSpans are the per-group round counts of the floor partition.
 		wantSpans []int
 	}{
-		{10, 4, []int{2, 3, 2, 3}},
-		{81, 4, []int{20, 20, 20, 21}},
-		{7, 4, []int{1, 2, 2, 2}},
-		{3, 3, []int{1, 1, 1}},
+		{10, []int{2, 3, 2, 3}},
+		{81, []int{20, 20, 20, 21}},
+		{7, []int{1, 2, 2, 2}},
 	}
 	for _, c := range cases {
-		s := NewShiftingTotal(b, db, 3, c.numGroups, c.total)
+		s := NewShifting(b, db, 3, c.total)
 		if s.Rounds() != c.total {
 			t.Fatalf("total %d: Rounds() = %d (ragged totals must not be truncated)", c.total, s.Rounds())
 		}
-		spans := make([]int, c.numGroups)
+		spans := make([]int, ShiftGroups)
 		for r := 1; r <= c.total; r++ {
 			g := s.GroupOf(r)
-			if g < 0 || g >= c.numGroups {
+			if g < 0 || g >= ShiftGroups {
 				t.Fatalf("total %d round %d: group %d out of range", c.total, r, g)
 			}
 			spans[g]++
@@ -171,7 +169,7 @@ func TestShiftingSequencerRaggedTotals(t *testing.T) {
 		}
 		for g, want := range c.wantSpans {
 			if spans[g] != want {
-				t.Fatalf("total %d groups %d: spans = %v, want %v", c.total, c.numGroups, spans, c.wantSpans)
+				t.Fatalf("total %d: spans = %v, want %v", c.total, spans, c.wantSpans)
 			}
 		}
 		// Every round draws a non-empty workload from its own group only.
@@ -184,36 +182,12 @@ func TestShiftingSequencerRaggedTotals(t *testing.T) {
 	}
 }
 
-func TestShiftingAlignedMatchesPerGroupConstructor(t *testing.T) {
-	// For divisible totals the two constructors are the same sequencer.
-	b, db := buildBench(t, "ssb")
-	perGroup := NewShifting(b, db, 9, 4, 5)
-	total := NewShiftingTotal(b, db, 9, 4, 20)
-	if perGroup.Rounds() != total.Rounds() {
-		t.Fatalf("rounds differ: %d vs %d", perGroup.Rounds(), total.Rounds())
-	}
-	for r := 1; r <= total.Rounds(); r++ {
-		if perGroup.GroupOf(r) != total.GroupOf(r) {
-			t.Fatalf("round %d: group %d vs %d", r, perGroup.GroupOf(r), total.GroupOf(r))
-		}
-		a, c := perGroup.Round(r), total.Round(r)
-		if len(a) != len(c) {
-			t.Fatalf("round %d sizes differ", r)
-		}
-		for i := range a {
-			if a[i].SQL() != c[i].SQL() {
-				t.Fatalf("round %d query %d differs", r, i)
-			}
-		}
-	}
-}
-
 func TestRandomSequencerRepeatBand(t *testing.T) {
 	// The paper reports 45-54% round-to-round repeat under dynamic random
 	// workloads. Check the sequencer lands in a sane band around it.
 	for _, name := range []string{"tpch", "tpcds"} {
 		b, db := buildBench(t, name)
-		s := NewRandom(b, db, 13, 25, 0)
+		s := NewRandom(b, db, 13, 25)
 		f := RepeatFraction(s)
 		if f < 0.3 || f < 0.01 {
 			t.Fatalf("%s repeat fraction %v too low", name, f)
