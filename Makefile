@@ -40,8 +40,9 @@ benchmod:
 smoke:
 	$(GO) run ./cmd/experiments -exp fig2 -quick -parallel 4 -progress
 
-# Native fuzzing of the trust-boundary decoders, the serving stream
-# parser and the benchmark-capture parser, 10 s per target
+# Native fuzzing of the trust-boundary decoders, every policy's
+# snapshot Restore, the serving stream parser and the benchmark-capture
+# parser, 10 s per target
 # (go test -fuzz takes one target and one package per run; for a longer
 # local run call go test -fuzz directly). Each target's committed seed
 # corpus under testdata/fuzz also runs as part of the ordinary test
@@ -55,6 +56,7 @@ fuzz:
 	$(FUZZ) -fuzz '^FuzzRestoreRidgeState$$' ./internal/linalg/
 	$(FUZZ) -fuzz '^FuzzStream$$' ./internal/serve/
 	$(FUZZ) -fuzz '^FuzzBenchfmtParse$$' ./internal/benchfmt/
+	$(FUZZ) -fuzz '^FuzzPolicyRestore$$' ./internal/policy/
 
 # Per-package coverage, as published in the CI workflow summary.
 cover:

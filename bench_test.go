@@ -212,59 +212,6 @@ func BenchmarkFig8RLComparison(b *testing.B) {
 
 // --- Ablations (DESIGN.md section 5) ---
 
-// BenchmarkAblationForgetting runs the shifting regime with and without
-// shift-scaled forgetting.
-func BenchmarkAblationForgetting(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
-		name := "on"
-		if disabled {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			exp := benchExperiment(b, "tpch-skew", env.Shifting, benchShiftRounds)
-			exp.Opts.MAB = mab.TunerOptions{
-				MemoryBudgetBytes: exp.Budget,
-				DisableForgetting: disabled,
-			}
-			for i := 0; i < b.N; i++ {
-				res, err := exp.Run(env.MAB)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, _, _, total := res.Totals()
-				b.ReportMetric(total, "total-sec")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCreationPenalty removes the creation-time term from
-// rewards (inviting index oscillation).
-func BenchmarkAblationCreationPenalty(b *testing.B) {
-	for _, off := range []bool{false, true} {
-		name := "penalised"
-		if off {
-			name = "free-creation"
-		}
-		b.Run(name, func(b *testing.B) {
-			exp := benchExperiment(b, "ssb", env.Static, benchRounds)
-			exp.Opts.MAB = mab.TunerOptions{
-				MemoryBudgetBytes: exp.Budget,
-				NoCreationPenalty: off,
-			}
-			for i := 0; i < b.N; i++ {
-				res, err := exp.Run(env.MAB)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, create, _, total := res.Totals()
-				b.ReportMetric(create, "create-sec")
-				b.ReportMetric(total, "total-sec")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationWarmStart compares cold start against what-if
 // pre-training (Section VII's cold-start mitigation).
 func BenchmarkAblationWarmStart(b *testing.B) {

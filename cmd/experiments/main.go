@@ -8,7 +8,8 @@
 // byte-identical at any -parallel setting: each cell derives its private
 // RNG seeds from the cell's identity alone, and results are collected in
 // spec order regardless of completion order. One failed cell does not
-// abort the sweep; all cell errors are reported at the end.
+// abort the sweep; all cell errors are reported at the end. An unknown
+// or empty -exp name, or -reps below 1, exits 1 before anything runs.
 //
 // Usage:
 //
@@ -25,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"dbabandits/internal/cli"
@@ -42,13 +44,23 @@ var (
 
 var benches = []string{"ssb", "tpch", "tpch-skew", "tpcds", "imdb"}
 
+// expNames are the valid -exp names.
+var expNames = []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "table1", "table2", "fig8", "htap", "all"}
+
 func main() {
-	exps := flag.String("exp", "all", "comma-separated: fig2,fig3,fig4,fig5,fig6,fig7,table1,table2,fig8,htap,all")
+	exps := flag.String("exp", "all", "comma-separated: "+strings.Join(expNames, ","))
 	flag.Parse()
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exps, ",") {
-		want[strings.TrimSpace(e)] = true
+		e = strings.TrimSpace(e)
+		if !slices.Contains(expNames, e) {
+			cli.Fatal("experiments", fmt.Errorf("unknown -exp %q (valid: %s)", e, strings.Join(expNames, ", ")))
+		}
+		want[e] = true
+	}
+	if *reps < 1 {
+		cli.Fatal("experiments", fmt.Errorf("-reps must be at least 1, got %d", *reps))
 	}
 	all := want["all"]
 

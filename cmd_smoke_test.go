@@ -25,6 +25,9 @@ import (
 //     fleet's -sf (each tenant's scale factor comes from the fleet
 //     generator), -no-transfer, -transfer-rounds and -early-rounds, so
 //     passing any of them exits 2 like any unknown flag;
+//   - refused flags: a fleet of fewer than one tenant, an unknown or
+//     empty -exp name and -reps below 1 each exit 1 with one line on
+//     stderr and nothing on stdout;
 //   - refused checkpoint: -restore from the serve case's checkpoint cut
 //     in half exits 1, names the refusal's kind on stderr and prints no
 //     report.
@@ -126,6 +129,29 @@ func TestCommandSmokes(t *testing.T) {
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 				t.Errorf("%s: err %v, want exit status 2", strings.Join(args, " "), err)
+			}
+		}
+	})
+
+	t.Run("refused flags", func(t *testing.T) {
+		for _, tc := range []struct {
+			args   []string
+			stderr string
+		}{
+			{[]string{"fleet", "-tenants", "-2"}, "fleet: no tenants\n"},
+			{[]string{"experiments", "-exp", "fig9"}, `experiments: unknown -exp "fig9" (valid: fig2, fig3, fig4, fig5, fig6, fig7, table1, table2, fig8, htap, all)` + "\n"},
+			{[]string{"experiments", "-exp", ""}, `experiments: unknown -exp "" (valid: fig2, fig3, fig4, fig5, fig6, fig7, table1, table2, fig8, htap, all)` + "\n"},
+			{[]string{"experiments", "-exp", "fig8", "-quick", "-rows", "400", "-reps", "0"}, "experiments: -reps must be at least 1, got 0\n"},
+		} {
+			cmd := exec.Command(filepath.Join(bin, tc.args[0]), tc.args[1:]...)
+			cmd.Dir = work
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 || len(out) != 0 || stderr.String() != tc.stderr {
+				t.Errorf("%s: err %v, stdout %q, stderr %q; want exit status 1, no output and stderr %q",
+					strings.Join(tc.args, " "), err, out, stderr.String(), tc.stderr)
 			}
 		}
 	})

@@ -103,9 +103,9 @@ import (
 type (
 	// Tuner is the MAB index tuner implementing Algorithm 2.
 	Tuner = mab.Tuner
-	// TunerOptions configures the tuner: the memory budget, the HTAP
-	// update-aware context, and the ablation switches. The tuning
-	// constants are fixed (see the README's "Tuning constants").
+	// TunerOptions configures the tuner: the memory budget and the
+	// HTAP update-aware context. The tuning constants are fixed (see
+	// the README's "Tuning constants").
 	TunerOptions = mab.TunerOptions
 	// Recommendation is one round's output: the configuration to
 	// materialise plus the modelled recommendation time.
@@ -173,8 +173,8 @@ type (
 	// PolicyEnv is the read-only environment view a policy factory may
 	// consult (schema, budget, what-if optimiser, regime, rounds).
 	PolicyEnv = policy.Env
-	// PolicyParams carries per-strategy knobs (bandit ablations, DDQN
-	// seed, PDTool time limit).
+	// PolicyParams carries per-strategy knobs (the bandit's warm start,
+	// the DDQN and random-policy seeds, the PDTool time limit).
 	PolicyParams = policy.Params
 	// PolicyFactory builds a policy against a prepared environment.
 	PolicyFactory = policy.Factory

@@ -17,18 +17,10 @@ type transition struct {
 	next [][]float64
 }
 
-// AgentOptions configure the DDQN agent. Defaults follow the paper's
-// Section V-C experiment setup; the settings no caller varies are the
-// constants below.
+// AgentOptions configure the DDQN agent: the variant and the seed. The
+// training shape follows the paper's Section V-C experiment setup and
+// is the constants below.
 type AgentOptions struct {
-	// EpsDecaySamples is the sample at which the exponential exploration
-	// decay reaches epsEnd. Default 2400.
-	EpsDecaySamples int
-	// BufferSize / BatchSize / TrainStepsPerRound control replay
-	// training; defaults 2048 / 32 / 8.
-	BufferSize         int
-	BatchSize          int
-	TrainStepsPerRound int
 	// SingleColumn restricts candidates to single-column indexes (the
 	// DDQN-SC variant of Sharma et al. as run in Figure 8).
 	SingleColumn bool
@@ -40,9 +32,16 @@ const (
 	// gamma is the discount factor.
 	gamma = 0.99
 	// epsStart and epsEnd bound the exponential exploration decay:
-	// epsilon starts at epsStart and reaches epsEnd at EpsDecaySamples.
-	epsStart = 1.0
-	epsEnd   = 0.01
+	// epsilon starts at epsStart and reaches epsEnd at epsDecaySamples.
+	epsStart        = 1.0
+	epsEnd          = 0.01
+	epsDecaySamples = 2400
+	// bufferSize, batchSize and trainStepsPerRound shape replay
+	// training: the replay buffer's capacity, the minibatch size, and
+	// the minibatches trained per Observe.
+	bufferSize         = 2048
+	batchSize          = 32
+	trainStepsPerRound = 8
 	// learningRate is the SGD learning rate.
 	learningRate = 5e-3
 	// targetSyncEvery synchronises the target network every N training
@@ -52,22 +51,6 @@ const (
 	// numerically friendly range (seconds).
 	rewardScale = 100
 )
-
-func (o AgentOptions) withDefaults() AgentOptions {
-	if o.EpsDecaySamples == 0 {
-		o.EpsDecaySamples = 2400
-	}
-	if o.BufferSize == 0 {
-		o.BufferSize = 2048
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = 32
-	}
-	if o.TrainStepsPerRound == 0 {
-		o.TrainStepsPerRound = 8
-	}
-	return o
-}
 
 // Agent is the DDQN index-selection agent. It consumes the same arms and
 // contexts as the MAB tuner; the Q-network maps an arm's context to its
@@ -90,7 +73,6 @@ type Agent struct {
 
 // NewAgent constructs the agent for the given context dimension.
 func NewAgent(dim int, opts AgentOptions) *Agent {
-	opts = opts.withDefaults()
 	// The draw-counting generator emits the identical sequence to the
 	// plain rand.New(rand.NewSource(seed)) used historically, so every
 	// pinned fixture is unchanged — and the agent becomes checkpointable.
@@ -102,17 +84,17 @@ func NewAgent(dim int, opts AgentOptions) *Agent {
 		rng:    rng,
 		online: online,
 		target: online.Clone(),
-		buffer: make([]transition, 0, opts.BufferSize),
+		buffer: make([]transition, 0, bufferSize),
 	}
 }
 
 // Epsilon returns the current exploration probability (exponential decay
-// from epsStart to epsEnd over EpsDecaySamples samples).
+// from epsStart to epsEnd over epsDecaySamples samples).
 func (a *Agent) Epsilon() float64 {
-	if a.samples >= a.opts.EpsDecaySamples {
+	if a.samples >= epsDecaySamples {
 		return epsEnd
 	}
-	rate := math.Log(epsStart/epsEnd) / float64(a.opts.EpsDecaySamples)
+	rate := math.Log(epsStart/epsEnd) / epsDecaySamples
 	return epsStart * math.Exp(-rate*float64(a.samples))
 }
 
@@ -197,19 +179,19 @@ func (a *Agent) Observe(contexts []linalg.Vector, rewards []float64, nextCandida
 	}
 	for i, x := range contexts {
 		tr := transition{x: x, r: rewards[i] / rewardScale, next: next}
-		if len(a.buffer) < a.opts.BufferSize {
+		if len(a.buffer) < bufferSize {
 			a.buffer = append(a.buffer, tr)
 		} else {
 			a.buffer[a.bufPos] = tr
-			a.bufPos = (a.bufPos + 1) % a.opts.BufferSize
+			a.bufPos = (a.bufPos + 1) % bufferSize
 			a.full = true
 		}
 	}
 	if len(a.buffer) == 0 {
 		return
 	}
-	for step := 0; step < a.opts.TrainStepsPerRound; step++ {
-		for b := 0; b < a.opts.BatchSize; b++ {
+	for step := 0; step < trainStepsPerRound; step++ {
+		for b := 0; b < batchSize; b++ {
 			tr := a.buffer[a.rng.Intn(len(a.buffer))]
 			y := tr.r + gamma*a.doubleQBootstrap(tr.next)
 			a.online.TrainStep(tr.x, y, learningRate)

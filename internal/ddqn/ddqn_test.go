@@ -150,7 +150,7 @@ func TestSingleColumnVariantFilters(t *testing.T) {
 
 func TestAgentLearnsToPickRewardingArm(t *testing.T) {
 	dim := 3
-	a := NewAgent(dim, AgentOptions{Seed: 4, EpsDecaySamples: 200, TrainStepsPerRound: 16})
+	a := NewAgent(dim, AgentOptions{Seed: 4})
 	good := &mab.Arm{Index: index.New("t", []string{"good"}, nil), Table: "t", SizeBytes: 10}
 	bad := &mab.Arm{Index: index.New("t", []string{"bad"}, nil), Table: "t", SizeBytes: 10}
 	gx := linalg.Vector{1, 0, 0}
@@ -192,15 +192,29 @@ func TestObserveEmptyBufferNoop(t *testing.T) {
 }
 
 func TestReplayBufferWraps(t *testing.T) {
-	a := NewAgent(2, AgentOptions{Seed: 6, BufferSize: 8, BatchSize: 4, TrainStepsPerRound: 1})
-	x := linalg.Vector{1, 0}
-	for i := 0; i < 30; i++ {
-		a.Observe([]linalg.Vector{x}, []float64{1}, nil)
-	}
-	if len(a.buffer) != 8 {
-		t.Fatalf("buffer size = %d, want 8", len(a.buffer))
+	a := NewAgent(2, AgentOptions{Seed: 6})
+	fillReplay(a, bufferSize+30)
+	if len(a.buffer) != bufferSize {
+		t.Fatalf("buffer size = %d, want %d", len(a.buffer), bufferSize)
 	}
 	if !a.full {
 		t.Fatal("buffer should report full")
 	}
+	if a.bufPos != 30 {
+		t.Fatalf("ring position = %d, want 30", a.bufPos)
+	}
+}
+
+// fillReplay records n transitions, each without a next decision point,
+// in one Observe call.
+func fillReplay(a *Agent, n int) {
+	dim := a.online.sizes[0]
+	xs := make([]linalg.Vector, n)
+	rs := make([]float64, n)
+	for i := range xs {
+		xs[i] = linalg.NewVector(dim)
+		xs[i][i%dim] = 1
+		rs[i] = float64(i%7 - 3)
+	}
+	a.Observe(xs, rs, nil)
 }

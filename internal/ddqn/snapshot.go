@@ -2,6 +2,7 @@ package ddqn
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dbabandits/internal/floatenc"
@@ -133,11 +134,16 @@ func (a *Agent) Snapshot() *AgentSnapshot {
 
 // Restore replaces the agent's state with the snapshot's. The agent
 // must have been constructed (NewAgent) with the same options the
-// snapshotted agent ran under; the networks' input dimensionality must
-// match the agent's.
+// snapshotted agent ran under: both networks must have the agent's
+// layout, and every replayed context the networks' input dimension.
 func (a *Agent) Restore(s *AgentSnapshot) error {
 	if s == nil || s.Online == nil || s.Target == nil {
 		return fmt.Errorf("ddqn: nil agent snapshot")
+	}
+	layout := a.online.sizes
+	if !slices.Equal(s.Online.Sizes, layout) || !slices.Equal(s.Target.Sizes, layout) {
+		return fmt.Errorf("ddqn: agent snapshot network layouts %v and %v, agent built for %v",
+			s.Online.Sizes, s.Target.Sizes, layout)
 	}
 	online, err := RestoreMLP(s.Online)
 	if err != nil {
@@ -147,12 +153,9 @@ func (a *Agent) Restore(s *AgentSnapshot) error {
 	if err != nil {
 		return err
 	}
-	if online.sizes[0] != a.online.sizes[0] {
-		return fmt.Errorf("ddqn: agent snapshot input dimension %d, agent built for %d", online.sizes[0], a.online.sizes[0])
-	}
-	if s.BufPos < 0 || len(s.Buffer) > a.opts.BufferSize || (len(s.Buffer) > 0 && s.BufPos >= a.opts.BufferSize) {
-		return fmt.Errorf("ddqn: agent snapshot buffer (%d entries, pos %d) exceeds configured size %d",
-			len(s.Buffer), s.BufPos, a.opts.BufferSize)
+	if s.BufPos < 0 || len(s.Buffer) > bufferSize || (len(s.Buffer) > 0 && s.BufPos >= bufferSize) {
+		return fmt.Errorf("ddqn: agent snapshot buffer (%d entries, pos %d) exceeds the replay capacity %d",
+			len(s.Buffer), s.BufPos, bufferSize)
 	}
 
 	// Decode the deduplicated candidate sets once; transitions that
@@ -161,7 +164,7 @@ func (a *Agent) Restore(s *AgentSnapshot) error {
 	for i, enc := range s.NextSets {
 		set := make([][]float64, len(enc))
 		for j, e := range enc {
-			x, err := floatenc.Decode(e)
+			x, err := floatenc.DecodeLen(e, layout[0])
 			if err != nil {
 				return fmt.Errorf("ddqn: agent snapshot candidate set %d: %w", i, err)
 			}
@@ -169,9 +172,9 @@ func (a *Agent) Restore(s *AgentSnapshot) error {
 		}
 		nextSets[i] = set
 	}
-	buffer := make([]transition, 0, a.opts.BufferSize)
+	buffer := make([]transition, 0, bufferSize)
 	for i, ts := range s.Buffer {
-		x, err := floatenc.Decode(ts.X)
+		x, err := floatenc.DecodeLen(ts.X, layout[0])
 		if err != nil {
 			return fmt.Errorf("ddqn: agent snapshot transition %d: %w", i, err)
 		}

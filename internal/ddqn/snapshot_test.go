@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"dbabandits/internal/floatenc"
 	"dbabandits/internal/index"
 	"dbabandits/internal/linalg"
 	"dbabandits/internal/mab"
@@ -48,11 +49,15 @@ func driveAgent(a *Agent, rounds int) []string {
 // TestAgentSnapshotRoundTrip snapshots a live agent mid-run (through a
 // JSON round-trip), restores it into a freshly constructed agent, and
 // requires identical selections every remaining round and identical
-// final snapshots — exploration draws, minibatch draws, and network
-// weights all resume bit for bit.
+// final snapshots — exploration draws, minibatch draws, the replay ring
+// and network weights all resume bit for bit. The agent starts with a
+// wrapped replay buffer and near the end of its exploration decay, so
+// the resumed picks are mostly greedy, read off the restored networks.
 func TestAgentSnapshotRoundTrip(t *testing.T) {
-	opts := AgentOptions{Seed: 11, BufferSize: 64, BatchSize: 8, TrainStepsPerRound: 2, EpsDecaySamples: 40}
+	opts := AgentOptions{Seed: 11}
 	a := NewAgent(4, opts)
+	fillReplay(a, bufferSize+5)
+	a.samples = epsDecaySamples - 30
 	driveAgent(a, 12)
 
 	raw, err := json.Marshal(a.Snapshot())
@@ -86,7 +91,7 @@ func TestAgentSnapshotRoundTrip(t *testing.T) {
 // transitions recorded by one Observe call share one candidate-set
 // table entry.
 func TestAgentSnapshotDedupsNextSets(t *testing.T) {
-	a := NewAgent(3, AgentOptions{Seed: 7, TrainStepsPerRound: 1, BatchSize: 2})
+	a := NewAgent(3, AgentOptions{Seed: 7})
 	next := []linalg.Vector{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
 	// Two rounds, three transitions each, same candidate set each time.
 	for r := 0; r < 2; r++ {
@@ -116,10 +121,37 @@ func TestAgentRestoreErrors(t *testing.T) {
 	if err := a.Restore(s); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
-	small := NewAgent(4, AgentOptions{Seed: 1, BufferSize: 4, BatchSize: 2, TrainStepsPerRound: 1})
-	big := NewAgent(4, AgentOptions{Seed: 1, BufferSize: 64, BatchSize: 2, TrainStepsPerRound: 1})
-	driveAgent(big, 8)
-	if err := small.Restore(big.Snapshot()); err == nil {
+	b := NewAgent(4, AgentOptions{Seed: 1})
+	driveAgent(b, 8)
+	over := b.Snapshot()
+	for len(over.Buffer) <= bufferSize {
+		over.Buffer = append(over.Buffer, over.Buffer[0])
+	}
+	if err := a.Restore(over); err == nil {
 		t.Fatal("oversized buffer accepted")
+	}
+	past := b.Snapshot()
+	past.BufPos = bufferSize
+	if err := a.Restore(past); err == nil {
+		t.Fatal("ring position past the buffer accepted")
+	}
+	// Replay trains on every stored context and bootstraps through the
+	// target network, so a short context or a target of another layout
+	// would panic at the next Observe; Restore refuses both.
+	short := floatenc.Encode([]float64{1})
+	target := b.Snapshot()
+	target.Target = NewAgent(6, AgentOptions{Seed: 1}).Snapshot().Target
+	if err := a.Restore(target); err == nil {
+		t.Fatal("target network of another layout accepted")
+	}
+	x := b.Snapshot()
+	x.Buffer[0].X = short
+	if err := a.Restore(x); err == nil {
+		t.Fatal("short replayed context accepted")
+	}
+	next := b.Snapshot()
+	next.NextSets[0][0] = short
+	if err := a.Restore(next); err == nil {
+		t.Fatal("short bootstrap candidate accepted")
 	}
 }

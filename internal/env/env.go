@@ -55,14 +55,11 @@ type Options struct {
 	// MemoryBudgetX is the index budget as a multiple of the data size
 	// (default 1.0, the paper's setting).
 	MemoryBudgetX float64
-	// Params carries the per-strategy knobs (bandit options, warm start,
+	// Params carries the per-strategy knobs (the bandit's warm start,
 	// policy seeds, the PDTool time limit; see policy.Params). A zero
 	// RandomSeed falls back to Seed. Read at Run time like the rest of
 	// Opts, so callers may tweak them between runs.
 	policy.Params
-	// HTAP tunes the hybrid regime's update cadence. Ignored by other
-	// regimes.
-	HTAP workload.HTAPOptions
 }
 
 // Environment is a prepared benchmark environment: database, cost model,
@@ -132,7 +129,7 @@ func New(opts Options) (*Environment, error) {
 	case Random:
 		e.Seq = workload.NewRandom(bench, db, opts.Seed, opts.Rounds)
 	case HTAP:
-		e.Seq = workload.NewHTAP(bench, db, opts.Seed, opts.Rounds, opts.HTAP)
+		e.Seq = workload.NewHTAP(bench, db, opts.Seed, opts.Rounds)
 	default:
 		return nil, fmt.Errorf("env: unknown regime %q", opts.Regime)
 	}
@@ -289,8 +286,8 @@ func (e *Environment) IndexCreationSec(ix *index.Index) float64 {
 // HasUpdates implements policy.UpdateEnv: whether this environment's
 // regime can issue update statements.
 func (e *Environment) HasUpdates() bool {
-	us, ok := e.Seq.(workload.UpdateSequencer)
-	return ok && us.UpdatesEnabled()
+	_, ok := e.Seq.(workload.UpdateSequencer)
+	return ok
 }
 
 // UpdatesAt returns round r's update statements — nil for analytical

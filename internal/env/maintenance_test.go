@@ -15,7 +15,7 @@ import (
 	"dbabandits/internal/workload"
 )
 
-func htapEnv(t *testing.T, rounds int, opts workload.HTAPOptions) *Environment {
+func htapEnv(t *testing.T, rounds int) *Environment {
 	t.Helper()
 	e, err := New(Options{
 		Benchmark:     "ssb",
@@ -24,7 +24,6 @@ func htapEnv(t *testing.T, rounds int, opts workload.HTAPOptions) *Environment {
 		MaxStoredRows: 2000,
 		Rounds:        rounds,
 		Seed:          7,
-		HTAP:          opts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +38,7 @@ func htapEnv(t *testing.T, rounds int, opts workload.HTAPOptions) *Environment {
 // (maintenance is per-index work, so it must be exactly additive).
 // Indexes on untouched tables and update-free rounds must charge zero.
 func TestMaintenanceCostPerIndexAdditivity(t *testing.T) {
-	e := htapEnv(t, 10, workload.HTAPOptions{})
+	e := htapEnv(t, 10)
 	cfg := index.NewConfig()
 	cfg.Add(index.New("lineorder", []string{"lo_orderdate"}, nil))
 	cfg.Add(index.New("lineorder", []string{"lo_custkey", "lo_orderdate"}, nil))
@@ -107,7 +106,7 @@ func TestMaintenanceCostPerIndexAdditivity(t *testing.T) {
 // engine.IndexWriteSec — and requires exact agreement with
 // MaintenanceCost.
 func TestMaintenanceCostMatchesCostModel(t *testing.T) {
-	e := htapEnv(t, 4, workload.HTAPOptions{})
+	e := htapEnv(t, 4)
 	cfg := index.NewConfig()
 	cfg.Add(index.New("lineorder", []string{"lo_orderdate"}, nil))
 	cfg.Add(index.New("lineorder", []string{"lo_suppkey"}, nil))
@@ -159,7 +158,7 @@ func TestMaintenanceCostMatchesCostModel(t *testing.T) {
 // computation — i.e. the driver charges each round exactly the sum over
 // the held indexes of that round's write costs, nothing more.
 func TestRunPolicyChargesMaintenanceExactly(t *testing.T) {
-	e := htapEnv(t, 8, workload.HTAPOptions{})
+	e := htapEnv(t, 8)
 	ix := index.New("lineorder", []string{"lo_orderdate"}, nil)
 	p := &scriptedPolicy{env: e, ix: ix}
 	res, err := e.RunPolicy(p)
@@ -198,7 +197,8 @@ func TestRunPolicyChargesMaintenanceExactly(t *testing.T) {
 }
 
 // TestHTAPWithoutUpdatesIsBitIdenticalToStaticGolden is the zero-update
-// reduction property: an HTAP environment with updates disabled must
+// reduction property: an HTAP environment whose sequencer is seen only
+// as a plain workload.Sequencer (the wrapper hides UpdatesAt) must
 // reproduce the analytical reward stream EXACTLY — its per-round results
 // are compared bit for bit against the pre-HTAP static golden fixtures
 // (captured before this regime existed). Any leak of the update path
@@ -206,7 +206,8 @@ func TestRunPolicyChargesMaintenanceExactly(t *testing.T) {
 // charge, a perturbed RNG draw) breaks byte equality here.
 func TestHTAPWithoutUpdatesIsBitIdenticalToStaticGolden(t *testing.T) {
 	for _, kind := range []TunerKind{NoIndex, PDTool, MAB} {
-		e := htapEnv(t, 5, workload.HTAPOptions{UpdateEvery: -1})
+		e := htapEnv(t, 5)
+		e.Seq = struct{ workload.Sequencer }{e.Seq}
 		p, err := policy.New(string(kind), e, e.policyParams())
 		if err != nil {
 			t.Fatal(err)

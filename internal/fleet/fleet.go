@@ -24,6 +24,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -144,15 +145,15 @@ type tenantOut struct {
 // reports its error in place without aborting siblings.
 func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 	if len(tenants) == 0 {
-		return nil, fmt.Errorf("fleet: no tenants")
+		return nil, errors.New("no tenants")
 	}
 	seen := map[string]bool{}
 	for _, t := range tenants {
 		if t.ID == "" {
-			return nil, fmt.Errorf("fleet: tenant with empty ID (benchmark %s)", t.Benchmark)
+			return nil, fmt.Errorf("tenant with empty ID (benchmark %s)", t.Benchmark)
 		}
 		if seen[t.ID] {
-			return nil, fmt.Errorf("fleet: duplicate tenant ID %q", t.ID)
+			return nil, fmt.Errorf("duplicate tenant ID %q", t.ID)
 		}
 		seen[t.ID] = true
 	}
@@ -330,11 +331,12 @@ func runAdmitted(t TenantSpec, opts Options, donors []*donor) (tenantOut, error)
 // least one for n >= 4) admitted late so cross-tenant transfer has
 // donors and subjects. The cycle lengths (5 benchmarks, 4 regimes, 2
 // scale factors) are coprime enough that small fleets already mix
-// schemas, regimes and sizes.
+// schemas, regimes and sizes. n < 1 gives no tenants, which Run
+// refuses.
 func DefaultFleet(n, rounds, maxStoredRows int) []TenantSpec {
 	benches := []string{"ssb", "tpch", "tpch-skew", "tpcds", "imdb"}
 	regimes := []env.Regime{env.Static, env.Shifting, env.Random, env.HTAP}
-	out := make([]TenantSpec, n)
+	out := make([]TenantSpec, max(n, 0))
 	for i := range out {
 		bench := benches[i%len(benches)]
 		regime := regimes[i%len(regimes)]

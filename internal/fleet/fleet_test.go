@@ -146,6 +146,11 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := Run(nil, Options{}); err == nil {
 		t.Fatal("empty fleet accepted")
 	}
+	for _, n := range []int{0, -2} {
+		if _, err := Run(DefaultFleet(n, 1, 100), Options{}); err == nil {
+			t.Fatalf("DefaultFleet(%d) ran", n)
+		}
+	}
 	if _, err := Run([]TenantSpec{{Benchmark: "ssb"}}, Options{}); err == nil {
 		t.Fatal("tenant with empty ID accepted")
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dbabandits/internal/env"
-	"dbabandits/internal/mab"
 )
 
 func TestWarmStartReducesEarlyCost(t *testing.T) {
@@ -30,29 +29,6 @@ func TestWarmStartReducesEarlyCost(t *testing.T) {
 	// usually helps (the what-if estimates are accurate on uniform SSB).
 	if early(warmRes) > early(coldRes)*1.25 {
 		t.Fatalf("warm start hurt early rounds badly: %v vs %v", early(warmRes), early(coldRes))
-	}
-}
-
-func TestCreationPenaltyAblationIncreasesCreation(t *testing.T) {
-	base := smallExperiment(t, env.Static, 8)
-	base.Opts.MAB = mab.TunerOptions{MemoryBudgetBytes: base.Budget}
-	baseRes, err := base.Run(env.MAB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := smallExperiment(t, env.Static, 8)
-	free.Opts.MAB = mab.TunerOptions{
-		MemoryBudgetBytes: free.Budget,
-		NoCreationPenalty: true,
-	}
-	freeRes, err := free.Run(env.MAB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, baseCreate, _, _ := baseRes.Totals()
-	_, freeCreate, _, _ := freeRes.Totals()
-	if freeCreate < baseCreate {
-		t.Fatalf("removing the creation penalty reduced creation spend: %v vs %v", freeCreate, baseCreate)
 	}
 }
 

@@ -52,17 +52,33 @@ func (qs *QueryStore) Snapshot() *QueryStoreSnapshot {
 	return s
 }
 
-// Restore replaces the store's state with the snapshot's.
-func (qs *QueryStore) Restore(s *QueryStoreSnapshot) {
-	qs.Window = s.Window
-	qs.lastRound = s.LastRound
-	qs.lastRoundNew = s.LastRoundNew
-	qs.lastRoundObserved = s.LastRoundObserved
-	qs.bySig = make(map[string]*TemplateInfo, len(s.Templates))
+// RestoreQueryStore rebuilds a store from its snapshot. A window below
+// 1 is refused: under it QoI returns nothing, and the tuner would stop
+// generating arms for the rest of the session. So is a template without
+// its last instance, which QoI would hand to arm generation as a nil
+// query.
+func RestoreQueryStore(s *QueryStoreSnapshot) (*QueryStore, error) {
+	if s == nil {
+		return nil, fmt.Errorf("mab: nil query-store snapshot")
+	}
+	if s.Window < 1 {
+		return nil, fmt.Errorf("mab: query-store snapshot window %d, want >= 1", s.Window)
+	}
+	qs := &QueryStore{
+		bySig:             make(map[string]*TemplateInfo, len(s.Templates)),
+		Window:            s.Window,
+		lastRound:         s.LastRound,
+		lastRoundNew:      s.LastRoundNew,
+		lastRoundObserved: s.LastRoundObserved,
+	}
 	for i := range s.Templates {
 		ti := s.Templates[i] // copy; do not alias the snapshot
+		if ti.LastInstance == nil {
+			return nil, fmt.Errorf("mab: query-store snapshot template %q has no instance", ti.Signature)
+		}
 		qs.bySig[ti.Signature] = &ti
 	}
+	return qs, nil
 }
 
 // C2UCBSnapshot is the serialisable state of the bandit: the ridge
@@ -149,16 +165,16 @@ func (t *Tuner) Snapshot() (*TunerSnapshot, error) {
 // must have been constructed (NewTuner) with the same schema and
 // options the snapshotted tuner ran under; everything the options
 // derive (context builder, arm generator) is rebuilt by construction and
-// only the learned state is carried over. A query-store window below 1
-// is refused: under it QoI returns nothing, and the tuner would stop
-// generating arms for the rest of the session. So is a configuration
-// that does not fit the schema (index.ValidDefs).
+// only the learned state is carried over. The query store must pass
+// RestoreQueryStore, and the configuration must fit the schema
+// (index.ValidDefs).
 func (t *Tuner) Restore(s *TunerSnapshot) error {
 	if s == nil || s.Bandit == nil || s.Store == nil {
 		return fmt.Errorf("mab: nil tuner snapshot")
 	}
-	if s.Store.Window < 1 {
-		return fmt.Errorf("mab: query-store snapshot window %d, want >= 1", s.Store.Window)
+	store, err := RestoreQueryStore(s.Store)
+	if err != nil {
+		return err
 	}
 	if err := index.ValidDefs(t.schema, s.Config); err != nil {
 		return fmt.Errorf("mab: tuner snapshot: %w", err)
@@ -166,7 +182,7 @@ func (t *Tuner) Restore(s *TunerSnapshot) error {
 	if err := t.bandit.Restore(s.Bandit); err != nil {
 		return err
 	}
-	t.store.Restore(s.Store)
+	t.store = store
 	t.round = s.Round
 	t.cfg = index.ConfigFromDefs(s.Config)
 	t.usage = copyFloatMap(s.Usage)

@@ -104,12 +104,14 @@ func TestTunerRestoreRejectsDimensionMismatch(t *testing.T) {
 
 // TestTunerRestoreRejectsCorruptState pins that a snapshot whose bandit
 // reward scale is below 1 or non-finite (Update clamps the live scale
-// to at least 1), or whose query-store window is below 1 (QoI would
-// return nothing ever after), is refused, and that a refused restore
-// leaves the tuner untouched.
+// to at least 1), whose query-store window is below 1 (QoI would
+// return nothing ever after) or whose store holds a template without
+// an instance (arm generation would get a nil query), is refused, and
+// that a refused restore leaves the tuner untouched.
 func TestTunerRestoreRejectsCorruptState(t *testing.T) {
 	h := newMiniHarness(t, TunerOptions{})
 	h.round(t, selectiveWorkload(1))
+	h.round(t, selectiveWorkload(2)) // the store holds round 1's templates
 	cases := []struct {
 		name   string
 		mutate func(*TunerSnapshot)
@@ -120,6 +122,7 @@ func TestTunerRestoreRejectsCorruptState(t *testing.T) {
 		{"reward scale +Inf", func(s *TunerSnapshot) { s.Bandit.RewardScale = math.Inf(1) }},
 		{"window 0", func(s *TunerSnapshot) { s.Store.Window = 0 }},
 		{"window -1", func(s *TunerSnapshot) { s.Store.Window = -1 }},
+		{"template without instance", func(s *TunerSnapshot) { s.Store.Templates[0].LastInstance = nil }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

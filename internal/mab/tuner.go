@@ -8,19 +8,13 @@ import (
 	"dbabandits/internal/query"
 )
 
-// TunerOptions configure the MAB tuner: the memory budget, the HTAP
-// context extension, and two ablation switches. The tuning constants
-// below are not options; the README's "Tuning constants" table lists
-// them.
+// TunerOptions configure the MAB tuner: the memory budget and the HTAP
+// context extension. The tuning constants below are not options; the
+// README's "Tuning constants" table lists them.
 type TunerOptions struct {
 	// MemoryBudgetBytes is the secondary-index budget M (the experiments
 	// use 1x the data size).
 	MemoryBudgetBytes int64
-	// DisableForgetting turns shift-scaled forgetting off (ablation).
-	DisableForgetting bool
-	// NoCreationPenalty removes creation time from rewards (ablation;
-	// invites index oscillation).
-	NoCreationPenalty bool
 	// UpdateAwareContext appends the HTAP update-sensitivity components
 	// (churn exposure + size-weighted churn) to every arm context, so the
 	// bandit can learn to drop high-churn indexes. Off by default:
@@ -58,6 +52,13 @@ const (
 type Tuner struct {
 	schema *catalog.Schema
 	opts   TunerOptions
+
+	// Ablation hooks, set only by this package's tests:
+	// disableForgetting turns shift-scaled forgetting off,
+	// noCreationPenalty removes creation time from rewards (inviting
+	// index oscillation).
+	disableForgetting bool
+	noCreationPenalty bool
 
 	bandit *C2UCB
 	ctxb   *ContextBuilder
@@ -168,7 +169,7 @@ func (t *Tuner) Recommend(lastWorkload []*query.Query) *Recommendation {
 
 	if len(lastWorkload) > 0 {
 		t.store.Observe(t.round-1, lastWorkload)
-		if !t.opts.DisableForgetting {
+		if !t.disableForgetting {
 			if shift := t.store.ShiftIntensity(); shift >= shiftForgetThreshold && t.round > 2 {
 				t.bandit.Forget(min(shift, maxForgetFactor))
 			}
@@ -285,7 +286,7 @@ func (t *Tuner) ObserveExecution(stats []*engine.ExecStats, creationSec map[stri
 	rewards := t.scratch.rewards[:len(t.pendingArms)]
 	for i, a := range t.pendingArms {
 		r := gains[a.ID()]
-		if t.pendingCreated[a.ID()] && !t.opts.NoCreationPenalty {
+		if t.pendingCreated[a.ID()] && !t.noCreationPenalty {
 			r -= creationSec[a.ID()]
 		}
 		// Index maintenance charged by the round's update statements

@@ -213,7 +213,8 @@ func TestTunerForgettingOnShift(t *testing.T) {
 }
 
 func TestTunerForgettingDisabledAblation(t *testing.T) {
-	h := newMiniHarness(t, TunerOptions{DisableForgetting: true})
+	h := newMiniHarness(t, TunerOptions{})
+	h.tuner.disableForgetting = true
 	for round := 1; round <= 6; round++ {
 		h.round(t, selectiveWorkload(round))
 	}
@@ -229,6 +230,26 @@ func TestTunerForgettingDisabledAblation(t *testing.T) {
 	thetaAfter := h.tuner.Bandit().Theta().Norm2()
 	if thetaAfter < thetaBefore*0.5 {
 		t.Fatalf("ablated forgetting still shrank theta: %v -> %v", thetaBefore, thetaAfter)
+	}
+}
+
+// TestCreationPenaltyAblationIncreasesCreation removes the creation
+// term from the rewards: a bandit that is never charged for building an
+// index must not spend less on creation than the penalised one.
+func TestCreationPenaltyAblationIncreasesCreation(t *testing.T) {
+	creation := func(noPenalty bool) float64 {
+		h := newMiniHarness(t, TunerOptions{})
+		h.tuner.noCreationPenalty = noPenalty
+		var total float64
+		for round := 1; round <= 8; round++ {
+			h.round(t, selectiveWorkload(round))
+			total += h.createSec
+		}
+		return total
+	}
+	base, free := creation(false), creation(true)
+	if free < base {
+		t.Fatalf("removing the creation penalty reduced creation spend: %v vs %v", free, base)
 	}
 }
 

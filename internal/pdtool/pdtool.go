@@ -35,8 +35,6 @@ type Options struct {
 	// exceeds it (0 = unlimited). Mirrors the paper's 1-hour cap for the
 	// TPC-DS dynamic random experiment.
 	TimeLimitSec float64
-	// DisableMerging turns off the index-merging pass (ablation).
-	DisableMerging bool
 }
 
 const (
@@ -57,6 +55,9 @@ type Advisor struct {
 	opt    *optimizer.Optimizer
 	opts   Options
 	gen    *mab.ArmGenerator
+	// disableMerging turns off the index-merging pass (an ablation hook
+	// set only by this package's tests).
+	disableMerging bool
 }
 
 // New constructs an advisor.
@@ -188,7 +189,7 @@ func (a *Advisor) Recommend(training []*query.Query) *Recommendation {
 		ranked[bestIdx].arm = nil // consumed
 	}
 
-	if !a.opts.DisableMerging {
+	if !a.disableMerging {
 		a.mergePass(rec, training, &curCost, &remaining)
 	}
 

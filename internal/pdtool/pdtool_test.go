@@ -132,7 +132,8 @@ func TestMergingReducesIndexCountOrKeepsCost(t *testing.T) {
 	// With merging disabled the advisor may keep redundant prefix pairs;
 	// with it enabled the config should never be larger.
 	aOn, _ := newAdvisor(t, Options{})
-	aOff, _ := newAdvisor(t, Options{DisableMerging: true})
+	aOff, _ := newAdvisor(t, Options{})
+	aOff.disableMerging = true
 	wl := trainingWorkload()
 	recOn := aOn.Recommend(wl)
 	recOff := aOff.Recommend(wl)

@@ -168,13 +168,14 @@ func (p *advisorPolicy) Restore(raw json.RawMessage) error {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return fmt.Errorf("advisor policy snapshot: %w", err)
 	}
-	if snap.Store == nil {
-		return fmt.Errorf("advisor policy snapshot: missing query store")
+	store, err := mab.RestoreQueryStore(snap.Store)
+	if err != nil {
+		return fmt.Errorf("advisor policy snapshot: %w", err)
 	}
 	if err := index.ValidDefs(p.opt.Schema, snap.Config); err != nil {
 		return fmt.Errorf("advisor policy snapshot: %w", err)
 	}
-	p.store.Restore(snap.Store)
+	p.store = store
 	p.cfg = index.ConfigFromDefs(snap.Config)
 	p.observedGain = map[string]float64{}
 	for k, v := range snap.ObservedGain {

@@ -185,8 +185,12 @@ func (p *ddqnPolicy) Restore(raw json.RawMessage) error {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return fmt.Errorf("%s policy snapshot: %w", p.name, err)
 	}
-	if snap.Agent == nil || snap.Store == nil {
-		return fmt.Errorf("%s policy snapshot: missing agent or query store", p.name)
+	if snap.Agent == nil {
+		return fmt.Errorf("%s policy snapshot: missing agent", p.name)
+	}
+	store, err := mab.RestoreQueryStore(snap.Store)
+	if err != nil {
+		return fmt.Errorf("%s policy snapshot: %w", p.name, err)
 	}
 	if len(snap.PendingCtxs) != len(snap.PendingRewards) {
 		return fmt.Errorf("%s policy snapshot: %d pending contexts for %d rewards",
@@ -198,7 +202,7 @@ func (p *ddqnPolicy) Restore(raw json.RawMessage) error {
 	if err := p.agent.Restore(snap.Agent); err != nil {
 		return err
 	}
-	p.store.Restore(snap.Store)
+	p.store = store
 	p.cfg = index.ConfigFromDefs(snap.Config)
 	p.usage = map[string]float64{}
 	for k, v := range snap.Usage {
@@ -206,7 +210,7 @@ func (p *ddqnPolicy) Restore(raw json.RawMessage) error {
 	}
 	p.pendingCtxs = nil
 	for i, enc := range snap.PendingCtxs {
-		x, err := floatenc.Decode(enc)
+		x, err := floatenc.DecodeLen(enc, p.ctxb.Dim())
 		if err != nil {
 			return fmt.Errorf("%s policy snapshot: pending context %d: %w", p.name, i, err)
 		}

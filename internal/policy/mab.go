@@ -24,10 +24,7 @@ type mabPolicy struct {
 }
 
 func newMAB(e Env, p Params) (Policy, error) {
-	opts := p.MAB
-	if opts.MemoryBudgetBytes == 0 {
-		opts.MemoryBudgetBytes = e.MemoryBudgetBytes()
-	}
+	opts := mab.TunerOptions{MemoryBudgetBytes: e.MemoryBudgetBytes()}
 	// Update-capable regimes (HTAP) get the journal extension's
 	// update-sensitivity context components; analytical regimes keep the
 	// exact pre-HTAP context dimensionality.

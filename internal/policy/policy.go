@@ -157,11 +157,9 @@ type UpdateEnv interface {
 }
 
 // Params carries the per-strategy knobs an experiment may tune. Unset
-// fields take each adapter's defaults.
+// fields take each adapter's defaults. The bandit itself takes no
+// knobs: its budget and context shape come from the Env.
 type Params struct {
-	// MAB tweaks the bandit (ablations). A zero MemoryBudgetBytes is
-	// filled from the environment's budget.
-	MAB mab.TunerOptions
 	// MABWarmStartRounds pre-trains the bandit with what-if estimated
 	// rewards over round 1's workload (Section VII). 0 disables.
 	MABWarmStartRounds int

@@ -117,14 +117,15 @@ func (p *randomConfig) Restore(raw json.RawMessage) error {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return fmt.Errorf("random policy snapshot: %w", err)
 	}
-	if snap.Store == nil {
-		return fmt.Errorf("random policy snapshot: missing query store")
+	store, err := mab.RestoreQueryStore(snap.Store)
+	if err != nil {
+		return fmt.Errorf("random policy snapshot: %w", err)
 	}
 	if err := index.ValidDefs(p.schema, snap.Config); err != nil {
 		return fmt.Errorf("random policy snapshot: %w", err)
 	}
 	p.rng = snaprand.Restore(snap.Seed, snap.Draws)
-	p.store.Restore(snap.Store)
+	p.store = store
 	p.cfg = index.ConfigFromDefs(snap.Config)
 	return nil
 }

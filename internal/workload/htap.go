@@ -17,21 +17,12 @@ type UpdateSequencer interface {
 	// UpdatesAt returns round r's update statements (1-based,
 	// deterministic; nil on analytical-only rounds).
 	UpdatesAt(r int) []query.Update
-	// UpdatesEnabled reports whether any round can carry updates; a
-	// sequencer with updates disabled is indistinguishable from its
-	// analytical base.
-	UpdatesEnabled() bool
-}
-
-// HTAPOptions tune the hybrid transactional/analytical sequencer.
-type HTAPOptions struct {
-	// UpdateEvery makes every k-th round update-heavy (default 2 —
-	// alternate analytical and hybrid rounds). Negative disables updates
-	// entirely, reducing the sequencer to its analytical base.
-	UpdateEvery int
 }
 
 const (
+	// htapUpdateEvery makes every k-th round update-heavy: analytical
+	// and hybrid rounds alternate.
+	htapUpdateEvery = 2
 	// htapStatements is the number of update statements per update-heavy
 	// round.
 	htapStatements = 4
@@ -41,17 +32,10 @@ const (
 	htapMaxRowsFrac = 0.02
 )
 
-func (o HTAPOptions) withDefaults() HTAPOptions {
-	if o.UpdateEvery == 0 {
-		o.UpdateEvery = 2
-	}
-	return o
-}
-
 // HTAPSequencer models the hybrid transactional/analytical regime of the
 // journal follow-up ("No DBA? No regret!", VLDB J. 2023): the analytical
 // side is the static sequencer (every template once per round, fresh
-// constants), while every UpdateEvery-th round additionally carries a
+// constants), while every htapUpdateEvery-th round additionally carries a
 // batch of INSERT/UPDATE-shaped statements against the benchmark's fact
 // tables. Index maintenance induced by those statements becomes part of
 // every policy's reward, so tuners that ignore write amplification
@@ -60,18 +44,16 @@ type HTAPSequencer struct {
 	inner *StaticSequencer
 	db    *storage.Database
 	seed  int64
-	opts  HTAPOptions
 	facts []string
 }
 
 // NewHTAP builds an HTAP sequencer over the benchmark's static analytical
 // workload, with update-heavy rounds drawn against the fact tables.
-func NewHTAP(bench *Benchmark, db *storage.Database, seed int64, rounds int, opts HTAPOptions) *HTAPSequencer {
+func NewHTAP(bench *Benchmark, db *storage.Database, seed int64, rounds int) *HTAPSequencer {
 	return &HTAPSequencer{
 		inner: NewStatic(bench, db, seed, rounds),
 		db:    db,
 		seed:  seed,
-		opts:  opts.withDefaults(),
 		facts: FactTables(db),
 	}
 }
@@ -80,7 +62,8 @@ func NewHTAP(bench *Benchmark, db *storage.Database, seed int64, rounds int, opt
 // logical row count is at least a quarter of the largest table's, sorted
 // by name. For the star/snowflake suites this selects exactly the big
 // fact tables (e.g. the three TPC-DS sales channels) and never the
-// small dimensions.
+// small dimensions. The largest table always qualifies, so the list is
+// never empty.
 func FactTables(db *storage.Database) []string {
 	var max float64
 	for _, t := range db.Tables {
@@ -106,14 +89,11 @@ func (s *HTAPSequencer) Round(r int) []*query.Query { return s.inner.Round(r) }
 // Rounds implements Sequencer.
 func (s *HTAPSequencer) Rounds() int { return s.inner.Rounds() }
 
-// UpdatesEnabled implements UpdateSequencer.
-func (s *HTAPSequencer) UpdatesEnabled() bool { return s.opts.UpdateEvery > 0 && len(s.facts) > 0 }
-
 // UpdatesAt implements UpdateSequencer: deterministic in (seed, round)
 // alone, like the analytical draws, so HTAP cells parallelise with
 // byte-identical results.
 func (s *HTAPSequencer) UpdatesAt(r int) []query.Update {
-	if !s.UpdatesEnabled() || r%s.opts.UpdateEvery != 0 {
+	if r%htapUpdateEvery != 0 {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(s.seed ^ int64(r)*777_767))

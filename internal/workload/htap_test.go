@@ -40,7 +40,7 @@ func TestFactTablesPicksLargeTablesOnly(t *testing.T) {
 func TestHTAPAnalyticalSideMatchesStatic(t *testing.T) {
 	bench, _ := ByName("ssb")
 	db := htapDB(t, bench)
-	h := NewHTAP(bench, db, 7, 6, HTAPOptions{})
+	h := NewHTAP(bench, db, 7, 6)
 	s := NewStatic(bench, db, 7, 6)
 	if h.Rounds() != 6 {
 		t.Fatalf("rounds = %d", h.Rounds())
@@ -55,10 +55,7 @@ func TestHTAPAnalyticalSideMatchesStatic(t *testing.T) {
 func TestHTAPUpdateCadenceAndDeterminism(t *testing.T) {
 	bench, _ := ByName("tpcds")
 	db := htapDB(t, bench)
-	h := NewHTAP(bench, db, 7, 10, HTAPOptions{})
-	if !h.UpdatesEnabled() {
-		t.Fatal("updates disabled by default")
-	}
+	h := NewHTAP(bench, db, 7, 10)
 	facts := map[string]bool{}
 	for _, f := range FactTables(db) {
 		facts[f] = true
@@ -107,20 +104,6 @@ func TestHTAPUpdateCadenceAndDeterminism(t *testing.T) {
 	}
 	if !sawInsert || !sawModify {
 		t.Fatalf("want both statement kinds over 10 rounds: insert=%v modify=%v", sawInsert, sawModify)
-	}
-}
-
-func TestHTAPDisabledUpdatesReducesToStatic(t *testing.T) {
-	bench, _ := ByName("ssb")
-	db := htapDB(t, bench)
-	h := NewHTAP(bench, db, 7, 8, HTAPOptions{UpdateEvery: -1})
-	if h.UpdatesEnabled() {
-		t.Fatal("UpdateEvery < 0 must disable updates")
-	}
-	for r := 1; r <= 8; r++ {
-		if ups := h.UpdatesAt(r); ups != nil {
-			t.Fatalf("round %d: disabled sequencer issued updates %v", r, ups)
-		}
 	}
 }
 
