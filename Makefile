@@ -67,7 +67,7 @@ cover:
 # cmd/benchjson, so the perf trajectory is tracked in-repo. Compare
 # against BENCH_baseline.json (captured at the pre-sparse-fast-path
 # commit) — see the README's Performance section.
-BENCH_PATTERN = 'BenchmarkTunerRecommendTPCDS$$|BenchmarkTunerRecommendSteadyState$$|BenchmarkScoresTPCDS$$|BenchmarkScoresBatch$$|BenchmarkScoresSparse$$|BenchmarkScoresDenseTPCDS$$|BenchmarkThetaCached$$|BenchmarkThetaRecompute$$|BenchmarkRidgeObserveScore$$|BenchmarkRidgeObserveScoreSparse$$|BenchmarkRidgeForget$$|BenchmarkRidgeObserve$$|BenchmarkC2UCBScores$$|BenchmarkArmGeneration$$|BenchmarkFleetRound$$|BenchmarkChoosePlanCold$$|BenchmarkChoosePlanWarm$$|BenchmarkChoosePlanMiss$$|BenchmarkWhatIfCost$$|BenchmarkWhatIfSingleIndexSweep$$|BenchmarkWhatIfWorkloadCold$$|BenchmarkWhatIfWorkloadWarm$$|BenchmarkEnvRoundSteadyState$$|BenchmarkQueryExecution$$|BenchmarkExecuteWorkloadTPCDS$$|BenchmarkWriteCheckpoint$$|BenchmarkRestoreCheckpoint$$|BenchmarkServeWindowTPCDS$$'
+BENCH_PATTERN = 'BenchmarkTunerRecommendTPCDS$$|BenchmarkTunerRecommendSteadyState$$|BenchmarkScoresTPCDS$$|BenchmarkThetaCached$$|BenchmarkThetaRecompute$$|BenchmarkRidgeObserveScoreSparse$$|BenchmarkRidgeForget$$|BenchmarkC2UCBScores$$|BenchmarkArmGeneration$$|BenchmarkFleetRound$$|BenchmarkChoosePlanCold$$|BenchmarkChoosePlanWarm$$|BenchmarkChoosePlanMiss$$|BenchmarkWhatIfCost$$|BenchmarkWhatIfSingleIndexSweep$$|BenchmarkWhatIfWorkloadCold$$|BenchmarkWhatIfWorkloadWarm$$|BenchmarkEnvRoundSteadyState$$|BenchmarkQueryExecution$$|BenchmarkExecuteWorkloadTPCDS$$|BenchmarkWriteCheckpoint$$|BenchmarkRestoreCheckpoint$$|BenchmarkServeWindowTPCDS$$'
 
 bench:
 	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem ./... > .bench.out
@@ -106,7 +106,7 @@ benchsweep:
 # tooling can't rot either.
 benchsmoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
-	$(GO) test -run '^$$' -bench 'BenchmarkScoresTPCDS$$|BenchmarkScoresSparse$$' -benchtime 1x ./internal/mab/ > .benchsmoke.out
+	$(GO) test -run '^$$' -bench 'BenchmarkScoresTPCDS$$|BenchmarkTunerRecommendSteadyState$$' -benchtime 1x ./internal/mab/ > .benchsmoke.out
 	$(GO) run ./cmd/benchjson < .benchsmoke.out > /dev/null
 	@rm -f .benchsmoke.out
 

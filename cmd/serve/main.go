@@ -55,7 +55,7 @@ func main() {
 	)
 	flag.Parse()
 	if *every < 1 {
-		*every = 1
+		cli.Fatal("serve", fmt.Errorf("-every must be at least 1, got %d", *every))
 	}
 
 	var s *serve.Session

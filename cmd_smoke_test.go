@@ -26,8 +26,9 @@ import (
 //     generator), -no-transfer, -transfer-rounds and -early-rounds, so
 //     passing any of them exits 2 like any unknown flag;
 //   - refused flags: a fleet of fewer than one tenant, an unknown or
-//     empty -exp name and -reps below 1 each exit 1 with one line on
-//     stderr and nothing on stdout;
+//     empty -exp name, -reps below 1 and a serve checkpoint cadence
+//     (-every) below 1 each exit 1 with one line on stderr and nothing
+//     on stdout;
 //   - refused checkpoint: -restore from the serve case's checkpoint cut
 //     in half exits 1, names the refusal's kind on stderr and prints no
 //     report.
@@ -142,6 +143,7 @@ func TestCommandSmokes(t *testing.T) {
 			{[]string{"experiments", "-exp", "fig9"}, `experiments: unknown -exp "fig9" (valid: fig2, fig3, fig4, fig5, fig6, fig7, table1, table2, fig8, htap, all)` + "\n"},
 			{[]string{"experiments", "-exp", ""}, `experiments: unknown -exp "" (valid: fig2, fig3, fig4, fig5, fig6, fig7, table1, table2, fig8, htap, all)` + "\n"},
 			{[]string{"experiments", "-exp", "fig8", "-quick", "-rows", "400", "-reps", "0"}, "experiments: -reps must be at least 1, got 0\n"},
+			{[]string{"serve", "-stream", "stream.txt", "-checkpoint", "every.ckpt", "-every", "0"}, "serve: -every must be at least 1, got 0\n"},
 		} {
 			cmd := exec.Command(filepath.Join(bin, tc.args[0]), tc.args[1:]...)
 			cmd.Dir = work

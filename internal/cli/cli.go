@@ -1,6 +1,7 @@
 // Package cli centralises the flag definitions and exit conventions
-// shared by the repo's commands (mabtune, experiments, benchjson,
-// serve), so every binary spells the common knobs identically — one
+// shared by the repo's commands (mabtune, experiments, fleet, serve,
+// benchjson, benchdiff), so every binary spells the common knobs
+// identically and exits the same way on a refused input — one
 // name, one default, one help string, one validation path — instead of
 // each main.go re-declaring its own drifting copy.
 package cli

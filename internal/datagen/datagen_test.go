@@ -237,7 +237,7 @@ func TestSelectAndCountAgree(t *testing.T) {
 		{Table: "fact", Column: "f_uni", Op: query.OpRange, Lo: 100, Hi: 400},
 		{Table: "fact", Column: "f_zipf", Op: query.OpEq, Lo: 1},
 	}
-	rows, ok := fact.SelectRows(preds)
+	rows, ok := fact.AppendSelectRows(nil, preds)
 	if !ok {
 		t.Fatal("select failed")
 	}

@@ -78,7 +78,7 @@ func executeRef(db *storage.Database, p *Plan, cm *CostModel) (*ExecStats, error
 		}
 
 		innerPreds := q.FiltersOn(step.InnerTable)
-		innerIDs, okSel := inner.SelectRows(innerPreds)
+		innerIDs, okSel := inner.AppendSelectRows(nil, innerPreds)
 		if !okSel {
 			return nil, fmt.Errorf("engine: predicate on missing column of %s", step.InnerTable)
 		}
@@ -177,7 +177,7 @@ func executeAccessRef(db *storage.Database, acc Access, q *query.Query, cm *Cost
 		return nil, 0, fmt.Errorf("engine: unknown table %q", acc.Table)
 	}
 	preds := q.FiltersOn(acc.Table)
-	rowids, okSel := tbl.SelectRows(preds)
+	rowids, okSel := tbl.AppendSelectRows(nil, preds)
 	if !okSel {
 		return nil, 0, fmt.Errorf("engine: predicate on missing column of %s", acc.Table)
 	}

@@ -1,10 +1,10 @@
 package fleet
 
 import (
-	"math"
 	"sort"
 
 	"dbabandits/internal/env"
+	"dbabandits/internal/stats"
 )
 
 // Percentiles is a fleet-level distribution summary: the p50/p95/p99
@@ -15,28 +15,18 @@ type Percentiles struct {
 	P50, P95, P99 float64
 }
 
-// percentilesOf summarises vals (consumed: sorted in place). Linear
-// interpolation between order statistics, matching the harness
-// renderers' quantile convention.
+// percentilesOf summarises vals (consumed: sorted in place) with
+// stats.Quantile, the harness renderers' quantile.
 func percentilesOf(vals []float64) Percentiles {
 	if len(vals) == 0 {
 		return Percentiles{}
 	}
 	sort.Float64s(vals)
 	return Percentiles{
-		P50: quantile(vals, 0.50),
-		P95: quantile(vals, 0.95),
-		P99: quantile(vals, 0.99),
+		P50: stats.Quantile(vals, 0.50),
+		P95: stats.Quantile(vals, 0.95),
+		P99: stats.Quantile(vals, 0.99),
 	}
-}
-
-// quantile interpolates the q-th quantile of a sorted slice.
-func quantile(sorted []float64, q float64) float64 {
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // collect pools one per-round metric over every successful tenant's

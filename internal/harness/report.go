@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"dbabandits/internal/env"
+	"dbabandits/internal/stats"
 )
 
 // RenderConvergence prints the per-round total-time series of several
@@ -225,9 +226,9 @@ func SummariseRuns(kind env.TunerKind, runs []*env.RunResult) Fig8Stats {
 			}
 		}
 		sort.Float64s(vals)
-		st.MedianRounds[i] = quantile(vals, 0.5)
-		st.Q1Rounds[i] = quantile(vals, 0.25)
-		st.Q3Rounds[i] = quantile(vals, 0.75)
+		st.MedianRounds[i] = stats.Quantile(vals, 0.5)
+		st.Q1Rounds[i] = stats.Quantile(vals, 0.25)
+		st.Q3Rounds[i] = stats.Quantile(vals, 0.75)
 	}
 	for _, r := range runs {
 		rec, create, exec, total := r.Totals()
@@ -280,20 +281,6 @@ func Speedup(a, b float64) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%.0f%%", (a-b)/a*100)
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	hi := lo + 1
-	if hi >= len(sorted) {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // SeriesCSV renders a run's per-round totals as a CSV line block for

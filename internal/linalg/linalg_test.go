@@ -11,8 +11,8 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestVectorDot(t *testing.T) {
 	v := Vector{1, 2, 3}
-	w := Vector{4, 5, 6}
-	if got := v.Dot(w); got != 32 {
+	w := SparseFromDense(Vector{4, 5, 6})
+	if got := v.DotSparse(w); got != 32 {
 		t.Fatalf("dot = %v, want 32", got)
 	}
 }
@@ -23,12 +23,12 @@ func TestVectorDotMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on dimension mismatch")
 		}
 	}()
-	Vector{1}.Dot(Vector{1, 2})
+	Vector{1}.DotSparse(SparseFromDense(Vector{1, 2}))
 }
 
 func TestVectorAddScaled(t *testing.T) {
 	v := Vector{1, 1}
-	v.AddScaled(2, Vector{3, 4})
+	v.AddScaledSparse(2, SparseFromDense(Vector{3, 4}))
 	if !v.Equal(Vector{7, 9}, 0) {
 		t.Fatalf("axpy = %v", v)
 	}
@@ -106,9 +106,13 @@ func TestQuadraticFormMatchesExplicit(t *testing.T) {
 		n := 1 + rng.Intn(8)
 		m := randomSPD(rng, n)
 		x := randomVec(rng, n)
-		explicit := x.Dot(m.MulVec(x))
-		if !almostEqual(m.QuadraticForm(x), explicit, 1e-9*(1+math.Abs(explicit))) {
-			t.Fatalf("quadratic form mismatch: %v vs %v", m.QuadraticForm(x), explicit)
+		var explicit float64
+		for i, mx := range m.MulVec(x) {
+			explicit += x[i] * mx
+		}
+		got := m.QuadraticFormSparse(SparseFromDense(x))
+		if !almostEqual(got, explicit, 1e-9*(1+math.Abs(explicit))) {
+			t.Fatalf("quadratic form mismatch: %v vs %v", got, explicit)
 		}
 	}
 }
@@ -161,8 +165,7 @@ func TestSolveCholesky(t *testing.T) {
 		n := 1 + rng.Intn(10)
 		m := randomSPD(rng, n)
 		want := randomVec(rng, n)
-		b := m.MulVec(want)
-		got, err := m.SolveCholesky(b)
+		got, err := solveCholesky(m, m.MulVec(want))
 		if err != nil {
 			t.Fatalf("solve failed: %v", err)
 		}
@@ -218,8 +221,8 @@ func TestRidgeRecoverLinearModel(t *testing.T) {
 	theta := randomVec(rng, dim)
 	rs := NewRidgeState(dim, 0.01)
 	for i := 0; i < 4000; i++ {
-		x := randomVec(rng, dim)
-		rs.Observe(x, theta.Dot(x)+rng.NormFloat64()*0.01)
+		x := SparseFromDense(randomVec(rng, dim))
+		rs.ObserveSparse(x, theta.DotSparse(x)+rng.NormFloat64()*0.01)
 	}
 	got := rs.Theta()
 	if !got.Equal(theta, 0.05) {
@@ -232,7 +235,7 @@ func TestRidgeInverseStaysFresh(t *testing.T) {
 	dim := 5
 	rs := NewRidgeState(dim, 1)
 	for i := 0; i < 1000; i++ {
-		rs.Observe(randomVec(rng, dim), rng.Float64())
+		rs.ObserveSparse(SparseFromDense(randomVec(rng, dim)), rng.Float64())
 	}
 	exact, err := rs.V.Inverse()
 	if err != nil {
@@ -247,12 +250,12 @@ func TestRidgeConfidenceShrinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	dim := 4
 	rs := NewRidgeState(dim, 1)
-	x := randomVec(rng, dim)
-	before := rs.ConfidenceWidth(x)
+	x := SparseFromDense(randomVec(rng, dim))
+	before := width(rs, x)
 	for i := 0; i < 50; i++ {
-		rs.Observe(x, 1)
+		rs.ObserveSparse(x, 1)
 	}
-	after := rs.ConfidenceWidth(x)
+	after := width(rs, x)
 	if after >= before {
 		t.Fatalf("confidence did not shrink: before %v, after %v", before, after)
 	}
@@ -262,7 +265,7 @@ func TestRidgeForgetFullReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	rs := NewRidgeState(3, 2)
 	for i := 0; i < 20; i++ {
-		rs.Observe(randomVec(rng, 3), 1)
+		rs.ObserveSparse(SparseFromDense(randomVec(rng, 3)), 1)
 	}
 	rs.Forget(1)
 	fresh := NewRidgeState(3, 2)
@@ -278,7 +281,7 @@ func TestRidgeForgetPartialKeepsDefiniteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	rs := NewRidgeState(4, 0.5)
 	for i := 0; i < 30; i++ {
-		rs.Observe(randomVec(rng, 4), rng.Float64())
+		rs.ObserveSparse(SparseFromDense(randomVec(rng, 4)), rng.Float64())
 	}
 	rs.Forget(0.5)
 	if _, err := rs.V.Cholesky(); err != nil {
@@ -293,7 +296,7 @@ func TestRidgeForgetPartialKeepsDefiniteness(t *testing.T) {
 
 func TestRidgeForgetNoOp(t *testing.T) {
 	rs := NewRidgeState(2, 1)
-	rs.Observe(Vector{1, 0}, 3)
+	rs.ObserveSparse(SparseFromDense(Vector{1, 0}), 3)
 	before := rs.V.Clone()
 	rs.Forget(0)
 	if d := rs.V.MaxAbsDiff(before); d != 0 {
@@ -313,7 +316,7 @@ func TestRidgePanicsOnBadArgs(t *testing.T) {
 	}
 	mustPanic("zero dim", func() { NewRidgeState(0, 1) })
 	mustPanic("zero lambda", func() { NewRidgeState(2, 0) })
-	mustPanic("dim mismatch", func() { NewRidgeState(2, 1).Observe(Vector{1}, 0) })
+	mustPanic("dim mismatch", func() { NewRidgeState(2, 1).ObserveSparse(SparseFromDense(Vector{1}), 0) })
 }
 
 // --- property-based tests ---
@@ -331,11 +334,13 @@ func TestQuickRidgeMatchesClosedForm(t *testing.T) {
 		for i := 0; i < n; i++ {
 			x := randomVec(rng, dim)
 			r := rng.NormFloat64()
-			rs.Observe(x, r)
+			rs.ObserveSparse(SparseFromDense(x), r)
 			v.AddOuterScaled(1, x)
-			b.AddScaled(r, x)
+			for j := range b {
+				b[j] += r * x[j]
+			}
 		}
-		want, err := v.SolveCholesky(b)
+		want, err := solveCholesky(v, b)
 		if err != nil {
 			return false
 		}
@@ -354,17 +359,17 @@ func TestQuickConfidenceWidthPositive(t *testing.T) {
 		dim := 1 + rng.Intn(6)
 		rs := NewRidgeState(dim, 0.5)
 		for i := 0; i < rng.Intn(30); i++ {
-			rs.Observe(randomVec(rng, dim), rng.NormFloat64())
+			rs.ObserveSparse(SparseFromDense(randomVec(rng, dim)), rng.NormFloat64())
 		}
 		x := randomVec(rng, dim)
-		w := rs.ConfidenceWidth(x)
+		w := width(rs, SparseFromDense(x))
 		if w < 0 {
 			return false
 		}
 		if x.Norm2() > 1e-9 && w == 0 {
 			return false
 		}
-		return rs.ConfidenceWidth(NewVector(dim)) == 0
+		return width(rs, SparseFromDense(NewVector(dim))) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -394,6 +399,22 @@ func TestQuickCholeskySPD(t *testing.T) {
 }
 
 // --- helpers ---
+
+// width is one context's ConfidenceWidthBatch entry.
+func width(rs *RidgeState, x SparseVector) float64 {
+	out := make([]float64, 1)
+	rs.ConfidenceWidthBatch([]SparseVector{x}, out)
+	return out[0]
+}
+
+// solveCholesky solves m*x = b through a fresh Cholesky factorisation.
+func solveCholesky(m *Matrix, b Vector) (Vector, error) {
+	l, err := m.Cholesky()
+	if err != nil {
+		return nil, err
+	}
+	return l.BackSolveTransposed(l.ForwardSolve(b)), nil
+}
 
 func randomVec(rng *rand.Rand, n int) Vector {
 	v := NewVector(n)

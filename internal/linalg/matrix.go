@@ -82,28 +82,6 @@ func (m *Matrix) AddOuterScaled(alpha float64, x Vector) {
 	}
 }
 
-// QuadraticForm computes x' * m * x without allocating.
-func (m *Matrix) QuadraticForm(x Vector) float64 {
-	n := len(x)
-	if m.Rows != n || m.Cols != n {
-		panic(fmt.Sprintf("linalg: quadratic form shape mismatch %dx%d with %d", m.Rows, m.Cols, n))
-	}
-	var total float64
-	for i := 0; i < n; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*n : (i+1)*n]
-		var s float64
-		for j := 0; j < n; j++ {
-			s += row[j] * x[j]
-		}
-		total += xi * s
-	}
-	return total
-}
-
 // SymmetrizeInPlace averages m with its transpose, correcting the slow
 // drift that repeated floating-point rank-1 updates introduce.
 func (m *Matrix) SymmetrizeInPlace() {
@@ -157,16 +135,6 @@ func (m *Matrix) Cholesky() (*Matrix, error) {
 		}
 	}
 	return l, nil
-}
-
-// SolveCholesky solves m*x = b using a fresh Cholesky factorisation.
-func (m *Matrix) SolveCholesky(b Vector) (Vector, error) {
-	l, err := m.Cholesky()
-	if err != nil {
-		return nil, err
-	}
-	y := l.ForwardSolve(b)
-	return l.BackSolveTransposed(y), nil
 }
 
 // ForwardSolve solves L*y = b for lower-triangular L (receiver).

@@ -33,7 +33,7 @@ type RidgeState struct {
 	sinceRebase int // rank-1 updates applied since the last rebase
 
 	// theta memoises V^{-1} b between observations; thetaValid is
-	// cleared whenever V or b change (Observe/ObserveSparse/Forget) and
+	// cleared whenever V or b change (ObserveSparse/Forget) and
 	// on rebase (the recomputed inverse changes theta's low-order bits).
 	theta      Vector
 	thetaValid bool
@@ -64,7 +64,7 @@ func NewRidgeState(dim int, lambda float64) *RidgeState {
 // maintained inverse, memoised between observations: the dense mat-vec
 // runs at most once per state change, however many scoring passes ask.
 // The returned vector is owned by the state and valid until the next
-// Observe/ObserveSparse/Forget; callers must not mutate it.
+// ObserveSparse/Forget; callers must not mutate it.
 func (rs *RidgeState) Theta() Vector {
 	if !rs.thetaValid {
 		rs.theta = rs.VInv.MulVec(rs.B)
@@ -73,37 +73,16 @@ func (rs *RidgeState) Theta() Vector {
 	return rs.theta
 }
 
-// ConfidenceWidth returns sqrt(x' V^{-1} x), the exploration-boost term of
-// the UCB score for context x.
-func (rs *RidgeState) ConfidenceWidth(x Vector) float64 {
-	return widthFromQuad(rs.VInv.QuadraticForm(x))
-}
-
-// ConfidenceWidthSparse is ConfidenceWidth through the O(nnz²) sparse
-// quadratic form; bit-identical to the dense path.
-func (rs *RidgeState) ConfidenceWidthSparse(x SparseVector) float64 {
-	return widthFromQuad(rs.VInv.QuadraticFormSparse(x))
-}
-
-// QuadraticFormBatch computes x' V^{-1} x for every context into out in
-// one pass over the maintained inverse — the per-arm kernel entry
-// amortised across the whole candidate batch. Each entry is
-// bit-identical to VInv.QuadraticFormSparse on the same context.
-func (rs *RidgeState) QuadraticFormBatch(xs []SparseVector, out []float64) {
+// ConfidenceWidthBatch computes sqrt(x' V^{-1} x), the exploration-boost
+// term of the UCB score, for every context into out (len(out) must equal
+// len(xs)) in one pass over the maintained inverse, through the O(nnz²)
+// sparse quadratic form.
+func (rs *RidgeState) ConfidenceWidthBatch(xs []SparseVector, out []float64) {
 	if len(xs) != len(out) {
 		panic(fmt.Sprintf("linalg: batch length mismatch %d contexts, %d outputs", len(xs), len(out)))
 	}
 	for i, x := range xs {
-		out[i] = rs.VInv.QuadraticFormSparse(x)
-	}
-}
-
-// ConfidenceWidthBatch computes sqrt(x' V^{-1} x) for every context into
-// out; each entry is bit-identical to ConfidenceWidthSparse.
-func (rs *RidgeState) ConfidenceWidthBatch(xs []SparseVector, out []float64) {
-	rs.QuadraticFormBatch(xs, out)
-	for i, q := range out {
-		out[i] = widthFromQuad(q)
+		out[i] = widthFromQuad(rs.VInv.QuadraticFormSparse(x))
 	}
 }
 
@@ -116,28 +95,14 @@ func widthFromQuad(q float64) float64 {
 	return math.Sqrt(q)
 }
 
-// Observe folds one (context, reward) observation into the state:
+// ObserveSparse folds one (context, reward) observation into the state:
 // V += x x', b += r x, and VInv is updated by Sherman–Morrison:
 //
 //	(V + x x')^{-1} = V^{-1} - (V^{-1} x x' V^{-1}) / (1 + x' V^{-1} x)
-func (rs *RidgeState) Observe(x Vector, reward float64) {
-	if len(x) != rs.Dim {
-		panic(fmt.Sprintf("linalg: ridge observe dimension %d, want %d", len(x), rs.Dim))
-	}
-	rs.V.AddOuterScaled(1, x)
-	rs.B.AddScaled(reward, x)
-
-	u := rs.VInv.MulVec(x) // V^{-1} x (VInv symmetric, so also x' V^{-1})
-	denom := 1 + x.Dot(u)
-	rs.VInv.AddOuterScaled(-1/denom, u)
-	rs.afterRank1()
-}
-
-// ObserveSparse is Observe through the sparse kernels: the V and b
-// accumulations touch only nnz²/nnz entries and the Sherman–Morrison
-// vector u = V^{-1}x costs O(d·nnz) instead of O(d²). The VInv outer
-// update stays dense (u is dense). Bit-identical to Observe on the same
-// logical vector.
+//
+// The V and b accumulations touch only nnz²/nnz entries and the
+// Sherman–Morrison vector u = V^{-1}x costs O(d·nnz) instead of O(d²).
+// The VInv outer update stays dense (u is dense).
 func (rs *RidgeState) ObserveSparse(x SparseVector, reward float64) {
 	if x.Dim != rs.Dim {
 		panic(fmt.Sprintf("linalg: ridge observe dimension %d, want %d", x.Dim, rs.Dim))

@@ -5,56 +5,32 @@ import (
 	"testing"
 )
 
-// benchContexts builds a deterministic batch of sparse-ish contexts of
-// the shape the C2UCB feeds the ridge state (most components zero, a few
+// benchContexts builds a deterministic batch of sparse contexts of the
+// shape the C2UCB feeds the ridge state (most components zero, a few
 // prefix/statistic components set).
-func benchContexts(dim, n int, seed int64) []Vector {
+func benchContexts(dim, n int, seed int64) []SparseVector {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]Vector, n)
+	out := make([]SparseVector, n)
 	for i := range out {
 		x := NewVector(dim)
 		for k := 0; k < dim/8+2; k++ {
 			x[rng.Intn(dim)] = rng.Float64()
 		}
-		out[i] = x
+		out[i] = SparseFromDense(x)
 	}
 	return out
 }
 
-// BenchmarkRidgeObserveScore measures the C2UCB hot path — folding a
-// round's observations into the ridge state and scoring a candidate
-// batch (Theta mat-vec plus per-arm confidence widths) — at a context
+// BenchmarkRidgeObserveScoreSparse measures the C2UCB hot path — folding
+// a round's observations into the ridge state and scoring a candidate
+// batch (memoised theta plus one batched pass of confidence widths into
+// a reused buffer, as C2UCB.ScoresInto runs it) — at a context
 // dimension typical of the benchmark schemas.
-func BenchmarkRidgeObserveScore(b *testing.B) {
-	const dim = 64
-	const arms = 48
-	contexts := benchContexts(dim, arms, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs := NewRidgeState(dim, 0.25)
-		for r := 0; r < 8; r++ {
-			for _, x := range contexts[:8] {
-				rs.Observe(x, 1.0)
-			}
-			theta := rs.Theta()
-			var sink float64
-			for _, x := range contexts {
-				sink += theta.Dot(x) + rs.ConfidenceWidth(x)
-			}
-			benchSink = sink
-		}
-	}
-}
-
-// BenchmarkRidgeObserveScoreSparse is BenchmarkRidgeObserveScore through
-// the sparse kernels on the same logical vectors — the bandit's native
-// path since contexts went sparse. The ratio against the dense benchmark
-// is the kernel-level win at this dimension/sparsity.
 func BenchmarkRidgeObserveScoreSparse(b *testing.B) {
 	const dim = 64
 	const arms = 48
-	contexts := SparseAll(benchContexts(dim, arms, 1))
+	contexts := benchContexts(dim, arms, 1)
+	widths := make([]float64, arms)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -64,9 +40,10 @@ func BenchmarkRidgeObserveScoreSparse(b *testing.B) {
 				rs.ObserveSparse(x, 1.0)
 			}
 			theta := rs.Theta()
+			rs.ConfidenceWidthBatch(contexts, widths)
 			var sink float64
-			for _, x := range contexts {
-				sink += theta.DotSparse(x) + rs.ConfidenceWidthSparse(x)
+			for k, x := range contexts {
+				sink += theta.DotSparse(x) + widths[k]
 			}
 			benchSink = sink
 		}
@@ -76,12 +53,12 @@ func BenchmarkRidgeObserveScoreSparse(b *testing.B) {
 // BenchmarkThetaCached measures the memoised theta read at the TPC-DS
 // context dimension (83): between observations every call after the
 // first is a cache hit, which is exactly the repeated same-round
-// profile C2UCB.Scores/ExpectedScores have. Compare
+// profile of C2UCB.ScoresInto and Theta reads. Compare
 // BenchmarkThetaRecompute for what each of those calls paid before the
 // memo.
 func BenchmarkThetaCached(b *testing.B) {
 	const dim = 83
-	contexts := SparseAll(benchContexts(dim, 32, 1))
+	contexts := benchContexts(dim, 32, 1)
 	rs := NewRidgeState(dim, 0.25)
 	for _, x := range contexts {
 		rs.ObserveSparse(x, 1.0)
@@ -99,7 +76,7 @@ func BenchmarkThetaCached(b *testing.B) {
 // amortises — the per-call cost of the pre-memo Theta().
 func BenchmarkThetaRecompute(b *testing.B) {
 	const dim = 83
-	contexts := SparseAll(benchContexts(dim, 32, 1))
+	contexts := benchContexts(dim, 32, 1)
 	rs := NewRidgeState(dim, 0.25)
 	for _, x := range contexts {
 		rs.ObserveSparse(x, 1.0)
@@ -121,7 +98,7 @@ func BenchmarkRidgeForget(b *testing.B) {
 	contexts := benchContexts(dim, 32, 2)
 	rs := NewRidgeState(dim, 0.25)
 	for _, x := range contexts {
-		rs.Observe(x, 1.0)
+		rs.ObserveSparse(x, 1.0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

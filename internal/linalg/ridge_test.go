@@ -7,8 +7,8 @@ import (
 )
 
 // randomRidgeWorkload drives a state through a randomized
-// Observe/Forget sequence: dense and sparse observations interleaved,
-// with a partial Forget every forgetEvery steps (0 disables).
+// ObserveSparse/Forget sequence, with a partial Forget every
+// forgetEvery steps (0 disables).
 func randomRidgeWorkload(dim, steps, forgetEvery int, seed int64) *RidgeState {
 	rng := rand.New(rand.NewSource(seed))
 	rs := NewRidgeState(dim, 0.25)
@@ -17,12 +17,7 @@ func randomRidgeWorkload(dim, steps, forgetEvery int, seed int64) *RidgeState {
 		for k := 0; k < dim/6+1; k++ {
 			x[rng.Intn(dim)] = rng.NormFloat64()
 		}
-		r := rng.NormFloat64() * 10
-		if s%2 == 0 {
-			rs.Observe(x, r)
-		} else {
-			rs.ObserveSparse(SparseFromDense(x), r)
-		}
+		rs.ObserveSparse(SparseFromDense(x), rng.NormFloat64()*10)
 		if forgetEvery > 0 && s > 0 && s%forgetEvery == 0 {
 			rs.Forget(0.3 + 0.4*rng.Float64())
 		}
@@ -86,7 +81,7 @@ func TestRidgeDriftBoundedAgainstFreshInverse(t *testing.T) {
 			var widthErr float64
 			for p := 0; p < 64; p++ {
 				x := sparse(rng)
-				w := rs.ConfidenceWidthSparse(x)
+				w := width(rs, x)
 				wantW := math.Sqrt(fresh.QuadraticFormSparse(x))
 				widthErr = math.Max(widthErr, math.Abs(w-wantW)/wantW)
 			}
@@ -99,11 +94,11 @@ func TestRidgeDriftBoundedAgainstFreshInverse(t *testing.T) {
 	}
 }
 
-// TestRidgeCoreBatchMatchesSingleCalls pins the batched scoring API to the
-// per-arm kernels bit for bit: batching is an optimisation, never a
-// numeric change. The batch mixes in all-zero contexts, a second pass
-// must read no stale scratch, and a mismatched output length must
-// panic.
+// TestRidgeCoreBatchMatchesSingleCalls pins the batched width kernel to
+// the per-arm sparse quadratic form and to one-context batches bit for
+// bit: batching is an optimisation, never a numeric change. The batch
+// mixes in all-zero contexts, a second pass must read no stale scratch,
+// and a mismatched output length must panic.
 func TestRidgeCoreBatchMatchesSingleCalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const dim = 32
@@ -123,13 +118,11 @@ func TestRidgeCoreBatchMatchesSingleCalls(t *testing.T) {
 	}
 	widths := make([]float64, len(contexts))
 	rs.ConfidenceWidthBatch(contexts, widths)
-	quads := make([]float64, len(contexts))
-	rs.QuadraticFormBatch(contexts, quads)
 	for i, x := range contexts {
-		if w := rs.ConfidenceWidthSparse(x); w != widths[i] {
+		if w := width(rs, x); w != widths[i] {
 			t.Fatalf("batch width[%d]=%v, single=%v", i, widths[i], w)
 		}
-		if w := widthFromQuad(quads[i]); w != widths[i] {
+		if w := widthFromQuad(rs.VInv.QuadraticFormSparse(x)); w != widths[i] {
 			t.Fatalf("quad[%d] inconsistent with width", i)
 		}
 	}
@@ -145,11 +138,11 @@ func TestRidgeCoreBatchMatchesSingleCalls(t *testing.T) {
 			t.Fatal("batch length mismatch did not panic")
 		}
 	}()
-	rs.QuadraticFormBatch(contexts, make([]float64, 2))
+	rs.ConfidenceWidthBatch(contexts, make([]float64, 2))
 }
 
 // TestRidgeCoresStayPositiveDefinite is the numerical-hygiene property
-// test: through a long randomized Observe/Forget sequence V must stay
+// test: through a long randomized ObserveSparse/Forget sequence V must stay
 // exactly symmetric and factorisable, and no width may come out NaN.
 func TestRidgeCoresStayPositiveDefinite(t *testing.T) {
 	const dim = 20
@@ -170,7 +163,7 @@ func TestRidgeCoresStayPositiveDefinite(t *testing.T) {
 	for probe := 0; probe < 10; probe++ {
 		x := NewVector(dim)
 		x[rng.Intn(dim)] = rng.NormFloat64()
-		if w := rs.ConfidenceWidth(x); math.IsNaN(w) || w < 0 {
+		if w := width(rs, SparseFromDense(x)); math.IsNaN(w) || w < 0 {
 			t.Fatalf("width NaN/negative: %v", w)
 		}
 	}
@@ -185,17 +178,16 @@ func TestRidgeCoresStayPositiveDefinite(t *testing.T) {
 func TestWidthClampNearSingular(t *testing.T) {
 	const dim = 6
 	rs := NewRidgeState(dim, 0.25)
-	x := NewVector(dim)
-	x[0] = 1e8
+	x := SparseVector{Dim: dim, Idx: []int{0}, Val: []float64{1e8}}
 	// 200 collinear updates stay under both rebase triggers, so the
 	// inverse keeps its accumulated rank-1 arithmetic.
 	for i := 0; i < 200; i++ {
-		rs.Observe(x, 1)
+		rs.ObserveSparse(x, 1)
 	}
 	if rs.SinceRebase() != 200 {
 		t.Fatalf("a rebase fired (sinceRebase %d); the test needs the drifted inverse", rs.SinceRebase())
 	}
-	if w := rs.ConfidenceWidth(x); math.IsNaN(w) || w < 0 {
+	if w := width(rs, x); math.IsNaN(w) || w < 0 {
 		t.Fatalf("near-singular width: %v", w)
 	}
 
@@ -203,13 +195,9 @@ func TestWidthClampNearSingular(t *testing.T) {
 	// e_0 is a tiny negative number. sqrt would return NaN; the clamp
 	// must return exactly 0.
 	rs.VInv.Set(0, 0, -1e-18)
-	probe := NewVector(dim)
-	probe[0] = 1
-	if w := rs.ConfidenceWidth(probe); w != 0 {
+	probe := SparseVector{Dim: dim, Idx: []int{0}, Val: []float64{1}}
+	if w := width(rs, probe); w != 0 {
 		t.Fatalf("clamped width = %v, want exactly 0", w)
-	}
-	if w := rs.ConfidenceWidthSparse(SparseFromDense(probe)); w != 0 {
-		t.Fatalf("clamped sparse width = %v, want exactly 0", w)
 	}
 	if got := widthFromQuad(-1e-300); got != 0 {
 		t.Fatalf("widthFromQuad(-1e-300) = %v, want 0", got)
@@ -218,7 +206,7 @@ func TestWidthClampNearSingular(t *testing.T) {
 
 // TestThetaMemoisation pins the theta cache: repeated calls between
 // observations return the identical cached vector without
-// recomputation, and any state change (Observe, ObserveSparse, Forget)
+// recomputation, and any state change (ObserveSparse, Forget)
 // invalidates it.
 func TestThetaMemoisation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -228,7 +216,7 @@ func TestThetaMemoisation(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	rs.Observe(x, 3)
+	rs.ObserveSparse(SparseFromDense(x), 3)
 
 	t1 := rs.Theta()
 	t2 := rs.Theta()
@@ -241,9 +229,8 @@ func TestThetaMemoisation(t *testing.T) {
 
 	// An observation must invalidate the cache: theta changes, and the
 	// cache serves the new value.
-	y := NewVector(dim)
-	y[3] = 2
-	rs.Observe(y, -5)
+	y := SparseVector{Dim: dim, Idx: []int{3}, Val: []float64{2}}
+	rs.ObserveSparse(y, -5)
 	t3 := rs.Theta()
 	if t3.Equal(t1, 0) {
 		t.Fatal("theta unchanged after observation — stale cache served")
@@ -252,9 +239,9 @@ func TestThetaMemoisation(t *testing.T) {
 		t.Fatalf("post-observe theta %v != V^{-1} b %v", t3, want)
 	}
 
-	rs.ObserveSparse(SparseFromDense(y), 2)
+	rs.ObserveSparse(y, 2)
 	if rs.Theta().Equal(t3, 0) {
-		t.Fatal("theta unchanged after sparse observation — stale cache served")
+		t.Fatal("theta unchanged after a second observation — stale cache served")
 	}
 
 	before := rs.Theta().Clone()
@@ -271,11 +258,10 @@ func TestThetaMemoisation(t *testing.T) {
 func TestSinceRebaseCounter(t *testing.T) {
 	const dim = 4
 	rs := NewRidgeState(dim, 0.25)
-	x := NewVector(dim)
-	x[0] = 1
+	x := SparseVector{Dim: dim, Idx: []int{0}, Val: []float64{1}}
 	observe := func(n int) {
 		for i := 0; i < n; i++ {
-			rs.Observe(x, 1)
+			rs.ObserveSparse(x, 1)
 		}
 	}
 

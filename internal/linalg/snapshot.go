@@ -16,7 +16,7 @@ const snapshotBackend = "sm"
 // fresh process needs to continue the regression bit for bit. Float
 // payloads are packed via floatenc (base64 of the IEEE-754 bits), so
 // no decimal round-trip can perturb the restored matrices; a restored
-// state's every subsequent Theta/width/Observe result is byte-identical
+// state's every subsequent Theta/width/ObserveSparse result is byte-identical
 // to the uninterrupted state's. The theta memo is deliberately not
 // persisted — it is a pure function of the persisted state and is
 // recomputed (to the same bits) on first use.

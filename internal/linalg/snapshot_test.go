@@ -11,9 +11,9 @@ import (
 	"dbabandits/internal/floatenc"
 )
 
-// feed drives a state through a mixed observation history: dense and
-// sparse observes, interleaved scoring reads (which exercise the theta
-// memo), and a mid-stream Forget.
+// feed drives a state through a mixed observation history: fully dense
+// and sparse contexts, interleaved scoring reads (which exercise the
+// theta memo), and a mid-stream Forget.
 func feed(t *testing.T, core *RidgeState, dim, steps int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -24,7 +24,7 @@ func feed(t *testing.T, core *RidgeState, dim, steps int, seed int64) {
 			for j := range x {
 				x[j] = rng.NormFloat64()
 			}
-			core.Observe(x, rng.Float64()*10-2)
+			core.ObserveSparse(SparseFromDense(x), rng.Float64()*10-2)
 		case 2:
 			nnz := 1 + rng.Intn(dim/2)
 			sx := SparseVector{Dim: dim}
@@ -42,7 +42,7 @@ func feed(t *testing.T, core *RidgeState, dim, steps int, seed int64) {
 	}
 }
 
-// fingerprint captures bit-exact outputs of every scoring entry point.
+// fingerprint captures bit-exact theta and confidence widths.
 func fingerprint(core *RidgeState, dim int, seed int64) []uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	var out []uint64
@@ -53,8 +53,7 @@ func fingerprint(core *RidgeState, dim int, seed int64) []uint64 {
 	for j := range x {
 		x[j] = rng.NormFloat64()
 	}
-	out = append(out, math.Float64bits(core.ConfidenceWidth(x)))
-	var xs []SparseVector
+	xs := []SparseVector{SparseFromDense(x)}
 	for k := 0; k < 5; k++ {
 		sx := SparseVector{Dim: dim}
 		for _, j := range rng.Perm(dim)[:2+k%3] {
@@ -62,7 +61,6 @@ func fingerprint(core *RidgeState, dim int, seed int64) []uint64 {
 			sx.Val = append(sx.Val, rng.NormFloat64())
 		}
 		xs = append(xs, sx)
-		out = append(out, math.Float64bits(core.ConfidenceWidthSparse(sx)))
 	}
 	batch := make([]float64, len(xs))
 	core.ConfidenceWidthBatch(xs, batch)
@@ -128,10 +126,10 @@ func TestSnapshotRebaseSchedule(t *testing.T) {
 	if restored.SinceRebase() != rs.SinceRebase() {
 		t.Fatalf("rebase position %d, want %d", restored.SinceRebase(), rs.SinceRebase())
 	}
-	x := Vector{1, 0.5, 0, -1}
+	x := SparseFromDense(Vector{1, 0.5, 0, -1})
 	for i := 0; i < rebaseEvery; i++ {
-		rs.Observe(x, 1)
-		restored.Observe(x, 1)
+		rs.ObserveSparse(x, 1)
+		restored.ObserveSparse(x, 1)
 		if restored.SinceRebase() != rs.SinceRebase() {
 			t.Fatalf("update %d: restored sinceRebase %d, want %d", i, restored.SinceRebase(), rs.SinceRebase())
 		}
@@ -231,7 +229,7 @@ func TestRestoreRidgeStateRejects(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rs := NewRidgeState(3, 1)
-			rs.Observe(Vector{1, 2, 0}, 3)
+			rs.ObserveSparse(SparseFromDense(Vector{1, 2, 0}), 3)
 			snap := rs.Snapshot()
 			tc.mutate(snap)
 			got, err := RestoreRidgeState(snap)

@@ -13,10 +13,11 @@ import (
 // the bandit's per-arm O(d²) quadratic forms into O(nnz²).
 //
 // Every sparse kernel iterates the stored entries in ascending index
-// order, exactly the order in which the dense kernels meet the same
-// non-zero terms; the skipped terms are exact floating-point zero
-// products, so sparse and dense results are bit-identical (the golden
-// and property tests pin this).
+// order, exactly the order in which dense arithmetic over the same
+// logical vector meets the non-zero terms; the skipped terms are exact
+// floating-point zero products, so the results are bit-identical to the
+// dense arithmetic (TestSparseKernelsBitIdentical writes it out, and
+// the env goldens pin the historical numbers).
 type SparseVector struct {
 	Dim int
 	Idx []int
@@ -33,15 +34,6 @@ func SparseFromDense(v Vector) SparseVector {
 		}
 	}
 	return s
-}
-
-// SparseAll converts a batch of dense vectors (test/bench convenience).
-func SparseAll(vs []Vector) []SparseVector {
-	out := make([]SparseVector, len(vs))
-	for i, v := range vs {
-		out[i] = SparseFromDense(v)
-	}
-	return out
 }
 
 // NNZ returns the number of stored entries.
@@ -81,9 +73,7 @@ func (s SparseVector) Sort() {
 	}
 }
 
-// DotSparse returns v·s, touching only s's stored entries. The operand
-// order per term (v element first) mirrors Vector.Dot for bit-identical
-// accumulation.
+// DotSparse returns v·s, touching only s's stored entries.
 func (v Vector) DotSparse(s SparseVector) float64 {
 	if len(v) != s.Dim {
 		panic(fmt.Sprintf("linalg: sparse dot dimension mismatch %d vs %d", len(v), s.Dim))
@@ -107,8 +97,7 @@ func (v Vector) AddScaledSparse(alpha float64, s SparseVector) Vector {
 }
 
 // QuadraticFormSparse computes x' * m * x touching only the nnz² matrix
-// entries addressed by x's stored indices — O(nnz²) against the dense
-// kernel's O(d²).
+// entries addressed by x's stored indices — O(nnz²) instead of O(d²).
 func (m *Matrix) QuadraticFormSparse(x SparseVector) float64 {
 	n := x.Dim
 	if m.Rows != n || m.Cols != n {

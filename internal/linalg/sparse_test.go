@@ -34,10 +34,30 @@ func randMatrix(rng *rand.Rand, n int) *Matrix {
 	return m
 }
 
+// denseDot is v·w written out over every index in ascending order.
+func denseDot(v, w Vector) float64 {
+	var s float64
+	for i := range v {
+		s += v[i] * w[i]
+	}
+	return s
+}
+
+// denseQuad is x' m x written out over every index in ascending order.
+func denseQuad(m *Matrix, x Vector) float64 {
+	n := len(x)
+	var total float64
+	for i := 0; i < n; i++ {
+		total += x[i] * denseDot(m.Data[i*n:(i+1)*n], x)
+	}
+	return total
+}
+
 // TestSparseKernelsBitIdentical is the core equivalence property: every
-// sparse kernel must produce bit-identical results to its dense
-// counterpart on the same logical vector — sparsity is an optimisation,
-// not a behaviour change.
+// sparse kernel must produce bit-identical results to the same
+// arithmetic written out over the dense vector x.Dense() in ascending
+// index order (MulVec and AddOuterScaled are the dense kernels the ridge
+// also runs) — sparsity is an optimisation, not a behaviour change.
 func TestSparseKernelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 300; trial++ {
@@ -51,11 +71,11 @@ func TestSparseKernelsBitIdentical(t *testing.T) {
 		for i := range w {
 			w[i] = rng.NormFloat64()
 		}
-		if got, want := w.DotSparse(s), w.Dot(d); got != want {
-			t.Fatalf("trial %d: DotSparse %v != Dot %v", trial, got, want)
+		if got, want := w.DotSparse(s), denseDot(w, d); got != want {
+			t.Fatalf("trial %d: DotSparse %v != dense dot %v", trial, got, want)
 		}
-		if got, want := m.QuadraticFormSparse(s), m.QuadraticForm(d); got != want {
-			t.Fatalf("trial %d: QuadraticFormSparse %v != QuadraticForm %v", trial, got, want)
+		if got, want := m.QuadraticFormSparse(s), denseQuad(m, d); got != want {
+			t.Fatalf("trial %d: QuadraticFormSparse %v != dense quadratic form %v", trial, got, want)
 		}
 		mv, mvd := m.MulVecSparse(s), m.MulVec(d)
 		for i := range mv {
@@ -76,7 +96,9 @@ func TestSparseKernelsBitIdentical(t *testing.T) {
 
 		vs, vd := w.Clone(), w.Clone()
 		vs.AddScaledSparse(alpha, s)
-		vd.AddScaled(alpha, d)
+		for i := range vd {
+			vd[i] += alpha * d[i]
+		}
 		for i := range vs {
 			if vs[i] != vd[i] {
 				t.Fatalf("trial %d: AddScaledSparse[%d] %v != %v", trial, i, vs[i], vd[i])
@@ -85,10 +107,22 @@ func TestSparseKernelsBitIdentical(t *testing.T) {
 	}
 }
 
+// observeDense is the Sherman–Morrison update of ObserveSparse written
+// out over a dense context.
+func observeDense(rs *RidgeState, x Vector, reward float64) {
+	rs.V.AddOuterScaled(1, x)
+	for i := range x {
+		rs.B[i] += reward * x[i]
+	}
+	u := rs.VInv.MulVec(x)
+	rs.VInv.AddOuterScaled(-1/(1+denseDot(x, u)), u)
+	rs.afterRank1()
+}
+
 // TestRidgeSparseObserveBitIdentical drives two ridge states through the
-// same observation stream — one densely, one sparsely — across rebases
-// and a mid-stream Forget, asserting the full state (V, VInv, B) and the
-// downstream scores stay bit-identical.
+// same observation stream — one through observeDense, one through
+// ObserveSparse — across rebases and a mid-stream Forget, asserting the
+// full state (V, VInv, B) and the confidence widths stay bit-identical.
 func TestRidgeSparseObserveBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const dim = 24
@@ -113,7 +147,7 @@ func TestRidgeSparseObserveBitIdentical(t *testing.T) {
 	for step := 0; step < 600; step++ {
 		x := randSparse(rng, dim, false)
 		reward := rng.NormFloat64() * 10
-		dense.Observe(x.Dense(), reward)
+		observeDense(dense, x.Dense(), reward)
 		sparse.ObserveSparse(x, reward)
 		check(step)
 		if step == 250 {
@@ -122,8 +156,8 @@ func TestRidgeSparseObserveBitIdentical(t *testing.T) {
 			check(step)
 		}
 		probe := randSparse(rng, dim, false)
-		wd := dense.ConfidenceWidth(probe.Dense())
-		ws := sparse.ConfidenceWidthSparse(probe)
+		wd := widthFromQuad(denseQuad(dense.VInv, probe.Dense()))
+		ws := width(sparse, probe)
 		if wd != ws {
 			t.Fatalf("step %d: widths diverged: %v vs %v", step, wd, ws)
 		}

@@ -8,10 +8,7 @@
 // form per candidate arm per round, so those two operations dominate.
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Vector is a dense column vector.
 type Vector []float64
@@ -24,29 +21,6 @@ func (v Vector) Clone() Vector {
 	out := make(Vector, len(v))
 	copy(out, v)
 	return out
-}
-
-// Dot returns the inner product v·w. It panics if dimensions differ.
-func (v Vector) Dot(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: dot dimension mismatch %d vs %d", len(v), len(w)))
-	}
-	var s float64
-	for i, x := range v {
-		s += x * w[i]
-	}
-	return s
-}
-
-// AddScaled adds alpha*w to v in place and returns v.
-func (v Vector) AddScaled(alpha float64, w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: axpy dimension mismatch %d vs %d", len(v), len(w)))
-	}
-	for i := range v {
-		v[i] += alpha * w[i]
-	}
-	return v
 }
 
 // Scale multiplies every element of v by alpha in place and returns v.

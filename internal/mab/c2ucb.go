@@ -15,8 +15,7 @@ import (
 //
 // Contexts are sparse: an index's context has at most one non-zero per
 // key column plus three derived components, so scoring and updating route
-// through the O(nnz²) sparse ridge kernels (bit-identical to the dense
-// path — see internal/linalg).
+// through the O(nnz²) sparse ridge kernels (see internal/linalg).
 //
 // Scoring goes through the ridge state's memoised theta and batched
 // width kernel, so theta is derived at most once per state change and
@@ -53,23 +52,16 @@ func (b *C2UCB) BeginRound() { b.round++ }
 // Round returns the current 1-based round.
 func (b *C2UCB) Round() int { return b.round }
 
-// Scores computes the UCB score for every context (Algorithm 1, line 8):
+// ScoresInto computes the UCB score for every context (Algorithm 1,
+// line 8) into a caller-supplied slice (len(out) must equal
+// len(contexts)):
 //
 //	r_hat(i) = theta' x(i) + alpha_t * sqrt(x(i)' V^{-1} x(i))
 //
 // The widths for the whole candidate batch are computed in one pass
-// over the ridge state and theta comes from its memo,
-// so no per-arm call re-derives either; each entry is bit-identical to
-// the historical per-arm theta.DotSparse + ConfidenceWidthSparse form.
-func (b *C2UCB) Scores(contexts []linalg.SparseVector) []float64 {
-	out := make([]float64, len(contexts))
-	b.ScoresInto(contexts, out)
-	return out
-}
-
-// ScoresInto is Scores into a caller-supplied slice (len(out) must equal
-// len(contexts)) — the tuner's round loop reuses one scores buffer across
-// rounds. Results are byte-identical to Scores.
+// over the ridge state and theta comes from its memo, so no per-arm call
+// re-derives either. The tuner's round loop reuses one scores buffer
+// across rounds.
 func (b *C2UCB) ScoresInto(contexts []linalg.SparseVector, out []float64) {
 	theta := b.state.Theta()
 	alpha := DefaultAlpha(b.round) * b.rewardScale
@@ -77,17 +69,6 @@ func (b *C2UCB) ScoresInto(contexts []linalg.SparseVector, out []float64) {
 	for i, x := range contexts {
 		out[i] = theta.DotSparse(x) + alpha*out[i]
 	}
-}
-
-// ExpectedScores returns the exploitation-only point estimates theta'x,
-// used by tests and diagnostics.
-func (b *C2UCB) ExpectedScores(contexts []linalg.SparseVector) []float64 {
-	theta := b.state.Theta()
-	out := make([]float64, len(contexts))
-	for i, x := range contexts {
-		out[i] = theta.DotSparse(x)
-	}
-	return out
 }
 
 // Update folds in the semi-bandit feedback for the played arms

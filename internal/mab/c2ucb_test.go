@@ -23,8 +23,9 @@ func TestC2UCBLearnsLinearScores(t *testing.T) {
 			for i := range x {
 				x[i] = rng.Float64()
 			}
-			ctxs = append(ctxs, linalg.SparseFromDense(x))
-			rewards = append(rewards, theta.Dot(x)+rng.NormFloat64()*0.05)
+			sx := linalg.SparseFromDense(x)
+			ctxs = append(ctxs, sx)
+			rewards = append(rewards, theta.DotSparse(sx)+rng.NormFloat64()*0.05)
 		}
 		b.Update(ctxs, rewards)
 	}
@@ -38,8 +39,8 @@ func TestC2UCBScoresIncludeExplorationBoost(t *testing.T) {
 	b := NewC2UCB(3, 1)
 	b.BeginRound()
 	x := linalg.SparseFromDense(linalg.Vector{1, 0, 0})
-	ucb := b.Scores([]linalg.SparseVector{x})[0]
-	point := b.ExpectedScores([]linalg.SparseVector{x})[0]
+	ucb := ucbScores(b, []linalg.SparseVector{x})[0]
+	point := b.Theta().DotSparse(x)
 	if ucb <= point {
 		t.Fatalf("UCB %v should exceed point estimate %v for unexplored arm", ucb, point)
 	}
@@ -49,11 +50,11 @@ func TestC2UCBBoostShrinksWithObservations(t *testing.T) {
 	b := NewC2UCB(3, 1)
 	x := linalg.SparseFromDense(linalg.Vector{1, 0.5, 0})
 	b.BeginRound()
-	before := b.Scores([]linalg.SparseVector{x})[0] - b.ExpectedScores([]linalg.SparseVector{x})[0]
+	before := ucbScores(b, []linalg.SparseVector{x})[0] - b.Theta().DotSparse(x)
 	for i := 0; i < 30; i++ {
 		b.Update([]linalg.SparseVector{x}, []float64{0})
 	}
-	after := b.Scores([]linalg.SparseVector{x})[0] - b.ExpectedScores([]linalg.SparseVector{x})[0]
+	after := ucbScores(b, []linalg.SparseVector{x})[0] - b.Theta().DotSparse(x)
 	if after >= before {
 		t.Fatalf("exploration boost did not shrink: %v -> %v", before, after)
 	}
@@ -72,12 +73,13 @@ func TestC2UCBGeneralisesToUnseenArms(t *testing.T) {
 		for i := range x {
 			x[i] = rng.Float64()
 		}
-		b.Update([]linalg.SparseVector{linalg.SparseFromDense(x)}, []float64{theta.Dot(x) + rng.NormFloat64()*0.01})
+		sx := linalg.SparseFromDense(x)
+		b.Update([]linalg.SparseVector{sx}, []float64{theta.DotSparse(sx) + rng.NormFloat64()*0.01})
 	}
-	unseen := linalg.Vector{1, 1, 0, 0} // never played exactly
-	got := b.ExpectedScores([]linalg.SparseVector{linalg.SparseFromDense(unseen)})[0]
-	if math.Abs(got-theta.Dot(unseen)) > 0.5 {
-		t.Fatalf("unseen arm estimate %v, want approx %v", got, theta.Dot(unseen))
+	unseen := linalg.SparseFromDense(linalg.Vector{1, 1, 0, 0}) // never played exactly
+	got, want := b.Theta().DotSparse(unseen), theta.DotSparse(unseen)
+	if math.Abs(got-want) > 0.5 {
+		t.Fatalf("unseen arm estimate %v, want approx %v", got, want)
 	}
 }
 
@@ -155,4 +157,20 @@ func TestQuickC2UCBUnbiased(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ucbScores is ScoresInto into a fresh slice.
+func ucbScores(b *C2UCB, contexts []linalg.SparseVector) []float64 {
+	out := make([]float64, len(contexts))
+	b.ScoresInto(contexts, out)
+	return out
+}
+
+// pointEstimates returns the exploitation-only estimates theta'x.
+func pointEstimates(b *C2UCB, contexts []linalg.SparseVector) []float64 {
+	out := make([]float64, len(contexts))
+	for i, x := range contexts {
+		out[i] = b.Theta().DotSparse(x)
+	}
+	return out
 }

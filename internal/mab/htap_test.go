@@ -154,7 +154,7 @@ func TestTunerMaintenanceChargedToReward(t *testing.T) {
 		}
 
 		var sum float64
-		for _, s := range h.tuner.Bandit().ExpectedScores(contexts) {
+		for _, s := range pointEstimates(h.tuner.Bandit(), contexts) {
 			sum += s
 		}
 		return sum

@@ -14,7 +14,7 @@ import "sort"
 // a (1 - 1/e)-approximation (Nemhauser et al.), which is what the paper's
 // alpha-regret guarantee is stated against.
 func SelectSuperArm(arms []*Arm, scores []float64, budgetBytes int64) []*Arm {
-	return SelectSuperArmThrottled(arms, scores, budgetBytes, nil, 0)
+	return selectSuperArmScratch(arms, scores, budgetBytes, nil, 0, &oracleScratch{})
 }
 
 // oracleCand pairs an arm with its score for the greedy ordering.
@@ -34,18 +34,13 @@ type oracleScratch struct {
 	covered  map[int]bool
 }
 
-// SelectSuperArmThrottled is SelectSuperArm with a creation throttle:
-// when maxNew > 0, at most maxNew arms absent from the existing
-// configuration are selected per round. Spreading creations across rounds
-// bounds the per-round materialisation spike and keeps the semi-bandit
-// credit assignment clean (few new arms share each round's reward).
-func SelectSuperArmThrottled(arms []*Arm, scores []float64, budgetBytes int64, existing map[string]bool, maxNew int) []*Arm {
-	return selectSuperArmScratch(arms, scores, budgetBytes, existing, maxNew, &oracleScratch{})
-}
-
 // selectSuperArmScratch is the oracle through caller-owned scratch — the
-// recommend loop's warm path. Selection is identical to
-// SelectSuperArmThrottled; the returned slice aliases the scratch.
+// recommend loop's warm path — with a creation throttle: when maxNew > 0,
+// at most maxNew arms absent from the existing configuration are
+// selected per round. Spreading creations across rounds bounds the
+// per-round materialisation spike and keeps the semi-bandit credit
+// assignment clean (few new arms share each round's reward). The
+// returned slice aliases the scratch.
 func selectSuperArmScratch(arms []*Arm, scores []float64, budgetBytes int64, existing map[string]bool, maxNew int, s *oracleScratch) []*Arm {
 	cands := s.cands[:0]
 	for i, a := range arms {

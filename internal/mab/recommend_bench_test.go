@@ -110,82 +110,21 @@ func tpcdsScoresFixture(b testing.TB) (*C2UCB, []linalg.SparseVector, int) {
 	return bandit, ctxs, ctxb.Dim()
 }
 
-// BenchmarkScoresTPCDS isolates C2UCB.Scores over every TPC-DS candidate
-// arm at the schema's full context dimension — the per-arm UCB width is
-// the dominant term of the recommend loop at this arm count. Compare
-// against BENCH_baseline.json (captured pre-sparse) for the headline
-// speedup, and against BenchmarkScoresDenseTPCDS for the in-tree
-// sparse-vs-dense kernel gap on identical inputs.
+// BenchmarkScoresTPCDS isolates C2UCB.ScoresInto over every TPC-DS
+// candidate arm at the schema's full context dimension, into one reused
+// scores buffer as the tuner's round loop runs it, in the steady state
+// (theta memoised since the round's last observation, widths in one
+// batched pass). The per-arm UCB width is the dominant term of the
+// recommend loop at this arm count. Compare against BENCH_baseline.json
+// (captured pre-sparse) for the headline speedup.
 func BenchmarkScoresTPCDS(b *testing.B) {
 	bandit, ctxs, dim := tpcdsScoresFixture(b)
+	out := make([]float64, len(ctxs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bandit.Scores(ctxs)
+		bandit.ScoresInto(ctxs, out)
 	}
 	b.ReportMetric(float64(len(ctxs)), "arms")
 	b.ReportMetric(float64(dim), "dim")
 }
-
-// BenchmarkScoresBatch measures the Tuner.Recommend-path arm-set
-// scoring — C2UCB.Scores over every TPC-DS candidate arm — in the
-// steady state Scores actually runs in (theta memoised since the round's
-// last observation, widths in one batched pass). Compare against
-// BenchmarkScoresTPCDS in BENCH_1cd7608.json (13.8µs, 2 allocs: the
-// pre-batch per-arm loop that recomputed theta every call) and the
-// 15.4µs sparse-fast-path README headline. The sm sub-benchmark name
-// keeps the row comparable with the committed captures.
-func BenchmarkScoresBatch(b *testing.B) {
-	b.Run("sm", func(b *testing.B) {
-		bandit, ctxs, dim := tpcdsScoresFixture(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bandit.Scores(ctxs)
-		}
-		b.ReportMetric(float64(len(ctxs)), "arms")
-		b.ReportMetric(float64(dim), "dim")
-	})
-}
-
-// BenchmarkScoresSparse times just the sparse scoring kernels (theta
-// dot + confidence width) per arm batch, without the Scores slice
-// bookkeeping — the purest view of the O(nnz²) quadratic form.
-func BenchmarkScoresSparse(b *testing.B) {
-	bandit, ctxs, _ := tpcdsScoresFixture(b)
-	theta := bandit.state.Theta()
-	alpha := DefaultAlpha(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for _, x := range ctxs {
-			sink += theta.DotSparse(x) + alpha*bandit.state.ConfidenceWidthSparse(x)
-		}
-	}
-	benchScoreSink = sink
-}
-
-// BenchmarkScoresDenseTPCDS scores the identical contexts through the
-// dense kernels the recommend loop used before the sparse fast path; the
-// ratio to BenchmarkScoresSparse is the kernel-level win.
-func BenchmarkScoresDenseTPCDS(b *testing.B) {
-	bandit, ctxs, _ := tpcdsScoresFixture(b)
-	dense := make([]linalg.Vector, len(ctxs))
-	for i, x := range ctxs {
-		dense[i] = x.Dense()
-	}
-	theta := bandit.state.Theta()
-	alpha := DefaultAlpha(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for _, x := range dense {
-			sink += theta.Dot(x) + alpha*bandit.state.ConfidenceWidth(x)
-		}
-	}
-	benchScoreSink = sink
-}
-
-var benchScoreSink float64

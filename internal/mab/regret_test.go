@@ -65,7 +65,7 @@ func (sb *syntheticBandit) play(T int) []float64 {
 	var cum float64
 	for t := 0; t < T; t++ {
 		bandit.BeginRound()
-		scores := bandit.Scores(sb.contexts)
+		scores := ucbScores(bandit, sb.contexts)
 		// top-m oracle
 		type sc struct {
 			i int
@@ -121,7 +121,7 @@ func TestRegretConvergesToOptimalSuperArm(t *testing.T) {
 	// After enough rounds the greedy selection matches the true top-m.
 	for t1 := 0; t1 < 300; t1++ {
 		bandit.BeginRound()
-		scores := bandit.Scores(sb.contexts)
+		scores := ucbScores(bandit, sb.contexts)
 		best := topM(scores, sb.m)
 		var ctxs []linalg.SparseVector
 		var rewards []float64
@@ -141,7 +141,7 @@ func TestRegretConvergesToOptimalSuperArm(t *testing.T) {
 		wantSet[i] = true
 	}
 	bandit.BeginRound()
-	got := topM(bandit.ExpectedScores(sb.contexts), sb.m)
+	got := topM(pointEstimates(bandit, sb.contexts), sb.m)
 	matches := 0
 	for _, i := range got {
 		if wantSet[i] {
@@ -170,7 +170,7 @@ func TestRegretRobustToAdversarialStart(t *testing.T) {
 
 	for t1 := 0; t1 < 250; t1++ {
 		bandit.BeginRound()
-		pick := topM(bandit.Scores(sb.contexts), 1)[0]
+		pick := topM(ucbScores(bandit, sb.contexts), 1)[0]
 		x := sb.contexts[pick]
 		mean := sb.theta.DotSparse(x)
 		if pick == worst && t1 < 10 {
@@ -179,7 +179,7 @@ func TestRegretRobustToAdversarialStart(t *testing.T) {
 		bandit.Update([]linalg.SparseVector{x}, []float64{mean + sb.rng.NormFloat64()*sb.noise})
 	}
 	bandit.BeginRound()
-	final := topM(bandit.ExpectedScores(sb.contexts), 1)[0]
+	final := topM(pointEstimates(bandit, sb.contexts), 1)[0]
 	if final == worst {
 		t.Fatal("bandit stuck on the adversarially boosted worst arm")
 	}

@@ -38,7 +38,7 @@ const (
 	// usageDecay is the per-round decay of the usage statistic D3.
 	usageDecay = 0.6
 	// maxNewIndexesPerRound throttles materialisations per round (see
-	// SelectSuperArmThrottled).
+	// selectSuperArmScratch).
 	maxNewIndexesPerRound = 6
 	// churnDecay is the per-round decay of the learned table/column
 	// churn statistics.

@@ -191,11 +191,13 @@ func TestTunerForgettingOnShift(t *testing.T) {
 	// Forgetting discounts V and b together, so theta barely moves; the
 	// observable effect is renewed exploration: the confidence width of a
 	// well-explored direction must grow back after a shift.
-	probe := linalg.NewVector(h.tuner.Bandit().Dim())
-	for i := range probe {
-		probe[i] = 1 // aggregate direction: touches every explored dim
+	dense := linalg.NewVector(h.tuner.Bandit().Dim())
+	for i := range dense {
+		dense[i] = 1 // aggregate direction: touches every explored dim
 	}
-	widthBefore := h.tuner.Bandit().state.ConfidenceWidth(probe)
+	probe := []linalg.SparseVector{linalg.SparseFromDense(dense)}
+	widthBefore := make([]float64, 1)
+	h.tuner.Bandit().state.ConfidenceWidthBatch(probe, widthBefore)
 	// Completely new workload: shift intensity 1 -> capped forget,
 	// inspected right after Recommend (before new observations).
 	shifted := []*query.Query{{
@@ -206,9 +208,10 @@ func TestTunerForgettingOnShift(t *testing.T) {
 		},
 	}}
 	h.tuner.Recommend(shifted)
-	widthAfter := h.tuner.Bandit().state.ConfidenceWidth(probe)
-	if widthAfter <= widthBefore {
-		t.Fatalf("shift did not widen exploration: width %v -> %v", widthBefore, widthAfter)
+	widthAfter := make([]float64, 1)
+	h.tuner.Bandit().state.ConfidenceWidthBatch(probe, widthAfter)
+	if widthAfter[0] <= widthBefore[0] {
+		t.Fatalf("shift did not widen exploration: width %v -> %v", widthBefore[0], widthAfter[0])
 	}
 }
 

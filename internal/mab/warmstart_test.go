@@ -75,7 +75,7 @@ func TestThrottleLimitsNewCreations(t *testing.T) {
 		scores = append(scores, float64(10-i))
 	}
 	existing := map[string]bool{arms[0].ID(): true}
-	got := SelectSuperArmThrottled(arms, scores, 1000, existing, 2)
+	got := selectSuperArmScratch(arms, scores, 1000, existing, 2, &oracleScratch{})
 	newCount := 0
 	for _, a := range got {
 		if !existing[a.ID()] {
@@ -105,7 +105,7 @@ func TestThrottleDisabled(t *testing.T) {
 		arms = append(arms, mkArm("t", []string{c}, 10, i))
 		scores = append(scores, 5)
 	}
-	got := SelectSuperArmThrottled(arms, scores, 1000, nil, 0)
+	got := SelectSuperArm(arms, scores, 1000)
 	if len(got) != len(arms) {
 		t.Fatalf("unthrottled selection dropped arms: %d of %d", len(got), len(arms))
 	}

@@ -61,14 +61,6 @@ func (t *Table) MustColumn(name string) []int64 {
 // LogicalRows returns the scaled logical row count.
 func (t *Table) LogicalRows() float64 { return float64(t.StoredRows) * t.Mult }
 
-// SelectRows evaluates a conjunction of predicates over the stored rows
-// and returns the matching row ids. Predicates on other tables are
-// ignored. A nil return with ok=false indicates a predicate referencing a
-// missing column.
-func (t *Table) SelectRows(preds []query.Predicate) ([]int32, bool) {
-	return t.AppendSelectRows(nil, preds)
-}
-
 // AppendSelectRows appends to dst the ids of the stored rows matching
 // the conjunction of this table's predicates in preds, in ascending
 // order, and returns the extended slice; predicates on other tables are
@@ -130,7 +122,7 @@ func (t *Table) AppendSelectRows(dst []int32, preds []query.Predicate) ([]int32,
 const countBlock = 256
 
 // CountRows returns only the number of stored rows matching the
-// conjunction; cheaper than SelectRows when ids are not needed. It
+// conjunction; cheaper than AppendSelectRows when ids are not needed. It
 // filters a block of rows at a time, a column at a time, in a
 // fixed-size mask, so it allocates nothing.
 func (t *Table) CountRows(preds []query.Predicate) (int, bool) {

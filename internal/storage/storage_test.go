@@ -66,7 +66,7 @@ func TestSelectRowsConjunction(t *testing.T) {
 		{Table: "t", Column: "a", Op: query.OpGt, Lo: 3},
 		{Table: "t", Column: "b", Op: query.OpEq, Lo: 1, Hi: 1},
 	}
-	rows, ok := tbl.SelectRows(preds)
+	rows, ok := tbl.AppendSelectRows(nil, preds)
 	if !ok {
 		t.Fatal("select failed")
 	}
@@ -87,7 +87,7 @@ func TestSelectRowsIgnoresOtherTables(t *testing.T) {
 	preds := []query.Predicate{
 		{Table: "other", Column: "a", Op: query.OpEq, Lo: 1, Hi: 1},
 	}
-	rows, ok := tbl.SelectRows(preds)
+	rows, ok := tbl.AppendSelectRows(nil, preds)
 	if !ok || len(rows) != tbl.StoredRows {
 		t.Fatalf("cross-table predicate altered selection: %d rows", len(rows))
 	}
@@ -96,7 +96,7 @@ func TestSelectRowsIgnoresOtherTables(t *testing.T) {
 func TestSelectRowsMissingColumn(t *testing.T) {
 	tbl := fixtureTable()
 	preds := []query.Predicate{{Table: "t", Column: "ghost", Op: query.OpEq}}
-	if _, ok := tbl.SelectRows(preds); ok {
+	if _, ok := tbl.AppendSelectRows(nil, preds); ok {
 		t.Fatal("missing column accepted")
 	}
 	if _, ok := tbl.CountRows(preds); ok {
@@ -149,10 +149,10 @@ func TestDatabaseLookup(t *testing.T) {
 	db.MustTable("ghost")
 }
 
-// Property: SelectRows and CountRows always agree, and every selected row
-// satisfies the conjunction. AppendSelectRows returns the same ids after
-// a caller's prefix, which it leaves intact, and on a missing column
-// cuts dst back to that prefix.
+// Property: AppendSelectRows and CountRows always agree, and every
+// selected row satisfies the conjunction. AppendSelectRows returns the
+// same ids after a caller's prefix, which it leaves intact, and on a
+// missing column cuts dst back to that prefix.
 func TestQuickSelectCountAgreement(t *testing.T) {
 	tbl := fixtureTable()
 	f := func(lo, hi int64, op uint8, useB bool, prefix []int32) bool {
@@ -162,7 +162,7 @@ func TestQuickSelectCountAgreement(t *testing.T) {
 		if useB {
 			preds = append(preds, query.Predicate{Table: "t", Column: "b", Op: query.OpEq, Lo: 1, Hi: 1})
 		}
-		rows, ok1 := tbl.SelectRows(preds)
+		rows, ok1 := tbl.AppendSelectRows(nil, preds)
 		n, ok2 := tbl.CountRows(preds)
 		if !ok1 || !ok2 || len(rows) != n {
 			return false
