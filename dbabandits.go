@@ -303,7 +303,8 @@ type (
 )
 
 // ServeCheckpointVersion is the checkpoint format version this build
-// writes; it also reads version 1 files, migrating them on load.
+// writes and the only one it reads; a file of any other version is
+// refused with a ServeCheckpointError of kind "version".
 const ServeCheckpointVersion = serve.CheckpointVersion
 
 // NewServeSession prepares a serving session; the caller must Close it.

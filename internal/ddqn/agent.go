@@ -98,9 +98,6 @@ func (a *Agent) Epsilon() float64 {
 	return epsStart * math.Exp(-rate*float64(a.samples))
 }
 
-// ParamCount exposes the trainable parameter count.
-func (a *Agent) ParamCount() int { return a.online.ParamCount() }
-
 // FilterArms applies the variant's candidate restriction (DDQN-SC keeps
 // single-column key-only arms).
 func (a *Agent) FilterArms(arms []*mab.Arm, contexts []linalg.Vector) ([]*mab.Arm, []linalg.Vector) {

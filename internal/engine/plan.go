@@ -113,24 +113,6 @@ func (p *Plan) Tables() []string {
 	return out
 }
 
-// IndexesUsed returns the distinct secondary indexes referenced by the
-// plan (driver access and join inners).
-func (p *Plan) IndexesUsed() []*index.Index {
-	seen := map[string]bool{}
-	var out []*index.Index
-	add := func(ix *index.Index) {
-		if ix != nil && !seen[ix.ID()] {
-			seen[ix.ID()] = true
-			out = append(out, ix)
-		}
-	}
-	add(p.Driver.Index)
-	for _, s := range p.Steps {
-		add(s.Inner.Index)
-	}
-	return out
-}
-
 // String renders the plan compactly, e.g.
 // "SeqScan(orders) -> HashJoin[IndexSeek(customer via ...)]".
 func (p *Plan) String() string {

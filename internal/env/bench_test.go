@@ -28,20 +28,27 @@ func BenchmarkEnvRoundSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer p.Close()
-	// Warm phase: run the span so the policy converges and the plan
+	// Warm phase: rounds 1..4, so the policy converges and the plan
 	// cache holds every (query, fingerprint) the steady state revisits.
-	if _, err := e.RunPolicySpan(p, Span{}); err != nil {
-		b.Fatal(err)
+	var st RoundState
+	step := func(r int) {
+		if _, _, err := e.Step(p, &st, r, e.Seq.Round(r), nil); err != nil {
+			b.Fatal(err)
+		}
 	}
-	// Steady state: drive rounds 5..4+N as one span, so each timed round
-	// sees the real warm-loop pattern — the policy prices the previous
-	// round's already-planned query instances (plan-cache hits) while the
-	// fresh round's instances plan cold. Sequencers are pure functions of
-	// (seed, round), so rounds past Opts.Rounds are well-defined; ns/op
-	// and allocs/op read as per-round costs.
+	for r := 1; r <= 4; r++ {
+		step(r)
+	}
+	// Steady state: rounds 5..4+N continue over the same RoundState, so
+	// each timed round sees the real warm-loop pattern — the policy
+	// prices the previous round's already-planned query instances
+	// (plan-cache hits) while the fresh round's instances plan cold.
+	// Sequencers are pure functions of (seed, round), so rounds past
+	// Opts.Rounds are well-defined; ns/op and allocs/op read as
+	// per-round costs.
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := e.RunPolicySpan(p, Span{From: 5, To: 4 + b.N}); err != nil {
-		b.Fatal(err)
+	for r := 5; r < 5+b.N; r++ {
+		step(r)
 	}
 }

@@ -29,8 +29,8 @@ func resumeEnv(t *testing.T, rounds int) *Environment {
 // TestCheckpointResumeEveryPolicy is the checkpoint round-trip property
 // test: for EVERY registered policy, snapshot at a (seeded-)random round
 // boundary, restore into a freshly built policy over a freshly built
-// environment, resume over the remaining
-// span, and require the concatenated RoundResults byte-identical to an
+// environment, resume over the remaining rounds through Step (the seam
+// serving sessions resume through), and require the concatenated RoundResults byte-identical to an
 // uninterrupted golden run. This is the contract every future policy
 // inherits the moment it registers: implementing Snapshotter means
 // resumable, and resumable means byte-identical.
@@ -55,7 +55,7 @@ func TestCheckpointResumeEveryPolicy(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec1 := &cfgRecorder{Policy: p1, cfg: index.NewConfig()}
-			head, err := eB.RunPolicySpan(rec1, Span{From: 1, To: cut})
+			head, err := eB.RunPolicySpan(rec1, Span{To: cut})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,16 +80,9 @@ func TestCheckpointResumeEveryPolicy(t *testing.T) {
 			if err := p2.(policy.Snapshotter).Restore(state); err != nil {
 				t.Fatal(err)
 			}
-			tail, err := eC.RunPolicySpan(p2, Span{
-				From:        cut + 1,
-				To:          total,
-				StartConfig: index.ConfigFromDefs(cfgDefs),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			tail := resumeSpan(t, eC, p2, index.ConfigFromDefs(cfgDefs), cut+1, total)
 
-			got := append(append([]RoundResult(nil), head.Rounds...), tail.Rounds...)
+			got := append(append([]RoundResult(nil), head.Rounds...), tail...)
 			ja, _ := json.Marshal(golden.Rounds)
 			jb, _ := json.Marshal(got)
 			if string(ja) != string(jb) {

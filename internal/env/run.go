@@ -46,57 +46,38 @@ func (e *Environment) RunPolicy(p policy.Policy) (*RunResult, error) {
 	return e.RunPolicySpan(p, Span{})
 }
 
-// Span bounds a resumable slice of the round loop. The zero value means
-// the whole run: rounds 1..Seq.Rounds() from an empty configuration.
+// Span bounds the round loop. The zero value means the whole run:
+// rounds 1..Seq.Rounds() from an empty configuration.
 type Span struct {
-	// From is the first round to drive (1-based); 0 means 1. For a
-	// resumed run, From is the first round the restored policy has not
-	// yet executed; the driver replays round From-1's workload from the
-	// sequencer (sequencers are pure functions of seed and round, so
-	// the replay is value-identical) as the policy's lastWorkload.
-	From int
 	// To is the last round, inclusive; 0 means the sequencer's total.
 	To int
-	// StartConfig is the configuration in effect entering round From —
-	// the materialised state a checkpoint recorded. nil means empty.
-	// Only the diff against it is priced, exactly as an uninterrupted
-	// run would price round From.
-	StartConfig *index.Config
 }
 
-// RunPolicySpan drives rounds span.From..span.To of Algorithm 2's
-// protocol, one Step per round over the sequencer's workloads. The
-// per-round recommendation / creation / execution / maintenance
-// breakdown is exactly what every figure and table of the evaluation
-// reports.
+// RunPolicySpan drives rounds 1..span.To of Algorithm 2's protocol, one
+// Step per round over the sequencer's workloads. The per-round
+// recommendation / creation / execution / maintenance breakdown is
+// exactly what every figure and table of the evaluation reports.
 //
-// Unlike RunPolicy, the span driver does NOT close the policy: a
-// resumable policy outlives any one span (checkpoint, restore, resume),
-// so its owner decides when the run truly ends. A restored policy
-// resumed over the remaining span produces RoundResults byte-identical
-// to the uninterrupted run's — the checkpoint contract the round-trip
-// property tests pin for every registered policy.
+// Unlike RunPolicy, the span driver does NOT close the policy: its owner
+// may go on to snapshot it (as the fleet layer does for cross-tenant
+// transfer), so the owner decides when the run truly ends. A run resumes
+// from a checkpoint through Step, over a RoundState holding the
+// recorded configuration and last workload, as serving sessions do.
 func (e *Environment) RunPolicySpan(p policy.Policy, span Span) (*RunResult, error) {
-	from, to := span.From, span.To
-	if from <= 0 {
-		from = 1
-	}
+	to := span.To
 	if to <= 0 {
 		to = e.Seq.Rounds()
 	}
-	if from > to {
-		return nil, fmt.Errorf("env: span %d..%d is empty", from, to)
+	if to < 1 {
+		return nil, fmt.Errorf("env: span 1..%d is empty", to)
 	}
 	res := &RunResult{
 		Benchmark: e.Opts.Benchmark,
 		Regime:    e.Opts.Regime,
 		Tuner:     TunerKind(p.Name()),
 	}
-	st := RoundState{Config: span.StartConfig}
-	if from > 1 {
-		st.Last = e.Seq.Round(from - 1)
-	}
-	for r := from; r <= to; r++ {
+	var st RoundState
+	for r := 1; r <= to; r++ {
 		rr, _, err := e.Step(p, &st, r, e.Seq.Round(r), nil)
 		if err != nil {
 			return nil, err

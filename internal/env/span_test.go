@@ -44,9 +44,10 @@ func TestRunPolicyClosesOnceOnError(t *testing.T) {
 }
 
 // TestRunPolicySpanMatchesFullRun pins the span decomposition: driving
-// rounds 1..k and k+1..n as two spans over one policy produces exactly
-// the RoundResults of the single full run — including creation pricing
-// across the seam (StartConfig carries the materialised state).
+// rounds 1..k as a span and resuming k+1..n through Step over one policy
+// produces exactly the RoundResults of the single full run — including
+// creation pricing across the seam (the resumed RoundState carries the
+// materialised configuration).
 func TestRunPolicySpanMatchesFullRun(t *testing.T) {
 	const total, cut = 6, 3
 	eA := smallEnv(t, Static, total)
@@ -62,18 +63,15 @@ func TestRunPolicySpanMatchesFullRun(t *testing.T) {
 	}
 	p := &cfgRecorder{Policy: inner, cfg: index.NewConfig()}
 	defer p.Close()
-	head, err := eB.RunPolicySpan(p, Span{From: 1, To: cut})
+	head, err := eB.RunPolicySpan(p, Span{To: cut})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// StartConfig carries the materialised state across the seam — the
-	// same hand-off a checkpoint resume performs.
-	tail, err := eB.RunPolicySpan(p, Span{From: cut + 1, To: total, StartConfig: p.cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The recorded configuration crosses the seam — the same hand-off a
+	// checkpoint resume performs.
+	tail := resumeSpan(t, eB, p, p.cfg, cut+1, total)
 
-	got := append(append([]RoundResult(nil), head.Rounds...), tail.Rounds...)
+	got := append(append([]RoundResult(nil), head.Rounds...), tail...)
 	ja, _ := json.Marshal(pA.Rounds)
 	jb, _ := json.Marshal(got)
 	if string(ja) != string(jb) {
@@ -81,8 +79,27 @@ func TestRunPolicySpanMatchesFullRun(t *testing.T) {
 	}
 }
 
+// resumeSpan drives rounds from..to through Step, the seam serving
+// sessions resume through, over a RoundState holding cfg, the
+// configuration in effect entering round from, and round from-1's
+// workload, replayed from the sequencer (sequencers are pure functions
+// of seed and round, so the replay is value-identical).
+func resumeSpan(t *testing.T, e *Environment, p policy.Policy, cfg *index.Config, from, to int) []RoundResult {
+	t.Helper()
+	st := RoundState{Config: cfg, Last: e.Seq.Round(from - 1)}
+	var out []RoundResult
+	for r := from; r <= to; r++ {
+		rr, _, err := e.Step(p, &st, r, e.Seq.Round(r), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rr)
+	}
+	return out
+}
+
 // cfgRecorder tracks the configuration in effect after each round, the
-// way a resuming caller carries StartConfig across spans.
+// way a resuming caller carries the configuration across the seam.
 type cfgRecorder struct {
 	policy.Policy
 	cfg *index.Config
@@ -96,10 +113,17 @@ func (c *cfgRecorder) Recommend(r int, last []*query.Query) policy.Recommendatio
 	return rec
 }
 
-// TestRunPolicySpanRejectsEmpty pins the span validation.
+// noRounds is a sequencer with no rounds at all.
+type noRounds struct{ workload.Sequencer }
+
+func (noRounds) Rounds() int { return 0 }
+
+// TestRunPolicySpanRejectsEmpty pins the span validation: a sequencer
+// without rounds leaves the whole-run span empty.
 func TestRunPolicySpanRejectsEmpty(t *testing.T) {
 	e := smallEnv(t, Static, 3)
-	if _, err := e.RunPolicySpan(&keepEmpty{}, Span{From: 3, To: 2}); err == nil {
+	e.Seq = noRounds{e.Seq}
+	if _, err := e.RunPolicySpan(&keepEmpty{}, Span{}); err == nil {
 		t.Fatal("empty span accepted")
 	}
 }

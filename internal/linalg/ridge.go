@@ -19,9 +19,9 @@ import (
 // fresh inverse of V, with or without periodic Forget
 // (TestRidgeDriftBoundedAgainstFreshInverse).
 //
-// A state is NOT safe for concurrent use: the theta memo is written
-// lazily by the scoring reads, so callers sharing a state across
-// goroutines must serialise every call on it.
+// A state is NOT safe for concurrent use: callers sharing a state
+// across goroutines must serialise its updates (ObserveSparse, Forget)
+// against every other call on it.
 type RidgeState struct {
 	Dim    int
 	V      *Matrix // scatter matrix, always exact (up to fp addition)
@@ -31,12 +31,6 @@ type RidgeState struct {
 
 	updates     int // observations folded in over the state's lifetime
 	sinceRebase int // rank-1 updates applied since the last rebase
-
-	// theta memoises V^{-1} b between observations; thetaValid is
-	// cleared whenever V or b change (ObserveSparse/Forget) and
-	// on rebase (the recomputed inverse changes theta's low-order bits).
-	theta      Vector
-	thetaValid bool
 }
 
 // rebaseEvery is the rebase cadence in rank-1 updates. Every committed
@@ -61,17 +55,9 @@ func NewRidgeState(dim int, lambda float64) *RidgeState {
 }
 
 // Theta returns the current coefficient estimate V^{-1} b using the
-// maintained inverse, memoised between observations: the dense mat-vec
-// runs at most once per state change, however many scoring passes ask.
-// The returned vector is owned by the state and valid until the next
-// ObserveSparse/Forget; callers must not mutate it.
-func (rs *RidgeState) Theta() Vector {
-	if !rs.thetaValid {
-		rs.theta = rs.VInv.MulVec(rs.B)
-		rs.thetaValid = true
-	}
-	return rs.theta
-}
+// maintained inverse, as a new vector the caller owns. The tuner asks
+// once per round, between two updates, so nothing is memoised.
+func (rs *RidgeState) Theta() Vector { return rs.VInv.MulVec(rs.B) }
 
 // ConfidenceWidthBatch computes sqrt(x' V^{-1} x), the exploration-boost
 // term of the UCB score, for every context into out (len(out) must equal
@@ -123,7 +109,6 @@ func (rs *RidgeState) ObserveSparse(x SparseVector, reward float64) {
 func (rs *RidgeState) afterRank1() {
 	rs.updates++
 	rs.sinceRebase++
-	rs.thetaValid = false
 	if rs.sinceRebase >= rebaseEvery {
 		rs.rebase()
 	}
@@ -163,7 +148,6 @@ func (rs *RidgeState) Forget(gamma float64) {
 // Sherman–Morrison error, and restarts the cadence count.
 func (rs *RidgeState) rebase() {
 	rs.sinceRebase = 0
-	rs.thetaValid = false
 	rs.V.SymmetrizeInPlace()
 	inv, err := rs.V.Inverse()
 	if err != nil {

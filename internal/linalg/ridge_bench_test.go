@@ -23,8 +23,8 @@ func benchContexts(dim, n int, seed int64) []SparseVector {
 
 // BenchmarkRidgeObserveScoreSparse measures the C2UCB hot path — folding
 // a round's observations into the ridge state and scoring a candidate
-// batch (memoised theta plus one batched pass of confidence widths into
-// a reused buffer, as C2UCB.ScoresInto runs it) — at a context
+// batch (theta plus one batched pass of confidence widths into a reused
+// buffer, as C2UCB.ScoresInto runs it) — at a context
 // dimension typical of the benchmark schemas.
 func BenchmarkRidgeObserveScoreSparse(b *testing.B) {
 	const dim = 64
@@ -48,46 +48,6 @@ func BenchmarkRidgeObserveScoreSparse(b *testing.B) {
 			benchSink = sink
 		}
 	}
-}
-
-// BenchmarkThetaCached measures the memoised theta read at the TPC-DS
-// context dimension (83): between observations every call after the
-// first is a cache hit, which is exactly the repeated same-round
-// profile of C2UCB.ScoresInto and Theta reads. Compare
-// BenchmarkThetaRecompute for what each of those calls paid before the
-// memo.
-func BenchmarkThetaCached(b *testing.B) {
-	const dim = 83
-	contexts := benchContexts(dim, 32, 1)
-	rs := NewRidgeState(dim, 0.25)
-	for _, x := range contexts {
-		rs.ObserveSparse(x, 1.0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += rs.Theta()[0]
-	}
-	benchSink = sink
-}
-
-// BenchmarkThetaRecompute is the dense V^{-1}b mat-vec the memo
-// amortises — the per-call cost of the pre-memo Theta().
-func BenchmarkThetaRecompute(b *testing.B) {
-	const dim = 83
-	contexts := benchContexts(dim, 32, 1)
-	rs := NewRidgeState(dim, 0.25)
-	for _, x := range contexts {
-		rs.ObserveSparse(x, 1.0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += rs.VInv.MulVec(rs.B)[0]
-	}
-	benchSink = sink
 }
 
 // BenchmarkRidgeForget measures shift-scaled forgetting (scatter-matrix

@@ -12,8 +12,7 @@ import (
 )
 
 // feed drives a state through a mixed observation history: fully dense
-// and sparse contexts, interleaved scoring reads (which exercise the
-// theta memo), and a mid-stream Forget.
+// and sparse contexts, interleaved theta reads, and a mid-stream Forget.
 func feed(t *testing.T, core *RidgeState, dim, steps int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -137,8 +136,9 @@ func TestSnapshotRebaseSchedule(t *testing.T) {
 }
 
 // TestSnapshotLegacyDriftKey pins that a snapshot written while the
-// ridge still kept a drift score restores: the "Drift" key is ignored
-// and the restored state is the one the snapshot was taken from.
+// ridge still kept a drift score and recorded its backend restores: the
+// "Drift" and "Backend" keys are ignored and the restored state is the
+// one the snapshot was taken from.
 func TestSnapshotLegacyDriftKey(t *testing.T) {
 	rs := NewRidgeState(4, 1)
 	feed(t, rs, 4, 17, 3)
@@ -151,6 +151,7 @@ func TestSnapshotLegacyDriftKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	fields["Drift"] = 47.5
+	fields["Backend"] = "sm"
 	legacy, err := json.Marshal(fields)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +174,7 @@ func TestSnapshotErrors(t *testing.T) {
 	if _, err := RestoreRidgeState(nil); err == nil {
 		t.Fatal("nil snapshot accepted")
 	}
-	if _, err := RestoreRidgeState(&RidgeSnapshot{Backend: "sm", Dim: 0, Lambda: 1}); err == nil {
+	if _, err := RestoreRidgeState(&RidgeSnapshot{Dim: 0, Lambda: 1}); err == nil {
 		t.Fatal("zero dim accepted")
 	}
 	bad := NewRidgeState(3, 1).Snapshot()
@@ -191,10 +192,8 @@ func TestSnapshotErrors(t *testing.T) {
 }
 
 // TestRestoreRidgeStateRejects is the snapshot trust boundary: a
-// snapshot written by another backend or with a rebase-schedule
-// override fails with *RemovedOptionError, and one holding a NaN or
-// ±Inf fails with *NonFiniteError naming the field, instead of
-// restoring into a state whose theta is NaN.
+// snapshot holding a NaN or ±Inf fails with *NonFiniteError naming the
+// field, instead of restoring into a state whose theta is NaN.
 func TestRestoreRidgeStateRejects(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	withFloats := func(enc string, at int, v float64) string {
@@ -206,25 +205,19 @@ func TestRestoreRidgeStateRejects(t *testing.T) {
 		return floatenc.Encode(vals)
 	}
 	cases := []struct {
-		name    string
-		mutate  func(*RidgeSnapshot)
-		removed string // RemovedOptionError.Option, or "" for NonFiniteError
-		field   string // NonFiniteError.Field
+		name   string
+		mutate func(*RidgeSnapshot)
+		field  string // NonFiniteError.Field
 	}{
-		{"backend chol", func(s *RidgeSnapshot) { s.Backend = "chol" }, "backend", ""},
-		{"backend unknown", func(s *RidgeSnapshot) { s.Backend = "qr" }, "backend", ""},
-		{"backend empty", func(s *RidgeSnapshot) { s.Backend = "" }, "backend", ""},
-		{"rebase every", func(s *RidgeSnapshot) { s.RebaseEvery = 64 }, "RebaseEvery", ""},
-		{"drift threshold", func(s *RidgeSnapshot) { s.DriftThreshold = -1 }, "DriftThreshold", ""},
-		{"lambda NaN", func(s *RidgeSnapshot) { s.Lambda = nan }, "", "Lambda"},
-		{"lambda +Inf", func(s *RidgeSnapshot) { s.Lambda = inf }, "", "Lambda"},
-		{"lambda -Inf", func(s *RidgeSnapshot) { s.Lambda = -inf }, "", "Lambda"},
+		{"lambda NaN", func(s *RidgeSnapshot) { s.Lambda = nan }, "Lambda"},
+		{"lambda +Inf", func(s *RidgeSnapshot) { s.Lambda = inf }, "Lambda"},
+		{"lambda -Inf", func(s *RidgeSnapshot) { s.Lambda = -inf }, "Lambda"},
 		{"B NaN", func(s *RidgeSnapshot) {
 			s.B = floatenc.Encode([]float64{nan, nan, nan})
-		}, "", "B"},
-		{"V +Inf", func(s *RidgeSnapshot) { s.V = withFloats(s.V, 4, inf) }, "", "V"},
-		{"VInv -Inf", func(s *RidgeSnapshot) { s.VInv = withFloats(s.VInv, 0, -inf) }, "", "VInv"},
-		{"VInv NaN", func(s *RidgeSnapshot) { s.VInv = withFloats(s.VInv, 8, nan) }, "", "VInv"},
+		}, "B"},
+		{"V +Inf", func(s *RidgeSnapshot) { s.V = withFloats(s.V, 4, inf) }, "V"},
+		{"VInv -Inf", func(s *RidgeSnapshot) { s.VInv = withFloats(s.VInv, 0, -inf) }, "VInv"},
+		{"VInv NaN", func(s *RidgeSnapshot) { s.VInv = withFloats(s.VInv, 8, nan) }, "VInv"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -236,13 +229,6 @@ func TestRestoreRidgeStateRejects(t *testing.T) {
 			if err == nil {
 				t.Fatalf("restored a bad snapshot; theta %v", got.Theta())
 			}
-			if tc.removed != "" {
-				var re *RemovedOptionError
-				if !errors.As(err, &re) || re.Option != tc.removed {
-					t.Fatalf("err = %v (%T), want RemovedOptionError for %s", err, err, tc.removed)
-				}
-				return
-			}
 			var ne *NonFiniteError
 			if !errors.As(err, &ne) || ne.Field != tc.field {
 				t.Fatalf("err = %v (%T), want NonFiniteError for %s", err, err, tc.field)
@@ -252,9 +238,8 @@ func TestRestoreRidgeStateRejects(t *testing.T) {
 }
 
 // FuzzRestoreRidgeState feeds arbitrary JSON through the ridge snapshot
-// decoder. It must never panic; a refusal is a *RemovedOptionError only
-// for a removed option actually recorded, a *NonFiniteError only for a
-// float field, or a plain error; and an accepted state must snapshot
+// decoder. It must never panic; a refusal is a *NonFiniteError only for
+// a float field, or a plain error; and an accepted state must snapshot
 // and restore to the same snapshot. The seed corpus is committed under
 // testdata/fuzz.
 func FuzzRestoreRidgeState(f *testing.F) {
@@ -265,14 +250,8 @@ func FuzzRestoreRidgeState(f *testing.F) {
 		}
 		rs, err := RestoreRidgeState(&snap)
 		if err != nil {
-			var re *RemovedOptionError
 			var ne *NonFiniteError
-			switch {
-			case errors.As(err, &re):
-				if snap.Backend == snapshotBackend && snap.RebaseEvery == 0 && snap.DriftThreshold == 0 {
-					t.Fatalf("refused as a removed option with none recorded: %v", err)
-				}
-			case errors.As(err, &ne):
+			if errors.As(err, &ne) {
 				switch ne.Field {
 				case "Lambda", "B", "V", "VInv":
 				default:

@@ -17,9 +17,9 @@ import (
 // key column plus three derived components, so scoring and updating route
 // through the O(nnz²) sparse ridge kernels (see internal/linalg).
 //
-// Scoring goes through the ridge state's memoised theta and batched
-// width kernel, so theta is derived at most once per state change and
-// the per-arm work is one dot product plus one batched quadratic form.
+// Scoring derives theta once per call and goes through the ridge state's
+// batched width kernel, so the per-arm work is one dot product plus one
+// batched quadratic form.
 type C2UCB struct {
 	state *linalg.RidgeState
 	round int
@@ -59,7 +59,7 @@ func (b *C2UCB) Round() int { return b.round }
 //	r_hat(i) = theta' x(i) + alpha_t * sqrt(x(i)' V^{-1} x(i))
 //
 // The widths for the whole candidate batch are computed in one pass
-// over the ridge state and theta comes from its memo, so no per-arm call
+// over the ridge state and theta once per call, so no per-arm call
 // re-derives either. The tuner's round loop reuses one scores buffer
 // across rounds.
 func (b *C2UCB) ScoresInto(contexts []linalg.SparseVector, out []float64) {
@@ -96,7 +96,6 @@ func (b *C2UCB) Update(contexts []linalg.SparseVector, rewards []float64) {
 func (b *C2UCB) Forget(gamma float64) { b.state.Forget(gamma) }
 
 // Theta exposes the current coefficient estimate (diagnostics/tests).
-// The vector is owned by the ridge state; callers must not mutate it.
 func (b *C2UCB) Theta() linalg.Vector { return b.state.Theta() }
 
 // Dim returns the context dimensionality.

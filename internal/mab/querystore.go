@@ -26,12 +26,13 @@ type TemplateInfo struct {
 	seenIn int
 }
 
+// qoiWindow is the recency window (in rounds) for queries of interest:
+// templates unseen for longer stop generating arms.
+const qoiWindow = 3
+
 // QueryStore tracks workload templates across rounds (Algorithm 2's QS).
 type QueryStore struct {
 	bySig map[string]*TemplateInfo
-	// Window is the recency window (in rounds) for queries of interest;
-	// templates unseen for longer stop generating arms. Default 3.
-	Window int
 
 	lastRound         int
 	lastRoundNew      int
@@ -40,9 +41,9 @@ type QueryStore struct {
 	qoiInfos []*TemplateInfo // QoI ordering scratch, reused across rounds
 }
 
-// NewQueryStore returns an empty store with the default QoI window.
+// NewQueryStore returns an empty store.
 func NewQueryStore() *QueryStore {
-	return &QueryStore{bySig: map[string]*TemplateInfo{}, Window: 3}
+	return &QueryStore{bySig: map[string]*TemplateInfo{}}
 }
 
 // Observe folds one round's workload into the store and returns the
@@ -83,7 +84,7 @@ func (qs *QueryStore) Observe(round int, queries []*query.Query) int {
 func (qs *QueryStore) QoI(round int) []*query.Query {
 	infos := qs.qoiInfos[:0]
 	for _, ti := range qs.bySig {
-		if round-ti.LastSeen < qs.Window {
+		if round-ti.LastSeen < qoiWindow {
 			infos = append(infos, ti)
 		}
 	}

@@ -113,8 +113,7 @@ func tpcdsScoresFixture(b testing.TB) (*C2UCB, []linalg.SparseVector, int) {
 // BenchmarkScoresTPCDS isolates C2UCB.ScoresInto over every TPC-DS
 // candidate arm at the schema's full context dimension, into one reused
 // scores buffer as the tuner's round loop runs it, in the steady state
-// (theta memoised since the round's last observation, widths in one
-// batched pass). The per-arm UCB width is the dominant term of the
+// (theta derived once, widths in one batched pass). The per-arm UCB width is the dominant term of the
 // recommend loop at this arm count. Compare against BENCH_baseline.json
 // (captured pre-sparse) for the headline speedup.
 func BenchmarkScoresTPCDS(b *testing.B) {

@@ -19,15 +19,14 @@ import (
 // Deliberately not serialised:
 //   - the arm generator's proto/result memos (pure caches of
 //     deterministic content; rebuilt on demand),
-//   - the ridge theta memo (a pure function of the persisted matrices),
 //   - pending mid-round feedback state (snapshots are refused until the
 //     round's ObserveExecution has landed).
 
 // QueryStoreSnapshot is the serialisable state of a QueryStore.
 // Templates are signature-sorted so the marshalled bytes are
-// deterministic.
+// deterministic. Older builds also wrote the QoI window, always 3, as
+// "Window"; decoding ignores it.
 type QueryStoreSnapshot struct {
-	Window            int
 	LastRound         int
 	LastRoundNew      int
 	LastRoundObserved int
@@ -37,7 +36,6 @@ type QueryStoreSnapshot struct {
 // Snapshot captures the store's state.
 func (qs *QueryStore) Snapshot() *QueryStoreSnapshot {
 	s := &QueryStoreSnapshot{
-		Window:            qs.Window,
 		LastRound:         qs.lastRound,
 		LastRoundNew:      qs.lastRoundNew,
 		LastRoundObserved: qs.lastRoundObserved,
@@ -52,21 +50,15 @@ func (qs *QueryStore) Snapshot() *QueryStoreSnapshot {
 	return s
 }
 
-// RestoreQueryStore rebuilds a store from its snapshot. A window below
-// 1 is refused: under it QoI returns nothing, and the tuner would stop
-// generating arms for the rest of the session. So is a template without
-// its last instance, which QoI would hand to arm generation as a nil
-// query.
+// RestoreQueryStore rebuilds a store from its snapshot. A template
+// without its last instance is refused: QoI would hand it to arm
+// generation as a nil query.
 func RestoreQueryStore(s *QueryStoreSnapshot) (*QueryStore, error) {
 	if s == nil {
 		return nil, fmt.Errorf("mab: nil query-store snapshot")
 	}
-	if s.Window < 1 {
-		return nil, fmt.Errorf("mab: query-store snapshot window %d, want >= 1", s.Window)
-	}
 	qs := &QueryStore{
 		bySig:             make(map[string]*TemplateInfo, len(s.Templates)),
-		Window:            s.Window,
 		lastRound:         s.LastRound,
 		lastRoundNew:      s.LastRoundNew,
 		lastRoundObserved: s.LastRoundObserved,
@@ -102,9 +94,7 @@ func (b *C2UCB) Snapshot() *C2UCBSnapshot {
 // Restore replaces the bandit's learned state with the snapshot's. The
 // snapshot's dimensionality must match — a dimension mismatch means the
 // snapshot was taken under different context options and cannot be
-// meaningfully resumed. A ridge snapshot written under a removed option
-// fails with *linalg.RemovedOptionError (see linalg.RestoreRidgeState).
-// A reward scale below 1 (or non-finite) is refused: Update never lets
+// meaningfully resumed. A reward scale below 1 (or non-finite) is refused: Update never lets
 // the live scale drop under 1, so such a snapshot is corrupt.
 func (b *C2UCB) Restore(s *C2UCBSnapshot) error {
 	if s == nil || s.Ridge == nil {

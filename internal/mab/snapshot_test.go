@@ -3,12 +3,9 @@ package mab
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"math"
 	"strings"
 	"testing"
-
-	"dbabandits/internal/linalg"
 )
 
 // TestTunerSnapshotRoundTrip snapshots a live tuner mid-run (through a
@@ -104,10 +101,9 @@ func TestTunerRestoreRejectsDimensionMismatch(t *testing.T) {
 
 // TestTunerRestoreRejectsCorruptState pins that a snapshot whose bandit
 // reward scale is below 1 or non-finite (Update clamps the live scale
-// to at least 1), whose query-store window is below 1 (QoI would
-// return nothing ever after) or whose store holds a template without
-// an instance (arm generation would get a nil query), is refused, and
-// that a refused restore leaves the tuner untouched.
+// to at least 1) or whose store holds a template without an instance
+// (arm generation would get a nil query) is refused, and that a refused
+// restore leaves the tuner untouched.
 func TestTunerRestoreRejectsCorruptState(t *testing.T) {
 	h := newMiniHarness(t, TunerOptions{})
 	h.round(t, selectiveWorkload(1))
@@ -120,8 +116,6 @@ func TestTunerRestoreRejectsCorruptState(t *testing.T) {
 		{"reward scale 0", func(s *TunerSnapshot) { s.Bandit.RewardScale = 0 }},
 		{"reward scale NaN", func(s *TunerSnapshot) { s.Bandit.RewardScale = math.NaN() }},
 		{"reward scale +Inf", func(s *TunerSnapshot) { s.Bandit.RewardScale = math.Inf(1) }},
-		{"window 0", func(s *TunerSnapshot) { s.Store.Window = 0 }},
-		{"window -1", func(s *TunerSnapshot) { s.Store.Window = -1 }},
 		{"template without instance", func(s *TunerSnapshot) { s.Store.Templates[0].LastInstance = nil }},
 	}
 	for _, c := range cases {
@@ -135,9 +129,9 @@ func TestTunerRestoreRejectsCorruptState(t *testing.T) {
 			if err := fresh.Restore(snap); err == nil {
 				t.Fatal("corrupt snapshot accepted")
 			}
-			if fresh.round != 0 || fresh.bandit.Round() != 0 || fresh.store.Window != 3 {
-				t.Fatalf("refused restore mutated the tuner: round %d, bandit round %d, window %d",
-					fresh.round, fresh.bandit.Round(), fresh.store.Window)
+			if fresh.round != 0 || fresh.bandit.Round() != 0 || len(fresh.store.bySig) != 0 {
+				t.Fatalf("refused restore mutated the tuner: round %d, bandit round %d, %d templates",
+					fresh.round, fresh.bandit.Round(), len(fresh.store.bySig))
 			}
 		})
 	}
@@ -148,29 +142,5 @@ func TestTunerRestoreRejectsCorruptState(t *testing.T) {
 	}
 	if err := newMiniHarness(t, TunerOptions{}).tuner.Restore(snap); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTunerRestoreRejectsRemovedRidgeOptions pins that a tuner
-// snapshot written on the removed Cholesky backend, or with a
-// rebase-schedule override, is refused with a typed error instead of
-// resuming under different arithmetic.
-func TestTunerRestoreRejectsRemovedRidgeOptions(t *testing.T) {
-	h := newMiniHarness(t, TunerOptions{})
-	h.round(t, selectiveWorkload(1))
-	for _, mutate := range []func(*linalg.RidgeSnapshot){
-		func(s *linalg.RidgeSnapshot) { s.Backend = "chol" },
-		func(s *linalg.RidgeSnapshot) { s.RebaseEvery = 64 },
-		func(s *linalg.RidgeSnapshot) { s.DriftThreshold = -1 },
-	} {
-		snap, err := h.tuner.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		mutate(snap.Bandit.Ridge)
-		var removed *linalg.RemovedOptionError
-		if err := newMiniHarness(t, TunerOptions{}).tuner.Restore(snap); !errors.As(err, &removed) {
-			t.Fatalf("restore error %v (%T), want *linalg.RemovedOptionError", err, err)
-		}
 	}
 }

@@ -84,9 +84,8 @@ func NewTransferBasis(schema *catalog.Schema, snap *TunerSnapshot) (*TransferBas
 	if err != nil {
 		return nil, fmt.Errorf("mab: transfer basis: %w", err)
 	}
-	// Clone: the restored state is discarded, only the posterior mean is
-	// kept, owned by the basis.
-	return &TransferBasis{cb: cb, theta: rs.Theta().Clone()}, nil
+	// The restored state is discarded; only the posterior mean is kept.
+	return &TransferBasis{cb: cb, theta: rs.Theta()}, nil
 }
 
 // Gain is the donor-predicted per-round gain of the arm for a workload

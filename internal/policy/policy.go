@@ -215,9 +215,3 @@ func Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Registered reports whether name is a known policy.
-func Registered(name string) bool {
-	_, ok := registry[name]
-	return ok
-}

@@ -8,8 +8,12 @@ import (
 )
 
 func TestSeedStrategiesRegistered(t *testing.T) {
+	registered := map[string]bool{}
+	for _, name := range Names() {
+		registered[name] = true
+	}
 	for _, name := range []string{"noindex", "pdtool", "mab", "ddqn", "ddqn-sc", "advisor"} {
-		if !Registered(name) {
+		if !registered[name] {
 			t.Errorf("%q not registered", name)
 		}
 	}

@@ -51,8 +51,8 @@ type Options struct {
 
 // Run executes every task and returns one Result per task, in input
 // order. Failed tasks (error or panic) are reported in their Result and
-// do not abort siblings. Run itself never fails; inspect the results
-// with FirstErr or Errs.
+// do not abort siblings. Run itself never fails; each Result's Err
+// reports its task's failure.
 func Run[T any](tasks []Task[T], opts Options) []Result[T] {
 	results := make([]Result[T], len(tasks))
 	if len(tasks) == 0 {
@@ -106,26 +106,4 @@ func runOne[T any](i int, t Task[T]) (res Result[T]) {
 	}()
 	res.Value, res.Err = t()
 	return res
-}
-
-// FirstErr returns the first error in input order, or nil if every task
-// succeeded.
-func FirstErr[T any](results []Result[T]) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
-}
-
-// Errs collects every non-nil task error in input order.
-func Errs[T any](results []Result[T]) []error {
-	var errs []error
-	for _, r := range results {
-		if r.Err != nil {
-			errs = append(errs, r.Err)
-		}
-	}
-	return errs
 }

@@ -84,12 +84,6 @@ func TestRunErrorIsolation(t *testing.T) {
 		t.Errorf("task 3 = %+v, want success", results[3])
 	}
 
-	if err := FirstErr(results); !errors.Is(err, boom) {
-		t.Errorf("FirstErr = %v, want %v", err, boom)
-	}
-	if errs := Errs(results); len(errs) != 2 {
-		t.Errorf("Errs = %v, want 2 errors", errs)
-	}
 }
 
 // TestRunOnDone checks the completion callback: serialised, monotonic
@@ -122,8 +116,10 @@ func TestRunOnDone(t *testing.T) {
 	if len(seen) != n {
 		t.Errorf("OnDone saw %d tasks, want %d", len(seen), n)
 	}
-	if err := FirstErr(results); err != nil {
-		t.Errorf("FirstErr = %v, want nil", err)
+	for _, r := range results {
+		if r.Err != nil {
+			t.Errorf("task %d err = %v, want nil", r.Index, r.Err)
+		}
 	}
 }
 

@@ -13,14 +13,13 @@ import (
 
 	"dbabandits/internal/env"
 	"dbabandits/internal/index"
-	"dbabandits/internal/linalg"
 	"dbabandits/internal/policy"
 	"dbabandits/internal/query"
 )
 
 // CheckpointVersion is the on-disk checkpoint format version this build
-// writes. LoadCheckpoint also reads version 1 files and migrates them;
-// any other version is refused, not guessed at.
+// writes and reads. Any other version, including the single JSON object
+// of version 1, is refused, not guessed at.
 const CheckpointVersion = 2
 
 // Checkpoint is the versioned image of a serving session at a window
@@ -36,8 +35,7 @@ const CheckpointVersion = 2
 // header line holding every field but PolicyState plus the state's
 // byte length, the PolicyState bytes verbatim and a newline, and a
 // fixed-width trailer line holding the byte length of, and a CRC-32C
-// over, everything before it. Version 1 files are one indented JSON
-// object.
+// over, everything before it.
 type Checkpoint struct {
 	Version int
 
@@ -45,12 +43,6 @@ type Checkpoint struct {
 	// in them, so the checkpoint does not carry the database), the
 	// policy and the guardrail.
 	Options
-
-	// RidgeBackend and ForgetRank are the ridge options older builds
-	// recorded ("sm" and 0 at their default flags). They are only read:
-	// Restore refuses a checkpoint written with any other value.
-	RidgeBackend string `json:",omitempty"`
-	ForgetRank   int    `json:",omitempty"`
 
 	// Serving position.
 	Window     int
@@ -163,8 +155,8 @@ func parseTrailer(data []byte) (body []byte, n int, sum uint32, ok bool) {
 	return body, int(ln), uint32(cs), true
 }
 
-// decodeCheckpoint decodes a version 2 image, or a version 1 one
-// migrated to version 2. Every refusal is a *CheckpointError.
+// decodeCheckpoint decodes a version 2 image. Every refusal is a
+// *CheckpointError.
 func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if body, n, sum, ok := parseTrailer(data); ok {
 		if n != len(body) {
@@ -175,24 +167,29 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		}
 		return decodeV2Body(body)
 	}
-	// No intact trailer: a version 1 image, or a version 2 one that was
-	// cut short or whose trailer is damaged. Its header line says which.
-	line, _, _ := bytes.Cut(data, []byte{'\n'})
-	h := checkpointHeader{Checkpoint: new(Checkpoint)}
-	if json.Unmarshal(line, &h) == nil && h.Version > 1 {
-		if h.Version != CheckpointVersion {
-			return nil, versionErr(h.Version)
+	// No intact trailer: a version 2 image that was cut short or whose
+	// trailer is damaged, or an image of another version. Its first
+	// JSON value says which: a version 2 header line, or a version 1
+	// file's whole object.
+	var h struct{ Version, StateLen int }
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&h); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, ckptErr(KindTruncated, "file ends inside its first JSON value")
 		}
-		if want := len(line) + 1 + h.StateLen + 1 + trailerSize; len(data) < want {
-			return nil, ckptErr(KindTruncated, "%d bytes, header implies %d", len(data), want)
-		}
-		return nil, ckptErr(KindChecksum, "trailer missing or damaged")
+		return nil, ckptErr(KindMalformed, "header: %v", err)
 	}
-	return decodeV1(data)
+	if h.Version != CheckpointVersion {
+		return nil, versionErr(h.Version)
+	}
+	line, _, _ := bytes.Cut(data, []byte{'\n'})
+	if want := len(line) + 1 + h.StateLen + 1 + trailerSize; len(data) < want {
+		return nil, ckptErr(KindTruncated, "%d bytes, header implies %d", len(data), want)
+	}
+	return nil, ckptErr(KindChecksum, "trailer missing or damaged")
 }
 
 func versionErr(v int) *CheckpointError {
-	return ckptErr(KindVersion, "version %d, this build reads versions 1 and %d", v, CheckpointVersion)
+	return ckptErr(KindVersion, "version %d, this build reads version %d", v, CheckpointVersion)
 }
 
 // decodeV2Body decodes the checksummed part of a version 2 image. The
@@ -221,30 +218,6 @@ func decodeV2Body(body []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	return ck, nil
-}
-
-// decodeV1 decodes a version 1 image — one JSON object — and migrates
-// it to CheckpointVersion; the fields and their meaning are unchanged.
-func decodeV1(data []byte) (*Checkpoint, error) {
-	var ck Checkpoint
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(&ck); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, ckptErr(KindTruncated, "file ends inside its first JSON value")
-		}
-		return nil, ckptErr(KindMalformed, "version 1 image: %v", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, ckptErr(KindMalformed, "trailing data after the version 1 image")
-	}
-	if ck.Version != 1 {
-		return nil, versionErr(ck.Version)
-	}
-	ck.Version = CheckpointVersion
-	if err := validate(&ck); err != nil {
-		return nil, err
-	}
-	return &ck, nil
 }
 
 func validate(ck *Checkpoint) error {
@@ -329,9 +302,8 @@ func writeFileSync(path string, data []byte) error {
 	return err
 }
 
-// LoadCheckpoint reads and validates a checkpoint file of either
-// version; a version 1 file comes back migrated to CheckpointVersion.
-// A file it refuses yields a *CheckpointError.
+// LoadCheckpoint reads and validates a checkpoint file. A file it
+// refuses yields a *CheckpointError.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -354,27 +326,16 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // position, configurations and guardrail counters are reinstated. The
 // restored session's next Feed behaves exactly as the checkpointed
 // session's would have. A checkpoint of another version fails with a
-// *CheckpointError (LoadCheckpoint has already migrated version 1).
-// A checkpoint written with a removed ridge option (another backend, or
-// a low-rank Forget budget) fails with *linalg.RemovedOptionError rather
-// than resuming under different arithmetic.
+// *CheckpointError.
 // A checkpoint whose configurations name an unknown table or column or
 // hold an empty or repeated key (index.ValidDefs), or whose window or
 // guardrail counters are negative, fails with a malformed
-// *CheckpointError: a version 1 file has no checksum, and no checksum
-// stops a hand-written file. The policy's Restore applies the same
-// check to the configuration inside its own state.
+// *CheckpointError: the checksum catches corruption, not a hand-written
+// file. The policy's Restore applies the same check to the
+// configuration inside its own state.
 func Restore(ck *Checkpoint) (*Session, error) {
 	if ck.Version != CheckpointVersion {
 		return nil, versionErr(ck.Version)
-	}
-	if ck.RidgeBackend != "" && ck.RidgeBackend != "sm" {
-		return nil, fmt.Errorf("serve: checkpoint: %w",
-			&linalg.RemovedOptionError{Option: "RidgeBackend", Value: ck.RidgeBackend})
-	}
-	if ck.ForgetRank != 0 {
-		return nil, fmt.Errorf("serve: checkpoint: %w",
-			&linalg.RemovedOptionError{Option: "ForgetRank", Value: fmt.Sprint(ck.ForgetRank)})
 	}
 	if ck.Window < 0 || ck.Streak < 0 || ck.Cooldown < 0 || ck.Quarantines < 0 {
 		return nil, ckptErr(KindMalformed, "negative serving position or guardrail counter")
@@ -383,23 +344,30 @@ func Restore(ck *Checkpoint) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := s.load(ck); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// load reinstates ck's policy state, serving position, configurations
+// and guardrail counters in s, a session built from ck's options.
+func (s *Session) load(ck *Checkpoint) error {
 	// Configurations are checked against the rebuilt schema before any
 	// Feed plans with them: an index with an empty key or a column the
 	// table lacks would otherwise crash the optimiser.
 	for _, defs := range [][]index.Def{ck.Config, ck.SafeConfig} {
 		if err := index.ValidDefs(s.env.Schema, defs); err != nil {
-			s.Close()
-			return nil, ckptErr(KindMalformed, "%v", err)
+			return ckptErr(KindMalformed, "%v", err)
 		}
 	}
 	snap, ok := s.pol.(policy.Snapshotter)
 	if !ok {
-		s.Close()
-		return nil, fmt.Errorf("serve: policy %q does not support checkpointing", ck.Policy)
+		return fmt.Errorf("serve: policy %q does not support checkpointing", ck.Policy)
 	}
 	if err := snap.Restore(ck.PolicyState); err != nil {
-		s.Close()
-		return nil, fmt.Errorf("serve: restore policy %q: %w", ck.Policy, err)
+		return fmt.Errorf("serve: restore policy %q: %w", ck.Policy, err)
 	}
 	s.window = ck.Window
 	s.round = env.RoundState{Config: index.ConfigFromDefs(ck.Config), Last: ck.LastWindow}
@@ -407,7 +375,7 @@ func Restore(ck *Checkpoint) (*Session, error) {
 	s.guard.streak = ck.Streak
 	s.guard.cooldown = ck.Cooldown
 	s.guard.quarantines = ck.Quarantines
-	return s, nil
+	return nil
 }
 
 // RestoreFile loads a checkpoint from path and restores a session.

@@ -307,38 +307,20 @@ func sameCheckpoint(a, b *Checkpoint) bool {
 	return errA == nil && errB == nil && bytes.Equal(ja, jb) && bytes.Equal(a.PolicyState, b.PolicyState)
 }
 
-// TestCheckpointV1Migration pins the version 1 read path: the committed
-// parent checkpoint loads as a version 2 checkpoint, re-encodes as
-// version 2 and decodes to the same checkpoint; a cut, future-version
-// or otherwise bad version 1 image is refused with the matching kind.
-func TestCheckpointV1Migration(t *testing.T) {
+// TestCheckpointV1Refused pins that a version 1 image, the committed
+// checkpoint of an earlier build, is refused as a version this build
+// does not read, and that a cut, future-version or otherwise bad image
+// without a version 2 trailer is refused with the matching kind.
+func TestCheckpointV1Refused(t *testing.T) {
 	v1, err := os.ReadFile(filepath.Join("testdata", "parent_default.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := decodeCheckpoint(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Version != CheckpointVersion {
-		t.Fatalf("migrated version %d, want %d", ck.Version, CheckpointVersion)
-	}
-	var b bytes.Buffer
-	if err := encodeCheckpoint(&b, ck); err != nil {
-		t.Fatal(err)
-	}
-	again, err := decodeCheckpoint(b.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameCheckpoint(again, ck) {
-		t.Fatal("migrated checkpoint does not survive a version 2 round trip")
-	}
-
+	wantRefused(t, v1, KindVersion, "version 1 image")
+	wantRefused(t, append(bytes.Clone(v1), "{}"...), KindVersion, "version 1 image with trailing data")
+	wantRefused(t, bytes.Replace(v1, []byte(`"Version": 1`), []byte(`"Version": 9`), 1), KindVersion, "version 9 image")
 	wantRefused(t, v1[:len(v1)/2], KindTruncated, "version 1 image cut in half")
 	wantRefused(t, nil, KindTruncated, "empty file")
-	wantRefused(t, bytes.Replace(v1, []byte(`"Version": 1`), []byte(`"Version": 9`), 1), KindVersion, "version 9 image")
-	wantRefused(t, append(bytes.Clone(v1), "{}"...), KindMalformed, "version 1 image with trailing data")
 	wantRefused(t, []byte("not a checkpoint\n"), KindMalformed, "text file")
 }
 

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"dbabandits/internal/env"
-	"dbabandits/internal/linalg"
 	"dbabandits/internal/mab"
 	"dbabandits/internal/policy"
 	"dbabandits/internal/query"
@@ -75,15 +73,13 @@ func reportJSON(t testing.TB, reps []*WindowReport) string {
 // byte-identical window reports and an identical final configuration to
 // a session that was never interrupted.
 //
-// Two older (version 1) checkpoints of the same session must restore
-// the same way: testdata/parent_default.ckpt, written by the build
-// before the ridge options were removed at its default flags, and that
-// image with the scoring-worker key older builds wrote spliced in (see
-// writeLegacyCheckpoint), which the loader ignores. The "sm" subtest
-// checks all three. Checkpoints that build wrote with -ridge chol or
-// -forget-rank 3 must instead fail Restore with
-// *linalg.RemovedOptionError (the "chol" and "forget_rank" subtests).
+// testdata/parent_v2.ckpt, the same session's checkpoint at window 3
+// written by an earlier build's cmd/serve (-bench ssb -rows 1500 -seed 7
+// -policy mab -stop-after 3 over testStream), must restore the same
+// way: its ridge snapshot still records the "Backend" key and its query
+// store the "Window" key, which loading ignores.
 func TestKillRestoreDeterminism(t *testing.T) {
+	// "sm" names the one ridge regression, Sherman–Morrison.
 	t.Run("sm", func(t *testing.T) {
 		opts := testOptions()
 
@@ -107,10 +103,7 @@ func TestKillRestoreDeterminism(t *testing.T) {
 		}
 		victim.Close() // the kill
 
-		legacyPath := filepath.Join(dir, "legacy.ckpt")
-		writeLegacyCheckpoint(t, legacyPath)
-
-		for _, p := range []string{path, legacyPath, filepath.Join("testdata", "parent_default.ckpt")} {
+		for _, p := range []string{path, filepath.Join("testdata", "parent_v2.ckpt")} {
 			restored, err := RestoreFile(p)
 			if err != nil {
 				t.Fatalf("%s: %v", filepath.Base(p), err)
@@ -138,53 +131,6 @@ func TestKillRestoreDeterminism(t *testing.T) {
 			}
 		}
 	})
-
-	for sub, c := range map[string]struct{ file, option string }{
-		"chol":        {"parent_ridge_chol.ckpt", "RidgeBackend"},
-		"forget_rank": {"parent_forget_rank.ckpt", "ForgetRank"},
-	} {
-		t.Run(sub, func(t *testing.T) {
-			s, err := RestoreFile(filepath.Join("testdata", c.file))
-			if err == nil {
-				s.Close()
-				t.Fatalf("%s: restored a checkpoint written with a removed ridge option", c.file)
-			}
-			var removed *linalg.RemovedOptionError
-			if !errors.As(err, &removed) || removed.Option != c.option {
-				t.Fatalf("%s: err = %v, want *linalg.RemovedOptionError for %s", c.file, err, c.option)
-			}
-		})
-	}
-}
-
-// legacyWorkersKey is the top-level key older builds wrote for the
-// arm-scoring worker count; Checkpoint no longer has that field.
-const legacyWorkersKey = "ScoreWorkers"
-
-// writeLegacyCheckpoint writes to dst the version 1 image
-// testdata/parent_default.ckpt with a legacyWorkersKey of 4 added,
-// indented as version 1 builds wrote it.
-func writeLegacyCheckpoint(t *testing.T, dst string) {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "parent_default.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(data, &fields); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fields[legacyWorkersKey]; ok {
-		t.Fatalf("checkpoint already carries a %s key", legacyWorkersKey)
-	}
-	fields[legacyWorkersKey] = json.RawMessage("4")
-	data, err = json.MarshalIndent(fields, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dst, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestGuardrailQuarantineRound forces a regression by shrinking the
