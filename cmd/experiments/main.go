@@ -32,6 +32,7 @@ import (
 	"dbabandits/internal/cli"
 	"dbabandits/internal/env"
 	"dbabandits/internal/harness"
+	"dbabandits/internal/workload"
 )
 
 var (
@@ -42,7 +43,7 @@ var (
 	quick = flag.Bool("quick", false, "shrink rounds for a fast smoke run")
 )
 
-var benches = []string{"ssb", "tpch", "tpch-skew", "tpcds", "imdb"}
+var benches = workload.AllNames()
 
 // expNames are the valid -exp names.
 var expNames = []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "table1", "table2", "fig8", "htap", "all"}

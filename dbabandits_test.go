@@ -64,7 +64,11 @@ func TestPublicAPITunerDirectUse(t *testing.T) {
 		tuner.ObserveExecution(stats, map[string]float64{})
 		last = wl
 	}
-	if tuner.Store().Len() == 0 {
+	snap, err := tuner.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Store.Templates) == 0 {
 		t.Fatal("query store empty after three rounds")
 	}
 }

@@ -74,7 +74,6 @@ const (
 type ColumnStats struct {
 	Min, Max int64
 	NDV      int64 // number of distinct values (logical)
-	NullFrac float64
 }
 
 // Column is one attribute of a table.
@@ -234,16 +233,6 @@ func (s *Schema) DataSizeBytes() int64 {
 		total += t.SizeBytes()
 	}
 	return total
-}
-
-// ColumnCount returns the number of columns across all tables; the MAB
-// context dimension is derived from it.
-func (s *Schema) ColumnCount() int {
-	var n int
-	for _, t := range s.Tables {
-		n += len(t.Columns)
-	}
-	return n
 }
 
 // Validate checks referential integrity of FK declarations and PK columns.

@@ -291,10 +291,6 @@ func TestPlanHelpers(t *testing.T) {
 			Algo:  JoinIndexNL,
 		}},
 	}
-	tabs := p.Tables()
-	if len(tabs) != 2 || tabs[0] != "customer" || tabs[1] != "orders" {
-		t.Fatalf("Tables = %v", tabs)
-	}
 	if s := p.String(); s == "" {
 		t.Fatal("empty plan string")
 	}

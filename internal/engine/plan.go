@@ -103,16 +103,6 @@ type Plan struct {
 	EstCost float64
 }
 
-// Tables returns the join order of the plan, driver first.
-func (p *Plan) Tables() []string {
-	out := make([]string, 0, 1+len(p.Steps))
-	out = append(out, p.Driver.Table)
-	for _, s := range p.Steps {
-		out = append(out, s.InnerTable)
-	}
-	return out
-}
-
 // String renders the plan compactly, e.g.
 // "SeqScan(orders) -> HashJoin[IndexSeek(customer via ...)]".
 func (p *Plan) String() string {

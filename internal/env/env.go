@@ -138,15 +138,6 @@ func New(opts Options) (*Environment, error) {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// PlanCacheStats returns the optimiser's cumulative plan-cache counters
-// for this environment — zero-valued when Opt is an uncached optimiser
-// (optimizer.NewUncached). They feed logs and benchmark labels only; no golden-pinned result or
-// RunResult field includes them, so cached and uncached runs stay
-// byte-identical.
-func (e *Environment) PlanCacheStats() optimizer.PlanCacheStats {
-	return e.Opt.CacheStats()
-}
-
 // executeWorkload runs one round's queries under the configuration,
 // appending the per-query stats to the supplied buffer (reset first) —
 // Step hands the same backing array back every round — and returns the

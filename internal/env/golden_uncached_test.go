@@ -67,7 +67,7 @@ func TestUncachedOptimizerReproducesGoldens(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s/%s: uncached RunResult diverged from %s", c.regime, name, fixture)
 			}
-			if st := e.PlanCacheStats(); st != (optimizer.PlanCacheStats{}) {
+			if st := e.Opt.CacheStats(); st != (optimizer.PlanCacheStats{}) {
 				t.Errorf("%s/%s: uncached optimiser reported cache activity %+v", c.regime, name, st)
 			}
 		}

@@ -33,6 +33,7 @@ import (
 	"dbabandits/internal/mab"
 	"dbabandits/internal/policy"
 	"dbabandits/internal/runner"
+	"dbabandits/internal/workload"
 )
 
 // TenantSpec identifies one tenant database of the fleet: its
@@ -334,7 +335,7 @@ func runAdmitted(t TenantSpec, opts Options, donors []*donor) (tenantOut, error)
 // schemas, regimes and sizes. n < 1 gives no tenants, which Run
 // refuses.
 func DefaultFleet(n, rounds, maxStoredRows int) []TenantSpec {
-	benches := []string{"ssb", "tpch", "tpch-skew", "tpcds", "imdb"}
+	benches := workload.AllNames()
 	regimes := []env.Regime{env.Static, env.Shifting, env.Random, env.HTAP}
 	out := make([]TenantSpec, max(n, 0))
 	for i := range out {

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"dbabandits/internal/catalog"
 )
 
 // Config is a set of materialised indexes — the paper's "configuration"
@@ -138,12 +136,6 @@ func (c *Config) Has(id string) bool {
 	return ok
 }
 
-// Get returns the index by id.
-func (c *Config) Get(id string) (*Index, bool) {
-	ix, ok := c.byID[id]
-	return ix, ok
-}
-
 // OnTable returns the indexes on the table, in deterministic order.
 func (c *Config) OnTable(table string) []*Index { return c.byTable[table] }
 
@@ -159,17 +151,6 @@ func (c *Config) All() []*Index {
 
 // Len returns the number of indexes.
 func (c *Config) Len() int { return len(c.byID) }
-
-// SizeBytes sums the estimated sizes of all indexes against the schema.
-func (c *Config) SizeBytes(schema *catalog.Schema) int64 {
-	var total int64
-	for _, ix := range c.byID {
-		if meta, ok := schema.Table(ix.Table); ok {
-			total += ix.SizeBytes(meta)
-		}
-	}
-	return total
-}
 
 // Diff returns the indexes present in c but not in old — the set the
 // system must materialise when transitioning old -> c (s_t \ s_{t-1}).

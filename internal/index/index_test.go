@@ -190,8 +190,8 @@ func TestConfigAddDrop(t *testing.T) {
 	if c.Len() != 1 || !c.Has(a.ID()) {
 		t.Fatal("config state wrong after add")
 	}
-	if got, ok := c.Get(a.ID()); !ok || got.ID() != a.ID() {
-		t.Fatal("Get failed")
+	if c.byID[a.ID()] != a {
+		t.Fatal("index not stored by id")
 	}
 	if !c.Drop(a.ID()) || c.Len() != 0 {
 		t.Fatal("drop failed")
@@ -226,20 +226,6 @@ func TestConfigDiff(t *testing.T) {
 	}
 	if got := next.Diff(nil); len(got) != 2 {
 		t.Fatalf("diff vs nil = %d indexes", len(got))
-	}
-}
-
-func TestConfigSizeBytes(t *testing.T) {
-	schema := catalog.MustSchema("s", ordersMeta())
-	c := NewConfig()
-	a := New("orders", []string{"o_custkey"}, nil)
-	b := New("orders", []string{"o_date"}, []string{"o_total"})
-	c.Add(a)
-	c.Add(b)
-	meta := schema.MustTable("orders")
-	want := a.SizeBytes(meta) + b.SizeBytes(meta)
-	if got := c.SizeBytes(schema); got != want {
-		t.Fatalf("config size = %d, want %d", got, want)
 	}
 }
 

@@ -72,10 +72,6 @@ func (a *SparseArena) Take(dim, mark int) SparseVector {
 	return SparseVector{Dim: dim, Idx: a.idx[mark:n:n], Val: a.val[mark:n:n]}
 }
 
-// Len returns the number of entries currently in the arena (its
-// high-water mark within the round; diagnostics and tests).
-func (a *SparseArena) Len() int { return len(a.idx) }
-
 // CopySparse appends a copy of x's entries to dst's backing buffers and
 // returns the copy — the "copies out" arm of the arena discipline, used
 // for the few vectors that must outlive the round (the tuner's pending

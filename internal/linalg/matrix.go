@@ -35,16 +35,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Add increments element (i, j) by v.
-func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // MulVec computes m * v into a new vector.
 func (m *Matrix) MulVec(v Vector) Vector {
 	if m.Cols != len(v) {
@@ -191,19 +181,4 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 		}
 	}
 	return inv, nil
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference between
-// m and other; useful for drift checks in tests.
-func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		return math.Inf(1)
-	}
-	var worst float64
-	for i, v := range m.Data {
-		if d := math.Abs(v - other.Data[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

@@ -165,9 +165,3 @@ func (rs *RidgeState) rebase() {
 // Updates reports how many observations have been folded in over the
 // state's lifetime. Forget and rebase do not reset it.
 func (rs *RidgeState) Updates() int { return rs.updates }
-
-// SinceRebase reports how many rank-1 updates the current inverse has
-// absorbed since the last exact recomputation — the quantity the
-// cadence is measured against. Any rebase (the cadence's or Forget's)
-// resets it to zero.
-func (rs *RidgeState) SinceRebase() int { return rs.sinceRebase }

@@ -66,7 +66,7 @@ func TestRidgeDriftBoundedAgainstFreshInverse(t *testing.T) {
 					rs.Forget(0.3)
 				}
 			}
-			fresh, err := rs.V.Clone().Inverse()
+			fresh, err := cloneMatrix(rs.V).Inverse()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestRidgeDriftBoundedAgainstFreshInverse(t *testing.T) {
 			for i := range want {
 				thetaErr = math.Max(thetaErr, math.Abs(theta[i]-want[i]))
 			}
-			thetaErr /= want.MaxAbs()
+			thetaErr /= maxAbs(want)
 
 			var widthErr float64
 			for p := 0; p < 64; p++ {
@@ -86,7 +86,7 @@ func TestRidgeDriftBoundedAgainstFreshInverse(t *testing.T) {
 				widthErr = math.Max(widthErr, math.Abs(w-wantW)/wantW)
 			}
 			t.Logf("relative error vs fresh inverse: theta %.2g, widths %.2g (%d updates since the last rebase)",
-				thetaErr, widthErr, rs.SinceRebase())
+				thetaErr, widthErr, rs.sinceRebase)
 			if thetaErr > tol || widthErr > tol {
 				t.Fatalf("drift past %g: theta %g, widths %g", tol, thetaErr, widthErr)
 			}
@@ -184,8 +184,8 @@ func TestWidthClampNearSingular(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		rs.ObserveSparse(x, 1)
 	}
-	if rs.SinceRebase() != 200 {
-		t.Fatalf("a rebase fired (sinceRebase %d); the test needs the drifted inverse", rs.SinceRebase())
+	if rs.sinceRebase != 200 {
+		t.Fatalf("a rebase fired (sinceRebase %d); the test needs the drifted inverse", rs.sinceRebase)
 	}
 	if w := width(rs, x); math.IsNaN(w) || w < 0 {
 		t.Fatalf("near-singular width: %v", w)
@@ -218,35 +218,35 @@ func TestThetaTracksState(t *testing.T) {
 	rs.ObserveSparse(SparseFromDense(x), 3)
 
 	t1 := rs.Theta()
-	if want := rs.VInv.MulVec(rs.B); !t1.Equal(want, 0) {
+	if want := rs.VInv.MulVec(rs.B); !vecEqual(t1, want, 0) {
 		t.Fatalf("theta %v != V^{-1} b %v", t1, want)
 	}
 
 	y := SparseVector{Dim: dim, Idx: []int{3}, Val: []float64{2}}
 	rs.ObserveSparse(y, -5)
 	t2 := rs.Theta()
-	if t2.Equal(t1, 0) {
+	if vecEqual(t2, t1, 0) {
 		t.Fatal("theta unchanged after observation")
 	}
-	if want := rs.VInv.MulVec(rs.B); !t2.Equal(want, 0) {
+	if want := rs.VInv.MulVec(rs.B); !vecEqual(t2, want, 0) {
 		t.Fatalf("post-observe theta %v != V^{-1} b %v", t2, want)
 	}
 
 	rs.ObserveSparse(y, 2)
 	t3 := rs.Theta()
-	if t3.Equal(t2, 0) {
+	if vecEqual(t3, t2, 0) {
 		t.Fatal("theta unchanged after a second observation")
 	}
 
 	rs.Forget(0.9)
-	if rs.Theta().Equal(t3, 0) {
+	if vecEqual(rs.Theta(), t3, 0) {
 		t.Fatal("theta unchanged after Forget")
 	}
 }
 
 // TestSinceRebaseCounter pins the separated counter semantics: Updates
 // counts observations over the state's lifetime and never resets, while
-// SinceRebase counts rank-1 updates absorbed by the current inverse and
+// sinceRebase counts rank-1 updates absorbed by the current inverse and
 // is zeroed by every rebase — Forget's and the cadence's.
 func TestSinceRebaseCounter(t *testing.T) {
 	const dim = 4
@@ -259,27 +259,27 @@ func TestSinceRebaseCounter(t *testing.T) {
 	}
 
 	observe(3)
-	if rs.Updates() != 3 || rs.SinceRebase() != 3 {
-		t.Fatalf("after 3 observes: updates=%d sinceRebase=%d, want 3/3", rs.Updates(), rs.SinceRebase())
+	if rs.Updates() != 3 || rs.sinceRebase != 3 {
+		t.Fatalf("after 3 observes: updates=%d sinceRebase=%d, want 3/3", rs.Updates(), rs.sinceRebase)
 	}
 
 	rs.Forget(0.5)
 	if rs.Updates() != 3 {
 		t.Fatalf("Forget changed Updates: %d, want 3 (observations folded in)", rs.Updates())
 	}
-	if rs.SinceRebase() != 0 {
-		t.Fatalf("Forget's internal rebase left SinceRebase=%d, want 0", rs.SinceRebase())
+	if rs.sinceRebase != 0 {
+		t.Fatalf("Forget's internal rebase left SinceRebase=%d, want 0", rs.sinceRebase)
 	}
 
 	// The cadence runs from the Forget rebase: rebaseEvery-1 more
 	// updates stay inside the window, the next one fires it.
 	observe(rebaseEvery - 1)
-	if rs.SinceRebase() != rebaseEvery-1 {
-		t.Fatalf("%d observes after Forget: sinceRebase=%d", rebaseEvery-1, rs.SinceRebase())
+	if rs.sinceRebase != rebaseEvery-1 {
+		t.Fatalf("%d observes after Forget: sinceRebase=%d", rebaseEvery-1, rs.sinceRebase)
 	}
 	observe(1)
-	if rs.SinceRebase() != 0 {
-		t.Fatalf("cadence rebase did not fire: sinceRebase=%d, want 0", rs.SinceRebase())
+	if rs.sinceRebase != 0 {
+		t.Fatalf("cadence rebase did not fire: sinceRebase=%d, want 0", rs.sinceRebase)
 	}
 	if want := 3 + rebaseEvery; rs.Updates() != want {
 		t.Fatalf("updates=%d, want %d", rs.Updates(), want)

@@ -122,15 +122,15 @@ func TestSnapshotRebaseSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.SinceRebase() != rs.SinceRebase() {
-		t.Fatalf("rebase position %d, want %d", restored.SinceRebase(), rs.SinceRebase())
+	if restored.sinceRebase != rs.sinceRebase {
+		t.Fatalf("rebase position %d, want %d", restored.sinceRebase, rs.sinceRebase)
 	}
 	x := SparseFromDense(Vector{1, 0.5, 0, -1})
 	for i := 0; i < rebaseEvery; i++ {
 		rs.ObserveSparse(x, 1)
 		restored.ObserveSparse(x, 1)
-		if restored.SinceRebase() != rs.SinceRebase() {
-			t.Fatalf("update %d: restored sinceRebase %d, want %d", i, restored.SinceRebase(), rs.SinceRebase())
+		if restored.sinceRebase != rs.sinceRebase {
+			t.Fatalf("update %d: restored sinceRebase %d, want %d", i, restored.sinceRebase, rs.sinceRebase)
 		}
 	}
 }

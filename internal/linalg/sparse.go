@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SparseVector is a sparse column vector of logical dimension Dim:
 // parallel slices of ascending, unique indices and their values. The
@@ -34,18 +31,6 @@ func SparseFromDense(v Vector) SparseVector {
 		}
 	}
 	return s
-}
-
-// NNZ returns the number of stored entries.
-func (s SparseVector) NNZ() int { return len(s.Idx) }
-
-// At returns component i (0 when not stored).
-func (s SparseVector) At(i int) float64 {
-	k := sort.SearchInts(s.Idx, i)
-	if k < len(s.Idx) && s.Idx[k] == i {
-		return s.Val[k]
-	}
-	return 0
 }
 
 // Dense materialises the full vector.

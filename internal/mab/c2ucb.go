@@ -49,9 +49,6 @@ func NewC2UCB(dim int, lambda float64) *C2UCB {
 // BeginRound advances the round counter (Algorithm 1, line 3).
 func (b *C2UCB) BeginRound() { b.round++ }
 
-// Round returns the current 1-based round.
-func (b *C2UCB) Round() int { return b.round }
-
 // ScoresInto computes the UCB score for every context (Algorithm 1,
 // line 8) into a caller-supplied slice (len(out) must equal
 // len(contexts)):
@@ -94,9 +91,3 @@ func (b *C2UCB) Update(contexts []linalg.SparseVector, rewards []float64) {
 // Forget discounts learned knowledge toward the prior by gamma in [0,1];
 // the tuner calls it scaled by detected workload-shift intensity.
 func (b *C2UCB) Forget(gamma float64) { b.state.Forget(gamma) }
-
-// Theta exposes the current coefficient estimate (diagnostics/tests).
-func (b *C2UCB) Theta() linalg.Vector { return b.state.Theta() }
-
-// Dim returns the context dimensionality.
-func (b *C2UCB) Dim() int { return b.state.Dim }

@@ -29,9 +29,11 @@ func TestC2UCBLearnsLinearScores(t *testing.T) {
 		}
 		b.Update(ctxs, rewards)
 	}
-	got := b.Theta()
-	if !got.Equal(theta, 0.2) {
-		t.Fatalf("theta = %v, want approx %v", got, theta)
+	got := b.state.Theta()
+	for i := range theta {
+		if math.Abs(got[i]-theta[i]) > 0.2 {
+			t.Fatalf("theta = %v, want approx %v", got, theta)
+		}
 	}
 }
 
@@ -40,7 +42,7 @@ func TestC2UCBScoresIncludeExplorationBoost(t *testing.T) {
 	b.BeginRound()
 	x := linalg.SparseFromDense(linalg.Vector{1, 0, 0})
 	ucb := ucbScores(b, []linalg.SparseVector{x})[0]
-	point := b.Theta().DotSparse(x)
+	point := b.state.Theta().DotSparse(x)
 	if ucb <= point {
 		t.Fatalf("UCB %v should exceed point estimate %v for unexplored arm", ucb, point)
 	}
@@ -50,11 +52,11 @@ func TestC2UCBBoostShrinksWithObservations(t *testing.T) {
 	b := NewC2UCB(3, 1)
 	x := linalg.SparseFromDense(linalg.Vector{1, 0.5, 0})
 	b.BeginRound()
-	before := ucbScores(b, []linalg.SparseVector{x})[0] - b.Theta().DotSparse(x)
+	before := ucbScores(b, []linalg.SparseVector{x})[0] - b.state.Theta().DotSparse(x)
 	for i := 0; i < 30; i++ {
 		b.Update([]linalg.SparseVector{x}, []float64{0})
 	}
-	after := ucbScores(b, []linalg.SparseVector{x})[0] - b.Theta().DotSparse(x)
+	after := ucbScores(b, []linalg.SparseVector{x})[0] - b.state.Theta().DotSparse(x)
 	if after >= before {
 		t.Fatalf("exploration boost did not shrink: %v -> %v", before, after)
 	}
@@ -77,7 +79,7 @@ func TestC2UCBGeneralisesToUnseenArms(t *testing.T) {
 		b.Update([]linalg.SparseVector{sx}, []float64{theta.DotSparse(sx) + rng.NormFloat64()*0.01})
 	}
 	unseen := linalg.SparseFromDense(linalg.Vector{1, 1, 0, 0}) // never played exactly
-	got, want := b.Theta().DotSparse(unseen), theta.DotSparse(unseen)
+	got, want := b.state.Theta().DotSparse(unseen), theta.DotSparse(unseen)
 	if math.Abs(got-want) > 0.5 {
 		t.Fatalf("unseen arm estimate %v, want approx %v", got, want)
 	}
@@ -89,12 +91,12 @@ func TestC2UCBForgetResetsKnowledge(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		b.Update([]linalg.SparseVector{x}, []float64{10})
 	}
-	if b.Theta()[0] < 5 {
-		t.Fatalf("theta not learned: %v", b.Theta())
+	if b.state.Theta()[0] < 5 {
+		t.Fatalf("theta not learned: %v", b.state.Theta())
 	}
 	b.Forget(1)
-	if math.Abs(b.Theta()[0]) > 1e-9 {
-		t.Fatalf("theta after full forget: %v", b.Theta())
+	if math.Abs(b.state.Theta()[0]) > 1e-9 {
+		t.Fatalf("theta after full forget: %v", b.state.Theta())
 	}
 }
 
@@ -146,7 +148,7 @@ func TestQuickC2UCBUnbiased(t *testing.T) {
 			x := linalg.SparseVector{Dim: dim, Idx: []int{i}, Val: []float64{1}}
 			b.Update([]linalg.SparseVector{x}, []float64{w[i]})
 		}
-		got := b.Theta()
+		got := b.state.Theta()
 		for i := range w {
 			if math.Abs(got[i]-w[i]) > 0.5 {
 				return false
@@ -170,7 +172,16 @@ func ucbScores(b *C2UCB, contexts []linalg.SparseVector) []float64 {
 func pointEstimates(b *C2UCB, contexts []linalg.SparseVector) []float64 {
 	out := make([]float64, len(contexts))
 	for i, x := range contexts {
-		out[i] = b.Theta().DotSparse(x)
+		out[i] = b.state.Theta().DotSparse(x)
 	}
 	return out
+}
+
+// sqNorm returns the squared Euclidean norm of v.
+func sqNorm(v linalg.Vector) float64 {
+	var s float64
+	for _, x := range v {
+		s += x * x
+	}
+	return s
 }

@@ -112,22 +112,3 @@ func (qs *QueryStore) ShiftIntensity() float64 {
 	}
 	return float64(qs.lastRoundNew) / float64(qs.lastRoundObserved)
 }
-
-// Templates returns all known templates sorted by first-seen round
-// (diagnostics).
-func (qs *QueryStore) Templates() []*TemplateInfo {
-	out := make([]*TemplateInfo, 0, len(qs.bySig))
-	for _, ti := range qs.bySig {
-		out = append(out, ti)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].FirstSeen != out[j].FirstSeen {
-			return out[i].FirstSeen < out[j].FirstSeen
-		}
-		return out[i].Signature < out[j].Signature
-	})
-	return out
-}
-
-// Len returns the number of known templates.
-func (qs *QueryStore) Len() int { return len(qs.bySig) }

@@ -41,12 +41,13 @@ func TestQueryStoreObserveAndQoI(t *testing.T) {
 func TestQueryStoreFrequency(t *testing.T) {
 	qs := NewQueryStore()
 	qs.Observe(1, []*query.Query{tq(1, "o_date"), tq(1, "o_date"), tq(1, "o_date")})
-	tis := qs.Templates()
-	if len(tis) != 1 || tis[0].Frequency != 3 || tis[0].LastRoundCount != 3 {
-		t.Fatalf("template info = %+v", tis[0])
+	if len(qs.bySig) != 1 {
+		t.Fatalf("len = %d", len(qs.bySig))
 	}
-	if qs.Len() != 1 {
-		t.Fatalf("len = %d", qs.Len())
+	for _, ti := range qs.bySig {
+		if ti.Frequency != 3 || ti.LastRoundCount != 3 {
+			t.Fatalf("template info = %+v", ti)
+		}
 	}
 }
 

@@ -129,9 +129,9 @@ func TestTunerRestoreRejectsCorruptState(t *testing.T) {
 			if err := fresh.Restore(snap); err == nil {
 				t.Fatal("corrupt snapshot accepted")
 			}
-			if fresh.round != 0 || fresh.bandit.Round() != 0 || len(fresh.store.bySig) != 0 {
+			if fresh.round != 0 || fresh.bandit.round != 0 || len(fresh.store.bySig) != 0 {
 				t.Fatalf("refused restore mutated the tuner: round %d, bandit round %d, %d templates",
-					fresh.round, fresh.bandit.Round(), len(fresh.store.bySig))
+					fresh.round, fresh.bandit.round, len(fresh.store.bySig))
 			}
 		})
 	}

@@ -84,7 +84,7 @@ func TestTransferBasisWarmStartsFromDonor(t *testing.T) {
 	if fresh.Bandit().state.Updates() == 0 {
 		t.Fatal("transfer warm start produced no observations")
 	}
-	if fresh.Bandit().Theta().Norm2() == 0 {
+	if sqNorm(fresh.Bandit().state.Theta()) == 0 {
 		t.Fatal("transfer gains were uniformly zero: donor knowledge did not reach the recipient")
 	}
 }

@@ -143,9 +143,6 @@ func (t *Tuner) Config() *index.Config { return t.cfg }
 // Bandit exposes the underlying C2UCB (diagnostics and tests).
 func (t *Tuner) Bandit() *C2UCB { return t.bandit }
 
-// Store exposes the query store (diagnostics and tests).
-func (t *Tuner) Store() *QueryStore { return t.store }
-
 // Recommendation is the result of one tuning round.
 type Recommendation struct {
 	Config *index.Config

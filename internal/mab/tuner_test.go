@@ -157,7 +157,11 @@ func TestTunerRespectsMemoryBudget(t *testing.T) {
 	h.schema = schema
 	for round := 1; round <= 6; round++ {
 		h.round(t, selectiveWorkload(round))
-		if got := h.tuner.Config().SizeBytes(h.schema); got > budget {
+		var got int64
+		for _, ix := range h.tuner.Config().All() {
+			got += ix.SizeBytes(h.schema.MustTable(ix.Table))
+		}
+		if got > budget {
 			t.Fatalf("round %d config size %d exceeds budget %d", round, got, budget)
 		}
 	}
@@ -191,7 +195,7 @@ func TestTunerForgettingOnShift(t *testing.T) {
 	// Forgetting discounts V and b together, so theta barely moves; the
 	// observable effect is renewed exploration: the confidence width of a
 	// well-explored direction must grow back after a shift.
-	dense := linalg.NewVector(h.tuner.Bandit().Dim())
+	dense := linalg.NewVector(h.tuner.Bandit().state.Dim)
 	for i := range dense {
 		dense[i] = 1 // aggregate direction: touches every explored dim
 	}
@@ -221,7 +225,7 @@ func TestTunerForgettingDisabledAblation(t *testing.T) {
 	for round := 1; round <= 6; round++ {
 		h.round(t, selectiveWorkload(round))
 	}
-	thetaBefore := h.tuner.Bandit().Theta().Norm2()
+	thetaBefore := sqNorm(h.tuner.Bandit().state.Theta())
 	shifted := []*query.Query{{
 		TemplateID: 99,
 		Tables:     []string{"part"},
@@ -230,8 +234,8 @@ func TestTunerForgettingDisabledAblation(t *testing.T) {
 		},
 	}}
 	h.round(t, shifted)
-	thetaAfter := h.tuner.Bandit().Theta().Norm2()
-	if thetaAfter < thetaBefore*0.5 {
+	thetaAfter := sqNorm(h.tuner.Bandit().state.Theta())
+	if thetaAfter < thetaBefore*0.25 {
 		t.Fatalf("ablated forgetting still shrank theta: %v -> %v", thetaBefore, thetaAfter)
 	}
 }

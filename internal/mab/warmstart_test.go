@@ -14,8 +14,7 @@ func TestWarmStartSeedsKnowledge(t *testing.T) {
 	if h.tuner.Bandit().state.Updates() == 0 {
 		t.Fatal("warm start produced no observations")
 	}
-	theta := h.tuner.Bandit().Theta()
-	if theta.Norm2() == 0 {
+	if sqNorm(h.tuner.Bandit().state.Theta()) == 0 {
 		t.Fatal("warm start did not move theta")
 	}
 }

@@ -228,33 +228,6 @@ func TestWhatIfCostDropsWithUsefulIndex(t *testing.T) {
 	}
 }
 
-func TestWhatIfWorkloadCost(t *testing.T) {
-	schema, _ := testdb.Build(1)
-	o := New(schema, engine.DefaultCostModel())
-	qs := []*query.Query{
-		{Tables: []string{"orders"}},
-		{Tables: []string{"customer"}},
-	}
-	total, calls, err := o.WhatIfWorkloadCost(qs, index.NewConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 || total <= 0 {
-		t.Fatalf("total=%v calls=%d", total, calls)
-	}
-
-	// A failing query returns its error at once; calls counts the queries
-	// priced before it, in workload order, and the total is zeroed.
-	broken := []*query.Query{qs[0], qs[1], {Tables: []string{"ghost"}}, qs[0]}
-	total, calls, err = o.WhatIfWorkloadCost(broken, index.NewConfig())
-	if err == nil {
-		t.Fatal("workload with an unknown table priced without error")
-	}
-	if calls != 2 || total != 0 {
-		t.Fatalf("on error: total=%v calls=%d, want 0/2", total, calls)
-	}
-}
-
 func TestChoosePlanErrors(t *testing.T) {
 	schema, _ := testdb.Build(1)
 	o := New(schema, engine.DefaultCostModel())

@@ -17,18 +17,3 @@ func (o *Optimizer) WhatIfCost(q *query.Query, cfg *index.Config) (float64, erro
 	}
 	return plan.EstCost, nil
 }
-
-// WhatIfWorkloadCost sums WhatIfCost over a workload; WhatIfCalls reports
-// how many optimiser invocations that took, which the PDTool baseline
-// converts into recommendation time.
-func (o *Optimizer) WhatIfWorkloadCost(queries []*query.Query, cfg *index.Config) (total float64, calls int, err error) {
-	for _, q := range queries {
-		c, err := o.WhatIfCost(q, cfg)
-		if err != nil {
-			return 0, calls, err
-		}
-		total += c
-		calls++
-	}
-	return total, calls, nil
-}

@@ -64,15 +64,18 @@ func TestRecommendImprovesEstimatedCost(t *testing.T) {
 	if rec.EstimatedBenefitSec <= 0 {
 		t.Fatalf("estimated benefit = %v", rec.EstimatedBenefitSec)
 	}
-	base, _, err := opt.WhatIfWorkloadCost(wl, index.NewConfig())
-	if err != nil {
-		t.Fatal(err)
+	cost := func(cfg *index.Config) float64 {
+		var total float64
+		for _, q := range wl {
+			c, err := opt.WhatIfCost(q, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += c
+		}
+		return total
 	}
-	with, _, err := opt.WhatIfWorkloadCost(wl, rec.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with >= base {
+	if base, with := cost(index.NewConfig()), cost(rec.Config); with >= base {
 		t.Fatalf("recommended config estimated no better: %v vs %v", with, base)
 	}
 }
@@ -84,7 +87,11 @@ func TestRecommendRespectsBudget(t *testing.T) {
 	budget := db.DataSizeBytes() / 30
 	a := New(schema, opt, Options{MemoryBudgetBytes: budget})
 	rec := a.Recommend(trainingWorkload())
-	if got := rec.Config.SizeBytes(schema); got > budget {
+	var got int64
+	for _, ix := range rec.Config.All() {
+		got += ix.SizeBytes(schema.MustTable(ix.Table))
+	}
+	if got > budget {
 		t.Fatalf("config size %d exceeds budget %d", got, budget)
 	}
 }

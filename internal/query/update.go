@@ -1,9 +1,6 @@
 package query
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // UpdateKind distinguishes the two update-shaped statement classes of the
 // HTAP regime.
@@ -65,16 +62,4 @@ func (u Update) Touches(indexColumns []string) bool {
 		}
 	}
 	return false
-}
-
-// SQL renders an equivalent SQL-ish text for logging and examples.
-func (u Update) SQL() string {
-	if u.Kind == UpdateInsert {
-		return fmt.Sprintf("INSERT INTO %s VALUES ... (%.0f rows)", u.Table, u.Rows)
-	}
-	cols := make([]string, len(u.Columns))
-	for i, c := range u.Columns {
-		cols[i] = c + " = ..."
-	}
-	return fmt.Sprintf("UPDATE %s SET %s WHERE ... (%.0f rows)", u.Table, strings.Join(cols, ", "), u.Rows)
 }

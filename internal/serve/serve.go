@@ -131,9 +131,6 @@ func New(opts Options) (*Session, error) {
 	}, nil
 }
 
-// Options returns the session's effective (defaulted) options.
-func (s *Session) Options() Options { return s.opts }
-
 // Window returns the number of windows served so far.
 func (s *Session) Window() int { return s.window }
 

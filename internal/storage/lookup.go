@@ -163,9 +163,6 @@ func (l *Lookup) slot(v int64) uint64 {
 	return i
 }
 
-// Dense reports whether the lookup finds buckets by direct offset.
-func (l *Lookup) Dense() bool { return l.table == nil }
-
 // lookups holds a table's per-column lookups, each built on first use.
 type lookups struct {
 	once sync.Once

@@ -50,10 +50,10 @@ func TestLookupMatchesMap(t *testing.T) {
 			want[v] = append(want[v], int32(r))
 		}
 		l := newLookup(col)
-		if n > 0 && trial%4 == 0 && !l.Dense() {
+		if n > 0 && trial%4 == 0 && l.table != nil {
 			t.Fatalf("trial %d: a 20-value domain over %d rows is not direct-offset", trial, n)
 		}
-		if slices.Contains(col, math.MinInt64) && slices.Contains(col, math.MaxInt64) && l.Dense() {
+		if slices.Contains(col, math.MinInt64) && slices.Contains(col, math.MaxInt64) && l.table == nil {
 			t.Fatalf("trial %d: values at the int64 extremes read as dense", trial)
 		}
 		probes := []int64{math.MinInt64, math.MaxInt64, 0, 1, 7, -7}
@@ -63,7 +63,7 @@ func TestLookupMatchesMap(t *testing.T) {
 		}
 		for _, v := range append(probes, col...) {
 			if got := match(l, v); !slices.Equal(got, want[v]) {
-				t.Fatalf("trial %d (dense %v): value %d matches %v, want %v", trial, l.Dense(), v, got, want[v])
+				t.Fatalf("trial %d (dense %v): value %d matches %v, want %v", trial, l.table == nil, v, got, want[v])
 			}
 		}
 		// The buckets partition the rows.
@@ -71,7 +71,7 @@ func TestLookupMatchesMap(t *testing.T) {
 		for b := 0; b < l.Buckets(); b++ {
 			seen += len(l.Rows(b))
 		}
-		if seen != n || (!l.Dense() && l.Buckets() != len(want)) {
+		if seen != n || (l.table != nil && l.Buckets() != len(want)) {
 			t.Fatalf("trial %d: %d buckets hold %d rows; want %d rows in %d values", trial, l.Buckets(), seen, n, len(want))
 		}
 	}
@@ -96,8 +96,8 @@ func TestLookupDenseRule(t *testing.T) {
 		{nil, true},
 	} {
 		l := newLookup(c.col)
-		if l.Dense() != c.dense {
-			t.Errorf("%v: dense %v, want %v", c.col, l.Dense(), c.dense)
+		if (l.table == nil) != c.dense {
+			t.Errorf("%v: dense %v, want %v", c.col, l.table == nil, c.dense)
 		}
 		for r, v := range c.col {
 			if got := match(l, v); !slices.Contains(got, int32(r)) {
@@ -184,7 +184,7 @@ func TestLookupConcurrentFirstProbes(t *testing.T) {
 			}
 		}
 	}
-	if l, _ := db.MustTable("b").Lookup("wide"); l.Dense() {
+	if l, _ := db.MustTable("b").Lookup("wide"); l.table == nil {
 		t.Fatal("b.wide, keyed 1e9 apart, should be hashed")
 	}
 	if _, ok := db.MustTable("a").Lookup("ghost"); ok {

@@ -152,30 +152,3 @@ func (s *RandomSequencer) Round(r int) []*query.Query {
 
 // Rounds implements Sequencer.
 func (s *RandomSequencer) Rounds() int { return s.rounds }
-
-// RepeatFraction measures the round-to-round template repeat rate of a
-// sequencer over its rounds — used to validate the 45-54% band the paper
-// reports for dynamic random workloads.
-func RepeatFraction(s Sequencer) float64 {
-	prev := map[int]bool{}
-	var repeats, total int
-	for r := 1; r <= s.Rounds(); r++ {
-		cur := map[int]bool{}
-		for _, q := range s.Round(r) {
-			cur[q.TemplateID] = true
-		}
-		if r > 1 {
-			for id := range cur {
-				total++
-				if prev[id] {
-					repeats++
-				}
-			}
-		}
-		prev = cur
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(repeats) / float64(total)
-}
