@@ -91,6 +91,7 @@ func TestUnreachedFixture(t *testing.T) {
 // reachModule is one module the check loads: its path and directory.
 type reachModule struct{ path, dir string }
 
+// reachPkg is one type-checked package with its syntax.
 type reachPkg struct {
 	files []*ast.File
 	info  *types.Info
@@ -102,22 +103,18 @@ type reachPkg struct {
 // the standard library comes from the source importer.
 type reachLoader struct {
 	fset *token.FileSet
-	dirs map[string]string
+	dirs map[string]*build.Package
 	pkgs map[string]*reachPkg
 	std  types.Importer
 }
 
 func (l *reachLoader) Import(p string) (*types.Package, error) {
-	dir, ok := l.dirs[p]
+	bp, ok := l.dirs[p]
 	if !ok {
 		return l.std.Import(p)
 	}
 	if pkg := l.pkgs[p]; pkg != nil {
 		return pkg.tp, nil
-	}
-	bp, err := build.ImportDir(dir, 0)
-	if err != nil {
-		return nil, err
 	}
 	pkg := &reachPkg{info: &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -126,13 +123,14 @@ func (l *reachLoader) Import(p string) (*types.Package, error) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}
 	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, 0)
+		f, err := parser.ParseFile(l.fset, filepath.Join(bp.Dir, name), nil, 0)
 		if err != nil {
 			return nil, err
 		}
 		pkg.files = append(pkg.files, f)
 	}
 	conf := types.Config{Importer: l}
+	var err error
 	if pkg.tp, err = conf.Check(p, l.fset, pkg.files, pkg.info); err != nil {
 		return nil, err
 	}
@@ -149,7 +147,7 @@ func (l *reachLoader) Import(p string) (*types.Package, error) {
 // String() string and Error() string, which fmt calls.
 func unreached(mods []reachModule, skip string, allow map[string]string) ([]string, error) {
 	fset := token.NewFileSet()
-	l := &reachLoader{fset: fset, dirs: map[string]string{}, pkgs: map[string]*reachPkg{},
+	l := &reachLoader{fset: fset, dirs: map[string]*build.Package{}, pkgs: map[string]*reachPkg{},
 		std: importer.ForCompiler(fset, "source", nil)}
 	for _, m := range mods {
 		err := filepath.WalkDir(m.dir, func(p string, d fs.DirEntry, err error) error {
@@ -166,7 +164,7 @@ func unreached(mods []reachModule, skip string, allow map[string]string) ([]stri
 			}
 			if bp, err := build.ImportDir(p, 0); err == nil && len(bp.GoFiles) > 0 {
 				rel, _ := filepath.Rel(m.dir, p)
-				l.dirs[path.Join(m.path, filepath.ToSlash(rel))] = p
+				l.dirs[path.Join(m.path, filepath.ToSlash(rel))] = bp
 			}
 			return nil
 		})
@@ -182,14 +180,12 @@ func unreached(mods []reachModule, skip string, allow map[string]string) ([]stri
 
 	reached := map[types.Object]bool{}
 	set := map[types.Object]bool{}
+	// ifaces collects the interfaces the program's expressions mention,
+	// down through composite types and signatures but not into the
+	// underlying type of a named one.
 	ifaces := map[*types.Interface]bool{}
 	var walk func(types.Type)
-	seen := map[types.Type]bool{}
 	walk = func(t types.Type) {
-		if t == nil || seen[t] {
-			return
-		}
-		seen[t] = true
 		switch t := t.(type) {
 		case *types.Named:
 			if it, ok := t.Underlying().(*types.Interface); ok {
@@ -289,7 +285,6 @@ func unreached(mods []reachModule, skip string, allow map[string]string) ([]stri
 			if !self[id] {
 				reached[origin(o)] = true
 			}
-			walk(o.Type())
 		}
 		for _, tv := range info.Types {
 			walk(tv.Type)
@@ -380,9 +375,7 @@ func origin(o types.Object) types.Object {
 
 // fmtMethod reports whether m is String() string or Error() string.
 func fmtMethod(m *types.Func) bool {
-	sig := m.Type().(*types.Signature)
-	return (m.Name() == "String" || m.Name() == "Error") && sig.Params().Len() == 0 &&
-		sig.Results().Len() == 1 && types.Identical(sig.Results().At(0).Type(), types.Typ[types.String])
+	return (m.Name() == "String" || m.Name() == "Error") && m.Type().String() == "func() string"
 }
 
 // viaInterface reports whether T or *T satisfies an interface that
