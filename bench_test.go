@@ -1,9 +1,10 @@
-// bench_test.go hosts one benchmark per paper table and figure plus the
-// ablation and micro benchmarks called out in DESIGN.md. The macro
-// benches run shrunken experiments (few rounds, small stored row caps) so
-// `go test -bench=.` finishes in minutes; `cmd/experiments` runs the
-// full-scale regeneration. Custom metrics report the simulated totals the
-// figures plot, so benchmark output doubles as a shape check.
+// bench_test.go hosts one benchmark per paper table and figure plus
+// ablation benchmarks of the paper's mechanisms and micro benchmarks of
+// the hot paths. The macro benches run shrunken experiments (few rounds,
+// small stored row caps) so `go test -bench=.` finishes in minutes;
+// `cmd/experiments` runs the full-scale regeneration. Custom metrics
+// report the simulated totals the figures plot, so benchmark output
+// doubles as a shape check.
 package dbabandits
 
 import (
@@ -210,7 +211,7 @@ func BenchmarkFig8RLComparison(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md section 5) ---
+// --- Ablations (the README's "Ablation ledger" holds the measured grid) ---
 
 // BenchmarkAblationWarmStart compares cold start against what-if
 // pre-training (Section VII's cold-start mitigation).

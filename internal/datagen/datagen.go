@@ -119,16 +119,6 @@ func Build(schema *catalog.Schema, opts Options) (*storage.Database, error) {
 	return db, nil
 }
 
-// MustBuild is Build that panics on error; benchmark definitions are
-// static and covered by tests, so errors indicate programmer mistakes.
-func MustBuild(schema *catalog.Schema, opts Options) *storage.Database {
-	db, err := Build(schema, opts)
-	if err != nil {
-		panic(err)
-	}
-	return db
-}
-
 func generateColumn(db *storage.Database, t *catalog.Table, pt *storage.Table, ci int, seed int64) ([]int64, error) {
 	col := &t.Columns[ci]
 	n := pt.StoredRows

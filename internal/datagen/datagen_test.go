@@ -8,7 +8,18 @@ import (
 
 	"dbabandits/internal/catalog"
 	"dbabandits/internal/query"
+	"dbabandits/internal/storage"
 )
+
+// mustBuild builds testSchema at seed and fails the test on an error.
+func mustBuild(t *testing.T, seed int64) *storage.Database {
+	t.Helper()
+	db, err := Build(testSchema(), Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
 
 func testSchema() *catalog.Schema {
 	dim := &catalog.Table{
@@ -92,7 +103,7 @@ func TestFixedSizeTableIgnoresSF(t *testing.T) {
 }
 
 func TestSequentialColumn(t *testing.T) {
-	db := MustBuild(testSchema(), Options{Seed: 2})
+	db := mustBuild(t, 2)
 	ids := db.MustTable("dim").MustColumn("d_id")
 	for i, v := range ids {
 		if v != int64(i+1) {
@@ -102,7 +113,7 @@ func TestSequentialColumn(t *testing.T) {
 }
 
 func TestForeignKeyReferencesStoredDomain(t *testing.T) {
-	db := MustBuild(testSchema(), Options{Seed: 3})
+	db := mustBuild(t, 3)
 	dimIDs := map[int64]bool{}
 	for _, v := range db.MustTable("dim").MustColumn("d_id") {
 		dimIDs[v] = true
@@ -120,7 +131,7 @@ func TestForeignKeyReferencesStoredDomain(t *testing.T) {
 }
 
 func TestZipfSkewsCounts(t *testing.T) {
-	db := MustBuild(testSchema(), Options{Seed: 4})
+	db := mustBuild(t, 4)
 	col := db.MustTable("fact").MustColumn("f_zipf")
 	counts := map[int64]int{}
 	for _, v := range col {
@@ -140,7 +151,7 @@ func TestZipfSkewsCounts(t *testing.T) {
 }
 
 func TestCorrelatedColumnTracksSource(t *testing.T) {
-	db := MustBuild(testSchema(), Options{Seed: 5})
+	db := mustBuild(t, 5)
 	fact := db.MustTable("fact")
 	src := fact.MustColumn("f_uni")
 	dst := fact.MustColumn("f_corr")
@@ -161,7 +172,7 @@ func TestCorrelatedColumnTracksSource(t *testing.T) {
 }
 
 func TestStatsComputedFromStoredData(t *testing.T) {
-	db := MustBuild(testSchema(), Options{Seed: 6})
+	db := mustBuild(t, 6)
 	col, _ := db.Schema.MustTable("fact").Column("f_uni")
 	if col.Stats.NDV <= 0 || col.Stats.NDV > 1000 {
 		t.Fatalf("NDV = %d", col.Stats.NDV)
@@ -176,8 +187,8 @@ func TestStatsComputedFromStoredData(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := MustBuild(testSchema(), Options{Seed: 7})
-	b := MustBuild(testSchema(), Options{Seed: 7})
+	a := mustBuild(t, 7)
+	b := mustBuild(t, 7)
 	ca := a.MustTable("fact").MustColumn("f_zipf")
 	cb := b.MustTable("fact").MustColumn("f_zipf")
 	for i := range ca {
@@ -185,7 +196,7 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("row %d differs: %d vs %d", i, ca[i], cb[i])
 		}
 	}
-	c := MustBuild(testSchema(), Options{Seed: 8})
+	c := mustBuild(t, 8)
 	cc := c.MustTable("fact").MustColumn("f_zipf")
 	same := true
 	for i := range ca {
@@ -231,7 +242,7 @@ func TestBuildErrors(t *testing.T) {
 }
 
 func TestSelectAndCountAgree(t *testing.T) {
-	db := MustBuild(testSchema(), Options{Seed: 9})
+	db := mustBuild(t, 9)
 	fact := db.MustTable("fact")
 	preds := []query.Predicate{
 		{Table: "fact", Column: "f_uni", Op: query.OpRange, Lo: 100, Hi: 400},

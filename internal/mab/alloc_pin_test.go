@@ -40,7 +40,7 @@ func TestWarmContextBuildAllocs(t *testing.T) {
 }
 
 // TestWarmGenerateAllocs pins the memoised arm-generation path at its
-// contractual floor: a workload the generator has already seen costs
+// contractual floor: replaying the workload the generator saw last costs
 // exactly one allocation — the fresh result slice Generate must return
 // (callers may reorder and retain it; the *Arm values are memoised).
 func TestWarmGenerateAllocs(t *testing.T) {

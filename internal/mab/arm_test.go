@@ -1,11 +1,15 @@
 package mab
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"dbabandits/internal/catalog"
+	"dbabandits/internal/datagen"
 	"dbabandits/internal/query"
 	"dbabandits/internal/testdb"
+	"dbabandits/internal/workload"
 )
 
 // figure1Query mirrors the paper's Figure 1 example: a single-table query
@@ -261,6 +265,78 @@ func TestGenerateMemoDistinguishesJoins(t *testing.T) {
 		}
 	}
 	t.Fatal("memo served join-free protos: no arm on the join column")
+}
+
+// randomQoISets returns n distinct QoI sets, the rounds of a seeded
+// random TPC-DS sequence, with the schema they run on.
+func randomQoISets(t *testing.T, n int) (*catalog.Schema, [][]*query.Query) {
+	t.Helper()
+	bench, err := workload.ByName("tpcds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := bench.NewSchema()
+	db, err := datagen.Build(schema, datagen.Options{Seed: 1, ScaleFactor: 10, MaxStoredRows: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := workload.NewRandom(bench, db, 1, n)
+	sets := make([][]*query.Query, n)
+	for r := range sets {
+		sets[r] = seq.Round(r + 1)
+	}
+	return schema, sets
+}
+
+func TestGenerateRemembersOneArmSet(t *testing.T) {
+	// The generator remembers the arm set of the last QoI sequence only:
+	// after each of several distinct sets it holds exactly the arms it
+	// just returned, a replay hands out those same *Arm values, and the
+	// first set is rebuilt rather than served from memory.
+	schema, sets := randomQoISets(t, 4)
+	g := NewArmGenerator(schema)
+	var first []*Arm
+	keys := map[string]bool{}
+	for i, qs := range sets {
+		arms := g.Generate(qs)
+		if i == 0 {
+			first = arms
+		}
+		if !slices.Equal(g.lastArms, arms) {
+			t.Fatalf("set %d: the generator does not hold the arm set it just built", i)
+		}
+		if replay := g.Generate(qs); !slices.Equal(replay, arms) {
+			t.Fatalf("set %d: the replay returned different arm values", i)
+		}
+		keys[g.lastKey] = true
+	}
+	if len(keys) != len(sets) || len(first) == 0 {
+		t.Fatalf("fixture invalid: %d distinct QoI sets, %d arms in the first", len(keys), len(first))
+	}
+	if g.Generate(sets[0])[0] == first[0] {
+		t.Fatal("the first QoI set was served from memory after others replaced it")
+	}
+}
+
+func TestGenerateRebuildsEvictedSetEqual(t *testing.T) {
+	// A, B, A: the second A is rebuilt after B replaced it, and must
+	// equal the first in id, size, motivating and covered templates.
+	schema, sets := randomQoISets(t, 2)
+	g := NewArmGenerator(schema)
+	a1 := g.Generate(sets[0])
+	g.Generate(sets[1])
+	a2 := g.Generate(sets[0])
+	if len(a1) == 0 || len(a1) != len(a2) {
+		t.Fatalf("rebuilt %d arms, want %d", len(a2), len(a1))
+	}
+	for i := range a1 {
+		x, y := a1[i], a2[i]
+		if x.ID() != y.ID() || x.SizeBytes != y.SizeBytes ||
+			!slices.Equal(x.Queries, y.Queries) || !slices.Equal(x.CoveringFor, y.CoveringFor) {
+			t.Fatalf("arm %d: rebuilt %s %d %v %v, first %s %d %v %v", i,
+				y.ID(), y.SizeBytes, y.Queries, y.CoveringFor, x.ID(), x.SizeBytes, x.Queries, x.CoveringFor)
+		}
+	}
 }
 
 func TestPermutationsOfSubsets(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 // contract of the serving mode.
 //
 // Deliberately not serialised:
-//   - the arm generator's proto/result memos (pure caches of
+//   - the arm generator's proto memo and last arm set (pure caches of
 //     deterministic content; rebuilt on demand),
 //   - pending mid-round feedback state (snapshots are refused until the
 //     round's ObserveExecution has landed).

@@ -79,9 +79,11 @@ func EstimateFilteredRows(meta *catalog.Table, preds []query.Predicate) float64 
 // JoinCardinality estimates |L join R| with the standard containment
 // assumption |L| * |R| / max(ndv(lcol), ndv(rcol)), corrected for the
 // sampled statistics: NDVs are computed on the stored sample while row
-// counts are logical, so the estimate divides by the smaller side's
-// sample multiplier to stay commensurate with the sampled ground truth
-// (out_logical = out_stored * max(mult) algebra; see DESIGN.md).
+// counts are logical. The stored sides hold L/mL and R/mR rows, so their
+// join yields (L/mL)(R/mR)/maxNDV stored rows, and the engine scales a
+// join's output by the larger multiplier. Multiplying by max(mL, mR)
+// leaves L*R / (maxNDV * min(mL, mR)): the estimate divides by the
+// smaller side's multiplier to match the sampled ground truth.
 func JoinCardinality(lRows float64, lMeta *catalog.Table, lCol string,
 	rRows float64, rMeta *catalog.Table, rCol string) float64 {
 	maxNDV := 1.0

@@ -59,15 +59,17 @@ func Schema() *catalog.Schema {
 
 // Build materialises the fixture at the given seed with default options.
 func Build(seed int64) (*catalog.Schema, *storage.Database) {
-	s := Schema()
-	db := datagen.MustBuild(s, datagen.Options{Seed: seed})
-	return s, db
+	return BuildScaled(seed, 0, 0)
 }
 
 // BuildScaled materialises the fixture with a scale factor and stored-row
-// cap, exercising the row-multiplier path.
+// cap, exercising the row-multiplier path. It panics on an error: the
+// fixture schema is static, so an error is a mistake in this file.
 func BuildScaled(seed int64, sf float64, cap int) (*catalog.Schema, *storage.Database) {
 	s := Schema()
-	db := datagen.MustBuild(s, datagen.Options{Seed: seed, ScaleFactor: sf, MaxStoredRows: cap})
+	db, err := datagen.Build(s, datagen.Options{Seed: seed, ScaleFactor: sf, MaxStoredRows: cap})
+	if err != nil {
+		panic(err)
+	}
 	return s, db
 }

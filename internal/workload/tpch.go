@@ -24,10 +24,11 @@ func jn(lt, lc, rt, rc string) query.Join {
 
 // TPCH returns the TPC-H benchmark; skewed=true yields the TPC-H Skew
 // variant: the same schema with zipfian value distributions and
-// correlated columns, mirroring Microsoft's TPC-H Skew generator (the
-// paper uses zipf factor 4; here s=2 on a bounded domain — see DESIGN.md
-// for the substitution note: stored-sample NDVs keep the uniformity
-// misestimate just as severe while preserving meaningful domains).
+// correlated columns, mirroring Microsoft's TPC-H Skew generator. The
+// paper uses zipf factor 4; here s=2 on a bounded domain, because at
+// s=4 about 92% of the draws are the first value and the domain stops
+// being meaningful. The optimiser's NDVs come from the stored sample,
+// so s=2 keeps its uniformity misestimate just as severe.
 func TPCH(skewed bool) *Benchmark {
 	name := "tpch"
 	if skewed {

@@ -183,10 +183,13 @@ func TestShiftingSequencerRaggedTotals(t *testing.T) {
 }
 
 func TestRandomSequencerRepeatBand(t *testing.T) {
-	// The paper reports 45-54% round-to-round repeat under dynamic random
-	// workloads. Check the sequencer lands in a sane band around it: the
-	// share of each round's distinct templates that the round before it
-	// also ran.
+	// The repeat fraction is the share of each round's distinct templates
+	// that the round before it also ran. The paper reports 45-54% under
+	// dynamic random workloads; NewRandom measures 0.636 on both tpch and
+	// tpcds at seed 13 over 25 rounds, above that band. The test does not
+	// assert the paper's band: moving NewRandom's draw into it would
+	// change every random-regime golden. It checks a sane band around
+	// the measurement instead.
 	for _, name := range []string{"tpch", "tpcds"} {
 		b, db := buildBench(t, name)
 		s := NewRandom(b, db, 13, 25)
@@ -208,7 +211,7 @@ func TestRandomSequencerRepeatBand(t *testing.T) {
 			prev = cur
 		}
 		f := float64(repeats) / float64(total)
-		if total == 0 || f < 0.3 || f < 0.01 {
+		if total == 0 || f < 0.3 {
 			t.Fatalf("%s repeat fraction %v too low", name, f)
 		}
 		if f > 0.85 {
@@ -255,16 +258,20 @@ func TestIMDbDataSizeRealistic(t *testing.T) {
 
 func TestTPCHDataSizeScales(t *testing.T) {
 	b, _ := buildBench(t, "tpch")
-	s1 := b.NewSchema()
-	datagen.MustBuild(s1, datagen.Options{Seed: 1, ScaleFactor: 1, MaxStoredRows: 1000})
-	s10 := b.NewSchema()
-	datagen.MustBuild(s10, datagen.Options{Seed: 1, ScaleFactor: 10, MaxStoredRows: 1000})
-	r := float64(s10.DataSizeBytes()) / float64(s1.DataSizeBytes())
+	size := func(sf float64) int64 {
+		s := b.NewSchema()
+		if _, err := datagen.Build(s, datagen.Options{Seed: 1, ScaleFactor: sf, MaxStoredRows: 1000}); err != nil {
+			t.Fatal(err)
+		}
+		return s.DataSizeBytes()
+	}
+	s10 := size(10)
+	r := float64(s10) / float64(size(1))
 	if r < 8 || r > 12 {
 		t.Fatalf("SF10/SF1 size ratio = %v, want ~10", r)
 	}
 	// SF10 should be in the ~10GB ballpark the paper reports.
-	gb := float64(s10.DataSizeBytes()) / (1 << 30)
+	gb := float64(s10) / (1 << 30)
 	if gb < 4 || gb > 20 {
 		t.Fatalf("TPC-H SF10 = %.1f GB, want roughly 10", gb)
 	}

@@ -74,12 +74,13 @@ func TestNoUnreachedDeclarations(t *testing.T) {
 // files each carry one case, so the check above cannot pass by finding
 // nothing.
 func TestUnreachedFixture(t *testing.T) {
-	got, err := unreached([]reachModule{{"reach", "testdata/reach"}}, "",
+	got, err := unreached([]reachModule{{"reach", "testdata/reach"}}, "reach/helper",
 		map[string]string{"lib.Facade": "stands for a facade declaration"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
+		"lib.Helped: no non-test code reaches it",
 		"lib.Options.Debug: no non-test code sets it",
 		"lib.Unused: no non-test code reaches it",
 	}
@@ -142,9 +143,11 @@ func (l *reachLoader) Import(p string) (*types.Package, error) {
 // each package-level func, method, const, var, type and struct field of
 // a non-main package of mods[0] (skip aside) that no non-test file
 // references, each exported field of an options or params struct that
-// no non-test code sets, and each allow entry that is stale. A method
-// that an interface in the program names is reached, and so are
-// String() string and Error() string, which fmt calls.
+// no non-test code sets, and each allow entry that is stale. skip is a
+// test-helper package that only _test.go files import, so its own
+// references and settings count as test code. A method that an
+// interface in the program names is reached, and so are String() string
+// and Error() string, which fmt calls.
 func unreached(mods []reachModule, skip string, allow map[string]string) ([]string, error) {
 	fset := token.NewFileSet()
 	l := &reachLoader{fset: fset, dirs: map[string]*build.Package{}, pkgs: map[string]*reachPkg{},
@@ -220,7 +223,10 @@ func unreached(mods []reachModule, skip string, allow map[string]string) ([]stri
 			}
 		}
 	}
-	for _, pkg := range l.pkgs {
+	for p, pkg := range l.pkgs {
+		if p == skip {
+			continue
+		}
 		info := pkg.info
 		self := map[*ast.Ident]bool{}
 		setField := func(e ast.Expr) {

@@ -5,6 +5,10 @@ package lib
 // Unused is an exported func that nothing references: reported.
 func Unused() int { return 1 }
 
+// Helped is referenced only by package helper, which only tests import:
+// reported.
+func Helped() int { return 2 }
+
 // Facade is referenced by nothing either, but the test allowlists it.
 func Facade() {}
 
