@@ -165,18 +165,10 @@ func (c *Config) Diff(old *Config) []*Index {
 	return out
 }
 
-// DiffBoth computes both sides of the transition old -> c in one pass:
-// the indexes to materialise (in c, not old; sorted like Diff) and the
-// ids to drop (in old, not c; sorted). The round driver previously
-// derived the drop list by re-querying Has per sorted id — this folds
-// both sides into the diff the creation pricing already needs.
+// DiffBoth computes both sides of the transition old -> c: the indexes
+// to materialise (Diff) and the ids to drop (in old, not c; sorted).
 func (c *Config) DiffBoth(old *Config) (create []*Index, drop []string) {
-	for id, ix := range c.byID {
-		if old == nil || !old.Has(id) {
-			create = append(create, ix)
-		}
-	}
-	sortIndexes(create)
+	create = c.Diff(old)
 	if old != nil {
 		for id := range old.byID {
 			if !c.Has(id) {

@@ -56,9 +56,8 @@ const (
 // index object (with its id string already built), its estimated size,
 // and whether it covers the motivating query shape. Everything in it is a
 // pure function of the query's structure — tables, predicate columns and
-// operators, joins, payload. query.Signature() canonises all of those
-// except the join predicates (shapeKey appends them), so protos are
-// shared across rounds and across query instances.
+// operators, joins, payload — which query.Signature() canonises, so
+// protos are shared across rounds and across query instances.
 type armProto struct {
 	ix     *index.Index
 	size   int64
@@ -67,17 +66,18 @@ type armProto struct {
 
 // ArmGenerator turns queries of interest into candidate arms.
 //
-// Generation is memoised at two levels, exploiting that query instances
-// of one template differ only in constants. Per (query shape, table) the
-// full key-order enumeration (permutations, capped orderings, covering
-// variants, sizes, ids) is computed once ever. The final deduplicated
-// sorted arm set is remembered for the last QoI sequence only. On the
-// repository benchmark every arm-set hit replays the call just before
-// it (118 of 120 static TPC-DS rounds, 118 of 119 HTAP advisor rounds),
-// and ad-hoc and serving traffic never hits (0 of 1200 random rounds, 0
-// of 300 serving windows), so one remembered set keeps every hit. A
-// generator is not safe for concurrent use (each tuner instance owns
-// one).
+// Generation is memoised at two levels, both keyed by the query's one
+// shape key, query.Signature(), since instances of one template differ
+// only in constants. Per (query shape, table) the full key-order
+// enumeration (permutations, capped orderings, covering variants, sizes,
+// ids) is computed once ever. The final deduplicated sorted arm set is
+// remembered for the last QoI sequence, an ordered list of (template
+// id, shape) pairs, only. On the repository benchmark every arm-set hit
+// replays the call just before it (118 of 120 static TPC-DS rounds, 118
+// of 119 HTAP advisor rounds), and ad-hoc and serving traffic never hits
+// (0 of 1200 random rounds, 0 of 300 serving windows), so one remembered
+// set keeps every hit. A generator is not safe for concurrent use (each
+// tuner instance owns one).
 type ArmGenerator struct {
 	schema *catalog.Schema
 
@@ -87,17 +87,12 @@ type ArmGenerator struct {
 	lastKey  string
 	lastArms []*Arm
 
-	// Per-call scratch, reused across rounds: the shape keys and result
-	// key of Generate, the shape-canonicalisation buffers, and the
-	// column-classification sets of proto enumeration.
-	sigs     []string
-	keyBuf   []byte
-	joinOrd  []int
-	shapeBuf []byte
-	shapes   map[string]string // interned shape keys of joined queries
-	colSet   map[string]bool
-	eqCols   map[string]bool
-	rngCols  map[string]bool
+	// Per-call scratch, reused across rounds: the result key of Generate
+	// and the column-classification sets of proto enumeration.
+	keyBuf  []byte
+	colSet  map[string]bool
+	eqCols  map[string]bool
+	rngCols map[string]bool
 }
 
 // protoKey addresses the proto memo without concatenating its parts.
@@ -111,7 +106,6 @@ func NewArmGenerator(schema *catalog.Schema) *ArmGenerator {
 	return &ArmGenerator{
 		schema:  schema,
 		protos:  map[protoKey][]armProto{},
-		shapes:  map[string]string{},
 		colSet:  map[string]bool{},
 		eqCols:  map[string]bool{},
 		rngCols: map[string]bool{},
@@ -123,21 +117,20 @@ func NewArmGenerator(schema *catalog.Schema) *ArmGenerator {
 // generation keeps the action space proportional to the observed
 // workload's predicate columns rather than all column combinations.
 //
-// Callers must treat the returned arms as immutable: the same *Arm
-// values are handed out again when the next call replays the same QoI
-// sequence.
+// The proto memo and the last-arm-set replay are both keyed by each
+// query's Signature(), which covers everything arm generation reads of
+// a query but its constants. Callers must treat the returned arms as
+// immutable: the same *Arm values are handed out again when the next
+// call replays the same QoI sequence.
 func (g *ArmGenerator) Generate(qois []*query.Query) []*Arm {
-	sigs := g.sigs[:0]
 	buf := g.keyBuf[:0]
 	for _, q := range qois {
-		sig := g.shapeKey(q)
-		sigs = append(sigs, sig)
 		buf = strconv.AppendInt(buf, int64(q.TemplateID), 10)
 		buf = append(buf, 0)
-		buf = append(buf, sig...)
+		buf = append(buf, q.Signature()...)
 		buf = append(buf, 1)
 	}
-	g.sigs, g.keyBuf = sigs, buf
+	g.keyBuf = buf
 	// Comparing string(buf) does not allocate, so a replay of the last
 	// QoI sequence allocates only the returned copy.
 	if g.lastArms != nil && string(buf) == g.lastKey {
@@ -145,13 +138,13 @@ func (g *ArmGenerator) Generate(qois []*query.Query) []*Arm {
 	}
 
 	byID := map[string]*Arm{}
-	for qi, q := range qois {
+	for _, q := range qois {
 		for _, tname := range q.Tables {
 			meta, ok := g.schema.Table(tname)
 			if !ok {
 				continue
 			}
-			pkey := protoKey{shape: sigs[qi], table: tname}
+			pkey := protoKey{shape: q.Signature(), table: tname}
 			protos, ok := g.protos[pkey]
 			if !ok {
 				protos = g.protosForTable(q, meta)
@@ -179,88 +172,6 @@ func (g *ArmGenerator) Generate(qois []*query.Query) []*Arm {
 
 	g.lastKey, g.lastArms = string(buf), arms
 	return append([]*Arm(nil), arms...)
-}
-
-// shapeKey canonises everything arm generation depends on: the query's
-// Signature() (tables, predicate columns and operators, payload) plus
-// the join predicates, which Signature omits but JoinColumnsOn feeds
-// into the candidate key columns. Join-free queries (the common case)
-// return the signature memo directly; joined ones assemble the key in
-// generator-owned scratch, costing one allocation per join plus the
-// result string.
-func (g *ArmGenerator) shapeKey(q *query.Query) string {
-	sig := q.Signature()
-	if len(q.Joins) == 0 {
-		return sig
-	}
-	buf := append(g.shapeBuf[:0], sig...)
-	buf = append(buf, 2)
-	if len(q.Joins) == 1 {
-		// Single join (the common case): no ordering to canonise, append
-		// the parts straight into the scratch buffer.
-		j := q.Joins[0]
-		buf = appendJoin(buf, j)
-	} else {
-		// Multiple joins: canonise their order by sorting indices
-		// componentwise in scratch (an insertion sort over a handful of
-		// joins) and append each directly — no per-join string
-		// materialisation, so replayed joined templates stay
-		// allocation-free. Any fixed total order canonises equally; the
-		// key only ever meets keys built the same way.
-		ord := g.joinOrd[:0]
-		for i := range q.Joins {
-			ord = append(ord, i)
-		}
-		for i := 1; i < len(ord); i++ {
-			for k := i; k > 0 && joinLess(q.Joins[ord[k]], q.Joins[ord[k-1]]); k-- {
-				ord[k], ord[k-1] = ord[k-1], ord[k]
-			}
-		}
-		g.joinOrd = ord
-		for i, oi := range ord {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendJoin(buf, q.Joins[oi])
-		}
-	}
-	g.shapeBuf = buf
-	// Intern the canonical key: steady-state rounds replay the same
-	// joined templates, and the map lookup on the byte buffer is
-	// allocation-free.
-	if s, ok := g.shapes[string(buf)]; ok {
-		return s
-	}
-	s := string(buf)
-	g.shapes[s] = s
-	return s
-}
-
-// joinLess orders joins componentwise (left table, left column, right
-// table, right column) — the fixed total order the multi-join shape key
-// canonises with.
-func joinLess(a, b query.Join) bool {
-	if a.LeftTable != b.LeftTable {
-		return a.LeftTable < b.LeftTable
-	}
-	if a.LeftColumn != b.LeftColumn {
-		return a.LeftColumn < b.LeftColumn
-	}
-	if a.RightTable != b.RightTable {
-		return a.RightTable < b.RightTable
-	}
-	return a.RightColumn < b.RightColumn
-}
-
-func appendJoin(buf []byte, j query.Join) []byte {
-	buf = append(buf, j.LeftTable...)
-	buf = append(buf, '.')
-	buf = append(buf, j.LeftColumn...)
-	buf = append(buf, '=')
-	buf = append(buf, j.RightTable...)
-	buf = append(buf, '.')
-	buf = append(buf, j.RightColumn...)
-	return buf
 }
 
 // protosForTable enumerates the candidate indexes one query shape

@@ -234,9 +234,10 @@ func TestGenerateMemoKeyedByQoISet(t *testing.T) {
 }
 
 func TestGenerateMemoDistinguishesJoins(t *testing.T) {
-	// query.Signature() omits join predicates, but arm generation feeds
-	// join columns into the candidate keys — the memo must not serve a
-	// join-free query's protos to a signature-colliding joined query.
+	// Arm generation feeds join columns into the candidate keys, so the
+	// shape key the memo uses, query.Signature(), must tell a joined
+	// query from its join-free twin, and the memo must not serve the
+	// join-free query's protos to the joined one.
 	schema, _ := testdb.Build(1)
 	g := NewArmGenerator(schema)
 	plain := &query.Query{
@@ -254,8 +255,8 @@ func TestGenerateMemoDistinguishesJoins(t *testing.T) {
 			{LeftTable: "orders", LeftColumn: "o_custkey", RightTable: "customer", RightColumn: "c_id"},
 		},
 	}
-	if plain.Signature() != joined.Signature() {
-		t.Fatal("fixture invalid: signatures expected to collide")
+	if plain.Signature() == joined.Signature() {
+		t.Fatalf("signature %q ignores the join", joined.Signature())
 	}
 	g.Generate([]*query.Query{plain}) // warm the memo with the join-free shape
 	arms := g.Generate([]*query.Query{joined})

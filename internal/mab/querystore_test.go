@@ -1,6 +1,7 @@
 package mab
 
 import (
+	"strings"
 	"testing"
 
 	"dbabandits/internal/query"
@@ -84,5 +85,40 @@ func TestQueryStoreLatestInstanceWins(t *testing.T) {
 	qoi := qs.QoI(2)
 	if len(qoi) != 1 || qoi[0].Filters[0].Lo != 99 {
 		t.Fatal("QoI did not keep the latest instance")
+	}
+}
+
+func TestRestoreQueryStoreKeysByInstance(t *testing.T) {
+	// A template is keyed by its instance's Signature(), not by the
+	// stored string, which older builds wrote without the joins.
+	joined := tq(1, "o_date")
+	joined.Tables = append(joined.Tables, "customer")
+	joined.Joins = []query.Join{{LeftTable: "orders", LeftColumn: "o_custkey", RightTable: "customer", RightColumn: "c_id"}}
+	qs, err := RestoreQueryStore(&QueryStoreSnapshot{
+		LastRound: 1,
+		Templates: []TemplateInfo{
+			{ID: 1, Signature: "customer,orders|orders.o_date=|", Frequency: 1, FirstSeen: 1, LastSeen: 1, LastInstance: joined},
+			{ID: 2, Signature: "orders|orders.o_status=|", Frequency: 1, FirstSeen: 1, LastSeen: 1, LastInstance: tq(2, "o_status")},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := tq(1, "o_date")
+	again.Tables, again.Joins = joined.Tables, joined.Joins
+	if n := qs.Observe(2, []*query.Query{again, tq(2, "o_status")}); n != 0 {
+		t.Fatalf("restored templates seen as new: %d", n)
+	}
+	if got := qs.Snapshot().Templates[0].Signature; got != joined.Signature() {
+		t.Fatalf("restored template keeps stored signature %q, want %q", got, joined.Signature())
+	}
+
+	// Two templates of one shape can only be hand-made: refuse them.
+	_, err = RestoreQueryStore(&QueryStoreSnapshot{Templates: []TemplateInfo{
+		{ID: 1, Signature: "a", LastInstance: tq(1, "o_date")},
+		{ID: 2, Signature: "b", LastInstance: tq(2, "o_date")},
+	}})
+	if err == nil || !strings.Contains(err.Error(), "two templates of shape") {
+		t.Fatalf("duplicate shape: err = %v", err)
 	}
 }

@@ -18,7 +18,10 @@ import (
 //
 // Deliberately not serialised:
 //   - the arm generator's proto memo and last arm set (pure caches of
-//     deterministic content; rebuilt on demand),
+//     deterministic content, keyed by query.Signature(); rebuilt on
+//     demand),
+//   - each query's memoised Signature() (recomputed from the instance,
+//     which is how RestoreQueryStore keys the restored store),
 //   - pending mid-round feedback state (snapshots are refused until the
 //     round's ObserveExecution has landed).
 
@@ -50,9 +53,13 @@ func (qs *QueryStore) Snapshot() *QueryStoreSnapshot {
 	return s
 }
 
-// RestoreQueryStore rebuilds a store from its snapshot. A template
-// without its last instance is refused: QoI would hand it to arm
-// generation as a nil query.
+// RestoreQueryStore rebuilds a store from its snapshot, keying each
+// template by its last instance's Signature() rather than the stored
+// string, so snapshots from builds whose signatures left out the joins
+// restore to the store this build would have grown. A template without
+// its last instance is refused (QoI would hand it to arm generation as
+// a nil query), and so are two templates of one shape, which Observe
+// never produces: the later would silently replace the earlier.
 func RestoreQueryStore(s *QueryStoreSnapshot) (*QueryStore, error) {
 	if s == nil {
 		return nil, fmt.Errorf("mab: nil query-store snapshot")
@@ -68,7 +75,12 @@ func RestoreQueryStore(s *QueryStoreSnapshot) (*QueryStore, error) {
 		if ti.LastInstance == nil {
 			return nil, fmt.Errorf("mab: query-store snapshot template %q has no instance", ti.Signature)
 		}
-		qs.bySig[ti.Signature] = &ti
+		sig := ti.LastInstance.Signature()
+		if _, dup := qs.bySig[sig]; dup {
+			return nil, fmt.Errorf("mab: query-store snapshot has two templates of shape %q", sig)
+		}
+		ti.Signature = sig
+		qs.bySig[sig] = &ti
 	}
 	return qs, nil
 }

@@ -102,7 +102,8 @@ func TestTunerRestoreRejectsDimensionMismatch(t *testing.T) {
 // TestTunerRestoreRejectsCorruptState pins that a snapshot whose bandit
 // reward scale is below 1 or non-finite (Update clamps the live scale
 // to at least 1) or whose store holds a template without an instance
-// (arm generation would get a nil query) is refused, and that a refused
+// (arm generation would get a nil query) or two templates of one shape
+// (one would silently replace the other) is refused, and that a refused
 // restore leaves the tuner untouched.
 func TestTunerRestoreRejectsCorruptState(t *testing.T) {
 	h := newMiniHarness(t, TunerOptions{})
@@ -117,6 +118,9 @@ func TestTunerRestoreRejectsCorruptState(t *testing.T) {
 		{"reward scale NaN", func(s *TunerSnapshot) { s.Bandit.RewardScale = math.NaN() }},
 		{"reward scale +Inf", func(s *TunerSnapshot) { s.Bandit.RewardScale = math.Inf(1) }},
 		{"template without instance", func(s *TunerSnapshot) { s.Store.Templates[0].LastInstance = nil }},
+		{"two templates of one shape", func(s *TunerSnapshot) {
+			s.Store.Templates[1].LastInstance = s.Store.Templates[0].LastInstance
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -111,7 +111,6 @@ type roundScratch struct {
 	scores   []float64
 	predCols map[query.ColumnRef]bool
 	existing map[string]bool
-	created  map[string]bool
 	selPos   map[*Arm]int
 	oracle   oracleScratch
 	rewards  []float64
@@ -181,7 +180,6 @@ func (t *Tuner) Recommend(lastWorkload []*query.Query) *Recommendation {
 	if s.predCols == nil {
 		s.predCols = map[query.ColumnRef]bool{}
 		s.existing = map[string]bool{}
-		s.created = map[string]bool{}
 		s.selPos = map[*Arm]int{}
 	}
 	clear(s.predCols)
@@ -240,14 +238,12 @@ func (t *Tuner) Recommend(lastWorkload []*query.Query) *Recommendation {
 		t.pendingCreated = map[string]bool{}
 	}
 	clear(t.pendingCreated)
-	clear(s.created)
-	for _, ix := range create {
-		s.created[ix.ID()] = true
-	}
 	clear(s.selPos)
 	for i, a := range selected {
 		s.selPos[a] = i
-		t.pendingCreated[a.ID()] = s.created[a.ID()]
+		// t.cfg is still the previous configuration: an arm is created
+		// this round exactly when it was not already materialised.
+		t.pendingCreated[a.ID()] = !t.cfg.Has(a.ID())
 	}
 	for i, a := range arms {
 		if j, ok := s.selPos[a]; ok {

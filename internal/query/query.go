@@ -7,6 +7,7 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -227,12 +228,14 @@ func (q *Query) SQL() string {
 	return b.String()
 }
 
-// Signature returns a canonical string identifying the query's template
-// shape (tables, predicate columns and operators, payload), ignoring the
-// literal constants. The query store uses it to recognise returning
-// templates even when TemplateID is absent. The string is memoised on
-// the query: instances are immutable once instantiated, and the tuner's
-// store and arm generator each ask once per round.
+// Signature returns a canonical string identifying the query's shape:
+// tables, filter columns and operators, payload columns and join
+// predicates, ignoring the literal constants. It is the one shape key
+// of the tuner: the query store recognises returning templates by it
+// and the arm generator memoises candidate indexes by it. Each section
+// is sorted and each join's two sides are put in a fixed order, so the
+// key does not depend on the order a query lists them in. The string
+// is memoised on the query: instances are immutable once instantiated.
 func (q *Query) Signature() string {
 	if q.sig == "" {
 		q.sig = q.computeSignature()
@@ -240,26 +243,79 @@ func (q *Query) Signature() string {
 	return q.sig
 }
 
+// computeSignature renders "tables|filters|payload|joins" into one
+// buffer sized up front, so a signature costs two allocations: the
+// buffer and the string.
 func (q *Query) computeSignature() string {
-	var b strings.Builder
-	tabs := append([]string(nil), q.Tables...)
-	sort.Strings(tabs)
-	b.WriteString(strings.Join(tabs, ","))
-	b.WriteByte('|')
-	preds := make([]string, len(q.Filters))
-	for i, p := range q.Filters {
-		preds[i] = fmt.Sprintf("%s.%s%s", p.Table, p.Column, p.Op)
+	size := 3
+	for _, t := range q.Tables {
+		size += len(t) + 1
 	}
-	sort.Strings(preds)
-	b.WriteString(strings.Join(preds, ","))
-	b.WriteByte('|')
-	pay := make([]string, len(q.Payload))
-	for i, c := range q.Payload {
-		pay[i] = c.Table + "." + c.Column
+	for _, p := range q.Filters {
+		size += len(p.Table) + len(p.Column) + len(p.Op.String()) + 2
 	}
-	sort.Strings(pay)
-	b.WriteString(strings.Join(pay, ","))
-	return b.String()
+	for _, c := range q.Payload {
+		size += len(c.Table) + len(c.Column) + 2
+	}
+	for _, j := range q.Joins {
+		size += len(j.LeftTable) + len(j.LeftColumn) + len(j.RightTable) + len(j.RightColumn) + 4
+	}
+	// appendSection needs room for a section twice over.
+	buf := make([]byte, 0, 2*size)
+	buf = appendSection(buf, len(q.Tables), func(buf []byte, i int) []byte {
+		return append(buf, q.Tables[i]...)
+	})
+	buf = append(buf, '|')
+	buf = appendSection(buf, len(q.Filters), func(buf []byte, i int) []byte {
+		p := q.Filters[i]
+		return append(appendRef(buf, p.Table, p.Column), p.Op.String()...)
+	})
+	buf = append(buf, '|')
+	buf = appendSection(buf, len(q.Payload), func(buf []byte, i int) []byte {
+		return appendRef(buf, q.Payload[i].Table, q.Payload[i].Column)
+	})
+	buf = append(buf, '|')
+	buf = appendSection(buf, len(q.Joins), func(buf []byte, i int) []byte {
+		j := q.Joins[i]
+		lt, lc, rt, rc := j.LeftTable, j.LeftColumn, j.RightTable, j.RightColumn
+		if rt < lt || rt == lt && rc < lc {
+			lt, lc, rt, rc = rt, rc, lt, lc
+		}
+		return appendRef(append(appendRef(buf, lt, lc), '='), rt, rc)
+	})
+	return string(buf)
+}
+
+// appendSection appends the n elements render produces to buf, sorted
+// and comma-separated. The elements are rendered behind the section's
+// start, then appended again in sorted order and moved into place.
+func appendSection(buf []byte, n int, render func(buf []byte, i int) []byte) []byte {
+	var spanArr [32][2]int
+	spans := spanArr[:0]
+	start := len(buf)
+	for i := 0; i < n; i++ {
+		from := len(buf)
+		buf = render(buf, i)
+		spans = append(spans, [2]int{from, len(buf)})
+	}
+	// Insertion sort: a section holds a handful of elements.
+	for i := 1; i < len(spans); i++ {
+		for k := i; k > 0 && bytes.Compare(buf[spans[k][0]:spans[k][1]], buf[spans[k-1][0]:spans[k-1][1]]) < 0; k-- {
+			spans[k], spans[k-1] = spans[k-1], spans[k]
+		}
+	}
+	rendered := len(buf)
+	for i, sp := range spans {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, buf[sp[0]:sp[1]]...)
+	}
+	return buf[:start+copy(buf[start:], buf[rendered:])]
+}
+
+func appendRef(buf []byte, table, column string) []byte {
+	return append(append(append(buf, table...), '.'), column...)
 }
 
 func sortedKeys(set map[string]bool) []string {

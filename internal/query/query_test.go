@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -158,19 +159,46 @@ func TestQuickBoundsMatchOperators(t *testing.T) {
 	}
 }
 
-// Property: signature is permutation-invariant in tables and filters.
+// Property: signature is permutation-invariant in tables, filters,
+// payload and joins, and in the two sides of each join.
 func TestQuickSignaturePermutationInvariant(t *testing.T) {
-	f := func(swap bool) bool {
+	withJoins := func() *Query {
 		q := sampleQuery()
-		p := sampleQuery()
-		if swap {
-			p.Tables[0], p.Tables[1] = p.Tables[1], p.Tables[0]
-			p.Filters[0], p.Filters[1] = p.Filters[1], p.Filters[0]
-			p.Payload[0], p.Payload[1] = p.Payload[1], p.Payload[0]
+		q.Tables = append(q.Tables, "lineitem", "nation")
+		q.Joins = append(q.Joins,
+			Join{LeftTable: "lineitem", LeftColumn: "l_orderkey", RightTable: "orders", RightColumn: "o_id"},
+			Join{LeftTable: "customer", LeftColumn: "c_nation", RightTable: "nation", RightColumn: "n_id"},
+		)
+		return q
+	}
+	want := withJoins().Signature()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := withJoins()
+		rng.Shuffle(len(p.Tables), func(i, j int) { p.Tables[i], p.Tables[j] = p.Tables[j], p.Tables[i] })
+		rng.Shuffle(len(p.Filters), func(i, j int) { p.Filters[i], p.Filters[j] = p.Filters[j], p.Filters[i] })
+		rng.Shuffle(len(p.Payload), func(i, j int) { p.Payload[i], p.Payload[j] = p.Payload[j], p.Payload[i] })
+		rng.Shuffle(len(p.Joins), func(i, j int) { p.Joins[i], p.Joins[j] = p.Joins[j], p.Joins[i] })
+		for i, j := range p.Joins {
+			if rng.Intn(2) == 0 {
+				p.Joins[i] = Join{LeftTable: j.RightTable, LeftColumn: j.RightColumn, RightTable: j.LeftTable, RightColumn: j.LeftColumn}
+			}
 		}
-		return q.Signature() == p.Signature()
+		return p.Signature() == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSignatureReflectsJoins(t *testing.T) {
+	a := sampleQuery()
+	b := sampleQuery()
+	b.Joins[0].RightColumn = "c_custkey"
+	c := sampleQuery()
+	c.Joins = nil
+	if a.Signature() == b.Signature() || a.Signature() == c.Signature() || b.Signature() == c.Signature() {
+		t.Fatalf("queries differing only in a join share a signature: %q, %q, %q",
+			a.Signature(), b.Signature(), c.Signature())
 	}
 }
