@@ -14,9 +14,9 @@ test:
 # Race-detector pass over the concurrent code (worker pool + harness)
 # and the ridge, bandit, policy/env/serve, fleet, optimiser, index,
 # engine and storage layers every experiment cell, fleet tenant and
-# serving session drives from those workers (index.Config memoises its
-# table signatures and storage builds its join lookups lazily, both on
-# first read).
+# serving session drives from those workers (storage builds its join
+# lookups lazily on first read; index.Config is plain data that workers
+# share read-only).
 race:
 	$(GO) test -race ./internal/runner/... ./internal/linalg/... ./internal/mab/... ./internal/harness/... ./internal/policy/... ./internal/env/... ./internal/serve/... ./internal/fleet/... ./internal/optimizer/... ./internal/index/... ./internal/engine/... ./internal/storage/...
 

@@ -1,26 +1,13 @@
 package index
 
-import (
-	"sort"
-	"strings"
-	"sync"
-)
+import "sort"
 
 // Config is a set of materialised indexes — the paper's "configuration"
-// s_t. The zero value is not usable; construct with NewConfig.
+// s_t. The zero value is not usable; construct with NewConfig. Reads
+// never write, so concurrent readers are safe while nobody mutates it.
 type Config struct {
 	byID    map[string]*Index
 	byTable map[string][]*Index
-
-	// sigs memoises TableSig per table, invalidated on Add/Drop. Lazy:
-	// configs that never reach the optimiser pay nothing. TableSig reads
-	// like OnTable but fills the memo, so sigMu keeps it as safe as the
-	// other read methods for concurrent readers, such as two optimisers
-	// pricing one Config from separate goroutines; they then share only
-	// the memo, never a write to the content maps. Mutating a Config
-	// while it is being read remains forbidden, exactly as for OnTable.
-	sigMu sync.Mutex
-	sigs  map[string]string
 }
 
 // NewConfig returns an empty configuration.
@@ -50,7 +37,6 @@ func (c *Config) Add(ix *Index) bool {
 	c.byID[id] = ix
 	c.byTable[ix.Table] = append(c.byTable[ix.Table], ix)
 	sortIndexes(c.byTable[ix.Table])
-	c.mutated(ix.Table)
 	return true
 }
 
@@ -71,64 +57,8 @@ func (c *Config) Drop(id string) bool {
 	if len(c.byTable[ix.Table]) == 0 {
 		delete(c.byTable, ix.Table)
 	}
-	c.mutated(ix.Table)
 	return true
 }
-
-// mutated records a content change: the touched table's memoised
-// signature is invalidated.
-func (c *Config) mutated(table string) {
-	if c.sigs != nil {
-		c.sigMu.Lock()
-		delete(c.sigs, table)
-		c.sigMu.Unlock()
-	}
-}
-
-// TableSig returns a canonical content signature of the configuration's
-// indexes on one table: the sorted index ids joined by an unprintable
-// separator, "" for a table with no indexes (or a nil Config). Equal
-// signatures mean equal index sets, so the optimiser's plan cache can
-// recognise that two configurations are indistinguishable for a query
-// touching only this table. Computed lazily and memoised until the next
-// Add/Drop on the table; safe for concurrent readers.
-func (c *Config) TableSig(table string) string {
-	if c == nil {
-		return ""
-	}
-	list := c.byTable[table]
-	if len(list) == 0 {
-		return ""
-	}
-	c.sigMu.Lock()
-	defer c.sigMu.Unlock()
-	if s, ok := c.sigs[table]; ok {
-		return s
-	}
-	n := 0
-	for _, ix := range list {
-		n += len(ix.ID()) + 1
-	}
-	var b strings.Builder
-	b.Grow(n - 1)
-	for i, ix := range list {
-		if i > 0 {
-			b.WriteByte(tableSigSep)
-		}
-		b.WriteString(ix.ID())
-	}
-	s := b.String()
-	if c.sigs == nil {
-		c.sigs = map[string]string{}
-	}
-	c.sigs[table] = s
-	return s
-}
-
-// tableSigSep separates index ids inside TableSig values; index ids are
-// built from identifier characters and "( ),", so a control byte can
-// never collide.
-const tableSigSep = 0x1f
 
 // Has reports whether the configuration contains the index id.
 func (c *Config) Has(id string) bool {

@@ -241,6 +241,24 @@ func TestConfigDeterministicOrder(t *testing.T) {
 	if ids[0] != "orders(o_custkey)" {
 		t.Fatalf("ids = %v", ids)
 	}
+
+	// OnTable's order depends on content only: not on insertion order,
+	// and not on a drop and re-add.
+	d := NewConfig()
+	d.Add(New("customer", []string{"c_nation"}, nil))
+	d.Add(New("orders", []string{"o_custkey"}, nil))
+	d.Add(New("orders", []string{"o_date"}, nil))
+	d.Drop(New("orders", []string{"o_custkey"}, nil).ID())
+	d.Add(New("orders", []string{"o_custkey"}, nil))
+	for _, cfg := range []*Config{c, d} {
+		var got []string
+		for _, ix := range cfg.OnTable("orders") {
+			got = append(got, ix.ID())
+		}
+		if len(got) != 2 || got[0] != "orders(o_custkey)" || got[1] != "orders(o_date)" {
+			t.Fatalf("OnTable order depends on insertion: %v", got)
+		}
+	}
 }
 
 // Property: subsumption is reflexive and antisymmetric up to equality.
@@ -283,71 +301,5 @@ func TestQuickSeekPrefixBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestConfigTableSig(t *testing.T) {
-	c := NewConfig()
-	if c.TableSig("orders") != "" {
-		t.Fatal("empty table sig non-empty")
-	}
-	a := New("orders", []string{"o_custkey"}, nil)
-	b := New("orders", []string{"o_date"}, nil)
-	other := New("customer", []string{"c_nation"}, nil)
-	c.Add(a)
-	c.Add(b)
-	c.Add(other)
-	sig := c.TableSig("orders")
-	if sig == "" || sig == c.TableSig("customer") {
-		t.Fatalf("bad sig %q", sig)
-	}
-	if c.TableSig("orders") != sig {
-		t.Fatal("memoised sig unstable")
-	}
-
-	// Same content in a different Config (built in a different order)
-	// yields the same signature.
-	d := NewConfig()
-	d.Add(b)
-	d.Add(a)
-	if d.TableSig("orders") != sig {
-		t.Fatalf("order-dependent sig: %q vs %q", d.TableSig("orders"), sig)
-	}
-
-	// Mutating one table invalidates only that table's signature.
-	custSig := c.TableSig("customer")
-	c.Drop(b.ID())
-	if c.TableSig("orders") == sig {
-		t.Fatal("sig unchanged after drop")
-	}
-	if c.TableSig("customer") != custSig {
-		t.Fatal("unrelated table sig changed")
-	}
-	c.Add(b)
-	if c.TableSig("orders") != sig {
-		t.Fatal("sig not restored after re-add")
-	}
-
-	var nilCfg *Config
-	if nilCfg.TableSig("orders") != "" {
-		t.Fatal("nil Config sig non-empty")
-	}
-}
-
-func TestConfigTableSigConcurrentReaders(t *testing.T) {
-	c := NewConfig()
-	c.Add(New("orders", []string{"o_custkey"}, nil))
-	c.Add(New("orders", []string{"o_date"}, nil))
-	want := c.TableSig("orders")
-	c.Drop(New("orders", []string{"o_date"}, nil).ID())
-	c.Add(New("orders", []string{"o_date"}, nil)) // sig recomputes lazily
-	done := make(chan string, 8)
-	for i := 0; i < 8; i++ {
-		go func() { done <- c.TableSig("orders") }()
-	}
-	for i := 0; i < 8; i++ {
-		if got := <-done; got != want {
-			t.Fatalf("concurrent sig %q, want %q", got, want)
-		}
 	}
 }

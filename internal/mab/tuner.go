@@ -363,12 +363,16 @@ func (t *Tuner) decayUsage(used map[string]bool) {
 	}
 }
 
+// RecommendSecPerArm is the modelled recommendation seconds per
+// candidate arm of a round, for every tuner that scores the MAB's arms.
+const RecommendSecPerArm = 0.0012
+
 // recommendSecModel converts a round's arm count into modelled
 // recommendation seconds. Calibrated so that the MAB's recommendation
 // overhead matches the paper's Table I profile: a sub-second continuous
 // overhead dominated by a first-round setup cost.
 func (t *Tuner) recommendSecModel(numArms int) float64 {
-	sec := 0.0012 * float64(numArms)
+	sec := RecommendSecPerArm * float64(numArms)
 	if t.round == 1 || t.bandit.state.Updates() == 0 && t.round <= 2 {
 		sec += 0.8
 	}

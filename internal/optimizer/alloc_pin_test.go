@@ -12,10 +12,11 @@ import (
 // which the race detector's instrumentation perturbs; they are skipped
 // under -race.
 
-// TestWarmHitAllocs pins both fingerprint hits at zero allocations: the
-// same Config re-priced unchanged, and two Configs whose relevant indexes
-// are the same priced alternately, so that every call rescreens a table
-// whose signature changed.
+// TestWarmHitAllocs pins three fingerprint hits at zero allocations: the
+// same Config re-priced unchanged; two Configs whose relevant indexes are
+// the same priced alternately, so that every call screens a table whose
+// index set changed; and fresh clones of one Config, each priced once, as
+// PDTool prices its per-candidate trial configurations.
 func TestWarmHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not stable under the race detector")
@@ -45,6 +46,19 @@ func TestWarmHitAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, alternate); got != 0 {
 		t.Fatalf("hit after a rescreen allocated %v times, want 0", got)
+	}
+	// AllocsPerRun makes one warm-up call before its runs.
+	clones := make([]*index.Config, 101)
+	for i := range clones {
+		clones[i] = a.Clone()
+	}
+	next := 0
+	fresh := func() {
+		o.ChoosePlan(q, clones[next])
+		next++
+	}
+	if got := testing.AllocsPerRun(100, fresh); got != 0 {
+		t.Fatalf("hit under an unseen equal Config allocated %v times, want 0", got)
 	}
 	if st := o.CacheStats(); st.Misses != 1 {
 		t.Fatalf("hits re-planned: %+v", st)
@@ -78,7 +92,6 @@ func TestReplanAllocs(t *testing.T) {
 				}
 				cfg := index.NewConfig()
 				cfg.Add(index.New("orders", key, nil))
-				cfg.TableSig("orders") // memoise the config's own signature
 				cfgs = append(cfgs, cfg)
 			}
 		}

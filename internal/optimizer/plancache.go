@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -21,27 +22,29 @@ import (
 // memo levels fall out of that:
 //
 //  1. a plan cache per query instance, keyed by the concatenated
-//     relevant-index fingerprint (index.Config.TableSig per table,
-//     screened per query), so the advisor and HTAP paths that re-price
+//     relevant-index fingerprint (the ids of the indexes that pass the
+//     screen, per table), so the advisor and HTAP paths that re-price
 //     the same instances against many candidate configurations plan
 //     each distinct relevant combination once;
 //  2. a bestAccess memo per (query instance, table) for the relevant set
 //     currently loaded, shared across the per-driver loop inside one
 //     ChoosePlan (the greedy search calls bestAccess O(tables²) times)
-//     and kept until the table's signature changes;
+//     and kept until a screen of the table yields different ids;
 //  3. per-instance planning state (metas, filtered-row estimates,
 //     FiltersOn results, referenced columns, the screened relevant set)
 //     computed once per query instance, plus cache-wide scratch (the
-//     fingerprint and joined-set buffers, step buffers) reused by every
-//     miss, so a re-plan of a known instance allocates only the plan,
-//     its Steps and the plan's fingerprint key.
+//     screen, fingerprint and joined-set buffers, step buffers) reused
+//     by every call, so a re-plan of a known instance allocates only the
+//     plan, its Steps and the plan's fingerprint key.
 //
-// Nothing else is memoised, because the traffic barely repeats it. Over
-// one seed-1 episode per repository benchmark workload, no instance was
-// priced twice in a row under one unchanged Config object, a table
-// returned to a signature it had seen before on about 3% of rescans
-// (advisor only), and the index-NL inner choice, a scan of the table's
-// few relevant indexes, repeated on under a quarter of its calls.
+// Every call screens cfg.OnTable for each of the query's tables, so the
+// configuration holds no memo. No further level is kept, because the
+// traffic barely repeats it. Over one seed-1 episode per
+// repository benchmark workload, no instance was priced twice in a row
+// under one unchanged Config object, a table returned to an index set
+// it had seen before on about 3% of rescans (advisor only), and the
+// index-NL inner choice, a scan of the table's few relevant indexes,
+// repeated on under a quarter of its calls.
 //
 // Everything is byte-identical to the uncached search: the screen
 // filters cfg.OnTable's deterministic order without reordering, costs
@@ -65,10 +68,10 @@ const (
 
 // PlanCacheStats are the cache's cumulative counters. Hits and Misses
 // count ChoosePlan calls answered from / added to the plan cache;
-// Invalidations counts relevant-set rescans (a table priced under a
-// signature other than the one it last saw, whether or not it has seen
-// that signature before) plus capacity evictions, where each generation
-// flip of the entry map and each reset of a full plan map counts as one.
+// Invalidations counts relevant-set changes (a table whose screen yields
+// ids other than the ones it last held, whether or not it has held them
+// before) plus capacity evictions, where each generation flip of the
+// entry map and each reset of a full plan map counts as one.
 // They feed benchmarks and logs only — no golden-pinned output includes
 // them.
 type PlanCacheStats struct {
@@ -87,6 +90,11 @@ type planCache struct {
 	cur, old map[*query.Query]*queryEntry
 
 	hits, misses, invalidations uint64
+
+	// Screen scratch, swapped with a table's buffers when its relevant
+	// set changes.
+	rel []relIndex
+	ids []byte
 
 	// Cold-path scratch, reused across the misses of every entry.
 	fpBuf     []byte
@@ -132,7 +140,7 @@ type nlChoice struct {
 
 // qtable is the per-(query, table) planning state: everything ChoosePlan
 // previously recomputed per call that does not depend on the
-// configuration, plus the relevant set of the signature last priced.
+// configuration, plus the relevant set last screened.
 type qtable struct {
 	name         string
 	meta         *catalog.Table
@@ -144,10 +152,9 @@ type qtable struct {
 	rowWidth     float64           // float64(meta.RowWidthBytes())
 	seqCost      float64           // CM.TableScanSec(meta, len(preds))
 
-	// The relevant set, rescreened into the same buffers whenever the
-	// table's signature changes; plans keep no reference into them.
+	// The relevant set last screened, kept with its access memo until a
+	// screen yields different ids; plans keep no reference into it.
 	loaded   bool       // false until the first refresh
-	sig      string     // TableSig the relevant set was screened under
 	rel      []relIndex // screened indexes, in cfg.OnTable order
 	ids      []byte     // canonical fingerprint component: screened index ids
 	access   accessChoice
@@ -306,22 +313,25 @@ func appendDistinct(list []string, s string) []string {
 	return append(list, s)
 }
 
-// refreshRelevant rescreens the table's indexes when cfg's signature for
-// it differs from the one the relevant set was screened under.
+// refreshRelevant screens cfg's indexes on the table into the cache's
+// scratch. When the screened ids differ from the table's current ones,
+// the buffers swap and the access memo resets; otherwise the relevant
+// set and its access memo stay.
 func (c *planCache) refreshRelevant(t *qtable, cfg *index.Config) {
-	sig := cfg.TableSig(t.name)
-	if t.loaded && sig == t.sig {
+	var list []*index.Index
+	if cfg != nil {
+		list = cfg.OnTable(t.name)
+	}
+	c.rel, c.ids = t.screen(list, c.rel[:0], c.ids[:0])
+	if t.loaded && bytes.Equal(c.ids, t.ids) {
 		return
 	}
 	if t.loaded {
 		c.invalidations++
 	}
-	var list []*index.Index
-	if cfg != nil {
-		list = cfg.OnTable(t.name)
-	}
-	t.rel, t.ids = t.screen(list, t.rel[:0], t.ids[:0])
-	t.loaded, t.sig, t.accessOK = true, sig, false
+	t.rel, c.rel = c.rel, t.rel
+	t.ids, c.ids = c.ids, t.ids
+	t.loaded, t.accessOK = true, false
 }
 
 // screen filters the table's indexes down to the ones that can affect

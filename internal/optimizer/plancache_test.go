@@ -152,9 +152,10 @@ func TestPlanCacheConsistencyRandomMutations(t *testing.T) {
 }
 
 // TestPlanCacheHitMissAccounting pins the counter semantics: miss on
-// first sight, fingerprint hit on unchanged config, fingerprint hit
-// (plus one invalidation) after irrelevant-index churn, miss after a
-// relevant change, and a rescan plus fingerprint hit on dropping back.
+// first sight, fingerprint hit on unchanged config, fingerprint hit (and
+// no invalidation) after irrelevant-index churn, miss plus one
+// relevant-set change after a relevant add, and one more relevant-set
+// change plus a fingerprint hit on dropping back.
 func TestPlanCacheHitMissAccounting(t *testing.T) {
 	schema, _ := testdb.Build(1)
 	o := New(schema, engine.DefaultCostModel())
@@ -178,30 +179,31 @@ func TestPlanCacheHitMissAccounting(t *testing.T) {
 	assertStats("unchanged config", 1, 1, 0)
 
 	// An index that fails every relevance screen for q (no seek prefix on
-	// q's predicates, not covering, leading key not a join column):
-	// content changed, so the table rescans (one invalidation), but the
+	// q's predicates, not covering, leading key not a join column): the
+	// screen yields the same ids, so the relevant set stays, the
 	// fingerprint is unchanged and the plan is re-served from cache.
 	cfg.Add(index.New("orders", []string{"o_priority"}, nil))
 	if _, err := o.ChoosePlan(q, cfg); err != nil {
 		t.Fatal(err)
 	}
-	assertStats("irrelevant churn", 2, 1, 1)
+	assertStats("irrelevant churn", 2, 1, 0)
 
-	// A relevant index changes the fingerprint: miss, fresh search.
+	// A relevant index changes the relevant set (one invalidation) and
+	// the fingerprint: miss, fresh search.
 	cfg.Add(index.New("orders", []string{"o_custkey", "o_date"}, nil))
 	if _, err := o.ChoosePlan(q, cfg); err != nil {
 		t.Fatal(err)
 	}
-	assertStats("relevant add", 2, 2, 2)
+	assertStats("relevant add", 2, 2, 1)
 
-	// Dropping back restores a previously-seen table signature: the
-	// table rescans (one invalidation) and the restored fingerprint hits
+	// Dropping back restores a previously held relevant set: it counts
+	// as a change (one invalidation) and the restored fingerprint hits
 	// the plan cache.
 	cfg.Drop(index.New("orders", []string{"o_custkey", "o_date"}, nil).ID())
 	if _, err := o.ChoosePlan(q, cfg); err != nil {
 		t.Fatal(err)
 	}
-	assertStats("relevant drop back", 3, 2, 3)
+	assertStats("relevant drop back", 3, 2, 2)
 }
 
 // TestPlanCacheErrorsNotCached pins that error results are re-derived

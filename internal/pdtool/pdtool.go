@@ -44,10 +44,11 @@ const (
 	maxGreedyCandidates = 64
 	// maxIterations bounds greedy additions.
 	maxIterations = 16
-	// whatIfSecPerCall converts optimiser invocations into modelled
-	// recommendation seconds.
-	whatIfSecPerCall = 0.05
 )
+
+// WhatIfSecPerCall converts optimiser invocations into modelled
+// recommendation seconds, for every tuner that charges by what-if call.
+const WhatIfSecPerCall = 0.05
 
 // Advisor is the offline physical design tool.
 type Advisor struct {
@@ -194,7 +195,7 @@ func (a *Advisor) Recommend(training []*query.Query) *Recommendation {
 	}
 
 	rec.EstimatedBenefitSec = baseTotal - curCost
-	rec.RecommendSec = float64(rec.WhatIfCalls) * whatIfSecPerCall
+	rec.RecommendSec = float64(rec.WhatIfCalls) * WhatIfSecPerCall
 	if a.opts.TimeLimitSec > 0 && rec.RecommendSec > a.opts.TimeLimitSec {
 		rec.RecommendSec = a.opts.TimeLimitSec
 	}
@@ -298,5 +299,5 @@ func (a *Advisor) overTimeLimit(rec *Recommendation) bool {
 	if a.opts.TimeLimitSec <= 0 {
 		return false
 	}
-	return float64(rec.WhatIfCalls)*whatIfSecPerCall >= a.opts.TimeLimitSec
+	return float64(rec.WhatIfCalls)*WhatIfSecPerCall >= a.opts.TimeLimitSec
 }

@@ -8,6 +8,7 @@ import (
 	"dbabandits/internal/index"
 	"dbabandits/internal/mab"
 	"dbabandits/internal/optimizer"
+	"dbabandits/internal/pdtool"
 	"dbabandits/internal/query"
 )
 
@@ -42,11 +43,6 @@ type advisorPolicy struct {
 	observedGain map[string]float64
 }
 
-// advisorWhatIfSecPerCall mirrors the PDTool's modelled cost per what-if
-// optimiser invocation, so the two advisors' recommendation times are
-// directly comparable.
-const advisorWhatIfSecPerCall = 0.05
-
 // advisorGainDecay is the per-round decay of observed execution gains.
 const advisorGainDecay = 0.5
 
@@ -75,8 +71,9 @@ func (p *advisorPolicy) Recommend(round int, lastWorkload []*query.Query) Recomm
 
 	// Estimate each candidate's benefit on the queries of interest via
 	// what-if calls, caching the no-index baseline per query. Every
-	// attempted optimiser invocation is charged, successful or not, as
-	// in the PDTool's modelled timing.
+	// attempted optimiser invocation is charged, successful or not, at
+	// the PDTool's modelled cost per call, so the two advisors'
+	// recommendation times are directly comparable.
 	var calls int
 	base := make([]float64, len(qois))
 	empty := index.NewConfig()
@@ -88,9 +85,9 @@ func (p *advisorPolicy) Recommend(round int, lastWorkload []*query.Query) Recomm
 			base[i] = -1
 		}
 	}
-	// One trial configuration serves every arm: swapping the previous
-	// arm's index for the next resets the touched tables' memoised
-	// signatures, so the plan cache never serves a stale plan.
+	// One trial configuration serves every arm: the previous arm's index
+	// is swapped for the next, and the plan cache screens the trial's
+	// current content on every call.
 	scores := make([]float64, len(arms))
 	trial := index.NewConfig()
 	for i, a := range arms {
@@ -123,7 +120,7 @@ func (p *advisorPolicy) Recommend(round int, lastWorkload []*query.Query) Recomm
 		next.Add(a.Index)
 	}
 	p.cfg = next
-	return Recommendation{Config: next, RecommendSec: advisorWhatIfSecPerCall * float64(calls)}
+	return Recommendation{Config: next, RecommendSec: pdtool.WhatIfSecPerCall * float64(calls)}
 }
 
 func (p *advisorPolicy) Observe(stats []*engine.ExecStats, _ map[string]float64) {
@@ -151,14 +148,10 @@ type advisorSnapshot struct {
 
 // Snapshot implements Snapshotter.
 func (p *advisorPolicy) Snapshot() (json.RawMessage, error) {
-	gains := make(map[string]float64, len(p.observedGain))
-	for k, v := range p.observedGain {
-		gains[k] = v
-	}
 	return json.Marshal(&advisorSnapshot{
 		Store:        p.store.Snapshot(),
 		Config:       p.cfg.Defs(),
-		ObservedGain: gains,
+		ObservedGain: p.observedGain,
 	})
 }
 

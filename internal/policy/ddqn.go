@@ -118,7 +118,7 @@ func (p *ddqnPolicy) Recommend(round int, lastWorkload []*query.Query) Recommend
 	p.cfg = next
 	p.awaitingObserve = true
 
-	return Recommendation{Config: next, RecommendSec: 0.0012 * float64(len(arms))}
+	return Recommendation{Config: next, RecommendSec: mab.RecommendSecPerArm * float64(len(arms))}
 }
 
 func (p *ddqnPolicy) Observe(stats []*engine.ExecStats, creationSec map[string]float64) {
