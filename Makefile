@@ -76,7 +76,7 @@ bench:
 	@echo wrote BENCH_$$(git rev-parse --short HEAD).json
 
 # Committed latest capture; bump when `make bench` commits a new one.
-BENCH_LATEST = BENCH_ae9d506.json
+BENCH_LATEST = BENCH_8a2392a.json
 
 # Perf regression tripwire mirroring CI: re-runs the Observe/Scores,
 # recommend-round, engine-execution, serve-window and checkpoint restore
