@@ -5,6 +5,7 @@ import (
 
 	"dbabandits/internal/engine"
 	"dbabandits/internal/index"
+	"dbabandits/internal/query"
 	"dbabandits/internal/testdb"
 )
 
@@ -65,11 +66,35 @@ func TestWarmHitAllocs(t *testing.T) {
 	}
 }
 
-// TestReplanAllocs pins a miss on an existing entry — a new relevant
-// index on one table — at exactly 3 allocations: the returned plan, its
-// Steps and the plan's fingerprint key. The rescreen reuses the table's
-// relevant-set buffers, and plan-map growth amortises below one per call.
+// TestReplanAllocs pins a ChoosePlan miss on an existing entry — a new
+// relevant index on one table — at exactly 3 allocations: the returned
+// plan, its Steps and the plan's fingerprint key. The entry's join
+// orders are recorded by the warm-up call, so the measured misses replay
+// them; the rescreen reuses the table's relevant-set buffers, and
+// plan-map growth amortises below one per call.
 func TestReplanAllocs(t *testing.T) {
+	testMissAllocs(t, func(o *Optimizer, q *query.Query, cfg *index.Config) error {
+		_, err := o.ChoosePlan(q, cfg)
+		return err
+	}, 3)
+}
+
+// TestWhatIfMissAllocs pins a WhatIfCost miss on an entry whose join
+// orders are recorded at exactly 1 allocation, the fingerprint key: it
+// prices a cost and builds no plan.
+func TestWhatIfMissAllocs(t *testing.T) {
+	testMissAllocs(t, func(o *Optimizer, q *query.Query, cfg *index.Config) error {
+		_, err := o.WhatIfCost(q, cfg)
+		return err
+	}, 1)
+}
+
+// testMissAllocs prices a 3-way join once with no indexes, which builds
+// its entry, then under one new configuration per call, and pins the
+// allocations of the misses after AllocsPerRun's warm-up call (the
+// entry's second search, which records its join orders).
+func testMissAllocs(t *testing.T, price func(*Optimizer, *query.Query, *index.Config) error, want float64) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("alloc counts are not stable under the race detector")
 	}
@@ -100,20 +125,29 @@ func TestReplanAllocs(t *testing.T) {
 	if len(cfgs) < runs+1 {
 		t.Fatalf("only %d distinct configs", len(cfgs))
 	}
-	if _, err := o.ChoosePlan(q, nil); err != nil { // build the entry
+	if err := price(o, q, nil); err != nil { // build the entry
 		t.Fatal(err)
 	}
 	next := 0
-	replan := func() {
-		if _, err := o.ChoosePlan(q, cfgs[next]); err != nil {
+	miss := func() {
+		if err := price(o, q, cfgs[next]); err != nil {
 			t.Fatal(err)
 		}
 		next++
 	}
-	if got := testing.AllocsPerRun(runs, replan); got != 3 {
-		t.Fatalf("re-plan under a new relevant set allocated %v times, want 3", got)
+	if got := testing.AllocsPerRun(runs, miss); got != want {
+		t.Fatalf("miss under a new relevant set allocated %v times, want %v", got, want)
 	}
 	if st := o.CacheStats(); st.Misses != runs+2 || st.Hits != 0 {
 		t.Fatalf("stats = %+v, want %d misses and no hits", st, runs+2)
+	}
+	orders := o.cache.cur[q].orders
+	if orders == nil {
+		t.Fatal("join orders not recorded")
+	}
+	for k, d := range orders {
+		if d.tied {
+			t.Fatalf("driver %d is tied, so its misses searched instead of replaying", k)
+		}
 	}
 }

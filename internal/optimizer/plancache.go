@@ -18,38 +18,51 @@ import (
 // the relevance screen — an index with no usable seek prefix, no
 // covering property, and a leading key column that is not one of the
 // query's join columns on its table can never enter bestAccess or
-// nlInnerAccess, so adding or dropping it cannot change the plan. Three
+// nlInnerAccess, so adding or dropping it cannot change the plan. Four
 // memo levels fall out of that:
 //
-//  1. a plan cache per query instance, keyed by the concatenated
-//     relevant-index fingerprint (the ids of the indexes that pass the
-//     screen, per table), so the advisor and HTAP paths that re-price
-//     the same instances against many candidate configurations plan
-//     each distinct relevant combination once;
-//  2. a bestAccess memo per (query instance, table) for the relevant set
+//  1. a slot per (query instance, relevant-index fingerprint), the
+//     fingerprint being the ids of the indexes that pass the screen, per
+//     table, so the advisor and HTAP paths that re-price the same
+//     instances against many candidate configurations price each
+//     distinct relevant combination once. WhatIfCost fills only the
+//     slot's cost and builds no plan; ChoosePlan adds the plan, building
+//     the winning driver's steps once per slot;
+//  2. a join order per (query instance, driver). Each greedy step takes
+//     the candidate join with the fewest estimated output rows, and those
+//     estimates come from filtered rows and column statistics alone, so a
+//     driver's order does not depend on the configuration unless two
+//     candidates tie on rows and cost breaks the tie. An instance's
+//     second search records every driver's order; later searches re-price
+//     an untied order step by step (the inner table's best access under a
+//     hash join against its index-NL choice), keeping each step's price
+//     until its inner table's relevant set changes, and search a tied
+//     driver in full. A first search records nothing, so a batch round's
+//     fresh instances, each planned once, pay nothing for it;
+//  3. a bestAccess memo per (query instance, table) for the relevant set
 //     currently loaded, shared across the per-driver loop inside one
-//     ChoosePlan (the greedy search calls bestAccess O(tables²) times)
-//     and kept until a screen of the table yields different ids;
-//  3. per-instance planning state (metas, filtered-row estimates,
+//     search (the greedy search calls bestAccess O(tables²) times) and
+//     kept until a screen of the table yields different ids;
+//  4. per-instance planning state (metas, filtered-row estimates,
 //     FiltersOn results, referenced columns, the screened relevant set)
 //     computed once per query instance, plus cache-wide scratch (the
-//     screen, fingerprint and joined-set buffers, step buffers) reused
-//     by every call, so a re-plan of a known instance allocates only the
-//     plan, its Steps and the plan's fingerprint key.
+//     screen, fingerprint, joined-set and step buffers) reused by every
+//     call, so a ChoosePlan miss on a known instance allocates only the
+//     plan, its Steps and the fingerprint key, and a WhatIfCost miss on a
+//     recorded instance only the key.
 //
 // Every call screens cfg.OnTable for each of the query's tables, so the
 // configuration holds no memo. No further level is kept, because the
-// traffic barely repeats it. Over one seed-1 episode per
-// repository benchmark workload, no instance was priced twice in a row
-// under one unchanged Config object, a table returned to an index set
-// it had seen before on about 3% of rescans (advisor only), and the
-// index-NL inner choice, a scan of the table's few relevant indexes,
-// repeated on under a quarter of its calls.
+// traffic barely repeats it: over one seed-1 episode per repository
+// benchmark workload, no instance was priced twice in a row under one
+// unchanged Config object, and a table returned to an index set it had
+// seen before on about 3% of rescans (advisor only).
 //
 // Everything is byte-identical to the uncached search: the screen
 // filters cfg.OnTable's deterministic order without reordering, costs
-// are computed by the same expressions in the same order, and errors
-// are never cached. Accounting is preserved — WhatIfCalls counts
+// are computed by the same expressions in the same order (a replayed
+// order adds the same step prices the recording search added), and
+// errors are never cached. Accounting is preserved — WhatIfCalls counts
 // logical optimiser invocations whether or not they hit the cache.
 
 const (
@@ -62,16 +75,20 @@ const (
 	// rounds × 99 TPC-DS instances = 396 — so such an instance is always
 	// promoted before its generation is dropped.
 	maxCachedQueries = 512
-	// maxPlansPerQuery bounds one query's fingerprint→plan map.
+	// maxPlansPerQuery bounds one query's fingerprint→slot map.
 	maxPlansPerQuery = 1024
 )
 
 // PlanCacheStats are the cache's cumulative counters. Hits and Misses
-// count ChoosePlan calls answered from / added to the plan cache;
-// Invalidations counts relevant-set changes (a table whose screen yields
-// ids other than the ones it last held, whether or not it has held them
-// before) plus capacity evictions, where each generation flip of the
-// entry map and each reset of a full plan map counts as one.
+// count ChoosePlan and WhatIfCost calls by fingerprint: a miss is the
+// first call priced under an instance's fingerprint, a hit any later
+// one. A ChoosePlan on a slot that WhatIfCost priced counts as a hit
+// although it builds the plan, so the counts do not depend on which of
+// the two priced a fingerprint first. Invalidations counts relevant-set
+// changes (a table whose screen yields ids other than the ones it last
+// held, whether or not it has held them before) plus capacity
+// evictions, where each generation flip of the entry map and each reset
+// of a full plan map counts as one.
 // They feed benchmarks and logs only — no golden-pinned output includes
 // them.
 type PlanCacheStats struct {
@@ -97,10 +114,9 @@ type planCache struct {
 	ids []byte
 
 	// Cold-path scratch, reused across the misses of every entry.
-	fpBuf     []byte
-	joined    []bool
-	curSteps  []engine.JoinStep
-	bestSteps []engine.JoinStep
+	fpBuf  []byte
+	joined []bool
+	steps  []engine.JoinStep
 }
 
 func newPlanCache() *planCache {
@@ -157,6 +173,7 @@ type qtable struct {
 	loaded   bool       // false until the first refresh
 	rel      []relIndex // screened indexes, in cfg.OnTable order
 	ids      []byte     // canonical fingerprint component: screened index ids
+	ver      uint64     // counts the relevant sets loaded
 	access   accessChoice
 	accessOK bool
 }
@@ -166,16 +183,78 @@ type queryEntry struct {
 	q      *query.Query
 	tables []qtable // distinct tables, in first-appearance order
 	order  []int    // q.Tables[i] → index into tables
-	plans  map[string]*engine.Plan
+
+	// The first fingerprint priced keeps its slot in the entry, and later
+	// ones go to plans, so an instance priced once, as batch rounds price
+	// theirs, makes no map.
+	fp0   string
+	slot0 planSlot
+	plans map[string]planSlot
+
+	orders []driverOrder // per driver position in order, from the second search on
 }
 
-// choosePlan is the cached ChoosePlan.
-func (c *planCache) choosePlan(o *Optimizer, q *query.Query, cfg *index.Config) (*engine.Plan, error) {
+// planSlot is one relevant-index fingerprint's priced result. WhatIfCost
+// fills only cost; plan stays nil until a ChoosePlan needs it.
+type planSlot struct {
+	cost float64
+	plan *engine.Plan
+}
+
+// driverOrder is the greedy join order from one driver. The step picked
+// is the candidate with the fewest output rows, and those row estimates
+// depend only on filtered rows and column statistics, not on the
+// configuration; only a rows tie, which cost breaks, lets the order
+// depend on it. So an untied order can be re-priced under any relevant
+// set, and a search's error, which depends only on the order, repeats.
+type driverOrder struct {
+	steps []orderStep
+	tied  bool  // some step had two candidates with the fewest rows
+	err   error // the search's error, if it failed
+}
+
+// orderStep is one recorded step: the join taken, its direction, and its
+// row estimates, with its price under the inner table's relevant set
+// number ver.
+type orderStep struct {
+	join               query.Join
+	swap               bool // the join's right side is the outer one
+	inner              int  // the joined table's qtable index
+	probeRows, outRows float64
+	ver                uint64
+	cost               float64
+}
+
+// sides returns the step's outer and inner table and column.
+func (s *orderStep) sides() (outerT, outerC, innerT, innerC string) {
+	j := s.join
+	if s.swap {
+		return j.RightTable, j.RightColumn, j.LeftTable, j.LeftColumn
+	}
+	return j.LeftTable, j.LeftColumn, j.RightTable, j.RightColumn
+}
+
+// joinStep is the plan step for s with the given inner access.
+func (s *orderStep) joinStep(inner engine.Access, algo engine.JoinAlgo) engine.JoinStep {
+	outerT, outerC, innerT, innerC := s.sides()
+	return engine.JoinStep{
+		Pred:       s.join,
+		OuterTable: outerT, OuterColumn: outerC,
+		InnerTable: innerT, InnerColumn: innerC,
+		Inner: inner,
+		Algo:  algo,
+	}
+}
+
+// price is the cached ChoosePlan (withPlan) and WhatIfCost. A slot that
+// holds only a cost answers WhatIfCost; ChoosePlan on it searches once
+// more to build the plan and stores it in the slot.
+func (c *planCache) price(o *Optimizer, q *query.Query, cfg *index.Config, withPlan bool) (planSlot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, err := c.entry(o, q)
 	if err != nil {
-		return nil, err
+		return planSlot{}, err
 	}
 	for i := range e.tables {
 		c.refreshRelevant(&e.tables[i], cfg)
@@ -186,23 +265,53 @@ func (c *planCache) choosePlan(o *Optimizer, q *query.Query, cfg *index.Config) 
 		fp = append(fp, 0x1e)
 	}
 	c.fpBuf = fp
-	if plan, ok := e.plans[string(fp)]; ok {
+	slot, hit := e.slot(fp)
+	if hit && (slot.plan != nil || !withPlan) {
 		c.hits++
-		return plan, nil
+		return slot, nil
 	}
-	plan, err := c.planEntry(o, e)
+	slot, err = c.planEntry(o, e, withPlan)
 	if err != nil {
 		// Errors are never cached: every call re-derives and returns the
 		// identical message, exactly like the uncached path.
-		return nil, err
+		return planSlot{}, err
 	}
-	c.misses++
-	if len(e.plans) >= maxPlansPerQuery {
-		e.plans = make(map[string]*engine.Plan, maxPlansPerQuery)
-		c.invalidations++
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+		if len(e.plans) >= maxPlansPerQuery {
+			e.plans = nil
+			c.invalidations++
+		}
 	}
-	e.plans[string(fp)] = plan
-	return plan, nil
+	e.store(fp, slot)
+	return slot, nil
+}
+
+// slot returns the slot priced under fingerprint fp, if any.
+func (e *queryEntry) slot(fp []byte) (planSlot, bool) {
+	if e.fp0 == string(fp) {
+		return e.slot0, true
+	}
+	s, ok := e.plans[string(fp)]
+	return s, ok
+}
+
+// store sets fp's slot: the entry's own slot for the first fingerprint
+// priced, a slot in the plan map for any other.
+func (e *queryEntry) store(fp []byte, s planSlot) {
+	switch {
+	case e.fp0 == "":
+		e.fp0, e.slot0 = string(fp), s
+	case e.fp0 == string(fp):
+		e.slot0 = s
+	default:
+		if e.plans == nil {
+			e.plans = make(map[string]planSlot)
+		}
+		e.plans[string(fp)] = s
+	}
 }
 
 // entry returns q's entry in the current generation, promoting it from
@@ -242,7 +351,6 @@ func newQueryEntry(o *Optimizer, q *query.Query) (*queryEntry, error) {
 		q:      q,
 		tables: make([]qtable, 0, len(q.Tables)),
 		order:  make([]int, 0, len(q.Tables)),
-		plans:  make(map[string]*engine.Plan),
 	}
 	for _, name := range q.Tables {
 		if i := e.tableIndex(name); i >= 0 {
@@ -332,6 +440,7 @@ func (c *planCache) refreshRelevant(t *qtable, cfg *index.Config) {
 	t.rel, c.rel = c.rel, t.rel
 	t.ids, c.ids = c.ids, t.ids
 	t.loaded, t.accessOK = true, false
+	t.ver++
 }
 
 // screen filters the table's indexes down to the ones that can affect
@@ -369,37 +478,95 @@ func (t *qtable) covers(ix *index.Index) bool {
 }
 
 // planEntry is choosePlanUncached over the entry's memoised state: same
-// driver loop, same greedy completion, same tie-breaking, same floats.
-func (c *planCache) planEntry(o *Optimizer, e *queryEntry) (*engine.Plan, error) {
+// driver loop, same tie-breaking, same floats. Each driver is completed
+// by priceDriver. With withPlan it also builds the winner's plan;
+// without, it prices only and writes no steps.
+func (c *planCache) planEntry(o *Optimizer, e *queryEntry, withPlan bool) (planSlot, error) {
+	record := e.fp0 != "" && e.orders == nil
+	if record {
+		n := len(e.q.Tables) - 1
+		steps := make([]orderStep, n*len(e.order))
+		e.orders = make([]driverOrder, len(e.order))
+		for k := range e.orders {
+			e.orders[k].steps = steps[k*n : k*n : (k+1)*n]
+		}
+	}
 	var (
 		haveBest           bool
 		bestCost, bestRows float64
 		bestDrv            engine.Access
+		bestStart, bestEnd int // the winner's steps in c.steps
 		firstErr           error
 	)
-	c.bestSteps = c.bestSteps[:0]
-	for _, ti := range e.order {
-		cost, rows, drv, err := c.planFromDriverEntry(o, e, ti)
+	c.steps = c.steps[:0]
+	for k := range e.order {
+		start := len(c.steps)
+		cost, rows, drv, err := c.priceDriver(o, e, k, withPlan, record)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
+			c.steps = c.steps[:start]
 			continue
 		}
 		if !haveBest || cost < bestCost {
 			haveBest = true
 			bestCost, bestRows, bestDrv = cost, rows, drv
-			c.bestSteps, c.curSteps = c.curSteps, c.bestSteps
+			bestStart, bestEnd = start, len(c.steps)
+		} else {
+			c.steps = c.steps[:start]
 		}
 	}
 	if !haveBest {
-		return nil, firstErr
+		return planSlot{}, firstErr
 	}
-	plan := &engine.Plan{Query: e.q, Driver: bestDrv, EstRows: bestRows, EstCost: bestCost}
-	if len(c.bestSteps) > 0 {
-		plan.Steps = append([]engine.JoinStep(nil), c.bestSteps...)
+	slot := planSlot{cost: bestCost}
+	if withPlan {
+		slot.plan = &engine.Plan{Query: e.q, Driver: bestDrv, EstRows: bestRows, EstCost: bestCost}
+		if bestEnd > bestStart {
+			slot.plan.Steps = append([]engine.JoinStep(nil), c.steps[bestStart:bestEnd]...)
+		}
 	}
-	return plan, nil
+	return slot, nil
+}
+
+// priceDriver completes the plan from the driver at position k of
+// e.order. The first search runs the greedy completion; the second runs
+// it again, recording the driver's order; later searches replay an
+// untied recorded order, or return its recorded error, and search a
+// tied driver afresh. With steps the completion's join steps are
+// appended to c.steps.
+func (c *planCache) priceDriver(o *Optimizer, e *queryEntry, k int, steps, record bool) (cost, rows float64, drv engine.Access, err error) {
+	driver := e.order[k]
+	switch {
+	case record:
+		return c.searchDriver(o, e, driver, steps, &e.orders[k])
+	case e.orders == nil:
+		return c.searchDriver(o, e, driver, steps, nil)
+	}
+	d := &e.orders[k]
+	switch {
+	case d.tied:
+		return c.searchDriver(o, e, driver, steps, nil)
+	case d.err != nil:
+		return 0, 0, engine.Access{}, d.err
+	}
+	drvChoice := o.entryBestAccess(&e.tables[driver])
+	drv, cost, rows = drvChoice.acc, drvChoice.estCost, drvChoice.estRows
+	for i := range d.steps {
+		s := &d.steps[i]
+		if ver := e.tables[s.inner].ver; steps || s.ver != ver {
+			stepCost, acc, algo := o.priceStep(e, s)
+			if steps {
+				c.steps = append(c.steps, s.joinStep(acc, algo))
+			}
+			s.ver, s.cost = ver, stepCost
+		}
+		cost += s.cost
+		rows = s.outRows
+	}
+	cost += o.CM.OutputSec(rows, e.q.AggWidth)
+	return cost, rows, drv, nil
 }
 
 // tableIndex resolves a table name to its qtable position, -1 when the
@@ -413,9 +580,12 @@ func (e *queryEntry) tableIndex(name string) int {
 	return -1
 }
 
-// planFromDriverEntry is planFromDriver writing its join steps into
-// c.curSteps; the caller owns materialising the winner.
-func (c *planCache) planFromDriverEntry(o *Optimizer, e *queryEntry, driver int) (cost, curRows float64, drv engine.Access, err error) {
+// searchDriver is planFromDriver over the entry: at each step every
+// candidate join is priced and the one with the fewest output rows wins,
+// the cheaper on a rows tie. With steps the join steps are appended to
+// c.steps. A non-nil rec receives the order taken, whether any step
+// had a rows tie, and the search's error.
+func (c *planCache) searchDriver(o *Optimizer, e *queryEntry, driver int, steps bool, rec *driverOrder) (cost, curRows float64, drv engine.Access, err error) {
 	q := e.q
 	drvChoice := o.entryBestAccess(&e.tables[driver])
 	drv = drvChoice.acc
@@ -424,83 +594,87 @@ func (c *planCache) planFromDriverEntry(o *Optimizer, e *queryEntry, driver int)
 	c.joined = append(c.joined[:0], make([]bool, len(e.tables))...)
 	joined := c.joined
 	joined[driver] = true
-	c.curSteps = c.curSteps[:0]
+	fail := func(err error) (float64, float64, engine.Access, error) {
+		if rec != nil {
+			rec.err = err
+		}
+		return 0, 0, engine.Access{}, err
+	}
 
-	remaining := len(q.Tables) - 1
-	for remaining > 0 {
+	for remaining := len(q.Tables) - 1; remaining > 0; remaining-- {
 		type cand struct {
-			step    engine.JoinStep
+			s       orderStep
+			acc     engine.Access
+			algo    engine.JoinAlgo
 			estCost float64
-			outRows float64
 		}
 		var best cand
-		haveBest := false
+		haveBest, tied := false, false
 		for _, j := range q.Joins {
 			li, ri := e.tableIndex(j.LeftTable), e.tableIndex(j.RightTable)
 			ljoined := li >= 0 && joined[li]
 			rjoined := ri >= 0 && joined[ri]
-			var outerC, innerC string
-			var outerI, innerI int
-			var innerName string
+			var cnd cand
+			var outer int
 			switch {
 			case ljoined && !rjoined:
-				outerI, outerC, innerI, innerC, innerName = li, j.LeftColumn, ri, j.RightColumn, j.RightTable
+				outer, cnd.s = li, orderStep{join: j, inner: ri}
 			case rjoined && !ljoined:
-				outerI, outerC, innerI, innerC, innerName = ri, j.RightColumn, li, j.LeftColumn, j.LeftTable
+				outer, cnd.s = ri, orderStep{join: j, swap: true, inner: li}
 			default:
 				continue
 			}
-			if innerI < 0 {
-				return 0, 0, engine.Access{}, fmt.Errorf("optimizer: join references table %q not in FROM list", innerName)
+			_, outerC, innerName, innerC := cnd.s.sides()
+			if cnd.s.inner < 0 {
+				return fail(fmt.Errorf("optimizer: join references table %q not in FROM list", innerName))
 			}
-			outer, inner := &e.tables[outerI], &e.tables[innerI]
-			outRows := JoinCardinality(curRows, outer.meta, outerC, inner.filteredRows, inner.meta, innerC)
+			inner := &e.tables[cnd.s.inner]
+			cnd.s.probeRows = curRows
+			cnd.s.outRows = JoinCardinality(curRows, e.tables[outer].meta, outerC, inner.filteredRows, inner.meta, innerC)
+			cnd.estCost, cnd.acc, cnd.algo = o.priceStep(e, &cnd.s)
 
-			innerChoice := o.entryBestAccess(inner)
-			hashCost := innerChoice.estCost + o.CM.HashJoinSec(innerChoice.estRows, curRows)
-			step := engine.JoinStep{
-				Pred:       j,
-				OuterTable: outer.name, OuterColumn: outerC,
-				InnerTable: inner.name, InnerColumn: innerC,
-				Inner: innerChoice.acc,
-				Algo:  engine.JoinHash,
-			}
-			cnd := cand{step: step, estCost: hashCost, outRows: outRows}
-
-			if nl := o.entryNLAccess(inner, innerC); nl.ok {
-				nlCost := o.entryEstimateNLJoin(inner, nl, curRows, outRows)
-				if nlCost < cnd.estCost {
-					cnd = cand{
-						step: engine.JoinStep{
-							Pred:       j,
-							OuterTable: outer.name, OuterColumn: outerC,
-							InnerTable: inner.name, InnerColumn: innerC,
-							Inner: nl.acc,
-							Algo:  engine.JoinIndexNL,
-						},
-						estCost: nlCost,
-						outRows: outRows,
-					}
+			switch {
+			case !haveBest || cnd.s.outRows < best.s.outRows:
+				best, haveBest, tied = cnd, true, false
+			case cnd.s.outRows == best.s.outRows:
+				tied = true
+				if cnd.estCost < best.estCost {
+					best = cnd
 				}
-			}
-
-			if !haveBest || cnd.outRows < best.outRows ||
-				(cnd.outRows == best.outRows && cnd.estCost < best.estCost) {
-				best, haveBest = cnd, true
 			}
 		}
 		if !haveBest {
-			return 0, 0, engine.Access{}, fmt.Errorf("optimizer: query %d join graph is disconnected", q.TemplateID)
+			return fail(fmt.Errorf("optimizer: query %d join graph is disconnected", q.TemplateID))
 		}
-		c.curSteps = append(c.curSteps, best.step)
+		if rec != nil {
+			rec.tied = rec.tied || tied
+			rec.steps = append(rec.steps, best.s)
+		}
+		if steps {
+			c.steps = append(c.steps, best.s.joinStep(best.acc, best.algo))
+		}
 		cost += best.estCost
-		curRows = best.outRows
-		joined[e.tableIndex(best.step.InnerTable)] = true
-		remaining--
+		curRows = best.s.outRows
+		joined[best.s.inner] = true
 	}
 
 	cost += o.CM.OutputSec(curRows, q.AggWidth)
 	return cost, curRows, drv, nil
+}
+
+// priceStep prices one join step: a hash join over the inner table's
+// best access, or the index-NL join when that is strictly cheaper.
+func (o *Optimizer) priceStep(e *queryEntry, s *orderStep) (float64, engine.Access, engine.JoinAlgo) {
+	inner := &e.tables[s.inner]
+	innerChoice := o.entryBestAccess(inner)
+	hashCost := innerChoice.estCost + o.CM.HashJoinSec(innerChoice.estRows, s.probeRows)
+	_, _, _, innerC := s.sides()
+	if nl := o.entryNLAccess(inner, innerC); nl.ok {
+		if nlCost := o.entryEstimateNLJoin(inner, nl, s.probeRows, s.outRows); nlCost < hashCost {
+			return nlCost, nl.acc, engine.JoinIndexNL
+		}
+	}
+	return hashCost, innerChoice.acc, engine.JoinHash
 }
 
 // entryBestAccess is bestAccess over the relevant set, memoised until

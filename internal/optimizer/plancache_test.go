@@ -67,6 +67,25 @@ func cacheTestQueries() []*query.Query {
 			},
 			Payload: []query.ColumnRef{{Table: "orders", Column: "o_total"}},
 		},
+		{
+			// From orders, both joins estimate 320 output rows: 8000 orders
+			// × 20 of 500 customers (a 25-way c_nation equality, keys with
+			// 500 distinct values) or × 16 of 400 parts (a 25-way p_brand
+			// equality, keys with 400 distinct values). Cost breaks the
+			// tie, so that driver's join order depends on the
+			// configuration.
+			TemplateID: 6,
+			Tables:     []string{"orders", "customer", "part"},
+			Filters: []query.Predicate{
+				{Table: "customer", Column: "c_nation", Op: query.OpEq, Lo: 4, Hi: 4},
+				{Table: "part", Column: "p_brand", Op: query.OpEq, Lo: 9, Hi: 9},
+			},
+			Joins: []query.Join{
+				{LeftTable: "orders", LeftColumn: "o_custkey", RightTable: "customer", RightColumn: "c_id"},
+				{LeftTable: "orders", LeftColumn: "o_partkey", RightTable: "part", RightColumn: "p_id"},
+			},
+			Payload: []query.ColumnRef{{Table: "orders", Column: "o_total"}},
+		},
 	}
 }
 
@@ -94,7 +113,11 @@ func cacheTestPool() []*index.Index {
 // property test: a randomized add/drop/no-op mutation walk over a shared
 // Config, pinning the cached optimiser byte-identical to the uncached
 // reference on every query after every step — including repeat calls
-// (hit path) and nil-config calls.
+// (hit path) and nil-config calls. Each (query, config) is priced by
+// WhatIfCost first, so ChoosePlan builds the plan of a slot that holds
+// only a cost; the walk re-prices every instance often enough that its
+// recorded join orders are replayed, and the tied query's tied driver
+// is searched afresh.
 func TestPlanCacheConsistencyRandomMutations(t *testing.T) {
 	schema, _ := testdb.Build(1)
 	cm := engine.DefaultCostModel()
@@ -107,6 +130,15 @@ func TestPlanCacheConsistencyRandomMutations(t *testing.T) {
 		t.Helper()
 		for _, q := range queries {
 			want, werr := ref.ChoosePlan(q, cfg)
+			cost, cerr := cached.WhatIfCost(q, cfg)
+			if (werr == nil) != (cerr == nil) {
+				t.Fatalf("step %d q%d: what-if err mismatch: cached %v, uncached %v",
+					step, q.TemplateID, cerr, werr)
+			}
+			if werr == nil && math.Float64bits(cost) != math.Float64bits(want.EstCost) {
+				t.Fatalf("step %d q%d: what-if cost bits differ: %v vs %v",
+					step, q.TemplateID, cost, want.EstCost)
+			}
 			for pass := 0; pass < 2; pass++ { // second pass must hit
 				got, gerr := cached.ChoosePlan(q, cfg)
 				if (werr == nil) != (gerr == nil) {
@@ -146,6 +178,26 @@ func TestPlanCacheConsistencyRandomMutations(t *testing.T) {
 	if st.Hits == 0 || st.Misses == 0 || st.Invalidations == 0 {
 		t.Fatalf("mutation walk did not exercise all cache paths: %+v", st)
 	}
+	tied, replayed := 0, 0
+	for _, q := range queries {
+		e := cached.cache.cur[q]
+		if e == nil || e.orders == nil {
+			t.Fatalf("q%d: no join orders recorded", q.TemplateID)
+		}
+		for _, d := range e.orders {
+			if d.tied {
+				tied++
+			}
+			for _, s := range d.steps {
+				if !d.tied && s.ver != 0 {
+					replayed++
+				}
+			}
+		}
+	}
+	if tied == 0 || replayed == 0 {
+		t.Fatalf("walk marked %d drivers tied and replayed %d steps; want both > 0", tied, replayed)
+	}
 	if ref.CacheStats() != (PlanCacheStats{}) {
 		t.Fatalf("uncached optimiser reports stats: %+v", ref.CacheStats())
 	}
@@ -154,8 +206,9 @@ func TestPlanCacheConsistencyRandomMutations(t *testing.T) {
 // TestPlanCacheHitMissAccounting pins the counter semantics: miss on
 // first sight, fingerprint hit on unchanged config, fingerprint hit (and
 // no invalidation) after irrelevant-index churn, miss plus one
-// relevant-set change after a relevant add, and one more relevant-set
-// change plus a fingerprint hit on dropping back.
+// relevant-set change after a relevant add, one more relevant-set change
+// plus a fingerprint hit on dropping back, and a hit for a ChoosePlan
+// that builds the plan of a slot WhatIfCost priced.
 func TestPlanCacheHitMissAccounting(t *testing.T) {
 	schema, _ := testdb.Build(1)
 	o := New(schema, engine.DefaultCostModel())
@@ -204,6 +257,29 @@ func TestPlanCacheHitMissAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertStats("relevant drop back", 3, 2, 2)
+
+	// WhatIfCost under a new fingerprint is a miss that prices a cost
+	// only. The first ChoosePlan on that slot builds the plan and counts
+	// as a hit, as it would had ChoosePlan priced the fingerprint first;
+	// the next one returns the same plan.
+	cfg.Add(index.New("orders", []string{"o_date"}, nil))
+	cost, err := o.WhatIfCost(q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStats("what-if miss", 3, 3, 3)
+	plan, err := o.ChoosePlan(q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(plan.EstCost) != math.Float64bits(cost) {
+		t.Fatalf("plan cost %v differs from what-if cost %v", plan.EstCost, cost)
+	}
+	assertStats("plan on a cost-only slot", 4, 3, 3)
+	if again, _ := o.ChoosePlan(q, cfg); again != plan {
+		t.Fatal("second ChoosePlan on the slot re-built its plan")
+	}
+	assertStats("plan hit", 5, 3, 3)
 }
 
 // TestPlanCacheErrorsNotCached pins that error results are re-derived

@@ -49,15 +49,20 @@ type accessChoice struct {
 // plan is completed greedily, and the cheapest estimated plan wins. The
 // returned plan carries EstRows/EstCost.
 //
-// With the plan cache enabled (New), the search runs once per (query
+// With the plan cache enabled (New), the plan is built once per (query
 // instance, relevant-index fingerprint) and repeat calls return the
-// memoised plan; the returned *engine.Plan may be shared across calls
-// and must be treated as immutable, which engine.Execute honours. The
-// cache's one mutex makes a cached Optimizer safe for concurrent
-// callers, who serialise on it; cfg must not be mutated while priced.
+// memoised plan; a fingerprint WhatIfCost priced first gets its plan on
+// the first ChoosePlan. From an instance's third search on, a driver
+// whose recorded join order has no rows tie is re-priced along that
+// order instead of searched. The returned *engine.Plan may be shared
+// across calls and must be treated as immutable, which engine.Execute
+// honours. The cache's one mutex makes a cached Optimizer safe for
+// concurrent callers, who serialise on it; cfg must not be mutated while
+// priced.
 func (o *Optimizer) ChoosePlan(q *query.Query, cfg *index.Config) (*engine.Plan, error) {
 	if o.cache != nil {
-		return o.cache.choosePlan(o, q, cfg)
+		slot, err := o.cache.price(o, q, cfg, true)
+		return slot.plan, err
 	}
 	return o.choosePlanUncached(q, cfg)
 }

@@ -103,3 +103,82 @@ func TestWhatIfMonotoneOnBenchmarks(t *testing.T) {
 		t.Fatalf("checked only %d (query, configuration) pairs", pairs)
 	}
 }
+
+// TestWhatIfArmSweepMatchesUncached replays the advisor's pricing
+// pattern over the real templates of all five benchmarks: each instance
+// of a static round at 1000 stored rows is priced under the empty
+// configuration and then under every arm the generator proposes, one
+// arm at a time in one trial configuration, through WhatIfCost; a
+// ChoosePlan under every third arm then builds the plan of a slot that
+// holds only a cost. Every cost must match the uncached reference bit
+// for bit and every plan deeply, over searches that record join orders,
+// replay them and search tied drivers afresh.
+func TestWhatIfArmSweepMatchesUncached(t *testing.T) {
+	cm := engine.DefaultCostModel()
+	tied, replayed := 0, 0
+	for _, name := range workload.AllNames() {
+		bench, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schema := bench.NewSchema()
+		db, err := datagen.Build(schema, datagen.Options{ScaleFactor: 10, MaxStoredRows: 1000, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, ref := New(schema, cm), NewUncached(schema, cm)
+		qs := workload.NewStatic(bench, db, 1, 1).Round(1)
+		arms := mab.NewArmGenerator(schema).Generate(qs)
+		trial := index.NewConfig()
+		price := func(label string, cfg *index.Config, withPlan bool) {
+			t.Helper()
+			for _, q := range qs {
+				want, err := ref.ChoosePlan(q, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cost, err := cached.WhatIfCost(q, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(cost) != math.Float64bits(want.EstCost) {
+					t.Fatalf("%s %s q%d: what-if cost %v, uncached %v", name, label, q.TemplateID, cost, want.EstCost)
+				}
+				if !withPlan {
+					continue
+				}
+				plan, err := cached.ChoosePlan(q, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(plan, want) {
+					t.Fatalf("%s %s q%d: cached plan\n%+v\ndiffers from uncached\n%+v", name, label, q.TemplateID, plan, want)
+				}
+			}
+		}
+		price("empty", trial, true)
+		for i, a := range arms {
+			if i > 0 {
+				trial.Drop(arms[i-1].ID())
+			}
+			trial.Add(a.Index)
+			price(a.ID(), trial, i%3 == 0)
+		}
+		for _, q := range qs {
+			for _, d := range cached.cache.cur[q].orders {
+				if d.tied {
+					tied++
+					continue
+				}
+				for _, s := range d.steps {
+					if s.ver != 0 {
+						replayed++
+					}
+				}
+			}
+		}
+	}
+	if tied == 0 || replayed == 0 {
+		t.Fatalf("sweep marked %d drivers tied and replayed %d steps; want both > 0", tied, replayed)
+	}
+}
