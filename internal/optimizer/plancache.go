@@ -538,17 +538,14 @@ func (c *planCache) planEntry(o *Optimizer, e *queryEntry, withPlan bool) (planS
 // appended to c.steps.
 func (c *planCache) priceDriver(o *Optimizer, e *queryEntry, k int, steps, record bool) (cost, rows float64, drv engine.Access, err error) {
 	driver := e.order[k]
-	switch {
-	case record:
+	if record {
 		return c.searchDriver(o, e, driver, steps, &e.orders[k])
-	case e.orders == nil:
+	}
+	if e.orders == nil || e.orders[k].tied {
 		return c.searchDriver(o, e, driver, steps, nil)
 	}
 	d := &e.orders[k]
-	switch {
-	case d.tied:
-		return c.searchDriver(o, e, driver, steps, nil)
-	case d.err != nil:
+	if d.err != nil {
 		return 0, 0, engine.Access{}, d.err
 	}
 	drvChoice := o.entryBestAccess(&e.tables[driver])

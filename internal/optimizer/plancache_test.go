@@ -178,28 +178,83 @@ func TestPlanCacheConsistencyRandomMutations(t *testing.T) {
 	if st.Hits == 0 || st.Misses == 0 || st.Invalidations == 0 {
 		t.Fatalf("mutation walk did not exercise all cache paths: %+v", st)
 	}
-	tied, replayed := 0, 0
+	replayed := 0
 	for _, q := range queries {
 		e := cached.cache.cur[q]
 		if e == nil || e.orders == nil {
 			t.Fatalf("q%d: no join orders recorded", q.TemplateID)
 		}
+		tied := false
 		for _, d := range e.orders {
-			if d.tied {
-				tied++
-			}
+			tied = tied || d.tied
 			for _, s := range d.steps {
 				if !d.tied && s.ver != 0 {
 					replayed++
 				}
 			}
 		}
+		if q.TemplateID == 6 && !tied {
+			t.Fatal("q6: no driver marked tied, though its two joins tie on rows")
+		}
 	}
-	if tied == 0 || replayed == 0 {
-		t.Fatalf("walk marked %d drivers tied and replayed %d steps; want both > 0", tied, replayed)
+	if replayed == 0 {
+		t.Fatal("walk replayed no recorded step")
 	}
 	if ref.CacheStats() != (PlanCacheStats{}) {
 		t.Fatalf("uncached optimiser reports stats: %+v", ref.CacheStats())
+	}
+}
+
+// TestPlanCacheTiedDriverSearchedAfresh pins the fallback for a driver
+// whose recorded join order had a rows tie. From orders, q6's two joins
+// tie on output rows and cost breaks the tie: at scale factor 100, part
+// first under no index or orders(o_custkey), customer first once a
+// covering customer(c_nation) index makes that join the cheaper one.
+// The second search, under orders(o_custkey), records part first; a
+// replay of it under the covering index would add the step prices in
+// the other order, so only a fresh search of the tied driver matches
+// the uncached reference bit for bit.
+func TestPlanCacheTiedDriverSearchedAfresh(t *testing.T) {
+	schema, _ := testdb.BuildScaled(1, 100, 2000)
+	cm := engine.DefaultCostModel()
+	cached, ref := New(schema, cm), NewUncached(schema, cm)
+	var q *query.Query
+	for _, cq := range cacheTestQueries() {
+		if cq.TemplateID == 6 {
+			q = cq
+		}
+	}
+	custkey, covering := index.NewConfig(), index.NewConfig()
+	custkey.Add(index.New("orders", []string{"o_custkey"}, nil))
+	covering.Add(index.New("customer", []string{"c_nation"}, []string{"c_id"}))
+	for _, c := range []struct {
+		name  string
+		cfg   *index.Config
+		first string // the reference plan's first joined table
+	}{
+		{"empty", nil, "part"},
+		{"orders(o_custkey)", custkey, "part"},
+		{"covering customer(c_nation)", covering, "customer"},
+	} {
+		want, err := ref.ChoosePlan(q, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Driver.Table != "orders" || want.Steps[0].InnerTable != c.first {
+			t.Fatalf("%s: reference plan drives from %s and joins %s first, want orders and %s",
+				c.name, want.Driver.Table, want.Steps[0].InnerTable, c.first)
+		}
+		got, err := cached.WhatIfCost(q, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want.EstCost) {
+			t.Fatalf("%s: cached cost %v, uncached %v", c.name, got, want.EstCost)
+		}
+	}
+	e := cached.cache.cur[q]
+	if e.orders == nil || !e.orders[0].tied {
+		t.Fatal("the orders driver's recorded order is not marked tied")
 	}
 }
 
